@@ -54,13 +54,16 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects over TCP (`host:port`).
+    /// Connects over TCP (`host:port`) with `TCP_NODELAY` set, so a
+    /// request frame leaves in one segment instead of waiting on Nagle
+    /// for the daemon's delayed ACK.
     ///
     /// # Errors
     ///
     /// Returns the connect failure.
     pub fn connect_tcp(addr: &str) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = Stream::Tcp(stream.try_clone()?);
         Ok(Client {
             reader: BufReader::new(Stream::Tcp(stream)),
@@ -86,12 +89,16 @@ impl Client {
     /// Sends one raw frame (a newline is appended). Deliberately does
     /// not validate — the chaos harness uses this to send garbage.
     ///
+    /// The line and its `\n` go out in a single write: a separate write
+    /// for the terminator would be a second small segment that Nagle
+    /// holds until the daemon ACKs the first, which costs a delayed-ACK
+    /// timeout (about 40 ms on Linux) per request.
+    ///
     /// # Errors
     ///
     /// Returns the write failure.
     pub fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         self.writer.flush()
     }
 

@@ -439,9 +439,14 @@ impl Server {
                 Ok(conn) => {
                     shared.stats.bump(&shared.stats.connections);
                     // The listener is non-blocking; the stream must
-                    // block — readers frame with blocking reads.
+                    // block — readers frame with blocking reads. TCP
+                    // streams also get `TCP_NODELAY`, so the tail
+                    // segment of a large response is never held behind
+                    // Nagle waiting for the client's delayed ACK.
                     let ok = match &conn {
-                        Conn::Tcp(s) => s.set_nonblocking(false).is_ok(),
+                        Conn::Tcp(s) => {
+                            s.set_nonblocking(false).is_ok() && s.set_nodelay(true).is_ok()
+                        }
                         #[cfg(unix)]
                         Conn::Unix(s) => s.set_nonblocking(false).is_ok(),
                     };

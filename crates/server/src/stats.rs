@@ -12,13 +12,13 @@
 //!
 //! * per-error-**kind** counters (`deadline_exceeded`, `panic`, …),
 //! * per-**tenant** request/ok/error/shed/panic breakdowns, and
-//! * a bounded reservoir of raw latency samples, from which the
-//!   `stats` payload reports *exact* nearest-rank p50/p99 over the
-//!   retained window — the power-of-two histogram stays for
-//!   count/min/max/mean, but quantiles no longer inherit its up-to-2×
-//!   bucket quantization.
+//! * one latency store: exact count/min/max/sum over every completed
+//!   request, next to a bounded reservoir of raw samples from which
+//!   the `stats` payload reports *exact* nearest-rank p50/p99 over the
+//!   retained window. Both live under one lock, so an observation takes
+//!   one lock.
 
-use safetsa_telemetry::{Histogram, Json};
+use safetsa_telemetry::Json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -44,9 +44,18 @@ pub struct TenantCounters {
     pub panics: u64,
 }
 
-/// The raw-sample sliding window behind exact percentiles.
+/// The daemon's one latency store: exact totals over every observation
+/// plus the raw-sample sliding window behind exact percentiles.
 #[derive(Debug, Default)]
 struct LatencyReservoir {
+    /// Observations ever recorded.
+    count: u64,
+    /// Smallest observation (0 when empty).
+    min: u64,
+    /// Largest observation.
+    max: u64,
+    /// Sum of observations (saturating).
+    sum: u64,
     samples: Vec<u64>,
     /// Overwrite cursor once `samples` has reached capacity.
     next: usize,
@@ -54,6 +63,12 @@ struct LatencyReservoir {
 
 impl LatencyReservoir {
     fn observe(&mut self, ns: u64) {
+        if self.count == 0 || ns < self.min {
+            self.min = ns;
+        }
+        self.max = self.max.max(ns);
+        self.count += 1;
+        self.sum = self.sum.saturating_add(ns);
         if self.samples.len() < LATENCY_SAMPLE_CAP {
             self.samples.push(ns);
         } else {
@@ -116,9 +131,7 @@ pub struct ServeStats {
     pub control: AtomicU64,
     /// End-to-end latency of completed work requests, admission → last
     /// byte of the response, in nanoseconds.
-    pub latency_ns: Mutex<Histogram>,
-    /// Raw latency samples for exact percentiles.
-    latency_samples: Mutex<LatencyReservoir>,
+    latency: Mutex<LatencyReservoir>,
     /// Error responses by stable `kind` token.
     kinds: Mutex<BTreeMap<String, u64>>,
     /// Per-tenant breakdowns.
@@ -143,8 +156,7 @@ impl Default for ServeStats {
             cache_hits: AtomicU64::new(0),
             cache_degraded: AtomicU64::new(0),
             control: AtomicU64::new(0),
-            latency_ns: Mutex::new(Histogram::default()),
-            latency_samples: Mutex::new(LatencyReservoir::default()),
+            latency: Mutex::new(LatencyReservoir::default()),
             kinds: Mutex::new(BTreeMap::new()),
             tenants: Mutex::new(BTreeMap::new()),
         }
@@ -187,8 +199,7 @@ impl ServeStats {
 
     /// Records one completed-request latency.
     pub fn observe_latency(&self, ns: u64) {
-        self.latency_ns.lock().unwrap().observe(ns);
-        self.latency_samples.lock().unwrap().observe(ns);
+        self.latency.lock().unwrap().observe(ns);
     }
 
     /// Snapshots every counter into a JSON object (the `stats` control
@@ -230,13 +241,18 @@ impl ServeStats {
             tenants.set(name, t);
         }
         o.set("tenants", tenants);
-        let lat = self.latency_ns.lock().unwrap();
+        let lat = self.latency.lock().unwrap();
         let mut l = Json::obj();
         l.set("count", Json::U64(lat.count));
         l.set("min_ns", Json::U64(lat.min));
         l.set("max_ns", Json::U64(lat.max));
-        l.set("mean_ns", Json::F64(lat.mean()));
-        if let Some((p50, p99)) = self.latency_samples.lock().unwrap().percentiles() {
+        let mean = if lat.count == 0 {
+            0.0
+        } else {
+            lat.sum as f64 / lat.count as f64
+        };
+        l.set("mean_ns", Json::F64(mean));
+        if let Some((p50, p99)) = lat.percentiles() {
             l.set("p50_ns", Json::U64(p50));
             l.set("p99_ns", Json::U64(p99));
         }

@@ -326,6 +326,9 @@ pub struct Vm<'m> {
     pub(crate) collect_stats: bool,
     /// Dynamic counters (empty until [`Vm::enable_stats`]).
     pub(crate) stats: VmStats,
+    /// Threaded-engine fused-op executions since the last stats fold,
+    /// indexed like [`crate::threaded::FUSED_PAIRS`].
+    pub(crate) fused_hits: [u64; crate::threaded::FUSED_PAIRS.len()],
     /// Which execution core `call` dispatches into.
     pub(crate) engine: Engine,
     /// Lazily decoded direct-threaded code, one slot per function
@@ -475,6 +478,7 @@ impl<'m> Vm<'m> {
             profile: VmProfile::default(),
             collect_stats: false,
             stats: VmStats::default(),
+            fused_hits: [0; crate::threaded::FUSED_PAIRS.len()],
             engine: Engine::default(),
             tcode: vec![None; module.functions.len()],
             icache_hits: 0,
@@ -604,13 +608,21 @@ impl<'m> Vm<'m> {
 
     /// Turns on dynamic statistics collection (opcode histogram, check
     /// and allocation counters). Off by default so uninstrumented runs
-    /// pay only one branch per instruction.
+    /// pay only one branch per instruction. With stats on, the threaded
+    /// engine bumps one counter per block entry and one array slot per
+    /// fused-op execution; the opcode and fused-pair maps are built from
+    /// those counters when the outermost [`Vm::call`] returns, whether
+    /// it returns `Ok` or a trap.
     pub fn enable_stats(&mut self) {
         self.collect_stats = true;
     }
 
     /// The dynamic counters collected so far (all zero unless
-    /// [`Vm::enable_stats`] was called before running).
+    /// [`Vm::enable_stats`] was called before running). The opcode and
+    /// fused-pair histograms are complete once the outermost
+    /// [`Vm::call`] (or [`Vm::run_entry`]) has returned; read from
+    /// inside a running call they lag behind by the threaded engine's
+    /// unfolded block-entry counters.
     pub fn stats(&self) -> &VmStats {
         &self.stats
     }
@@ -693,6 +705,9 @@ impl<'m> Vm<'m> {
         self.peak_depth = self.peak_depth.max(self.depth);
         let r = self.call_inner(fid, args);
         self.depth -= 1;
+        if self.depth == 0 && self.collect_stats {
+            self.fold_stats();
+        }
         r
     }
 

@@ -268,7 +268,28 @@ pub(crate) struct BlockMeta {
     pub(crate) mnems: Box<[&'static str]>,
     /// Aggregated mnemonic counts.
     pub(crate) counts: Box<[(&'static str, u32)]>,
+    /// Entries since the last stats fold (bumped only while stats are
+    /// on); [`Vm::fold_stats`] multiplies it into `counts`.
+    pub(crate) hits: Cell<u64>,
 }
+
+/// The superinstruction pairs, as `VmStats::fused` keys. While stats are
+/// on, each fused op bumps its slot in `Vm::fused_hits`; the
+/// `FUSE_*` constants index both arrays.
+pub(crate) const FUSED_PAIRS: [&str; 6] = [
+    "primitive>branch",
+    "primitive>primitive",
+    "nullcheck>getfield",
+    "nullcheck>setfield",
+    "indexcheck>getelt",
+    "indexcheck>setelt",
+];
+const FUSE_CMP_BRANCH: usize = 0;
+const FUSE_PRIM_PAIR: usize = 1;
+const FUSE_NULL_GETFIELD: usize = 2;
+const FUSE_NULL_SETFIELD: usize = 3;
+const FUSE_IDX_GETELT: usize = 4;
+const FUSE_IDX_SETELT: usize = 5;
 
 /// The `(dst, src)` parallel copies for one static predecessor block.
 type PredMoves = (u32, Box<[(Slot, Slot)]>);
@@ -290,7 +311,8 @@ pub(crate) struct HandlerInfo {
 /// One decoded direct-threaded op.
 pub(crate) enum Op {
     /// Basic-block prologue: charges `cost` fuel (the block's charged-op
-    /// count), runs the slice/profiler countdown, applies stats.
+    /// count), runs the slice/profiler countdown, bumps the block's
+    /// stats entry counter.
     Block { cost: u32, bi: u32 },
     /// Unconditional jump.
     Jump { t: u32 },
@@ -596,6 +618,7 @@ impl<'a, 'm> Flattener<'a, 'm> {
         self.blocks.push(BlockMeta {
             mnems,
             counts: counts.into_boxed_slice(),
+            hits: Cell::new(0),
         });
         if let Op::Block { cost, .. } = &mut self.code[block_op_at] {
             *cost = charged;
@@ -1186,9 +1209,8 @@ impl<'m> Vm<'m> {
                             }
                         }
                         if self.collect_stats {
-                            for &(m, n) in tf.blocks[*bi as usize].counts.iter() {
-                                *self.stats.opcodes.entry(m).or_insert(0) += u64::from(n);
-                            }
+                            let hits = &tf.blocks[*bi as usize].hits;
+                            hits.set(hits.get() + 1);
                         }
                         pc += 1;
                         continue 'l;
@@ -1210,7 +1232,7 @@ impl<'m> Vm<'m> {
                             cmp_eval(*pred, vals[*a as usize].as_i(), vals[*b as usize].as_i());
                         vals[*dst as usize] = Value::Z(r);
                         if self.collect_stats {
-                            *self.stats.fused.entry("primitive>branch").or_insert(0) += 1;
+                            self.fused_hits[FUSE_CMP_BRANCH] += 1;
                         }
                         if r {
                             pc += 1;
@@ -1293,11 +1315,7 @@ impl<'m> Vm<'m> {
                             Err(t) => break 'op t,
                         }
                         if self.collect_stats {
-                            *self
-                                .stats
-                                .fused
-                                .entry("primitive>primitive")
-                                .or_insert(0) += 1;
+                            self.fused_hits[FUSE_PRIM_PAIR] += 1;
                         }
                         pc += 1;
                         continue 'l;
@@ -1344,7 +1362,7 @@ impl<'m> Vm<'m> {
                     } => {
                         if self.collect_stats {
                             self.stats.null_checks += 1;
-                            *self.stats.fused.entry("nullcheck>getfield").or_insert(0) += 1;
+                            self.fused_hits[FUSE_NULL_GETFIELD] += 1;
                         }
                         let val = vals[*obj as usize];
                         let Some(r) = val.as_ref() else {
@@ -1382,7 +1400,7 @@ impl<'m> Vm<'m> {
                     } => {
                         if self.collect_stats {
                             self.stats.null_checks += 1;
-                            *self.stats.fused.entry("nullcheck>setfield").or_insert(0) += 1;
+                            self.fused_hits[FUSE_NULL_SETFIELD] += 1;
                         }
                         let ov = vals[*obj as usize];
                         let Some(r) = ov.as_ref() else {
@@ -1452,7 +1470,7 @@ impl<'m> Vm<'m> {
                     Op::IdxGetElt { arr, idx, chk, dst } => {
                         if self.collect_stats {
                             self.stats.index_checks += 1;
-                            *self.stats.fused.entry("indexcheck>getelt").or_insert(0) += 1;
+                            self.fused_hits[FUSE_IDX_GETELT] += 1;
                         }
                         let Some(r) = vals[*arr as usize].as_ref() else {
                             break 'op Trap::NullPointer;
@@ -1498,7 +1516,7 @@ impl<'m> Vm<'m> {
                     Op::IdxSetElt { arr, idx, val, chk } => {
                         if self.collect_stats {
                             self.stats.index_checks += 1;
-                            *self.stats.fused.entry("indexcheck>setelt").or_insert(0) += 1;
+                            self.fused_hits[FUSE_IDX_SETELT] += 1;
                         }
                         let Some(r) = vals[*arr as usize].as_ref() else {
                             break 'op Trap::NullPointer;
@@ -1899,6 +1917,29 @@ impl<'m> Vm<'m> {
             id,
             is_static: info.kind == MethodKind::Static,
         })
+    }
+
+    /// Folds the threaded engine's stats counters (block entries and
+    /// fused-op executions) into [`crate::VmStats`] and resets them.
+    /// Each block entry counts every original instruction of the block,
+    /// exactly as if the block's `counts` were added at entry.
+    pub(crate) fn fold_stats(&mut self) {
+        for tf in self.tcode.iter().flatten() {
+            for meta in &tf.blocks {
+                let hits = meta.hits.replace(0);
+                if hits == 0 {
+                    continue;
+                }
+                for &(m, n) in meta.counts.iter() {
+                    *self.stats.opcodes.entry(m).or_insert(0) += hits * u64::from(n);
+                }
+            }
+        }
+        for (pair, hits) in FUSED_PAIRS.iter().zip(&mut self.fused_hits) {
+            if *hits != 0 {
+                *self.stats.fused.entry(pair).or_insert(0) += std::mem::take(hits);
+            }
+        }
     }
 
     /// Decoded-code statistics for `safetsa stats`: per function, the

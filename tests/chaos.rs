@@ -135,6 +135,33 @@ fn injected_panic_is_isolated_and_counted() {
     drain(&handle, join);
 }
 
+/// The wire adds no per-request stall: 50 sequential pings through the
+/// shipped client over loopback TCP finish well inside 500 ms. A frame
+/// written in two pieces on a Nagle socket waits for the daemon's
+/// delayed ACK (about 40 ms per request, over 2 s for the loop).
+#[test]
+fn sequential_pings_do_not_stall_on_the_wire() {
+    let (addr, handle, join) = spawn(ServerConfig::default());
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    // Warm the connection (reader thread spawned, first segments out).
+    let resp = client.request(&request_obj("ping", "warm")).expect("ping");
+    assert_eq!(status(&resp), "ok");
+
+    let start = Instant::now();
+    for i in 0..50 {
+        let resp = client
+            .request(&request_obj("ping", &format!("p{i}")))
+            .expect("ping");
+        assert_eq!(status(&resp), "ok");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "50 sequential pings took {elapsed:?}"
+    );
+    drain(&handle, join);
+}
+
 /// Tampered frames — binary garbage, invalid UTF-8, and a frame
 /// truncated by connection loss — never crash the daemon and never
 /// produce more (or fewer) than one response per *complete* frame.

@@ -13,6 +13,12 @@
 //! engines at any budget below the threaded engine's own total (block-
 //! granularity charging can only make the threaded engine trap
 //! earlier, within one basic block of the switch engine's point).
+//!
+//! The dynamic opcode histogram is compared as well. The threaded engine
+//! counts a whole block at entry (and folds the counts when the outermost
+//! call returns), so it matches the switch engine's per-instruction
+//! counts exactly unless a trap leaves a block early; then it may only
+//! count more, never less.
 
 use safetsa_bench::{build_pipeline, corpus};
 use safetsa_core::verify::verify_module;
@@ -22,7 +28,7 @@ use safetsa_opt::Passes;
 use safetsa_rt::Value;
 use safetsa_ssa::lower_program;
 use safetsa_telemetry::Telemetry;
-use safetsa_vm::{Engine, Vm, VmError};
+use safetsa_vm::{Engine, Vm, VmError, VmStats};
 use std::time::Instant;
 
 fn results_agree(a: &Option<Value>, b: &Option<Value>) -> bool {
@@ -236,4 +242,120 @@ fn inline_cache_thrashes_on_alternating_receivers() {
     assert!(misses >= 900, "megamorphic site should thrash, saw {misses} misses");
     // The switch engine agrees on the answer, cache or no cache.
     assert_engines_agree(&m, "T.main", "megamorphic");
+}
+
+/// One stats-enabled run under `engine` with a fuel budget; returns the
+/// outcome and the collected statistics.
+fn stats_run(
+    m: &Module,
+    entry: &str,
+    engine: Engine,
+    fuel: u64,
+) -> (Result<Option<Value>, VmError>, VmStats) {
+    let mut vm = Vm::load(m).expect("loads");
+    vm.set_engine(engine);
+    vm.enable_stats();
+    vm.set_fuel(fuel);
+    let r = vm.run_entry(entry);
+    (r, vm.stats().clone())
+}
+
+/// Every fused pair `a>b` executed at most as often as each of its two
+/// constituents (a fused execution counts both in the histogram). The
+/// `branch` of `primitive>branch` is a control-structure node, not an
+/// instruction, so it has no histogram entry and only its compare is
+/// checked.
+fn assert_fused_within_opcodes(s: &VmStats, label: &str) {
+    for (pair, n) in &s.fused {
+        let (a, b) = pair.split_once('>').expect("pair key is `a>b`");
+        for m in [a, b].into_iter().filter(|m| *m != "branch") {
+            let count = s.opcodes.get(m).copied().unwrap_or(0);
+            assert!(
+                *n <= count,
+                "{label}: fused {pair} ran {n} times, but `{m}` only {count}"
+            );
+        }
+    }
+}
+
+#[test]
+fn opcode_histograms_agree_across_engines() {
+    // `Exceptions` traps in the middle of blocks on purpose; everywhere
+    // else the block-granular count must equal the per-instruction one.
+    let mut saw_exceptions = false;
+    for entry in corpus() {
+        let pl = build_pipeline(&entry);
+        let (tr, ts) = stats_run(&pl.optimized, entry.entry, Engine::Threaded, 500_000_000);
+        let (sr, ss) = stats_run(&pl.optimized, entry.entry, Engine::Switch, 500_000_000);
+        tr.unwrap_or_else(|e| panic!("{}: threaded: {e}", entry.name));
+        sr.unwrap_or_else(|e| panic!("{}: switch: {e}", entry.name));
+        assert!(!ts.opcodes.is_empty(), "{}: empty histogram", entry.name);
+        assert!(
+            ss.fused.is_empty(),
+            "{}: switch engine fused ops",
+            entry.name
+        );
+        assert_fused_within_opcodes(&ts, entry.name);
+        if entry.name == "Exceptions" {
+            saw_exceptions = true;
+            for (m, n) in &ss.opcodes {
+                let t = ts.opcodes.get(m).copied().unwrap_or(0);
+                assert!(t >= *n, "Exceptions: threaded `{m}` {t} < switch {n}");
+            }
+        } else {
+            assert_eq!(
+                ts.opcodes, ss.opcodes,
+                "{}: opcode histograms diverge",
+                entry.name
+            );
+        }
+    }
+    assert!(saw_exceptions, "Exceptions is part of the corpus");
+}
+
+#[test]
+fn stats_fold_on_error_returns() {
+    // A run killed by fuel or by its deadline still reports the blocks
+    // it entered: the threaded engine folds its counters on `Err`
+    // returns too. Each entered block counts every instruction in it and
+    // charges at most that many steps, so the histogram total bounds the
+    // charged steps from above (the static initializers' histogram
+    // alone would fall short).
+    let entry = corpus()
+        .into_iter()
+        .find(|e| e.name == "BitSieve")
+        .expect("BitSieve in corpus");
+    let pl = build_pipeline(&entry);
+    for engine in [Engine::Threaded, Engine::Switch] {
+        for kill in ["fuel", "deadline"] {
+            let mut vm = Vm::load(&pl.optimized).expect("loads");
+            vm.set_engine(engine);
+            vm.enable_stats();
+            if kill == "fuel" {
+                vm.set_fuel(20_000);
+            } else {
+                vm.set_fuel(500_000_000);
+                vm.set_deadline(Instant::now());
+            }
+            let err = vm.run_entry(entry.entry).expect_err("run is killed");
+            assert!(
+                matches!(
+                    (kill, &err),
+                    ("fuel", VmError::FuelExhausted) | ("deadline", VmError::DeadlineExceeded)
+                ),
+                "{engine} {kill}: {err}"
+            );
+            let s = vm.stats();
+            let total: u64 = s.opcodes.values().sum();
+            assert!(total > 0, "{engine} {kill}: kill lost the histogram");
+            if engine == Engine::Threaded {
+                assert!(
+                    total >= vm.steps,
+                    "{kill}: histogram total {total} < {} charged steps",
+                    vm.steps
+                );
+            }
+            assert_fused_within_opcodes(s, kill);
+        }
+    }
 }
