@@ -222,34 +222,32 @@ impl<'p> Bvm<'p> {
                 StepResult::Next => {}
                 StepResult::Return(v) => return Ok(v),
                 StepResult::Throw(trap) => {
-                    // Exception dispatch through the table.
-                    let exc_class = self.trap_class(&trap);
-                    let exc_obj = match trap {
-                        Trap::User(r) => r,
-                        _ => {
-                            let Some(c) = exc_class else {
-                                return Err(trap);
-                            };
-                            self.alloc_instance(c)
-                        }
+                    // Exception dispatch through the table. An implicit
+                    // exception object is allocated only by the frame
+                    // whose handler catches it; an unhandled trap
+                    // propagates unchanged, so an uncaught one reports
+                    // its kind.
+                    let runtime_class = match &trap {
+                        Trap::User(r) => self.heap.instance_class(*r)?,
+                        _ => match self.trap_class(&trap) {
+                            Some(c) => c,
+                            None => return Err(trap),
+                        },
                     };
-                    let runtime_class = self.heap.instance_class(exc_obj)?;
-                    let mut handled = false;
-                    for e in &code.ex_table {
-                        if (pc as u32) >= e.start
+                    let Some(handler) = code.ex_table.iter().find(|e| {
+                        (pc as u32) >= e.start
                             && (pc as u32) < e.end
                             && self.prog.is_subclass(runtime_class, e.class)
-                        {
-                            stack.clear();
-                            stack.push(Value::Ref(Some(exc_obj)));
-                            pc = e.handler as usize;
-                            handled = true;
-                            break;
-                        }
-                    }
-                    if !handled {
-                        return Err(Trap::User(exc_obj));
-                    }
+                    }) else {
+                        return Err(trap);
+                    };
+                    let exc_obj = match trap {
+                        Trap::User(r) => r,
+                        _ => self.alloc_instance(runtime_class),
+                    };
+                    stack.clear();
+                    stack.push(Value::Ref(Some(exc_obj)));
+                    pc = handler.handler as usize;
                     continue;
                 }
             }

@@ -37,9 +37,9 @@
 //! corpus programs does not break CI until a threshold is blessed.
 //!
 //! `--pairs PATH` additionally writes the corpus-wide opcode-pair
-//! histogram (switch-engine sampling profiler, merged over every
-//! program) — the offline analysis that selects the threaded engine's
-//! superinstructions.
+//! histogram (sampling profiler over the unfused instruction stream,
+//! merged over every program) — the offline analysis that selects the
+//! threaded engine's superinstructions.
 
 use safetsa_bench::serve::{run_loadgen, LoadgenOptions};
 use safetsa_bench::{corpus_report, incremental_replay, pair_histogram, IncrementalReplay, ProgramReport};
@@ -157,19 +157,10 @@ fn main() -> ExitCode {
         batch.cache_hits,
         batch.cache_misses,
     );
-    let vm_wall: u64 = reports.iter().map(|r| r.vm_wall_ns).sum();
-    let switch_wall: u64 = reports.iter().map(|r| r.switch_wall_ns).sum();
-    let reduction = switch_wall
-        .saturating_sub(vm_wall)
-        .checked_mul(100)
-        .and_then(|n| n.checked_div(switch_wall))
-        .unwrap_or(0);
     println!(
-        "bench_report: vm {} ms threaded vs {} ms switch ({reduction}% wall reduction), {} fused steps vs {} unfused",
-        vm_wall / 1_000_000,
-        switch_wall / 1_000_000,
+        "bench_report: vm {} ms, {} steps",
+        reports.iter().map(|r| r.vm_wall_ns).sum::<u64>() / 1_000_000,
         reports.iter().map(|r| r.steps).sum::<u64>(),
-        reports.iter().map(|r| r.switch_steps).sum::<u64>(),
     );
     println!(
         "bench_report: serve loadgen {} requests ({} shed, {} panics isolated), p50 {} us / p99 {} us",
@@ -258,16 +249,8 @@ fn aggregate(
         Json::U64(reports.iter().map(|r| r.vm_wall_ns).sum()),
     );
     vm.set(
-        "switch_wall_ns",
-        Json::U64(reports.iter().map(|r| r.switch_wall_ns).sum()),
-    );
-    vm.set(
         "steps",
         Json::U64(reports.iter().map(|r| r.steps).sum()),
-    );
-    vm.set(
-        "switch_steps",
-        Json::U64(reports.iter().map(|r| r.switch_steps).sum()),
     );
     vm.set(
         "icache_hit_permille",

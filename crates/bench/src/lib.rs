@@ -293,11 +293,6 @@ pub struct ProgramReport {
     pub steps: u64,
     /// Threaded-engine wall time for the run, nanoseconds.
     pub vm_wall_ns: u64,
-    /// Switch-engine (oracle) wall time for the same run, nanoseconds.
-    pub switch_wall_ns: u64,
-    /// Dynamic instructions executed by the switch-engine oracle — the
-    /// unfused count `steps` is measured against.
-    pub switch_steps: u64,
     /// Threaded-engine xdispatch inline-cache hits.
     pub icache_hits: u64,
     /// Threaded-engine xdispatch inline-cache misses.
@@ -328,8 +323,6 @@ impl ProgramReport {
             ratio_permille: c("codec.size_ratio_permille"),
             steps: c("vm.steps"),
             vm_wall_ns: c("vm.run_ns"),
-            switch_wall_ns: c("vm.switch.run_ns"),
-            switch_steps: c("vm.switch.steps"),
             icache_hits: c("vm.icache.hits"),
             icache_misses: c("vm.icache.misses"),
             checks_eliminated: c("opt.checks.eliminated"),
@@ -389,56 +382,31 @@ pub fn record_program(entry: &CorpusEntry, tm: &Telemetry) -> Vec<u8> {
     tm.set("baseline.class_file_bytes", class_size);
     tm.set("baseline.instrs", bcode.instr_count() as u64);
     tm.set("codec.size_ratio_permille", ratio_permille);
-    // Consumer plane: run the optimized module under the threaded
-    // engine (timed, with dynamic counters and inline-cache telemetry),
-    // then replay it under the switch engine as a differential oracle —
-    // the two must agree byte-for-byte on output and bit-for-bit on the
-    // result, and the oracle's wall time and step count become the
-    // baseline the threaded engine's speedup is measured against.
+    // Consumer plane: run the optimized module (timed, with dynamic
+    // counters and inline-cache telemetry). Its output is checked
+    // against the bytecode baseline by `run_differential` and the corpus
+    // tests, not here.
     let mut vm = safetsa_vm::Vm::load(&module).expect("loads");
     vm.enable_stats();
     vm.set_fuel(500_000_000);
     let t0 = std::time::Instant::now();
-    let result = vm
-        .run_entry(entry.entry)
+    vm.run_entry(entry.entry)
         .unwrap_or_else(|e| panic!("{}: vm: {e}", entry.name));
     tm.set("vm.run_ns", t0.elapsed().as_nanos() as u64);
     vm.export_metrics(tm);
-    let mut oracle = safetsa_vm::Vm::load(&module).expect("loads");
-    oracle.set_engine(safetsa_vm::Engine::Switch);
-    oracle.set_fuel(500_000_000);
-    let t0 = std::time::Instant::now();
-    let oracle_result = oracle
-        .run_entry(entry.entry)
-        .unwrap_or_else(|e| panic!("{}: switch vm: {e}", entry.name));
-    tm.set("vm.switch.run_ns", t0.elapsed().as_nanos() as u64);
-    tm.set("vm.switch.steps", oracle.steps);
-    assert_eq!(
-        vm.output.text(),
-        oracle.output.text(),
-        "{}: threaded and switch engines disagree on output",
-        entry.name
-    );
-    match (result, oracle_result) {
-        (Some(a), Some(b)) => assert!(
-            a.bits_eq(b),
-            "{}: threaded result {a:?} vs switch {b:?}",
-            entry.name
-        ),
-        (None, None) => {}
-        other => panic!("{}: engine result arity mismatch {other:?}", entry.name),
-    }
     bytes
 }
 
-/// Runs every corpus program under the switch-engine sampling profiler
-/// and merges the opcode-pair windows into one corpus-wide histogram —
-/// the offline analysis that selects the threaded engine's
-/// superinstructions (see DESIGN.md "Interpreter architecture").
+/// Runs every corpus program under the sampling profiler and merges the
+/// opcode-pair windows into one corpus-wide histogram — the offline
+/// analysis that selects the threaded engine's superinstructions (see
+/// DESIGN.md "Interpreter architecture").
 ///
-/// The switch engine is used deliberately: it observes the *unfused*
-/// instruction stream, so the histogram stays a stable selection input
-/// even after fusion changes what the threaded engine executes.
+/// The profiler's opcode ring is fed each entered block's *pre-fusion*
+/// mnemonics, so the histogram counts the unfused instruction stream and
+/// stays a stable selection input whatever fusion the decoder applies.
+/// Pairs that cross a call boundary reflect block-entry order: a block's
+/// mnemonics enter the ring before any callee's.
 ///
 /// # Panics
 ///
@@ -448,7 +416,6 @@ pub fn pair_histogram() -> safetsa_vm::VmProfile {
     for entry in corpus() {
         let pl = build_pipeline(&entry);
         let mut vm = safetsa_vm::Vm::load(&pl.optimized).expect("loads");
-        vm.set_engine(safetsa_vm::Engine::Switch);
         vm.set_fuel(500_000_000);
         vm.enable_profiler(1);
         vm.run_entry(entry.entry)

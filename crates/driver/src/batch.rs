@@ -12,14 +12,13 @@
 //! scheduler interleaved the workers.
 //!
 //! In front of the pool sits the content-addressed [`Store`]: a task
-//! whose (source, configuration, format version, engine) key has a
+//! whose (source, configuration, format version) key has a
 //! stored module record skips compilation entirely and replays the
 //! cached wire bytes and metrics.
 
 use crate::store::{CacheKey, ModuleRecord, RecordKind, Store, StoreOptions};
 use crate::Error;
 use safetsa_telemetry::{AttrValue, Telemetry};
-use safetsa_vm::Engine;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -55,14 +54,9 @@ pub struct BatchOptions {
     /// Configuration half of the cache key: pass knobs plus any
     /// driver-level salt (see [`crate::store::passes_fingerprint`]).
     /// Anything that changes what the work closure produces — bytes
-    /// *or* metrics — must be folded in. (The wire-format version and
-    /// the [`Engine`] are folded in by [`CacheKey::new`] itself.)
+    /// *or* metrics — must be folded in. (The wire-format version is
+    /// folded in by [`CacheKey::new`] itself.)
     pub fingerprint: String,
-    /// The VM engine the work closure executes with, part of the cache
-    /// key: a closure that runs the compiled program records
-    /// engine-dependent `vm.*` metrics, which must not replay across
-    /// engines.
-    pub engine: Engine,
     /// Whether per-task metrics are collected (and cached).
     pub telemetry: bool,
     /// Whether per-task spans are collected: each task records on its
@@ -81,7 +75,6 @@ impl BatchOptions {
             jobs: 1,
             cache_dir: None,
             fingerprint: fingerprint.into(),
-            engine: Engine::default(),
             telemetry: false,
             trace: false,
         }
@@ -214,7 +207,6 @@ where
         tm.span_attr("name", AttrValue::Str(input.name.clone()));
         let key = CacheKey::new(
             RecordKind::Module,
-            opts.engine,
             &opts.fingerprint,
             input.source.as_bytes(),
         );

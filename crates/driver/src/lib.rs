@@ -14,7 +14,7 @@
 //!   deterministic merging, and content-addressed module records in
 //!   the [`store`].
 //! * [`store`] — the typed, method-granular incremental store
-//!   (`safetsa-cache/2`): per-unit encoded sections, optimizer stats,
+//!   (`safetsa-cache/3`): per-unit encoded sections, optimizer stats,
 //!   and analysis-fact summaries, validated by structural dependency
 //!   signatures instead of file identity.
 //!

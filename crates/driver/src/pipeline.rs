@@ -21,7 +21,7 @@ use safetsa_opt::{record_stats, OptStats, Passes};
 use safetsa_rt::Value;
 use safetsa_ssa::Lowered;
 use safetsa_telemetry::Telemetry;
-use safetsa_vm::{Engine, ResourceLimits, Vm, VmError, VmProfile};
+use safetsa_vm::{ResourceLimits, Vm, VmError, VmProfile};
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -50,7 +50,6 @@ pub struct Pipeline {
     limits: ResourceLimits,
     deadline: Option<std::time::Instant>,
     profile_every: Option<u32>,
-    engine: Engine,
     store: Option<Store>,
     unit_outcomes: Mutex<Vec<UnitOutcome>>,
 }
@@ -147,16 +146,6 @@ impl Pipeline {
     #[must_use]
     pub fn deadline(mut self, deadline: std::time::Instant) -> Pipeline {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Selects the VM execution engine used by [`Pipeline::run`]. The
-    /// default is [`Engine::Threaded`] (the pre-decoded direct-threaded
-    /// core); [`Engine::Switch`] keeps the original match-on-enum
-    /// interpreter available as a differential oracle.
-    #[must_use]
-    pub fn engine(mut self, engine: Engine) -> Pipeline {
-        self.engine = engine;
         self
     }
 
@@ -301,14 +290,9 @@ impl Pipeline {
                     let mut content = [0u8; 16];
                     content[..8].copy_from_slice(&u.body_hash.to_le_bytes());
                     content[8..].copy_from_slice(&u.deps_hash.to_le_bytes());
-                    let key =
-                        CacheKey::new(RecordKind::Unit, self.engine, &fingerprint, &content);
-                    let ident_key = CacheKey::new(
-                        RecordKind::UnitIdentity,
-                        self.engine,
-                        &fingerprint,
-                        u.name.as_bytes(),
-                    );
+                    let key = CacheKey::new(RecordKind::Unit, &fingerprint, &content);
+                    let ident_key =
+                        CacheKey::new(RecordKind::UnitIdentity, &fingerprint, u.name.as_bytes());
                     // A stored section that fails to decode against the
                     // fresh type table is corruption: treat as a miss.
                     let cached = store.get_unit(&key).and_then(|rec| {
@@ -455,7 +439,6 @@ impl Pipeline {
         if self.tm.is_enabled() {
             vm.enable_stats();
         }
-        vm.set_engine(self.engine);
         vm.set_limits(self.limits);
         if let Some(d) = self.deadline {
             vm.set_deadline(d);

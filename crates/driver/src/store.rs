@@ -1,8 +1,8 @@
 //! The method-granular incremental store.
 //!
 //! This module replaces the old whole-file `Cache` with a typed,
-//! versioned analysis-sharing store (entry format `safetsa-cache/2`;
-//! `safetsa-cache/1` leftovers read as misses). Three record kinds live
+//! versioned analysis-sharing store (entry format `safetsa-cache/3`;
+//! leftovers of earlier formats read as misses). Three record kinds live
 //! under one content-addressed namespace:
 //!
 //! * **Module records** — whole-file wire bytes plus the flat-serialized
@@ -25,8 +25,8 @@
 //! the type table (symbol cardinalities, member counts) — and the
 //! latter as a structural digest of the referenced-class closure
 //! (fields, method signatures, vtable shape, superclass chains, the
-//! well-known host classes) plus the class count. The pass fingerprint,
-//! engine, and wire-format version are folded into every key by
+//! well-known host classes) plus the class count. The pass fingerprint
+//! and wire-format version are folded into every key by
 //! [`CacheKey::new`], so no caller can forget a component and alias two
 //! distinct compilations.
 //!
@@ -42,14 +42,13 @@ use safetsa_core::instr::Instr;
 use safetsa_core::types::{ClassId, MethodKind, TypeId, TypeKind, TypeTable};
 use safetsa_core::{Function, Module};
 use safetsa_opt::{MemModel, OptStats, Passes};
-use safetsa_vm::Engine;
 use std::collections::BTreeSet;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Entry-format version stamped into every store file; bump on any
 /// layout change so stale entries read as misses.
-pub const STORE_MAGIC: &str = "safetsa-cache/2";
+pub const STORE_MAGIC: &str = "safetsa-cache/3";
 
 /// The FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -114,7 +113,7 @@ impl RecordKind {
 
 /// A fully composed store key. The constructor folds in every
 /// configuration axis — record kind, entry-format magic, wire-format
-/// version, VM engine, pass fingerprint — ahead of the caller's
+/// version, pass fingerprint — ahead of the caller's
 /// content, with NUL separators so field boundaries cannot alias.
 /// Callers compose keys *only* through [`CacheKey::new`]; there is no
 /// way to build one from a raw hash.
@@ -129,12 +128,10 @@ impl CacheKey {
     /// content-identifying bytes (source text for module records, the
     /// body/deps hashes for unit records, the unit name for identity
     /// records).
-    pub fn new(kind: RecordKind, engine: Engine, fingerprint: &str, content: &[u8]) -> CacheKey {
+    pub fn new(kind: RecordKind, fingerprint: &str, content: &[u8]) -> CacheKey {
         let mut state = fnv1a(STORE_MAGIC.as_bytes());
         state = fnv1a_continue(state, &[safetsa_codec::layout::VERSION, 0]);
         state = fnv1a_continue(state, kind.token().as_bytes());
-        state = fnv1a_continue(state, &[0]);
-        state = fnv1a_continue(state, engine.to_string().as_bytes());
         state = fnv1a_continue(state, &[0]);
         state = fnv1a_continue(state, fingerprint.as_bytes());
         state = fnv1a_continue(state, &[0]);
@@ -761,19 +758,18 @@ mod tests {
 
     #[test]
     fn key_folds_every_axis() {
-        let base = CacheKey::new(RecordKind::Module, Engine::Threaded, "cfg", b"src");
-        let other_kind = CacheKey::new(RecordKind::Unit, Engine::Threaded, "cfg", b"src");
-        let other_engine = CacheKey::new(RecordKind::Module, Engine::Switch, "cfg", b"src");
-        let other_cfg = CacheKey::new(RecordKind::Module, Engine::Threaded, "cfg2", b"src");
-        let other_src = CacheKey::new(RecordKind::Module, Engine::Threaded, "cfg", b"src2");
-        for other in [other_kind, other_engine, other_cfg, other_src] {
+        let base = CacheKey::new(RecordKind::Module, "cfg", b"src");
+        let other_kind = CacheKey::new(RecordKind::Unit, "cfg", b"src");
+        let other_cfg = CacheKey::new(RecordKind::Module, "cfg2", b"src");
+        let other_src = CacheKey::new(RecordKind::Module, "cfg", b"src2");
+        for other in [other_kind, other_cfg, other_src] {
             assert_ne!(base.hash(), other.hash());
         }
         // Field boundaries cannot alias: moving a byte across the
         // separator changes the key.
         assert_ne!(
-            CacheKey::new(RecordKind::Module, Engine::Threaded, "ab", b"c").hash(),
-            CacheKey::new(RecordKind::Module, Engine::Threaded, "a", b"bc").hash()
+            CacheKey::new(RecordKind::Module, "ab", b"c").hash(),
+            CacheKey::new(RecordKind::Module, "a", b"bc").hash()
         );
     }
 
@@ -800,7 +796,7 @@ mod tests {
     fn module_record_round_trip_and_corruption_is_a_miss() {
         let dir = test_dir("module");
         let store = Store::open(&dir, StoreOptions::default()).unwrap();
-        let key = CacheKey::new(RecordKind::Module, Engine::Threaded, "cfg", b"src");
+        let key = CacheKey::new(RecordKind::Module, "cfg", b"src");
         assert!(store.get_module(&key).is_none());
         let rec = ModuleRecord {
             bytes: vec![1, 2, 3],
@@ -820,7 +816,7 @@ mod tests {
     fn unit_and_identity_records_round_trip() {
         let dir = test_dir("unit");
         let store = Store::open(&dir, StoreOptions::default()).unwrap();
-        let key = CacheKey::new(RecordKind::Unit, Engine::Threaded, "cfg", b"u1");
+        let key = CacheKey::new(RecordKind::Unit, "cfg", b"u1");
         let mut stats = OptStats {
             instrs_before: 42,
             removed_by_cse: 7,
@@ -840,7 +836,7 @@ mod tests {
         assert_eq!(store.get_unit(&key), Some(rec));
         // Wrong-kind lookups miss even on a hash collision of content:
         // the kind token is in both the key and the record header.
-        let ident_key = CacheKey::new(RecordKind::UnitIdentity, Engine::Threaded, "cfg", b"P.m");
+        let ident_key = CacheKey::new(RecordKind::UnitIdentity, "cfg", b"P.m");
         assert!(store.get_identity(&key).is_none());
         let id = UnitIdentity {
             body_hash: 0xabc,
@@ -852,18 +848,31 @@ mod tests {
     }
 
     #[test]
-    fn v1_entries_and_foreign_files_read_as_misses() {
+    fn stale_versions_and_foreign_files_read_as_misses() {
         let dir = test_dir("skew");
         let store = Store::open(&dir, StoreOptions::default()).unwrap();
-        let key = CacheKey::new(RecordKind::Module, Engine::Threaded, "cfg", b"src");
-        // Plant a v1-format entry at exactly this key's path.
+        let key = CacheKey::new(RecordKind::Module, "cfg", b"src");
+        // Plant entries of earlier formats at exactly this key's path: a
+        // v1 entry, and a v2 entry that is well-formed except for its
+        // magic (v2 keys also folded in a VM engine name).
         let path = dir.join(format!("{:016x}.tsac", key.hash()));
-        std::fs::write(
-            &path,
+        let record = |magic: &str| {
+            format!(
+                "{magic}\nkind module\nkey {:016x}\nsections 2\nbytes 3\nabc\nmetrics 0\n\n",
+                key.hash()
+            )
+        };
+        let stale = [
             format!("safetsa-cache/1\nkey {:016x}\nbytes 3\nabcmetrics 0\n", key.hash()),
-        )
-        .unwrap();
-        assert!(store.get_module(&key).is_none());
+            record("safetsa-cache/2"),
+        ];
+        for entry in stale {
+            std::fs::write(&path, entry).unwrap();
+            assert!(store.get_module(&key).is_none());
+        }
+        // Control: the same record under the current magic is a hit.
+        std::fs::write(&path, record(STORE_MAGIC)).unwrap();
+        assert!(store.get_module(&key).is_some());
         std::fs::write(&path, b"not a cache entry at all").unwrap();
         assert!(store.get_module(&key).is_none());
         let _ = std::fs::remove_dir_all(&dir);
@@ -873,7 +882,7 @@ mod tests {
     fn vanished_directory_degrades_instead_of_failing() {
         let dir = test_dir("degrade");
         let store = Store::open(&dir, StoreOptions::default()).unwrap();
-        let key = CacheKey::new(RecordKind::Module, Engine::Threaded, "cfg", b"src");
+        let key = CacheKey::new(RecordKind::Module, "cfg", b"src");
         let rec = ModuleRecord {
             bytes: vec![9, 9],
             metrics: "c a.b 1\n".into(),

@@ -139,9 +139,6 @@ pub struct ServerConfig {
     pub allow_remote_shutdown: bool,
     /// External shutdown flag, typically flipped by a signal handler.
     pub shutdown: Arc<AtomicBool>,
-    /// VM execution engine for `run` requests (threaded by default;
-    /// switch keeps the oracle interpreter available for debugging).
-    pub engine: safetsa_vm::Engine,
 }
 
 impl Default for ServerConfig {
@@ -156,7 +153,6 @@ impl Default for ServerConfig {
             chaos: false,
             allow_remote_shutdown: true,
             shutdown: Arc::new(AtomicBool::new(false)),
-            engine: safetsa_vm::Engine::default(),
         }
     }
 }
@@ -249,7 +245,6 @@ struct Shared {
     tenants: Vec<(String, TenantProfile)>,
     chaos: bool,
     allow_remote_shutdown: bool,
-    engine: safetsa_vm::Engine,
     flight: FlightRecorder,
     /// Per-tenant accumulated VM sampling profiles (`""` is stored as
     /// `"default"`, matching the stats breakdown).
@@ -378,7 +373,6 @@ impl Server {
             tenants: cfg.tenants,
             chaos: cfg.chaos,
             allow_remote_shutdown: cfg.allow_remote_shutdown,
-            engine: cfg.engine,
             flight: FlightRecorder::default(),
             profiles: Mutex::new(BTreeMap::new()),
         });
@@ -814,7 +808,6 @@ fn handle_job(job: &Job, shared: &Arc<Shared>) -> Json {
         .telemetry(tm)
         .limits(job.profile.limits())
         .deadline(job.deadline)
-        .engine(shared.engine)
         .profile_every(PROFILE_EVERY_SLICES);
     let profile_slot: RefCell<Option<VmProfile>> = RefCell::new(None);
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -929,12 +922,7 @@ fn op_compile(job: &Job, shared: &Arc<Shared>, pipeline: &Pipeline) -> Result<Js
     let req = &job.req;
     let src = require(&req.source, "source")?;
     let tm = pipeline.metrics();
-    let key = CacheKey::new(
-        RecordKind::Module,
-        shared.engine,
-        &shared.fingerprint,
-        src.as_bytes(),
-    );
+    let key = CacheKey::new(RecordKind::Module, &shared.fingerprint, src.as_bytes());
     let probe = tm.span_open("cache.probe");
     let hit = shared.cache.as_ref().and_then(|c| c.get_module(&key));
     tm.event(

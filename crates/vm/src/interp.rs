@@ -1,15 +1,13 @@
-//! The SafeTSA interpreter.
+//! The SafeTSA virtual machine's state: loading, resource budgets,
+//! statistics and profiling, and the runtime helpers (literals, traps,
+//! allocation, type tests) the threaded engine in `threaded.rs` calls.
 
-use safetsa_core::cst::Cst;
-use safetsa_core::function::{Function, ENTRY};
-use safetsa_core::instr::Instr;
 use safetsa_core::module::{FuncId, Module};
-use safetsa_core::primops;
-use safetsa_core::types::{ClassId, MethodKind, MethodRef, PrimKind, TypeId, TypeKind};
-use safetsa_core::value::{BlockId, Literal, ValueId};
-use safetsa_rt::heap::{ArrData, Obj};
+use safetsa_core::types::{ClassId, PrimKind, TypeId, TypeKind};
+use safetsa_core::value::Literal;
+use safetsa_rt::heap::Obj;
 use safetsa_rt::layout::{ClassShape, Layout, Statics};
-use safetsa_rt::{intrinsics, Heap, HeapRef, Output, Trap, Value};
+use safetsa_rt::{Heap, HeapRef, Output, Trap, Value};
 use safetsa_telemetry::{Json, Telemetry};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -68,7 +66,11 @@ fn vm_err(t: Trap) -> VmError {
 /// [`VmError::FuelExhausted`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceLimits {
-    /// Instruction budget; each executed instruction costs one unit.
+    /// Instruction budget, charged per basic block on entry: one unit
+    /// per decoded op, so a fused superinstruction costs one unit for
+    /// its two instructions. A run completes iff the budget covers its
+    /// [`Vm::steps`] total; a smaller budget exhausts at most one block
+    /// before the instruction that overran it.
     pub fuel: Option<u64>,
     /// Heap budget in modelled bytes (see `safetsa_rt::heap`'s size
     /// model: 16-byte headers, 8 bytes per field/reference).
@@ -89,45 +91,6 @@ impl ResourceLimits {
 /// hundred microseconds of interpreter work, large enough that the
 /// clock read never shows in profiles.
 pub const DEADLINE_SLICE: u32 = 1024;
-
-/// Which execution core runs guest code.
-///
-/// Both engines implement identical guest semantics (outputs, traps,
-/// heap effects); they differ in dispatch strategy and in the
-/// granularity of fuel/deadline accounting (see DESIGN.md "Interpreter
-/// architecture").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// The original match-on-`Instr` tree-walking interpreter, kept as
-    /// the differential oracle. Per-instruction fuel accounting.
-    Switch,
-    /// The pre-decoded direct-threaded core: flat decoded-op arrays,
-    /// superinstruction fusion, xdispatch inline caches, and
-    /// block-granularity fuel accounting.
-    #[default]
-    Threaded,
-}
-
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Engine::Switch => write!(f, "switch"),
-            Engine::Threaded => write!(f, "threaded"),
-        }
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "switch" => Ok(Engine::Switch),
-            "threaded" => Ok(Engine::Threaded),
-            other => Err(format!("unknown engine `{other}` (expected `switch` or `threaded`)")),
-        }
-    }
-}
 
 /// Dynamic execution statistics, collected only after
 /// [`Vm::enable_stats`] — the interpreter's dispatch loop pays one
@@ -152,11 +115,9 @@ pub struct VmStats {
     pub arrays_allocated: u64,
     /// Traps materialized into exception objects (throws included).
     pub exceptions: u64,
-    /// Superinstruction executions keyed by fused pair (`"a>b"`) —
-    /// populated only by the threaded engine, which is the only engine
-    /// with fused ops. Each fused execution also counts both
-    /// constituents in `opcodes`, so the opcode histogram stays
-    /// engine-invariant.
+    /// Superinstruction executions keyed by fused pair (`"a>b"`). Each
+    /// fused execution also counts both constituents in `opcodes`, so
+    /// the opcode histogram stays the unfused instruction count.
     pub fused: BTreeMap<&'static str, u64>,
 }
 
@@ -285,9 +246,14 @@ pub struct Vm<'m> {
     pub heap: Heap,
     /// Captured program output.
     pub output: Output,
-    /// Remaining execution budget (instructions).
+    /// Remaining execution budget (charged steps).
     pub fuel: u64,
-    /// Instructions executed (for benchmarks).
+    /// Charged steps: decoded ops of every entered block, a fused
+    /// superinstruction counting once. For a completed run this equals
+    /// the unfused instruction count (the sum of [`VmStats::opcodes`])
+    /// minus the fused executions, except that `primitive>branch`
+    /// fusions save nothing (the branch is a control-structure node, not
+    /// an instruction).
     pub steps: u64,
     /// Current guest call depth.
     pub(crate) depth: u32,
@@ -326,36 +292,20 @@ pub struct Vm<'m> {
     pub(crate) collect_stats: bool,
     /// Dynamic counters (empty until [`Vm::enable_stats`]).
     pub(crate) stats: VmStats,
-    /// Threaded-engine fused-op executions since the last stats fold,
+    /// Fused-op executions since the last stats fold,
     /// indexed like [`crate::threaded::FUSED_PAIRS`].
     pub(crate) fused_hits: [u64; crate::threaded::FUSED_PAIRS.len()],
-    /// Which execution core `call` dispatches into.
-    pub(crate) engine: Engine,
     /// Lazily decoded direct-threaded code, one slot per function
     /// (`Rc` so the executing loop can hold the code while ops mutate
     /// the VM).
     pub(crate) tcode: Vec<Option<std::rc::Rc<crate::threaded::TFunc>>>,
-    /// `xdispatch` inline-cache guard hits (threaded engine only).
+    /// `xdispatch` inline-cache guard hits.
     pub(crate) icache_hits: u64,
-    /// `xdispatch` inline-cache guard misses, i.e. vtable walks
-    /// (threaded engine only).
+    /// `xdispatch` inline-cache guard misses, i.e. vtable walks.
     pub(crate) icache_misses: u64,
     /// Reusable staging buffer for the threaded engine's parallel phi
     /// copies.
     pub(crate) moves_scratch: Vec<Value>,
-}
-
-struct Frame {
-    values: Vec<Option<Value>>,
-    last_block: BlockId,
-    pending_exc: Option<HeapRef>,
-}
-
-enum Flow {
-    Normal,
-    Break(u32),
-    Continue(u32),
-    Return(Option<Value>),
 }
 
 impl<'m> Vm<'m> {
@@ -479,7 +429,6 @@ impl<'m> Vm<'m> {
             collect_stats: false,
             stats: VmStats::default(),
             fused_hits: [0; crate::threaded::FUSED_PAIRS.len()],
-            engine: Engine::default(),
             tcode: vec![None; module.functions.len()],
             icache_hits: 0,
             icache_misses: 0,
@@ -583,20 +532,7 @@ impl<'m> Vm<'m> {
         self.peak_depth
     }
 
-    /// Selects the execution core for subsequent calls. Both engines
-    /// implement identical guest semantics; [`Engine::Threaded`] is the
-    /// default, [`Engine::Switch`] is the differential oracle.
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.engine = engine;
-    }
-
-    /// The currently selected execution core.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
-    /// `xdispatch` inline-cache guard hits so far (threaded engine;
-    /// always zero under the switch oracle).
+    /// `xdispatch` inline-cache guard hits so far.
     pub fn icache_hits(&self) -> u64 {
         self.icache_hits
     }
@@ -647,10 +583,8 @@ impl<'m> Vm<'m> {
         }
         tm.set("vm.heap.bytes_allocated", self.heap.bytes_allocated());
         tm.set("vm.heap.objects", self.heap.len() as u64);
-        if self.engine == Engine::Threaded {
-            tm.set("vm.icache.hits", self.icache_hits);
-            tm.set("vm.icache.misses", self.icache_misses);
-        }
+        tm.set("vm.icache.hits", self.icache_hits);
+        tm.set("vm.icache.misses", self.icache_misses);
         if self.collect_stats {
             tm.set("vm.calls", self.stats.calls);
             tm.set("vm.dynamic_checks.null", self.stats.null_checks);
@@ -691,7 +625,7 @@ impl<'m> Vm<'m> {
     /// # Errors
     ///
     /// Returns the trap if execution traps (caught by enclosing
-    /// handlers when called from inside `exec`).
+    /// handlers when called from inside a running function).
     pub fn call(&mut self, fid: FuncId, args: Vec<Value>) -> Result<Option<Value>, Trap> {
         if let Some(max) = self.max_depth {
             if self.depth >= max {
@@ -703,38 +637,12 @@ impl<'m> Vm<'m> {
         }
         self.depth += 1;
         self.peak_depth = self.peak_depth.max(self.depth);
-        let r = self.call_inner(fid, args);
+        let r = self.call_threaded(fid, args);
         self.depth -= 1;
         if self.depth == 0 && self.collect_stats {
             self.fold_stats();
         }
         r
-    }
-
-    fn call_inner(&mut self, fid: FuncId, args: Vec<Value>) -> Result<Option<Value>, Trap> {
-        if self.engine == Engine::Threaded {
-            return self.call_threaded(fid, args);
-        }
-        let module: &'m Module = self.module;
-        let f = module.function(fid);
-        let mut frame = Frame {
-            values: vec![None; f.values.len()],
-            last_block: ENTRY,
-            pending_exc: None,
-        };
-        debug_assert_eq!(args.len(), f.params.len());
-        for (i, a) in args.into_iter().enumerate() {
-            frame.values[i] = Some(a);
-        }
-        for (i, c) in f.consts.iter().enumerate() {
-            let v = self.literal(&c.lit)?;
-            frame.values[f.const_value(i).index()] = Some(v);
-        }
-        match self.exec(f, &mut frame, &f.body)? {
-            Flow::Return(v) => Ok(v),
-            Flow::Normal => Ok(None), // void fall-through (verified)
-            _ => Err(Trap::Internal("break/continue escaped function".into())),
-        }
     }
 
     pub(crate) fn literal(&mut self, lit: &Literal) -> Result<Value, Trap> {
@@ -755,93 +663,6 @@ impl<'m> Vm<'m> {
                 Value::Ref(Some(r))
             }
         })
-    }
-
-    fn exec(&mut self, f: &Function, frame: &mut Frame, cst: &Cst) -> Result<Flow, Trap> {
-        match cst {
-            Cst::Basic(b) => {
-                self.enter_block(f, frame, *b)?;
-                Ok(Flow::Normal)
-            }
-            Cst::Seq(items) => {
-                for c in items {
-                    match self.exec(f, frame, c)? {
-                        Flow::Normal => {}
-                        other => return Ok(other),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Cst::If {
-                cond,
-                then_br,
-                else_br,
-                join,
-            } => {
-                let c = frame_get(frame, *cond)?.as_z();
-                let flow = if c {
-                    self.exec(f, frame, then_br)?
-                } else {
-                    self.exec(f, frame, else_br)?
-                };
-                match flow {
-                    Flow::Normal => {
-                        self.enter_block(f, frame, *join)?;
-                        Ok(Flow::Normal)
-                    }
-                    other => Ok(other),
-                }
-            }
-            Cst::Loop { header, body } => loop {
-                self.enter_block(f, frame, *header)?;
-                match self.exec(f, frame, body)? {
-                    Flow::Normal => continue,
-                    Flow::Continue(0) => continue,
-                    Flow::Continue(n) => return Ok(Flow::Continue(n - 1)),
-                    Flow::Break(n) => return Ok(Flow::Break(n)),
-                    ret @ Flow::Return(_) => return Ok(ret),
-                }
-            },
-            Cst::Labeled { body, join } => match self.exec(f, frame, body)? {
-                Flow::Normal | Flow::Break(0) => {
-                    self.enter_block(f, frame, *join)?;
-                    Ok(Flow::Normal)
-                }
-                Flow::Break(n) => Ok(Flow::Break(n - 1)),
-                other => Ok(other),
-            },
-            Cst::Break(n) => Ok(Flow::Break(*n)),
-            Cst::Continue(n) => Ok(Flow::Continue(*n)),
-            Cst::Return(v) => Ok(Flow::Return(v.map(|v| frame_get(frame, v)).transpose()?)),
-            Cst::Throw(v) => match frame_get(frame, v_copy(*v))?.as_ref() {
-                None => Err(Trap::NullPointer),
-                Some(r) => Err(Trap::User(r)),
-            },
-            Cst::Try {
-                body,
-                handler_entry,
-                handler,
-                join,
-            } => match self.exec(f, frame, body) {
-                Ok(Flow::Normal) => {
-                    self.enter_block(f, frame, *join)?;
-                    Ok(Flow::Normal)
-                }
-                Ok(other) => Ok(other),
-                Err(trap) => {
-                    let exc = self.trap_to_object(trap)?;
-                    frame.pending_exc = Some(exc);
-                    self.enter_block(f, frame, *handler_entry)?;
-                    match self.exec(f, frame, handler)? {
-                        Flow::Normal => {
-                            self.enter_block(f, frame, *join)?;
-                            Ok(Flow::Normal)
-                        }
-                        other => Ok(other),
-                    }
-                }
-            },
-        }
     }
 
     /// Turns a trap into an exception object (allocating the implicit
@@ -891,283 +712,6 @@ impl<'m> Vm<'m> {
         })
     }
 
-    /// Enters a block: parallel phi copies keyed by the dynamic
-    /// predecessor, then the straight-line instructions.
-    fn enter_block(&mut self, f: &Function, frame: &mut Frame, b: BlockId) -> Result<(), Trap> {
-        let pred = frame.last_block;
-        let block = f.block(b);
-        if !block.phis.is_empty() {
-            let mut staged = Vec::with_capacity(block.phis.len());
-            for phi in &block.phis {
-                let arg = phi
-                    .arg_from(pred)
-                    .ok_or_else(|| Trap::Internal(format!("phi in {b} has no arg from {pred}")))?;
-                staged.push(frame_get(frame, arg)?);
-            }
-            for (k, v) in staged.into_iter().enumerate() {
-                let result = f.phi_result(b, k);
-                frame.values[result.index()] = Some(v);
-            }
-        }
-        frame.last_block = b;
-        for (k, instr) in block.instrs.iter().enumerate() {
-            if self.fuel == 0 {
-                return Err(Trap::OutOfFuel);
-            }
-            self.fuel -= 1;
-            self.steps += 1;
-            if self.slice_active {
-                if self.profile_every != 0 {
-                    self.profile_ring[self.profile_ring_idx as usize] = instr.mnemonic();
-                    self.profile_ring_idx =
-                        (self.profile_ring_idx + 1) % PROFILE_WINDOW as u8;
-                    if (self.profile_ring_len as usize) < PROFILE_WINDOW {
-                        self.profile_ring_len += 1;
-                    }
-                }
-                self.slice_left -= 1;
-                if self.slice_left == 0 {
-                    self.slice_left = DEADLINE_SLICE;
-                    // Sample before the deadline check so a request
-                    // killed at this boundary still carries its
-                    // at-kill-time hot-function sample.
-                    if self.profile_every != 0 {
-                        self.profile_countdown -= 1;
-                        if self.profile_countdown == 0 {
-                            self.profile_countdown = self.profile_every;
-                            let mut window = [""; PROFILE_WINDOW];
-                            let n = self.profile_ring_len as usize;
-                            for (i, slot) in window[..n].iter_mut().enumerate() {
-                                let src = (self.profile_ring_idx as usize
-                                    + PROFILE_WINDOW
-                                    - n
-                                    + i)
-                                    % PROFILE_WINDOW;
-                                *slot = self.profile_ring[src];
-                            }
-                            self.profile.sample(&f.name, &window[..n]);
-                        }
-                    }
-                    if let Some(deadline) = self.deadline {
-                        self.deadline_checks += 1;
-                        if Instant::now() >= deadline {
-                            return Err(Trap::DeadlineExceeded);
-                        }
-                    }
-                }
-            }
-            if self.collect_stats {
-                // The check counters (`null_checks`/`index_checks`) are
-                // attributed inside `step`'s match arms — one walk over
-                // the instruction, not two.
-                *self.stats.opcodes.entry(instr.mnemonic()).or_insert(0) += 1;
-            }
-            let result = self.step(frame, instr)?;
-            if let Some(v) = result {
-                let rv = f
-                    .instr_result(b, k)
-                    .ok_or_else(|| Trap::Internal("result for result-less instr".into()))?;
-                frame.values[rv.index()] = Some(v);
-            }
-        }
-        Ok(())
-    }
-
-    fn step(&mut self, frame: &mut Frame, instr: &Instr) -> Result<Option<Value>, Trap> {
-        let types = &self.module.types;
-        match instr {
-            Instr::Primitive { ty, op, args } | Instr::XPrimitive { ty, op, args } => {
-                let kind = match types.kind(*ty) {
-                    TypeKind::Prim(k) => k,
-                    _ => return Err(Trap::Internal("primitive on non-prim".into())),
-                };
-                let desc = primops::resolve(kind, *op)
-                    .ok_or_else(|| Trap::Internal("unknown primop".into()))?;
-                let a = frame_get_all(frame, args)?;
-                prim_eval(kind, desc.name, &a).map(Some)
-            }
-            Instr::NullCheck { value, .. } => {
-                if self.collect_stats {
-                    self.stats.null_checks += 1;
-                }
-                let v = frame_get(frame, *value)?;
-                match v.as_ref() {
-                    None => Err(Trap::NullPointer),
-                    Some(_) => Ok(Some(v)),
-                }
-            }
-            Instr::IndexCheck { array, index, .. } => {
-                if self.collect_stats {
-                    self.stats.index_checks += 1;
-                }
-                let arr = frame_get(frame, *array)?.as_ref().ok_or(Trap::NullPointer)?;
-                let i = frame_get(frame, *index)?.as_i();
-                let len = match self.heap.get(arr) {
-                    Obj::Array { data, .. } => data.len(),
-                    _ => return Err(Trap::Internal("indexcheck on non-array".into())),
-                };
-                if i < 0 || i as usize >= len {
-                    return Err(Trap::IndexOutOfBounds);
-                }
-                Ok(Some(Value::I(i)))
-            }
-            Instr::Upcast { to, value, .. } => {
-                let v = frame_get(frame, *value)?;
-                match v.as_ref() {
-                    None => Ok(Some(v)), // null casts succeed
-                    Some(r) => {
-                        if self.ref_is_instance_of(r, *to) {
-                            Ok(Some(v))
-                        } else {
-                            Err(Trap::ClassCast)
-                        }
-                    }
-                }
-            }
-            Instr::Downcast { value, .. } => Ok(Some(frame_get(frame, *value)?)),
-            Instr::GetField { object, field, .. } => {
-                let r = frame_get(frame, *object)?
-                    .as_ref()
-                    .ok_or(Trap::NullPointer)?;
-                let slot = self.instance_field_slot(field)?;
-                match self.heap.get(r) {
-                    Obj::Instance { fields, .. } => Ok(Some(fields[slot])),
-                    _ => Err(Trap::Internal("getfield on non-instance".into())),
-                }
-            }
-            Instr::SetField {
-                object,
-                field,
-                value,
-                ..
-            } => {
-                let r = frame_get(frame, *object)?
-                    .as_ref()
-                    .ok_or(Trap::NullPointer)?;
-                let slot = self.instance_field_slot(field)?;
-                let v = frame_get(frame, *value)?;
-                match self.heap.get_mut(r) {
-                    Obj::Instance { fields, .. } => {
-                        fields[slot] = v;
-                        Ok(None)
-                    }
-                    _ => Err(Trap::Internal("setfield on non-instance".into())),
-                }
-            }
-            Instr::GetStatic { field } => Ok(Some(
-                self.statics.get(field.class.index(), field.index as usize),
-            )),
-            Instr::SetStatic { field, value } => {
-                let v = frame_get(frame, *value)?;
-                self.statics
-                    .set(field.class.index(), field.index as usize, v);
-                Ok(None)
-            }
-            Instr::GetElt { array, index, .. } => {
-                let r = frame_get(frame, *array)?.as_ref().ok_or(Trap::NullPointer)?;
-                let i = frame_get(frame, *index)?.as_i() as usize;
-                match self.heap.get(r) {
-                    Obj::Array { data, .. } => data.get(i).map(Some),
-                    _ => Err(Trap::Internal("getelt on non-array".into())),
-                }
-            }
-            Instr::SetElt {
-                array,
-                index,
-                value,
-                ..
-            } => {
-                let r = frame_get(frame, *array)?.as_ref().ok_or(Trap::NullPointer)?;
-                let i = frame_get(frame, *index)?.as_i() as usize;
-                let v = frame_get(frame, *value)?;
-                match self.heap.get_mut(r) {
-                    Obj::Array { data, .. } => {
-                        data.set(i, v)?;
-                        Ok(None)
-                    }
-                    _ => Err(Trap::Internal("setelt on non-array".into())),
-                }
-            }
-            Instr::ArrayLength { array, .. } => {
-                let r = frame_get(frame, *array)?.as_ref().ok_or(Trap::NullPointer)?;
-                match self.heap.get(r) {
-                    Obj::Array { data, .. } => Ok(Some(Value::I(data.len() as i32))),
-                    _ => Err(Trap::Internal("arraylength on non-array".into())),
-                }
-            }
-            Instr::New { class_ty } => {
-                let class = match types.kind(*class_ty) {
-                    TypeKind::Class(c) => c,
-                    _ => return Err(Trap::Internal("new on non-class".into())),
-                };
-                let r = self.alloc_instance(class)?;
-                Ok(Some(Value::Ref(Some(r))))
-            }
-            Instr::NewArray { arr_ty, length } => {
-                let len = frame_get(frame, *length)?.as_i();
-                if len < 0 {
-                    return Err(Trap::NegativeArraySize);
-                }
-                // Reserve against the budget from the projected size
-                // BEFORE building the element vector, so a hostile
-                // `new int[1 << 30]` is rejected without the host ever
-                // committing gigabytes.
-                let width = self.array_elem_width(*arr_ty)?;
-                self.heap
-                    .try_reserve(safetsa_rt::heap::array_size_bytes(width, len as u64))?;
-                if self.collect_stats {
-                    self.stats.arrays_allocated += 1;
-                }
-                let data = self.fresh_array_data(*arr_ty, len as usize)?;
-                let r = self.heap.alloc(Obj::Array {
-                    type_tag: arr_ty.0 as u64,
-                    data,
-                });
-                Ok(Some(Value::Ref(Some(r))))
-            }
-            Instr::XCall {
-                method,
-                receiver,
-                args,
-                ..
-            } => {
-                let recv = receiver.map(|r| frame_get(frame, r)).transpose()?;
-                let argv = frame_get_all(frame, args)?;
-                self.invoke_static_target(*method, recv, argv)
-            }
-            Instr::XDispatch {
-                method,
-                receiver,
-                args,
-                ..
-            } => {
-                let recv = frame_get(frame, *receiver)?;
-                let argv = frame_get_all(frame, args)?;
-                self.invoke_virtual(*method, recv, argv)
-            }
-            Instr::RefEq { a, b, .. } => {
-                let x = frame_get(frame, *a)?.as_ref();
-                let y = frame_get(frame, *b)?.as_ref();
-                Ok(Some(Value::Z(x == y)))
-            }
-            Instr::InstanceOf { target, value, .. } => {
-                let v = frame_get(frame, *value)?;
-                let res = match v.as_ref() {
-                    None => false,
-                    Some(r) => self.ref_is_instance_of(r, *target),
-                };
-                Ok(Some(Value::Z(res)))
-            }
-            Instr::Catch { .. } => {
-                let exc = frame
-                    .pending_exc
-                    .take()
-                    .ok_or_else(|| Trap::Internal("catch without pending exception".into()))?;
-                Ok(Some(Value::Ref(Some(exc))))
-            }
-        }
-    }
-
     pub(crate) fn instance_field_slot(&self, field: &safetsa_core::types::FieldRef) -> Result<usize, Trap> {
         // Flattened slot: base of declaring class + index among its
         // instance fields.
@@ -1196,23 +740,6 @@ impl<'m> Vm<'m> {
         })
     }
 
-    pub(crate) fn fresh_array_data(&self, arr_ty: TypeId, len: usize) -> Result<ArrData, Trap> {
-        let elem = self
-            .module
-            .types
-            .array_elem(arr_ty)
-            .ok_or_else(|| Trap::Internal("newarray on non-array type".into()))?;
-        Ok(match self.module.types.kind(elem) {
-            TypeKind::Prim(PrimKind::Bool) => ArrData::Z(vec![false; len]),
-            TypeKind::Prim(PrimKind::Char) => ArrData::C(vec![0; len]),
-            TypeKind::Prim(PrimKind::Int) => ArrData::I(vec![0; len]),
-            TypeKind::Prim(PrimKind::Long) => ArrData::J(vec![0; len]),
-            TypeKind::Prim(PrimKind::Float) => ArrData::F(vec![0.0; len]),
-            TypeKind::Prim(PrimKind::Double) => ArrData::D(vec![0.0; len]),
-            _ => ArrData::R(vec![None; len]),
-        })
-    }
-
     /// `instanceof`/cast test for a heap reference against a reference
     /// type (class or array).
     pub(crate) fn ref_is_instance_of(&self, r: HeapRef, target: TypeId) -> bool {
@@ -1226,92 +753,6 @@ impl<'m> Vm<'m> {
             (Obj::Array { type_tag, .. }, TypeKind::Array(_)) => *type_tag == target.0 as u64,
             _ => false,
         }
-    }
-
-    pub(crate) fn invoke_static_target(
-        &mut self,
-        method: MethodRef,
-        recv: Option<Value>,
-        args: Vec<Value>,
-    ) -> Result<Option<Value>, Trap> {
-        let info = self
-            .module
-            .types
-            .method(method)
-            .ok_or_else(|| Trap::Internal("bad method ref".into()))?;
-        if let Some(body) = info.body {
-            let mut all = Vec::with_capacity(args.len() + 1);
-            if let Some(r) = recv {
-                all.push(r);
-            }
-            all.extend(args);
-            return self.call(FuncId(body), all);
-        }
-        self.invoke_intrinsic(method.class, method, recv, &args)
-    }
-
-    pub(crate) fn invoke_virtual(
-        &mut self,
-        method: MethodRef,
-        recv: Value,
-        args: Vec<Value>,
-    ) -> Result<Option<Value>, Trap> {
-        let info = self
-            .module
-            .types
-            .method(method)
-            .ok_or_else(|| Trap::Internal("bad method ref".into()))?;
-        let slot = info
-            .vtable_slot
-            .ok_or_else(|| Trap::Internal("xdispatch without slot".into()))?
-            as usize;
-        let r = recv.as_ref().ok_or(Trap::NullPointer)?;
-        let runtime_class = match self.heap.get(r) {
-            Obj::Instance { class, .. } => ClassId(*class as u32),
-            Obj::Str(_) => self.string_class,
-            Obj::Array { .. } => self.module.well_known.object,
-        };
-        let (impl_class, impl_idx) = self.vtables[runtime_class.index()][slot];
-        let target = MethodRef {
-            class: impl_class,
-            index: impl_idx,
-        };
-        let impl_info = self
-            .module
-            .types
-            .method(target)
-            .ok_or_else(|| Trap::Internal("bad vtable entry".into()))?;
-        if let Some(body) = impl_info.body {
-            let mut all = Vec::with_capacity(args.len() + 1);
-            all.push(recv);
-            all.extend(args);
-            return self.call(FuncId(body), all);
-        }
-        self.invoke_intrinsic(impl_class, target, Some(recv), &args)
-    }
-
-    pub(crate) fn invoke_intrinsic(
-        &mut self,
-        class: ClassId,
-        method: MethodRef,
-        recv: Option<Value>,
-        args: &[Value],
-    ) -> Result<Option<Value>, Trap> {
-        let types = &self.module.types;
-        let cinfo = types.class(class);
-        let minfo = types
-            .method(method)
-            .ok_or_else(|| Trap::Internal("bad method ref".into()))?;
-        let sig: String = minfo.params.iter().map(|p| sig_letter(types, *p)).collect();
-        let kind_is_static = minfo.kind == MethodKind::Static;
-        let i = intrinsics::resolve(&cinfo.name, &minfo.name, &sig).ok_or_else(|| {
-            Trap::Internal(format!(
-                "no intrinsic for {}.{}({sig})",
-                cinfo.name, minfo.name
-            ))
-        })?;
-        let recv = if kind_is_static { None } else { recv };
-        intrinsics::invoke(i, &mut self.heap, &mut self.output, recv, args)
     }
 }
 
@@ -1337,206 +778,4 @@ fn default_value(types: &safetsa_core::TypeTable, ty: TypeId) -> Value {
         TypeKind::Prim(PrimKind::Double) => Value::D(0.0),
         _ => Value::NULL,
     }
-}
-
-fn frame_get(frame: &Frame, v: ValueId) -> Result<Value, Trap> {
-    // The verifier guarantees every operand dominates its use, so a
-    // missing value can only mean a VM bug — report it as a structured
-    // internal trap instead of panicking, so embedders keep control.
-    frame.values[v.index()]
-        .ok_or_else(|| Trap::Internal(format!("operand {v:?} read before definition")))
-}
-
-fn frame_get_all(frame: &Frame, vs: &[ValueId]) -> Result<Vec<Value>, Trap> {
-    vs.iter().map(|v| frame_get(frame, *v)).collect()
-}
-
-fn v_copy(v: ValueId) -> ValueId {
-    v
-}
-
-/// Evaluates a primitive operation with Java semantics.
-fn prim_eval(kind: PrimKind, name: &str, a: &[Value]) -> Result<Value, Trap> {
-    use PrimKind::*;
-    Ok(match kind {
-        Bool => {
-            let x = a[0].as_z();
-            match name {
-                "not" => Value::Z(!x),
-                _ => {
-                    let y = a[1].as_z();
-                    match name {
-                        "and" => Value::Z(x & y),
-                        "or" => Value::Z(x | y),
-                        "xor" => Value::Z(x ^ y),
-                        "eq" => Value::Z(x == y),
-                        "ne" => Value::Z(x != y),
-                        _ => return Err(Trap::Internal(format!("bool op {name}"))),
-                    }
-                }
-            }
-        }
-        Char => {
-            let x = a[0].as_c();
-            match name {
-                "to_int" => Value::I(x as i32),
-                _ => {
-                    let y = a[1].as_c();
-                    match name {
-                        "eq" => Value::Z(x == y),
-                        "ne" => Value::Z(x != y),
-                        "lt" => Value::Z(x < y),
-                        "le" => Value::Z(x <= y),
-                        "gt" => Value::Z(x > y),
-                        "ge" => Value::Z(x >= y),
-                        _ => return Err(Trap::Internal(format!("char op {name}"))),
-                    }
-                }
-            }
-        }
-        Int => {
-            let x = a[0].as_i();
-            match name {
-                "neg" => Value::I(x.wrapping_neg()),
-                "not" => Value::I(!x),
-                "to_char" => Value::C(x as u16),
-                "to_long" => Value::J(x as i64),
-                "to_float" => Value::F(x as f32),
-                "to_double" => Value::D(x as f64),
-                _ => {
-                    let y = a[1].as_i();
-                    match name {
-                        "add" => Value::I(x.wrapping_add(y)),
-                        "sub" => Value::I(x.wrapping_sub(y)),
-                        "mul" => Value::I(x.wrapping_mul(y)),
-                        "div" => {
-                            if y == 0 {
-                                return Err(Trap::DivByZero);
-                            }
-                            Value::I(x.wrapping_div(y))
-                        }
-                        "rem" => {
-                            if y == 0 {
-                                return Err(Trap::DivByZero);
-                            }
-                            Value::I(x.wrapping_rem(y))
-                        }
-                        "and" => Value::I(x & y),
-                        "or" => Value::I(x | y),
-                        "xor" => Value::I(x ^ y),
-                        "shl" => Value::I(x.wrapping_shl(y as u32 & 31)),
-                        "shr" => Value::I(x.wrapping_shr(y as u32 & 31)),
-                        "ushr" => Value::I(((x as u32) >> (y as u32 & 31)) as i32),
-                        "eq" => Value::Z(x == y),
-                        "ne" => Value::Z(x != y),
-                        "lt" => Value::Z(x < y),
-                        "le" => Value::Z(x <= y),
-                        "gt" => Value::Z(x > y),
-                        "ge" => Value::Z(x >= y),
-                        _ => return Err(Trap::Internal(format!("int op {name}"))),
-                    }
-                }
-            }
-        }
-        Long => {
-            let x = a[0].as_j();
-            match name {
-                "neg" => Value::J(x.wrapping_neg()),
-                "not" => Value::J(!x),
-                "to_int" => Value::I(x as i32),
-                "to_float" => Value::F(x as f32),
-                "to_double" => Value::D(x as f64),
-                "shl" | "shr" | "ushr" => {
-                    let s = a[1].as_i() as u32 & 63;
-                    match name {
-                        "shl" => Value::J(x.wrapping_shl(s)),
-                        "shr" => Value::J(x.wrapping_shr(s)),
-                        _ => Value::J(((x as u64) >> s) as i64),
-                    }
-                }
-                _ => {
-                    let y = a[1].as_j();
-                    match name {
-                        "add" => Value::J(x.wrapping_add(y)),
-                        "sub" => Value::J(x.wrapping_sub(y)),
-                        "mul" => Value::J(x.wrapping_mul(y)),
-                        "div" => {
-                            if y == 0 {
-                                return Err(Trap::DivByZero);
-                            }
-                            Value::J(x.wrapping_div(y))
-                        }
-                        "rem" => {
-                            if y == 0 {
-                                return Err(Trap::DivByZero);
-                            }
-                            Value::J(x.wrapping_rem(y))
-                        }
-                        "and" => Value::J(x & y),
-                        "or" => Value::J(x | y),
-                        "xor" => Value::J(x ^ y),
-                        "eq" => Value::Z(x == y),
-                        "ne" => Value::Z(x != y),
-                        "lt" => Value::Z(x < y),
-                        "le" => Value::Z(x <= y),
-                        "gt" => Value::Z(x > y),
-                        "ge" => Value::Z(x >= y),
-                        _ => return Err(Trap::Internal(format!("long op {name}"))),
-                    }
-                }
-            }
-        }
-        Float => {
-            let x = a[0].as_f();
-            match name {
-                "neg" => Value::F(-x),
-                "to_int" => Value::I(x as i32),
-                "to_long" => Value::J(x as i64),
-                "to_double" => Value::D(x as f64),
-                _ => {
-                    let y = a[1].as_f();
-                    match name {
-                        "add" => Value::F(x + y),
-                        "sub" => Value::F(x - y),
-                        "mul" => Value::F(x * y),
-                        "div" => Value::F(x / y),
-                        "rem" => Value::F(x % y),
-                        "eq" => Value::Z(x == y),
-                        "ne" => Value::Z(x != y),
-                        "lt" => Value::Z(x < y),
-                        "le" => Value::Z(x <= y),
-                        "gt" => Value::Z(x > y),
-                        "ge" => Value::Z(x >= y),
-                        _ => return Err(Trap::Internal(format!("float op {name}"))),
-                    }
-                }
-            }
-        }
-        Double => {
-            let x = a[0].as_d();
-            match name {
-                "neg" => Value::D(-x),
-                "to_int" => Value::I(x as i32),
-                "to_long" => Value::J(x as i64),
-                "to_float" => Value::F(x as f32),
-                _ => {
-                    let y = a[1].as_d();
-                    match name {
-                        "add" => Value::D(x + y),
-                        "sub" => Value::D(x - y),
-                        "mul" => Value::D(x * y),
-                        "div" => Value::D(x / y),
-                        "rem" => Value::D(x % y),
-                        "eq" => Value::Z(x == y),
-                        "ne" => Value::Z(x != y),
-                        "lt" => Value::Z(x < y),
-                        "le" => Value::Z(x <= y),
-                        "gt" => Value::Z(x > y),
-                        "ge" => Value::Z(x >= y),
-                        _ => return Err(Trap::Internal(format!("double op {name}"))),
-                    }
-                }
-            }
-        }
-    })
 }

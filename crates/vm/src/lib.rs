@@ -7,11 +7,14 @@
 //! and interpretation suffices for the differential-correctness and
 //! representation-size experiments).
 //!
-//! The interpreter walks the Control Structure Tree; phi nodes are
-//! given parallel-copy semantics on block entry keyed by the dynamic
-//! predecessor block, exceptions follow the implicit edges to the
-//! innermost handler, and dynamic dispatch uses vtables derived (by the
-//! consumer, tamper-proof) from the type table's slot assignments.
+//! The interpreter decodes each function once, on first call, by
+//! flattening the Control Structure Tree into a direct-threaded op
+//! array; phi nodes become parallel copies on each static CFG edge,
+//! exceptions follow the implicit edges to the innermost handler, and
+//! dynamic dispatch uses vtables derived (by the consumer,
+//! tamper-proof) from the type table's slot assignments. Its output is
+//! checked against the independent bytecode baseline interpreter
+//! (`safetsa-baseline`) corpus-wide.
 //!
 //! # Examples
 //!
@@ -31,4 +34,4 @@
 mod interp;
 mod threaded;
 
-pub use interp::{Engine, ResourceLimits, Vm, VmError, VmProfile, VmStats, DEADLINE_SLICE};
+pub use interp::{ResourceLimits, Vm, VmError, VmProfile, VmStats, DEADLINE_SLICE};

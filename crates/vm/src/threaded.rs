@@ -6,8 +6,7 @@
 //! dense frame slots, phi parallel-copies pre-resolved per static edge
 //! into explicit [`Op::Moves`], and field/method references resolved to
 //! layout slots and call targets. The dispatch loop is a single match
-//! over a dense op enum (a jump table), instead of the tree-walking
-//! `match` over [`safetsa_core::instr::Instr`] in `interp.rs`.
+//! over a dense op enum (a jump table).
 //!
 //! Three optimizations ride on the decoded form (see DESIGN.md
 //! "Interpreter architecture"):
@@ -28,14 +27,12 @@
 //!   the old path plus one compare).
 //! * **Block-granularity fuel** — fuel is charged once per basic block
 //!   (its charged-op count) at block entry instead of per instruction.
-//!   A run completes iff fuel ≥ total charged steps, exactly as the
-//!   switch engine observes on its own accounting; on trap paths the
-//!   threaded engine may charge up to blocklen−1 instructions that the
-//!   switch engine would not have reached (the documented bounded
-//!   overshoot — never the other direction, so fuel remains a hard
-//!   ceiling).
+//!   A run completes iff fuel ≥ total charged steps; a budget that runs
+//!   out does so at the entry of the block that would overrun it, at
+//!   most one block before the overrunning instruction, so fuel remains
+//!   a hard ceiling.
 
-use crate::interp::{Engine, Vm, DEADLINE_SLICE, PROFILE_WINDOW};
+use crate::interp::{Vm, DEADLINE_SLICE, PROFILE_WINDOW};
 use safetsa_core::cst::Cst;
 use safetsa_core::function::{Function, ENTRY};
 use safetsa_core::instr::Instr;
@@ -96,10 +93,10 @@ fn cmp_eval(pred: CmpPred, x: i32, y: i32) -> bool {
     }
 }
 
-/// Unary primitive decode table. Mirrors `interp::prim_eval` exactly
-/// (wrapping integer arithmetic, `as`-conversions); the op names come
-/// from the trusted `primops` tables, so the fallback arm is
-/// unreachable for verified modules.
+/// Unary primitive decode table with Java semantics (wrapping integer
+/// arithmetic, `as`-conversions); the op names come from the trusted
+/// `primops` tables, so the fallback arm is unreachable for verified
+/// modules.
 fn un_fn(kind: PrimKind, name: &'static str) -> PrimFn1 {
     use PrimKind::*;
     match (kind, name) {
@@ -128,9 +125,9 @@ fn un_fn(kind: PrimKind, name: &'static str) -> PrimFn1 {
     }
 }
 
-/// Binary primitive decode table; same semantics as `interp::prim_eval`
-/// (div/rem trap DivByZero, int shifts mask to 5 bits, long shifts take
-/// an `int` amount masked to 6 bits).
+/// Binary primitive decode table with Java semantics (div/rem trap
+/// DivByZero, int shifts mask to 5 bits, long shifts take an `int`
+/// amount masked to 6 bits).
 fn bin_fn(kind: PrimKind, name: &'static str) -> PrimFn2 {
     use PrimKind::*;
     match (kind, name) {
@@ -261,8 +258,8 @@ pub(crate) enum ElemKind {
 
 /// Per-block metadata: the *original* (pre-fusion) instruction
 /// mnemonics in execution order, both as a list (fed to the profiler
-/// ring so pair histograms stay engine-comparable) and aggregated (for
-/// the stats opcode histogram).
+/// ring so pair histograms count the unfused instruction stream) and
+/// aggregated (for the stats opcode histogram).
 pub(crate) struct BlockMeta {
     /// Original mnemonics in order.
     pub(crate) mnems: Box<[&'static str]>,
@@ -301,8 +298,7 @@ pub(crate) struct HandlerInfo {
     /// Op index of the handler-entry block.
     pub(crate) entry_pc: u32,
     /// Whether the handler entry has phis at all (a faulting block with
-    /// no move entry is then an internal error, matching the switch
-    /// engine's missing-phi-arg trap).
+    /// no move entry is then an internal error: a missing phi argument).
     pub(crate) has_phis: bool,
     /// Per-predecessor `(dst, src)` parallel copies.
     pub(crate) moves: Vec<PredMoves>,
@@ -450,7 +446,7 @@ pub(crate) enum Op {
         dst: Slot,
     },
     /// Decode-time-unresolvable instruction: traps Internal when (if
-    /// ever) executed, matching the switch engine's runtime error.
+    /// ever) executed, so a bad reference fails only the path using it.
     Fail { msg: Box<str> },
 }
 
@@ -1068,8 +1064,7 @@ impl<'a, 'm> Flattener<'a, 'm> {
         }
     }
 
-    /// Resolves a body-less method to its host intrinsic at decode time
-    /// (same resolution the switch engine performs per call).
+    /// Resolves a body-less method to its host intrinsic at decode time.
     fn resolve_intrinsic(&self, class: ClassId, method: MethodRef) -> Result<CallTarget, String> {
         let types = &self.vm.module.types;
         let cinfo = types.class(class);
@@ -1170,10 +1165,8 @@ fn try_fuse(prev: &Op, cur: &Op) -> Option<Op> {
 // ---------------------------------------------------------------------
 
 impl<'m> Vm<'m> {
-    /// Runs one call in the threaded engine. Mirrors
-    /// `Vm::call_inner`'s switch path: argument and constant preloads,
-    /// then the dispatch loop, with traps unwinding to the innermost
-    /// active handler.
+    /// Runs one call: argument and constant preloads, then the dispatch
+    /// loop, with traps unwinding to the innermost active handler.
     pub(crate) fn call_threaded(
         &mut self,
         fid: FuncId,
@@ -1181,8 +1174,7 @@ impl<'m> Vm<'m> {
     ) -> Result<Option<Value>, Trap> {
         let tf = self.tfunc(fid);
         // The verifier guarantees def-before-use, so slots can be plain
-        // values (zero-initialized) instead of the switch engine's
-        // Option-per-slot.
+        // values (zero-initialized) rather than options.
         let mut vals = vec![Value::I(0); tf.nvals];
         for (i, a) in args.into_iter().enumerate() {
             vals[i] = a;
@@ -1574,8 +1566,10 @@ impl<'m> Vm<'m> {
                         if n < 0 {
                             break 'op Trap::NegativeArraySize;
                         }
-                        // Reserve the projected size before building
-                        // the elements, same as the switch engine.
+                        // Reserve the projected size BEFORE building the
+                        // elements, so a hostile `new int[1 << 30]` is
+                        // rejected without the host ever committing
+                        // gigabytes.
                         if let Err(t) = self
                             .heap
                             .try_reserve(safetsa_rt::heap::array_size_bytes(*width, n as u64))
@@ -1772,9 +1766,9 @@ impl<'m> Vm<'m> {
     }
 
     /// Slice countdown for one block. While profiling, the countdown
-    /// runs per original instruction (feeding the opcode ring exactly
-    /// like the switch engine); otherwise the whole block cost is
-    /// debited at once, with one boundary action per slice crossed.
+    /// runs per original (pre-fusion) instruction, feeding each one to
+    /// the opcode ring; otherwise the whole block cost is debited at
+    /// once, with one boundary action per slice crossed.
     fn slice_tick(&mut self, tf: &TFunc, bi: u32, cost: u32) -> Result<(), Trap> {
         if self.profile_every != 0 {
             // Split borrow: the ring push needs &mut self while `tf` is
@@ -1963,11 +1957,5 @@ impl<'m> Vm<'m> {
             }
         }
         (fused, total)
-    }
-
-    /// The engine's `Engine::Threaded` discriminant re-exported for
-    /// convenience in integration code.
-    pub fn is_threaded(&self) -> bool {
-        self.engine() == Engine::Threaded
     }
 }

@@ -18,18 +18,14 @@
 //!     [--fuel N] [--max-heap BYTES] [--max-depth N]   resource budgets;
 //!     a resource report (steps, fuel remaining, bytes, peak depth)
 //!     goes to stderr
-//!     [--engine switch|threaded]   execution engine (default threaded:
-//!     pre-decoded direct-threaded core with superinstructions and
-//!     xdispatch inline caches; switch is the original interpreter,
-//!     kept as the differential oracle)
 //!     [--metrics-json PATH]   write a metrics report (adds the VM's
 //!     opcode histogram and dynamic check counters)
 //!     [--trace-json PATH]   write the run's span timeline
 //! safetsa dump <file.java> [--function Class.method] [--view V]
 //!     show an IR view (V: safetsa|plain|lr|planes; default safetsa)
-//! safetsa stats <file.java> [--engine E]   per-phase size/time/check
-//!     stats, plus (when the program has a `.main`) the chosen engine,
-//!     icache hit rate, and fused-pair coverage of the executed ops
+//! safetsa stats <file.java>   per-phase size/time/check stats, plus
+//!     (when the program has a `.main`) its executed steps, icache hit
+//!     rate, and fused-pair coverage of the executed ops
 //! safetsa analyze <in.java>... [--json]   lint the (unoptimized) IR;
 //!     exit 1 iff any error-severity diagnostic was reported
 //! safetsa verify <file.tsa>             decode + verify a module; print
@@ -44,7 +40,6 @@
 //!     tenant's budgets (0 = unlimited where applicable)
 //!     [--tenant NAME:k=v,...]   add a named tenant profile
 //!     (keys: fuel, heap, depth, deadline_ms, source_bytes); repeatable
-//!     [--engine switch|threaded]   VM engine for run requests
 //!     [--cache-dir PATH] [--chaos] [--no-remote-shutdown]
 //!     [--metrics-json PATH]   write the final stats snapshot on exit
 //!     [--trace-json PATH]   write the flight recorder's retained
@@ -82,9 +77,9 @@ fn main() -> ExitCode {
             eprintln!("      [--trace-json PATH] [--jobs N] [--cache-dir PATH] [--explain-cache]");
             eprintln!("  run <file.tsa|file.java> --entry Class.method");
             eprintln!("      [--fuel N] [--max-heap BYTES] [--max-depth N] [--metrics-json PATH]");
-            eprintln!("      [--trace-json PATH] [--engine switch|threaded]");
+            eprintln!("      [--trace-json PATH]");
             eprintln!("  dump <file.java> [--function Class.method]");
-            eprintln!("  stats <file.java> [--engine switch|threaded]");
+            eprintln!("  stats <file.java>");
             eprintln!("  analyze <in.java>... [--json]");
             eprintln!("  verify <file.tsa>");
             eprintln!("  serve [--tcp ADDR|--socket PATH] [--workers N] [--queue N]");
@@ -140,7 +135,6 @@ fn positional(args: &[String]) -> Vec<&String> {
             if matches!(
                 a.as_str(),
                 "-o" | "--entry"
-                    | "--engine"
                     | "--function"
                     | "--fuel"
                     | "--view"
@@ -437,7 +431,6 @@ fn cmd_run(args: &[String]) -> Result<(), Error> {
     let fuel: u64 = parse_flag(args, "--fuel")?.unwrap_or(1_000_000_000);
     let max_heap: Option<u64> = parse_flag(args, "--max-heap")?;
     let max_depth: Option<u32> = parse_flag(args, "--max-depth")?;
-    let engine: safetsa_vm::Engine = parse_flag(args, "--engine")?.unwrap_or_default();
     let metrics_path = flag_value(args, "--metrics-json");
     let trace_path = flag_value(args, "--trace-json");
     // The registry also backs the stderr resource report, so `run`
@@ -448,7 +441,6 @@ fn cmd_run(args: &[String]) -> Result<(), Error> {
         } else {
             Telemetry::enabled()
         })
-        .engine(engine)
         .limits(safetsa_vm::ResourceLimits {
             fuel: Some(fuel),
             max_heap_bytes: max_heap,
@@ -757,7 +749,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Error> {
         chaos: args.iter().any(|a| a == "--chaos"),
         allow_remote_shutdown: !args.iter().any(|a| a == "--no-remote-shutdown"),
         shutdown: Arc::clone(&shutdown),
-        engine: parse_flag(args, "--engine")?.unwrap_or_default(),
     };
     let metrics_path = flag_value(args, "--metrics-json");
     let trace_path = flag_value(args, "--trace-json");
@@ -892,15 +883,13 @@ fn cmd_stats(args: &[String]) -> Result<(), Error> {
         (opt_bytes * 100).checked_div(class_bytes).unwrap_or(0)
     );
     // Consumer-side dynamics: execute the program's main (when it has
-    // one) under the selected engine and report what the threaded core
-    // did with it — inline-cache effectiveness and how much of the
-    // executed instruction stream the fused superinstructions covered.
-    let engine: safetsa_vm::Engine = parse_flag(args, "--engine")?.unwrap_or_default();
+    // one) and report what the threaded core did with it — inline-cache
+    // effectiveness and how much of the executed instruction stream the
+    // fused superinstructions covered.
     match module.functions.iter().find(|f| f.name.ends_with(".main")) {
         Some(f) => {
             let entry = f.name.clone();
             let mut vm = safetsa_vm::Vm::load(&module).map_err(Error::Vm)?;
-            vm.set_engine(engine);
             vm.set_fuel(1_000_000_000);
             vm.enable_stats();
             // A trap or exhaustion still leaves the dynamic counters
@@ -921,7 +910,7 @@ fn cmd_stats(args: &[String]) -> Result<(), Error> {
                 2.0 * fused_execs as f64 * 100.0 / original_ops as f64
             };
             println!(
-                "engine        : {engine} ({entry}: {} steps, icache {}/{} hits = {:.1}%)",
+                "execution     : {entry}: {} steps, icache {}/{} hits = {:.1}%",
                 vm.steps,
                 vm.icache_hits(),
                 lookups,
@@ -944,7 +933,7 @@ fn cmd_stats(args: &[String]) -> Result<(), Error> {
                 }
             );
         }
-        None => println!("engine        : {engine} (no .main entry; dynamic stats unavailable)"),
+        None => println!("execution     : no .main entry; dynamic stats unavailable"),
     }
     Ok(())
 }

@@ -2,6 +2,12 @@
 //! in the Java subset are compiled through both the SafeTSA pipeline
 //! (with and without optimization, through the codec) and the bytecode
 //! baseline; all four executions must agree.
+//!
+//! Besides integer arithmetic, control flow and array traffic, the
+//! generated statements reach the heap through a fixed class prelude
+//! (`Cell` and two subclasses overriding `get`): field stores read back
+//! through an alias, virtual calls whose receiver class depends on the
+//! data, and null dereferences that throw inside the program's `try`.
 
 use proptest::prelude::*;
 use safetsa_codec::{decode_and_verify, encode_module, HostEnv};
@@ -73,6 +79,13 @@ enum S {
     If(E, E, Vec<S>, Vec<S>),
     Loop(u8, Vec<S>),
     ArrayRoundTrip(E, E),
+    /// Store through `p`, read back through its alias `q`.
+    FieldAlias(E),
+    /// Store into and call `get` on a `Twice` or a `Plus`, picked by
+    /// `a`'s parity.
+    VirtualCall(E),
+    /// Null `n` when `l < r`, then read its field.
+    NullDeref(E, E),
 }
 
 impl S {
@@ -113,6 +126,26 @@ impl S {
                     idx.render()
                 ));
             }
+            S::FieldAlias(e) => {
+                out.push_str(&format!("{pad}p.v = {};\n", e.render()));
+                out.push_str(&format!("{pad}c = c + q.v;\n"));
+            }
+            S::VirtualCall(e) => {
+                out.push_str(&format!(
+                    "{pad}if ((a & 1) == 0) {{\n{pad}    d = tw;\n{pad}}} else {{\n{pad}    d = pl;\n{pad}}}\n"
+                ));
+                out.push_str(&format!("{pad}d.v = {};\n", e.render()));
+                out.push_str(&format!("{pad}c = c ^ d.get();\n"));
+            }
+            S::NullDeref(l, r) => {
+                out.push_str(&format!("{pad}n = q;\n"));
+                out.push_str(&format!(
+                    "{pad}if ({} < {}) {{\n{pad}    n = null;\n{pad}}}\n",
+                    l.render(),
+                    r.render()
+                ));
+                out.push_str(&format!("{pad}c = c - n.v;\n"));
+            }
         }
     }
 }
@@ -123,6 +156,9 @@ fn stmt_strategy() -> impl Strategy<Value = S> {
         expr_strategy().prop_map(S::AssignB),
         expr_strategy().prop_map(S::AssignC),
         (expr_strategy(), expr_strategy()).prop_map(|(i, v)| S::ArrayRoundTrip(i, v)),
+        expr_strategy().prop_map(S::FieldAlias),
+        expr_strategy().prop_map(S::VirtualCall),
+        (expr_strategy(), expr_strategy()).prop_map(|(l, r)| S::NullDeref(l, r)),
     ];
     leaf.prop_recursive(2, 16, 4, |inner| {
         prop_oneof![
@@ -139,13 +175,16 @@ fn stmt_strategy() -> impl Strategy<Value = S> {
     })
 }
 
+/// The fixed class prelude every generated program starts with.
+const PRELUDE: &str = "class Cell {\n    int v;\n    int get() { return v; }\n}\nclass Twice extends Cell {\n    int get() { return v * 2; }\n}\nclass Plus extends Cell {\n    int get() { return v + 7; }\n}\n";
+
 fn program_for(stmts: &[S]) -> String {
     let mut body = String::new();
     for s in stmts {
         s.render(&mut body, 0);
     }
     format!(
-        "class Gen {{\n    static int run(int a, int b) {{\n        int c = 1;\n        int[] buf = new int[7];\n        try {{\n{body}        }} catch (RuntimeException e) {{\n            c = c * 31 + 1;\n        }}\n        return a ^ (b * 7) ^ c;\n    }}\n    static int main() {{\n        int acc = 0;\n        for (int a = -2; a <= 2; a++)\n            for (int b = -2; b <= 2; b++)\n                acc = acc * 33 + run(a * 17, b * 29);\n        return acc;\n    }}\n}}\n"
+        "{PRELUDE}class Gen {{\n    static int run(int a, int b) {{\n        int c = 1;\n        int[] buf = new int[7];\n        Cell p = new Cell();\n        Cell q = p;\n        Cell tw = new Twice();\n        Cell pl = new Plus();\n        Cell d = tw;\n        Cell n = q;\n        try {{\n{body}        }} catch (RuntimeException e) {{\n            c = c * 31 + 1;\n        }}\n        return a ^ (b * 7) ^ c ^ q.v ^ d.get();\n    }}\n    static int main() {{\n        int acc = 0;\n        for (int a = -2; a <= 2; a++)\n            for (int b = -2; b <= 2; b++)\n                acc = acc * 33 + run(a * 17, b * 29);\n        return acc;\n    }}\n}}\n"
     )
 }
 
