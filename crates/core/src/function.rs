@@ -368,6 +368,39 @@ impl Function {
             .filter(|i| pred(i))
             .count()
     }
+
+    /// Structural equality that, unlike `PartialEq`, treats NaN pool
+    /// constants with identical bits as equal
+    /// ([`Literal::bit_eq`](crate::value::Literal::bit_eq)), so a
+    /// function always equals its own clone.
+    pub fn bit_eq(&self, other: &Function) -> bool {
+        let Function {
+            name,
+            class,
+            params,
+            ret,
+            consts,
+            const_values,
+            blocks,
+            results,
+            values,
+            body,
+        } = self;
+        *name == other.name
+            && *class == other.class
+            && *params == other.params
+            && *ret == other.ret
+            && consts.len() == other.consts.len()
+            && consts
+                .iter()
+                .zip(&other.consts)
+                .all(|(a, b)| a.ty == b.ty && a.lit.bit_eq(&b.lit))
+            && *const_values == other.const_values
+            && *blocks == other.blocks
+            && *results == other.results
+            && *values == other.values
+            && *body == other.body
+    }
 }
 
 impl ValueCtx for Function {
@@ -589,5 +622,25 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, TypeError::ProvenanceMismatch { .. }));
+    }
+
+    #[test]
+    fn bit_eq_matches_a_nan_constant_with_itself() {
+        let types = TypeTable::new();
+        let double = types.prim(PrimKind::Double);
+        let mut f = Function::new("f", None, vec![], Some(double));
+        f.add_const(Const {
+            ty: double,
+            lit: Literal::Double(f64::NAN),
+        });
+        let g = f.clone();
+        assert_ne!(f, g, "PartialEq: NaN != NaN");
+        assert!(f.bit_eq(&g));
+        let mut h = f.clone();
+        h.consts[0].lit = Literal::Double(-f64::NAN);
+        assert!(
+            !f.bit_eq(&h),
+            "a NaN with other bits is a different constant"
+        );
     }
 }

@@ -249,19 +249,19 @@ fn collect_cst_uses(
 }
 
 /// Removes trivial phis (all operands equal, or equal to the phi
-/// itself) and dead phis (transitively unused). Returns the cleaned
-/// function and the number of phis removed.
+/// itself) and dead phis (transitively unused) from `f` in place.
+/// Returns the number of phis removed; when it is zero, `f` is
+/// untouched.
 ///
 /// The paper performs this cleanup as part of SSA construction (§7,
 /// the Briggs-style pruning) and again during producer-side dead-code
 /// elimination; both callers share this implementation.
-pub fn prune_phis(f: &Function) -> (Function, usize) {
-    let mut f = f.clone();
+pub fn prune_phis(f: &mut Function) -> usize {
     let mut removed_total = 0;
     loop {
-        let removed = prune_once(&mut f);
+        let removed = prune_once(f);
         if removed == 0 {
-            return (f, removed_total);
+            return removed_total;
         }
         removed_total += removed;
     }

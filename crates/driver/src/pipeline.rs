@@ -323,13 +323,10 @@ impl Pipeline {
                                 }
                                 Some(_) => "evicted",
                             };
-                            let (g, stats) = safetsa_opt::optimize_function(
-                                &m.types,
-                                &m.functions[u.func],
-                                passes,
-                            );
-                            let fsum = safetsa_analysis::summarize(&m.types, &g);
-                            if let Ok((section, _)) = encode_function_section(&m.types, &g) {
+                            let g = &mut m.functions[u.func];
+                            let stats = safetsa_opt::optimize_function(&m.types, g, passes);
+                            let fsum = safetsa_analysis::summarize(&m.types, g);
+                            if let Ok((section, _)) = encode_function_section(&m.types, g) {
                                 store.put_unit_degrading(
                                     &key,
                                     &UnitRecord {
@@ -339,7 +336,6 @@ impl Pipeline {
                                     },
                                 );
                             }
-                            m.functions[u.func] = g;
                             total.add(&stats);
                             facts.add(&fsum);
                             outcomes.push(UnitOutcome {

@@ -34,9 +34,9 @@
 //! removed (the rewrite is skipped), and dangling phi arguments are
 //! pruned afterwards.
 
+use crate::facts::Facts;
 use crate::fixup;
 use safetsa_analysis::{liveness, nullness, range, Nullity};
-use safetsa_core::cfg::Cfg;
 use safetsa_core::function::Function;
 use safetsa_core::instr::Instr;
 use safetsa_core::rewrite::{compact, Rewrite};
@@ -111,13 +111,24 @@ fn safe_witness(types: &TypeTable, f: &Function, value: ValueId, target: TypeId)
 /// Runs check elimination over `f`; returns the new function and the
 /// run's statistics.
 pub fn run(types: &TypeTable, f: &Function) -> (Function, CheckElimStats) {
+    let mut g = f.clone();
+    let stats = apply(types, &mut g, &Facts::default());
+    (g, stats)
+}
+
+/// Runs check elimination on `f` in place, reading the CFG and the
+/// exception-edge map from `facts`; returns the run's statistics.
+pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> CheckElimStats {
     let mut stats = CheckElimStats::default();
-    let Ok(cfg) = Cfg::build(f) else {
-        return (f.clone(), stats);
+    let Some(cfg) = facts.cfg(f) else {
+        return stats;
     };
-    let nn = nullness::analyze(types, f, &cfg);
-    let rg = range::analyze(types, f, &cfg);
-    let lv = liveness::analyze(f, &cfg);
+    let nn = nullness::analyze(types, f, cfg);
+    let rg = range::analyze(types, f, cfg);
+    // Liveness only decides phase 2's indexcheck deletions. Like the
+    // other facts it describes the function before phase 1 rewrites it.
+    let lv = (f.count_instrs(|i| matches!(i, Instr::IndexCheck { .. })) > 0)
+        .then(|| liveness::analyze(f, cfg));
     stats.nullness_facts = nn.facts_computed();
     stats.range_facts = rg.facts_computed();
     stats.nullness_iterations = nn.iterations;
@@ -125,7 +136,7 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, CheckElimStats) {
 
     // Protect handlers from losing their last exception edge (shared
     // bookkeeping with CSE): each removed check takes its edge along.
-    let exc_targets = fixup::exception_targets(f);
+    let exc_targets = facts.exception_targets(f, cfg);
     let mut edges_per_handler: HashMap<BlockId, usize> = HashMap::new();
     for h in exc_targets.values() {
         *edges_per_handler.entry(*h).or_insert(0) += 1;
@@ -144,31 +155,30 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, CheckElimStats) {
         }
     };
 
-    let mut cur = f.clone();
     let mut edges_removed = false;
 
     // Phase 1: nullcheck → downcast, in place (value ids unchanged).
-    for bi in 0..cur.blocks.len() {
+    for bi in 0..f.blocks.len() {
         let b = BlockId(bi as u32);
-        for k in 0..cur.block(b).instrs.len() {
-            let Instr::NullCheck { value, .. } = cur.block(b).instrs[k] else {
+        for k in 0..f.block(b).instrs.len() {
+            let Instr::NullCheck { value, .. } = f.block(b).instrs[k] else {
                 continue;
             };
             if nn.at(value, b) == Nullity::NonNull {
                 stats.null_proven += 1;
             }
-            let Some(result) = cur.instr_result(b, k) else {
+            let Some(result) = f.instr_result(b, k) else {
                 continue;
             };
-            let target = cur.value_ty(result);
-            let Some(w) = safe_witness(types, &cur, value, target) else {
+            let target = f.value_ty(result);
+            let Some(w) = safe_witness(types, f, value, target) else {
                 continue;
             };
             if !take_edge(b, k) {
                 continue;
             }
-            let from = cur.value_ty(w);
-            cur.blocks[bi].instrs[k] = Instr::Downcast {
+            let from = f.value_ty(w);
+            f.blocks[bi].instrs[k] = Instr::Downcast {
                 from,
                 to: target,
                 value: w,
@@ -182,21 +192,30 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, CheckElimStats) {
     // Deletion needs *zero remaining references* (compact's contract);
     // liveness tells us the result is semantically dead, and the DCE
     // iterations of the pass pipeline strip any dead pure users so a
-    // later round can finish the job.
-    let uses = count_uses(&cur);
+    // later round can finish the job. The use counts are taken after
+    // phase 1, on first need.
+    let mut uses: Option<HashMap<ValueId, usize>> = None;
     let mut rw = Rewrite::default();
-    for bi in 0..cur.blocks.len() {
+    for bi in 0..f.blocks.len() {
         let b = BlockId(bi as u32);
-        for k in 0..cur.block(b).instrs.len() {
-            let Instr::IndexCheck { array, index, .. } = cur.block(b).instrs[k] else {
+        for k in 0..f.block(b).instrs.len() {
+            let Instr::IndexCheck { array, index, .. } = f.block(b).instrs[k] else {
                 continue;
             };
-            if !rg.proves_index(types, &cur, b, array, index) {
+            if !rg.proves_index(types, f, b, array, index) {
                 continue;
             }
             stats.index_proven += 1;
-            let dead = match cur.instr_result(b, k) {
-                Some(r) => !lv.is_live(r) && uses.get(&r).copied().unwrap_or(0) == 0,
+            let dead = match f.instr_result(b, k) {
+                Some(r) => {
+                    lv.as_ref().is_some_and(|lv| !lv.is_live(r))
+                        && uses
+                            .get_or_insert_with(|| count_uses(f))
+                            .get(&r)
+                            .copied()
+                            .unwrap_or(0)
+                            == 0
+                }
                 None => true,
             };
             if !dead || !take_edge(b, k) {
@@ -208,14 +227,14 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, CheckElimStats) {
         }
     }
     if !rw.is_empty() {
-        cur = compact(&cur, &rw);
+        *f = compact(f, &rw);
     }
     if edges_removed {
         // Removed checks took their exception edges with them: drop
         // the now-dangling handler phi arguments.
-        fixup::prune_phi_args(&mut cur);
+        fixup::prune_phi_args(f);
     }
-    (cur, stats)
+    stats
 }
 
 /// Syntactic use counts: operands, phi arguments, CST terminator uses,

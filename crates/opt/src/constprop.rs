@@ -16,6 +16,14 @@ use std::collections::HashMap;
 /// Runs constant propagation; returns the new function and the number
 /// of instructions folded away.
 pub fn run(types: &TypeTable, f: &Function) -> (Function, usize) {
+    let mut g = f.clone();
+    let removed = apply(types, &mut g);
+    (g, removed)
+}
+
+/// Runs constant propagation on `f` in place; returns the number of
+/// instructions folded away.
+pub(crate) fn apply(types: &TypeTable, f: &mut Function) -> usize {
     // Constant environment: value → literal.
     let mut consts: HashMap<ValueId, Literal> = HashMap::new();
     for (i, c) in f.consts.iter().enumerate() {
@@ -40,17 +48,16 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, usize) {
         }
     }
     if fold.is_empty() {
-        return (f.clone(), 0);
+        return 0;
     }
-    // Materialize pool entries on a clone, then rewrite uses.
-    let mut g = f.clone();
+    // Materialize pool entries, then rewrite uses.
     let mut rw = Rewrite::default();
     for (b, k, lit, ty) in &fold {
-        let cv = g.add_const(Const {
+        let cv = f.add_const(Const {
             ty: *ty,
             lit: lit.clone(),
         });
-        let result = g.instr_result(*b, *k).expect("folded instr has result");
+        let result = f.instr_result(*b, *k).expect("folded instr has result");
         if cv != result {
             rw.replace.insert(result, cv);
         }
@@ -58,19 +65,20 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, usize) {
     // Delete folded instructions that are no longer referenced (they
     // cannot be: every use was substituted; exceptional ones were never
     // folded).
-    let used = used_values(&g, &rw);
+    let used = used_values(f, &rw);
     let mut removed = 0;
     for (b, k, _, _) in &fold {
-        let result = g.instr_result(*b, *k).expect("folded instr has result");
+        let result = f.instr_result(*b, *k).expect("folded instr has result");
         if !used.contains(&rw.resolve(result)) || rw.replace.contains_key(&result) {
             rw.delete_instrs.push((*b, *k));
             removed += 1;
         }
     }
     if rw.is_empty() {
-        return (g, 0);
+        return 0;
     }
-    (compact(&g, &rw), removed)
+    *f = compact(f, &rw);
+    removed
 }
 
 fn lit_of(consts: &HashMap<ValueId, Literal>, v: ValueId) -> Option<&Literal> {

@@ -20,6 +20,7 @@
 //! (Appendix A binds safe indices to array values, whose length is
 //! immutable).
 
+use crate::facts::Facts;
 use crate::fixup;
 use crate::MemModel;
 use safetsa_core::cfg::Cfg;
@@ -63,19 +64,25 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, usize) {
 /// load), exactly as the paper notes.
 pub fn run_with(types: &TypeTable, f: &Function, model: MemModel) -> (Function, usize) {
     let _ = types;
-    let Ok(cfg) = Cfg::build(f) else {
-        return (f.clone(), 0);
+    let mut g = f.clone();
+    let removed = apply(&mut g, &Facts::default(), model);
+    (g, removed)
+}
+
+/// Runs CSE on `f` in place, reading the CFG, dominator tree and
+/// exception-edge map from `facts`; returns the number of
+/// instructions removed.
+pub(crate) fn apply(f: &mut Function, facts: &Facts, model: MemModel) -> usize {
+    let Some(cfg) = facts.cfg(f) else {
+        return 0;
     };
-    let dom = DomTree::build(&cfg);
+    let dom = facts.dom(cfg);
     // Protect handlers from losing their last exception edge.
-    let exc_targets = fixup::exception_targets(f);
+    let exc_targets = facts.exception_targets(f, cfg);
     let mut edges_per_handler: HashMap<BlockId, usize> = HashMap::new();
     for h in exc_targets.values() {
         *edges_per_handler.entry(*h).or_insert(0) += 1;
     }
-
-    let mut rw = Rewrite::default();
-    let mut removed = 0;
 
     // Recursive walk over the dominator tree with a scoped table.
     struct Walker<'a> {
@@ -87,7 +94,7 @@ pub fn run_with(types: &TypeTable, f: &Function, model: MemModel) -> (Function, 
         removed: usize,
         mem_counter: u64,
         model: MemModel,
-        exc_targets: HashMap<(BlockId, usize), BlockId>,
+        exc_targets: &'a HashMap<(BlockId, usize), BlockId>,
         edges_per_handler: HashMap<BlockId, usize>,
     }
 
@@ -205,8 +212,8 @@ pub fn run_with(types: &TypeTable, f: &Function, model: MemModel) -> (Function, 
 
     let mut w = Walker {
         f,
-        cfg: &cfg,
-        dom: &dom,
+        cfg,
+        dom,
         avail: HashMap::new(),
         rw: Rewrite::default(),
         removed: 0,
@@ -218,18 +225,15 @@ pub fn run_with(types: &TypeTable, f: &Function, model: MemModel) -> (Function, 
     if !dom.preorder.is_empty() {
         w.visit(dom.preorder[0], &Mem::default());
     }
-    rw.replace = w.rw.replace;
-    rw.delete_instrs = w.rw.delete_instrs;
-    removed += w.removed;
-
+    let Walker { rw, removed, .. } = w;
     if rw.is_empty() {
-        return (f.clone(), 0);
+        return 0;
     }
-    let mut g = compact(f, &rw);
+    *f = compact(f, &rw);
     // Deleted exceptional instructions take their exception edges with
     // them: drop the now-dangling phi arguments.
-    fixup::prune_phi_args(&mut g);
-    (g, removed)
+    fixup::prune_phi_args(f);
+    removed
 }
 
 fn key_of(instr: &Instr, mem: u64) -> Option<Key> {

@@ -8,7 +8,7 @@
 
 use safetsa_core::function::Function;
 use safetsa_core::instr::Instr;
-use safetsa_core::rewrite::{compact, Rewrite};
+use safetsa_core::rewrite::{compact, prune_phis, Rewrite};
 use safetsa_core::value::{BlockId, Def, ValueId};
 use std::collections::{HashMap, HashSet};
 
@@ -31,19 +31,22 @@ fn is_removable(i: &Instr) -> bool {
 /// Runs DCE to a fixpoint; returns the new function and the number of
 /// instructions + phis removed.
 pub fn run(f: &Function) -> (Function, usize) {
-    let mut cur = f.clone();
+    let mut g = f.clone();
+    let removed = apply(&mut g);
+    (g, removed)
+}
+
+/// Runs DCE on `f` in place to a fixpoint; returns the number of
+/// instructions + phis removed.
+pub(crate) fn apply(f: &mut Function) -> usize {
     let mut total = 0;
     loop {
-        let mut removed = run_once(&mut cur);
-        // Trivial- and dead-phi pruning (Briggs et al.; the phi-count
-        // reductions of Figure 6 come from here).
-        let (pruned, phis_removed) = safetsa_core::rewrite::prune_phis(&cur);
-        if phis_removed > 0 {
-            cur = pruned;
-            removed += phis_removed;
-        }
+        // Dead instructions, then trivial- and dead-phi pruning
+        // (Briggs et al.; the phi-count reductions of Figure 6 come
+        // from here).
+        let removed = run_once(f) + prune_phis(f);
         if removed == 0 {
-            return (cur, total);
+            return total;
         }
         total += removed;
     }

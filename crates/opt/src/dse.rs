@@ -31,10 +31,9 @@
 //! the allocation, completing scalar-style removal of unobservable
 //! objects.
 
-use crate::fixup;
+use crate::facts::Facts;
+use safetsa_analysis::alias;
 use safetsa_analysis::range::origin;
-use safetsa_analysis::{alias, escape};
-use safetsa_core::cfg::Cfg;
 use safetsa_core::function::Function;
 use safetsa_core::instr::Instr;
 use safetsa_core::rewrite::{compact, Rewrite};
@@ -75,13 +74,21 @@ enum Loc {
 /// Runs dead-store elimination over `f`; returns the new function and
 /// the run's statistics.
 pub fn run(types: &TypeTable, f: &Function) -> (Function, DseStats) {
+    let mut g = f.clone();
+    let stats = apply(types, &mut g, &Facts::default());
+    (g, stats)
+}
+
+/// Runs dead-store elimination on `f` in place, reading the CFG,
+/// exception-edge map and alias/escape results from `facts`; returns
+/// the run's statistics.
+pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> DseStats {
     let mut stats = DseStats::default();
-    let Ok(cfg) = Cfg::build(f) else {
-        return (f.clone(), stats);
+    let Some(cfg) = facts.cfg(f) else {
+        return stats;
     };
-    let al = alias::analyze(types, f, &cfg);
-    let esc = escape::analyze(f, &cfg, &al);
-    let handlers = fixup::exception_targets(f);
+    let (al, esc) = facts.heap(types, f, cfg);
+    let handlers = facts.exception_targets(f, cfg);
 
     // Whether a location based on `base` is invisible outside the
     // function: points-to set complete and every site `NoEscape`.
@@ -230,12 +237,12 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, DseStats) {
     }
 
     if dead.is_empty() {
-        return (f.clone(), stats);
+        return stats;
     }
     let rw = Rewrite {
         delete_instrs: dead.into_iter().collect(),
         ..Rewrite::default()
     };
-    let g = compact(f, &rw);
-    (g, stats)
+    *f = compact(f, &rw);
+    stats
 }

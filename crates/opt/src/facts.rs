@@ -1,0 +1,71 @@
+//! The per-function fact context the passes share.
+//!
+//! Every fact here is a pure function of one version of one function:
+//! its CFG, dominator tree, exception-edge map, and alias + escape
+//! results. Each is computed on first use and then borrowed by every
+//! later pass that needs it. A pass that changes the function makes
+//! the whole context stale, so the round loop drops it (a fresh
+//! `Facts::default()`) whenever a pass reports a removal; a pass that
+//! reports none leaves the function untouched, and the facts stay
+//! valid for the next pass.
+
+use crate::fixup;
+use safetsa_analysis::{alias, escape, AliasAnalysis, EscapeAnalysis};
+use safetsa_core::cfg::Cfg;
+use safetsa_core::dom::DomTree;
+use safetsa_core::function::Function;
+use safetsa_core::types::TypeTable;
+use safetsa_core::value::BlockId;
+use std::cell::OnceCell;
+use std::collections::HashMap;
+
+/// Lazily computed facts about one version of a function. Every
+/// accessor must be called with that same function, and with the CFG
+/// this context returned for it.
+#[derive(Default)]
+pub(crate) struct Facts {
+    cfg: OnceCell<Option<Cfg>>,
+    dom: OnceCell<DomTree>,
+    exc_targets: OnceCell<HashMap<(BlockId, usize), BlockId>>,
+    heap: OnceCell<(AliasAnalysis, EscapeAnalysis)>,
+}
+
+impl Facts {
+    /// The CFG, or `None` when the CST is malformed (the passes then
+    /// leave the function alone and the verifier reports it).
+    pub(crate) fn cfg(&self, f: &Function) -> Option<&Cfg> {
+        self.cfg.get_or_init(|| Cfg::build(f).ok()).as_ref()
+    }
+
+    /// The dominator tree.
+    pub(crate) fn dom(&self, cfg: &Cfg) -> &DomTree {
+        self.dom.get_or_init(|| DomTree::build(cfg))
+    }
+
+    /// Each exceptional instruction in a `try` region, mapped to its
+    /// handler-entry block.
+    pub(crate) fn exception_targets(
+        &self,
+        f: &Function,
+        cfg: &Cfg,
+    ) -> &HashMap<(BlockId, usize), BlockId> {
+        self.exc_targets
+            .get_or_init(|| fixup::exception_targets(f, cfg))
+    }
+
+    /// The allocation-site alias analysis and the escape analysis
+    /// built on it.
+    pub(crate) fn heap(
+        &self,
+        types: &TypeTable,
+        f: &Function,
+        cfg: &Cfg,
+    ) -> (&AliasAnalysis, &EscapeAnalysis) {
+        let (al, esc) = self.heap.get_or_init(|| {
+            let al = alias::analyze(types, f, cfg);
+            let esc = escape::analyze(f, cfg, &al);
+            (al, esc)
+        });
+        (al, esc)
+    }
+}

@@ -48,9 +48,11 @@ pub mod constprop;
 pub mod cse;
 pub mod dce;
 pub mod dse;
+mod facts;
 mod fixup;
 pub mod loadfwd;
 
+use facts::Facts;
 use safetsa_core::function::Function;
 use safetsa_core::instr::Instr;
 use safetsa_core::module::Module;
@@ -187,6 +189,76 @@ impl OptStats {
         self.loadfwd.add(&o.loadfwd);
         self.dse.add(&o.dse);
     }
+
+    /// Instructions and phis removed (or, for checks, rewritten away)
+    /// by all passes together.
+    fn removed(&self) -> usize {
+        self.removed_by_constprop
+            + self.removed_by_cse
+            + self.removed_by_checkelim
+            + self.removed_by_loadfwd
+            + self.removed_by_dse
+            + self.removed_by_dce
+    }
+}
+
+/// The most rounds of the pass pipeline per function. DESIGN.md's
+/// "Optimizer pipeline" section gives the corpus data behind it.
+const MAX_ROUNDS: usize = 3;
+
+/// One pass of the pipeline, as the round loop runs it.
+#[derive(Debug, Clone, Copy)]
+enum Pass {
+    ConstProp,
+    Cse(MemModel),
+    CheckElim,
+    LoadFwd,
+    Dse,
+    Dce,
+}
+
+impl Pass {
+    /// Runs the pass on `f` in place, borrowing whatever facts it
+    /// needs from `facts`; returns its share of the function's
+    /// [`OptStats`].
+    fn apply(self, types: &TypeTable, f: &mut Function, facts: &Facts) -> OptStats {
+        let mut s = OptStats::default();
+        match self {
+            Pass::ConstProp => s.removed_by_constprop = constprop::apply(types, f),
+            Pass::Cse(mem) => s.removed_by_cse = cse::apply(f, facts, mem),
+            Pass::CheckElim => {
+                s.checkelim = checkelim::apply(types, f, facts);
+                s.removed_by_checkelim = s.checkelim.removed();
+            }
+            Pass::LoadFwd => {
+                s.loadfwd = loadfwd::apply(types, f, facts);
+                s.removed_by_loadfwd = s.loadfwd.removed();
+            }
+            Pass::Dse => {
+                s.dse = dse::apply(types, f, facts);
+                s.removed_by_dse = s.dse.removed();
+            }
+            Pass::Dce => s.removed_by_dce = dce::apply(f),
+        }
+        s
+    }
+}
+
+impl Passes {
+    /// The enabled passes, in pipeline order.
+    fn pipeline(&self) -> Vec<Pass> {
+        [
+            (self.constprop, Pass::ConstProp),
+            (self.cse, Pass::Cse(self.mem)),
+            (self.checkelim, Pass::CheckElim),
+            (self.loadfwd, Pass::LoadFwd),
+            (self.dse, Pass::Dse),
+            (self.dce, Pass::Dce),
+        ]
+        .into_iter()
+        .filter_map(|(on, pass)| on.then_some(pass))
+        .collect()
+    }
 }
 
 fn count_checks(f: &Function) -> (usize, usize) {
@@ -196,73 +268,73 @@ fn count_checks(f: &Function) -> (usize, usize) {
     )
 }
 
-/// Optimizes one function with the selected passes, returning the new
-/// function and its statistics.
-pub fn optimize_function(types: &TypeTable, f: &Function, passes: Passes) -> (Function, OptStats) {
+/// Optimizes one function in place with the selected passes and
+/// returns its statistics.
+///
+/// The enabled passes run in the order constprop, CSE, checkelim,
+/// loadfwd, dse, DCE, for at most three rounds, and stop after a round
+/// in which no pass removed anything: constant propagation can expose
+/// CSE, CSE exposes dead code, and DCE can expose more constants.
+///
+/// The passes of one function version share one fact context: its CFG,
+/// dominator tree, exception-edge map and alias/escape results are
+/// built on first use, and any pass that removes something drops them
+/// all. A pass that already ran clean on the current version is not
+/// run again; the statistics it recorded then are added again
+/// instead. Both rest on the same invariant, which debug builds
+/// assert: a pass that reports no removals leaves the function
+/// unchanged. The replay is exact because every pass is a
+/// deterministic function of the type table and the function.
+pub fn optimize_function(types: &TypeTable, f: &mut Function, passes: Passes) -> OptStats {
+    let (null_checks_before, index_checks_before) = count_checks(f);
     let mut stats = OptStats {
         instrs_before: f.instr_count(),
         phis_before: f.phi_count(),
+        null_checks_before,
+        index_checks_before,
         ..OptStats::default()
     };
-    let (nb, ib) = count_checks(f);
-    stats.null_checks_before = nb;
-    stats.index_checks_before = ib;
-
-    let mut cur = f.clone();
-    // Iterate to a small fixpoint: constant propagation can expose CSE,
-    // CSE exposes dead code, and DCE can expose more constants.
-    for _ in 0..3 {
+    let pipeline = passes.pipeline();
+    let mut facts = Facts::default();
+    // What each pass recorded when it last ran clean on the current
+    // version of `f`.
+    let mut clean: Vec<Option<OptStats>> = vec![None; pipeline.len()];
+    for _ in 0..MAX_ROUNDS {
         let mut changed = false;
-        if passes.constprop {
-            let (next, removed) = constprop::run(types, &cur);
-            stats.removed_by_constprop += removed;
-            changed |= removed > 0;
-            cur = next;
-        }
-        if passes.cse {
-            let (next, removed) = cse::run_with(types, &cur, passes.mem);
-            stats.removed_by_cse += removed;
-            changed |= removed > 0;
-            cur = next;
-        }
-        if passes.checkelim {
-            let (next, ce) = checkelim::run(types, &cur);
-            stats.removed_by_checkelim += ce.removed();
-            stats.checkelim.add(&ce);
-            changed |= ce.removed() > 0;
-            cur = next;
-        }
-        if passes.loadfwd {
-            let (next, lf) = loadfwd::run(types, &cur);
-            stats.removed_by_loadfwd += lf.removed();
-            stats.loadfwd.add(&lf);
-            changed |= lf.removed() > 0;
-            cur = next;
-        }
-        if passes.dse {
-            let (next, ds) = dse::run(types, &cur);
-            stats.removed_by_dse += ds.removed();
-            stats.dse.add(&ds);
-            changed |= ds.removed() > 0;
-            cur = next;
-        }
-        if passes.dce {
-            let (next, removed) = dce::run(&cur);
-            stats.removed_by_dce += removed;
-            changed |= removed > 0;
-            cur = next;
+        for (i, &pass) in pipeline.iter().enumerate() {
+            let ran = match clean[i] {
+                Some(recorded) => recorded,
+                None => {
+                    let before = cfg!(debug_assertions).then(|| f.clone());
+                    let ran = pass.apply(types, f, &facts);
+                    if let Some(before) = before {
+                        assert!(
+                            ran.removed() > 0 || f.bit_eq(&before),
+                            "{pass:?} reported no removals but changed {}",
+                            f.name
+                        );
+                    }
+                    ran
+                }
+            };
+            stats.add(&ran);
+            if ran.removed() > 0 {
+                changed = true;
+                facts = Facts::default();
+                clean.fill(None);
+            } else {
+                clean[i] = Some(ran);
+            }
         }
         if !changed {
             break;
         }
     }
 
-    stats.instrs_after = cur.instr_count();
-    stats.phis_after = cur.phi_count();
-    let (na, ia) = count_checks(&cur);
-    stats.null_checks_after = na;
-    stats.index_checks_after = ia;
-    (cur, stats)
+    stats.instrs_after = f.instr_count();
+    stats.phis_after = f.phi_count();
+    (stats.null_checks_after, stats.index_checks_after) = count_checks(f);
+    stats
 }
 
 /// Optimizes every function of a module in place with all passes.
@@ -271,14 +343,17 @@ pub fn optimize_module(m: &mut Module) -> OptStats {
 }
 
 /// The canonical entry point: optimizes every function of a module in
-/// place with the selected passes, and — when the registry is enabled —
-/// records the optimization wall time (`opt.optimize_ns`) and the exact
-/// quantities behind the paper's Tables 1–3: instruction/phi counts
-/// before and after, per-pass removal counters (`opt.constprop.removed`
-/// / `opt.cse.removed` / `opt.dce.removed`), and the check-elimination
-/// plane (`opt.null_checks.{before,after,eliminated}`, likewise
-/// `opt.index_checks`). A disabled registry costs nothing beyond the
-/// [`OptStats`] bookkeeping the passes already do.
+/// place with the selected passes (one [`optimize_function`] call per
+/// function, with no copy of the function), and — when the registry
+/// is enabled — records the optimization wall time
+/// (`opt.optimize_ns`) and the exact quantities behind the paper's
+/// Tables 1–3: instruction/phi counts before and after, per-pass
+/// removal counters (`opt.constprop.removed` / `opt.cse.removed` /
+/// `opt.dce.removed`), and the check-elimination plane
+/// (`opt.null_checks.{before,after,eliminated}`, likewise
+/// `opt.index_checks`); see [`record_stats`] for the full key set. A
+/// disabled registry costs nothing beyond the [`OptStats`] bookkeeping
+/// the passes already do.
 ///
 /// In debug/test builds the optimized module is re-validated with
 /// [`safetsa_core::verify::verify_module`]: every pass must preserve
@@ -287,11 +362,8 @@ pub fn optimize_module(m: &mut Module) -> OptStats {
 pub fn optimize(m: &mut Module, passes: Passes, tm: &Telemetry) -> OptStats {
     let stats = tm.time("opt.optimize_ns", || {
         let mut total = OptStats::default();
-        let functions = std::mem::take(&mut m.functions);
-        for f in functions {
-            let (g, stats) = optimize_function(&m.types, &f, passes);
-            total.add(&stats);
-            m.functions.push(g);
+        for f in &mut m.functions {
+            total.add(&optimize_function(&m.types, f, passes));
         }
         #[cfg(debug_assertions)]
         if let Err(e) = safetsa_core::verify::verify_module(m) {
@@ -303,10 +375,18 @@ pub fn optimize(m: &mut Module, passes: Passes, tm: &Telemetry) -> OptStats {
     stats
 }
 
-/// Records one [`OptStats`] into the `opt.*` counter plane. Key planes
-/// belonging to a pass are emitted only when that pass ran, so ablated
-/// configurations (and cached metric replays of them) carry exactly
-/// the keys of the passes they exercised.
+/// Records one [`OptStats`] into the `opt.*` counter plane.
+///
+/// Most keys are emitted under every configuration, with zeros for
+/// passes that did not run: the instruction, phi and check counts,
+/// `opt.{constprop,cse,checkelim,dce}.removed`, the rest of the
+/// `opt.checkelim.*` plane, and `analysis.nullness.*` /
+/// `analysis.range.*`. Only two planes depend on the configuration:
+/// `opt.loadfwd.*` with `analysis.alias.*` / `analysis.escape.*` is
+/// emitted only when load forwarding ran, and `opt.dse.*` only when
+/// dead-store elimination ran. `tests/metrics_schema.rs` and its
+/// goldens pin both rules, and cached metric replays of a
+/// configuration carry the same keys.
 pub fn record_stats(stats: &OptStats, passes: &Passes, tm: &Telemetry) {
     if !tm.is_enabled() {
         return;

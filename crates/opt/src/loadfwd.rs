@@ -33,6 +33,7 @@
 //! (both are the field's/element's plane), which `debug_assertions`
 //! re-verify.
 
+use crate::facts::Facts;
 use safetsa_analysis::range::origin;
 use safetsa_analysis::{alias, escape};
 use safetsa_core::cfg::{Cfg, EdgeKind};
@@ -119,13 +120,21 @@ enum Src {
 /// Runs load forwarding over `f`; returns the new function and the
 /// run's statistics.
 pub fn run(types: &TypeTable, f: &Function) -> (Function, LoadFwdStats) {
+    let mut g = f.clone();
+    let stats = apply(types, &mut g, &Facts::default());
+    (g, stats)
+}
+
+/// Runs load forwarding on `f` in place, reading the CFG, dominator
+/// tree and alias/escape results from `facts`; returns the run's
+/// statistics.
+pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> LoadFwdStats {
     let mut stats = LoadFwdStats::default();
-    let Ok(cfg) = Cfg::build(f) else {
-        return (f.clone(), stats);
+    let Some(cfg) = facts.cfg(f) else {
+        return stats;
     };
-    let dom = DomTree::build(&cfg);
-    let al = alias::analyze(types, f, &cfg);
-    let esc = escape::analyze(f, &cfg, &al);
+    let dom = facts.dom(cfg);
+    let (al, esc) = facts.heap(types, f, cfg);
     stats.alias_sites = al.sites.len() as u64;
     stats.alias_facts = al.facts_computed();
     stats.alias_iterations = al.iterations;
@@ -296,20 +305,19 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, LoadFwdStats) {
 
     let mut w = Walker {
         f,
-        cfg: &cfg,
-        dom: &dom,
-        al: &al,
-        esc: &esc,
+        cfg,
+        dom,
+        al,
+        esc,
         rw: Rewrite::default(),
         stats,
     };
     if !dom.preorder.is_empty() {
         w.visit(dom.preorder[0], &HashMap::new());
     }
-    let stats = w.stats;
-    if w.rw.is_empty() {
-        return (f.clone(), stats);
+    let Walker { rw, stats, .. } = w;
+    if !rw.is_empty() {
+        *f = compact(f, &rw);
     }
-    let g = compact(f, &w.rw);
-    (g, stats)
+    stats
 }

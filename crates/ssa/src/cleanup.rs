@@ -50,12 +50,12 @@ mod tests {
             },
             Cst::Return(Some(f.param_value(1))),
         ]);
-        let (g, removed) = prune_phis(&f);
+        let removed = prune_phis(&mut f);
         assert_eq!(removed, 1);
-        assert_eq!(g.phi_count(), 0);
+        assert_eq!(f.phi_count(), 0);
         // The add instruction survives (it is not a phi) even though it
         // is now dead — DCE proper lives in safetsa-opt.
-        assert_eq!(g.instr_count(), 1);
+        assert_eq!(f.instr_count(), 1);
     }
 
     #[test]
@@ -91,9 +91,11 @@ mod tests {
             },
             Cst::Return(Some(phi)),
         ]);
-        let (g, removed) = prune_phis(&f);
+        let before = f.clone();
+        let removed = prune_phis(&mut f);
         assert_eq!(removed, 0);
-        assert_eq!(g.phi_count(), 1);
+        assert_eq!(f.phi_count(), 1);
+        assert_eq!(f, before, "nothing to prune leaves the function untouched");
     }
 
     #[test]
@@ -122,12 +124,12 @@ mod tests {
             },
             Cst::Return(Some(phi)),
         ]);
-        let (g, removed) = prune_phis(&f);
+        let removed = prune_phis(&mut f);
         assert_eq!(removed, 1);
-        assert_eq!(g.phi_count(), 0);
-        match &g.body {
+        assert_eq!(f.phi_count(), 0);
+        match &f.body {
             Cst::Seq(items) => match items.last().unwrap() {
-                Cst::Return(Some(v)) => assert_eq!(*v, g.param_value(1)),
+                Cst::Return(Some(v)) => assert_eq!(*v, f.param_value(1)),
                 _ => panic!("bad CST"),
             },
             _ => panic!("bad CST"),

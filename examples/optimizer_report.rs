@@ -39,7 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", pretty::safetsa(&module.types, f));
     println!();
 
-    let (g, stats) = optimize_function(&module.types, f, Passes::ALL);
+    let mut g = f.clone();
+    let stats = optimize_function(&module.types, &mut g, Passes::ALL);
     println!("=== after constprop + CSE(Mem) + DCE ===");
     print!("{}", pretty::safetsa(&module.types, &g));
     println!();

@@ -9,6 +9,8 @@
 //! through an alias, virtual calls whose receiver class depends on the
 //! data, and null dereferences that throw inside the program's `try`.
 
+mod common;
+
 use proptest::prelude::*;
 use safetsa_codec::{decode_and_verify, encode_module, HostEnv};
 use safetsa_rt::Value;
@@ -235,5 +237,19 @@ proptest! {
         prop_assert_eq!(o1, o2);
         prop_assert_eq!(&r1, &r2, "optimized diverged\n{}", src);
         prop_assert_eq!(&r1, &r3, "baseline diverged\n{}", src);
+    }
+
+    /// The in-place optimizer (shared fact context, clean-pass memo)
+    /// matches the reference loop of public per-pass `run`s on every
+    /// generated program, under every pass configuration.
+    #[test]
+    fn generated_programs_optimize_like_the_reference_loop(stmts in proptest::collection::vec(stmt_strategy(), 1..5)) {
+        let src = program_for(&stmts);
+        let prog = safetsa_frontend::compile(&src)
+            .unwrap_or_else(|e| panic!("generator produced invalid source: {e}\n{src}"));
+        let lowered = safetsa_ssa::lower_program(&prog).expect("lowers");
+        for (cfg_name, passes) in common::pass_configs() {
+            common::assert_matches_reference(&lowered.module, passes, &format!("[{cfg_name}]\n{src}"));
+        }
     }
 }
