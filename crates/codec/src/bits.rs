@@ -142,17 +142,30 @@ impl<'a> BitReader<'a> {
     ///
     /// [`DecodeError::UnexpectedEof`] when the stream is exhausted.
     pub fn bits(&mut self, n: u32) -> Result<u64, DecodeError> {
+        debug_assert!(n <= 64);
+        if n as usize > self.remaining_bits() {
+            return Err(DecodeError::UnexpectedEof);
+        }
+        // Up to one byte per step: the rest of the current byte, or as
+        // much of it as `n` still needs.
         let mut v = 0u64;
-        for _ in 0..n {
-            let byte = self
-                .bytes
-                .get(self.pos / 8)
-                .ok_or(DecodeError::UnexpectedEof)?;
-            let bit = (byte >> (7 - (self.pos % 8))) & 1;
-            v = (v << 1) | bit as u64;
-            self.pos += 1;
+        let mut left = n;
+        while left > 0 {
+            let avail = 8 - (self.pos % 8) as u32;
+            let take = avail.min(left);
+            let chunk = (self.bytes[self.pos / 8] >> (avail - take)) & (0xFF >> (8 - take));
+            v = (v << take) | u64::from(chunk);
+            self.pos += take as usize;
+            left -= take;
         }
         Ok(v)
+    }
+
+    /// Bits left in the stream. A count read from the wire can promise
+    /// at most this many items of one bit or more, which bounds what a
+    /// decoder may reserve for them up front.
+    pub fn remaining_bits(&self) -> usize {
+        self.bytes.len() * 8 - self.pos
     }
 
     /// Reads a symbol out of `card` alternatives, enforcing the range.
@@ -203,7 +216,7 @@ impl<'a> BitReader<'a> {
         if len > 1 << 20 {
             return Err(DecodeError::Malformed("string too long".into()));
         }
-        let mut out = Vec::with_capacity(len as usize);
+        let mut out = Vec::with_capacity((len as usize).min(self.remaining_bits() / 8));
         for _ in 0..len {
             out.push(self.bits(8)? as u8);
         }

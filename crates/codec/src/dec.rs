@@ -11,7 +11,7 @@
 
 use crate::bits::{BitReader, DecodeError};
 use crate::layout::{CstTag, Opc, CST_TAGS, MAGIC, OPCODES, VERSION};
-use crate::refs::{read_ref, read_type};
+use crate::refs::{read_ref, read_type, RegisterFiles};
 use safetsa_core::cfg::{Cfg, EdgeKind};
 use safetsa_core::cst::Cst;
 use safetsa_core::dom::DomTree;
@@ -45,6 +45,15 @@ fn cap(v: u64, what: &str) -> Result<usize, DecodeError> {
     Ok(v as usize)
 }
 
+/// Room for `n` wire items, but never more than the rest of the stream
+/// can encode (every item takes at least one bit) nor more than 1024;
+/// past that the vector grows only as items actually arrive. A forged
+/// count therefore cannot make the decoder reserve memory the input
+/// never fills.
+fn reserve<T>(n: usize, r: &BitReader<'_>) -> Vec<T> {
+    Vec::with_capacity(n.min(r.remaining_bits()).min(1024))
+}
+
 /// Decodes a module against the host environment.
 ///
 /// # Errors
@@ -71,6 +80,12 @@ pub fn decode_module(bytes: &[u8], host: &HostEnv) -> Result<Module, DecodeError
     if n_classes < n_builtin {
         return Err(DecodeError::Malformed("class counts inconsistent".into()));
     }
+    // Each transmitted class costs at least three bits (name length,
+    // field count, method count); refuse to pre-declare classes the
+    // stream cannot hold.
+    if (n_classes - n_builtin) * 3 > r.remaining_bits() {
+        return Err(DecodeError::UnexpectedEof);
+    }
     // Pre-declare local classes so forward references resolve.
     for i in n_builtin..n_classes {
         types.declare_class(ClassInfo {
@@ -87,7 +102,7 @@ pub fn decode_module(bytes: &[u8], host: &HostEnv) -> Result<Module, DecodeError
         let cname = r.string()?;
         let sup = r.symbol(n_classes as u32)?;
         let n_fields = cap(r.gamma()?, "field")?;
-        let mut fields = Vec::with_capacity(n_fields);
+        let mut fields = reserve(n_fields, &r);
         for _ in 0..n_fields {
             let fname = r.string()?;
             let ty = read_type(&mut r, &mut types, 0)?;
@@ -99,11 +114,11 @@ pub fn decode_module(bytes: &[u8], host: &HostEnv) -> Result<Module, DecodeError
             });
         }
         let n_methods = cap(r.gamma()?, "method")?;
-        let mut methods = Vec::with_capacity(n_methods);
+        let mut methods = reserve(n_methods, &r);
         for mi in 0..n_methods {
             let mname = r.string()?;
             let n_params = cap(r.gamma()?, "parameter")?;
-            let mut params = Vec::with_capacity(n_params);
+            let mut params = reserve(n_params, &r);
             for _ in 0..n_params {
                 params.push(read_type(&mut r, &mut types, 0)?);
             }
@@ -236,7 +251,11 @@ fn derive_vtable_slots(types: &mut TypeTable) -> Result<(), DecodeError> {
                     table.len() - 1
                 }
             };
-            types.class_mut(ClassId(i as u32)).methods[mi].vtable_slot = Some(s as u32);
+            // Host classes arrive with their slots already derived, and a
+            // write would copy the shared class into this module.
+            if types.class(ClassId(i as u32)).methods[mi].vtable_slot != Some(s as u32) {
+                types.class_mut(ClassId(i as u32)).methods[mi].vtable_slot = Some(s as u32);
+            }
         }
         tables[i] = Some(table.clone());
         table
@@ -330,20 +349,18 @@ fn decode_function(
     if d.f.consts.len() != n_consts {
         return Err(DecodeError::Malformed("duplicate constant entries".into()));
     }
-    // Phase 1: CST structure.
+    // Phase 1: CST structure. Blocks are allocated in exactly the order
+    // the CFG walk visits them, so block-id order is traversal order.
     let body = d.parse_cst()?;
     d.f.body = body;
+    let n_blocks = d.f.block_count();
+    let blocks = || (0..n_blocks).map(|i| BlockId(i as u32));
     // Phase 2a: opcodes, types, and member references of every block in
     // traversal order. Operands arrive in phase 2b, by which point the
     // complete control-flow graph (exception edges included) and every
     // plane's register count are known — this is what makes decoding a
     // single forward pass with context-determined symbol alphabets.
-    let structural = build_cfg(&d.f)?;
-    let traversal = structural.traversal.clone();
-    if traversal.len() != d.f.block_count() {
-        return Err(DecodeError::Malformed("blocks not covered by CST".into()));
-    }
-    for &b in &traversal {
+    for b in blocks() {
         let n_phis = cap(d.r.gamma()?, "phi")?;
         for _ in 0..n_phis {
             let ty = read_type(d.r, d.types, 0)?;
@@ -356,12 +373,17 @@ fn decode_function(
             d.f.add_instr_unchecked(b, instr, result);
         }
     }
-    // Final CFG for the reference phases; unreachable blocks must be
-    // empty (verified again later, but needed now so reference decoding
-    // never consults an unreachable block).
+    // The function's one CFG, dominator tree and register files serve
+    // every reference phase. Its walk must visit blocks 0, 1, 2, … in
+    // order; given how phase 1 allocates, only a CST that names no block
+    // at all (leaving the entry block out) fails that. Unreachable
+    // blocks must be empty (verified again later, but needed now so
+    // reference decoding never consults an unreachable block).
     let cfg = build_cfg(&d.f)?;
-    let dom = DomTree::build(&cfg);
-    for &b in &traversal {
+    if !cfg.traversal.iter().copied().eq(blocks()) {
+        return Err(DecodeError::Malformed("blocks not covered by CST".into()));
+    }
+    for b in blocks() {
         if !cfg.reachable[b.index()] && b != ENTRY {
             let blk = d.f.block(b);
             if !blk.phis.is_empty() || !blk.instrs.is_empty() {
@@ -371,28 +393,30 @@ fn decode_function(
             }
         }
     }
+    let dom = DomTree::build(&cfg);
+    let regs = RegisterFiles::build(&d.f);
     // Phase 2b: operand references.
-    for &b in &traversal {
+    let mut vals = Vec::new();
+    for b in blocks() {
         let n_instrs = d.f.block(b).instrs.len();
         for k in 0..n_instrs {
-            let instr = d.f.block(b).instrs[k].clone();
-            let planes = crate::planes::operand_planes(d.types, &instr)?;
-            let mut vals = Vec::with_capacity(planes.len());
+            let planes = crate::planes::operand_planes(d.types, &d.f.block(b).instrs[k])?;
+            vals.clear();
             for plane in planes {
-                let v = read_ref(d.r, &d.f, &dom, b, Some(k), plane).map_err(|e| {
+                let v = read_ref(d.r, &regs, &dom, b, Some(k), plane).map_err(|e| {
                     DecodeError::Malformed(format!("operand in {b} instr {k}: {e}"))
                 })?;
                 vals.push(v);
             }
-            let mut it = vals.into_iter();
-            let blk = &mut d.f.blocks[b.index()];
-            blk.instrs[k].map_operands(|_| it.next().expect("plane per operand"));
+            let mut it = vals.iter().copied();
+            let instr = &mut d.f.blocks[b.index()].instrs[k];
+            instr.map_operands(|_| it.next().expect("plane per operand"));
             if it.next().is_some() {
                 return Err(DecodeError::Malformed("operand arity mismatch".into()));
             }
             // Safe-index results are bound to the array they were
             // checked against (Appendix A).
-            if let Instr::IndexCheck { array, .. } = d.f.blocks[b.index()].instrs[k] {
+            if let Instr::IndexCheck { array, .. } = *instr {
                 if let Some(res) = d.f.instr_result(b, k) {
                     d.f.set_provenance(res, Some(array));
                 }
@@ -408,23 +432,24 @@ fn decode_function(
             f: &d.f,
             cfg: &cfg,
             dom: &dom,
+            regs: &regs,
         };
         w.walk(&mut body, Fr::Start)?;
     }
     d.f.body = body;
     // Phase 3: phi operands.
-    for &b in &cfg.traversal {
-        let preds = cfg.preds_of(b).to_vec();
+    for b in blocks() {
+        let preds = cfg.preds_of(b);
         let n_phis = d.f.block(b).phis.len();
         for k in 0..n_phis {
             let ty = d.f.block(b).phis[k].ty;
             let mut args = Vec::with_capacity(preds.len());
-            for e in &preds {
+            for e in preds {
                 let limit = match e.kind {
                     EdgeKind::Normal => None,
                     EdgeKind::Exception { upto } => Some(upto as usize),
                 };
-                let v = read_ref(d.r, &d.f, &dom, e.from, limit, ty)?;
+                let v = read_ref(d.r, &regs, &dom, e.from, limit, ty)?;
                 args.push((e.from, v));
             }
             let result = d.f.phi_result(b, k);
@@ -488,7 +513,7 @@ impl<'a, 'b> FnDecoder<'a, 'b> {
             CstTag::Basic => Cst::Basic(self.alloc_block()),
             CstTag::Seq => {
                 let n = cap(self.r.gamma()?, "sequence")?;
-                let mut items = Vec::with_capacity(n.min(1024));
+                let mut items = reserve(n, self.r);
                 for _ in 0..n {
                     items.push(self.parse_cst()?);
                 }
@@ -731,6 +756,7 @@ struct PatchWalk<'a, 'b> {
     f: &'a Function,
     cfg: &'a Cfg,
     dom: &'a DomTree,
+    regs: &'a RegisterFiles,
 }
 
 impl<'a, 'b> PatchWalk<'a, 'b> {
@@ -763,7 +789,7 @@ impl<'a, 'b> PatchWalk<'a, 'b> {
             } => {
                 if let Fr::At(b) = fr {
                     let bool_ty = self.types.bool_ty();
-                    *cond = read_ref(self.r, self.f, self.dom, b, None, bool_ty)?;
+                    *cond = read_ref(self.r, self.regs, self.dom, b, None, bool_ty)?;
                 }
                 let join = *join;
                 self.walk(then_br, fr)?;
@@ -790,14 +816,14 @@ impl<'a, 'b> PatchWalk<'a, 'b> {
                         .f
                         .ret
                         .ok_or_else(|| DecodeError::Malformed("value return in void".into()))?;
-                    *slot = read_ref(self.r, self.f, self.dom, b, None, plane)?;
+                    *slot = read_ref(self.r, self.regs, self.dom, b, None, plane)?;
                 }
                 Fr::Dead
             }
             Cst::Throw(v) => {
                 if let Fr::At(b) = fr {
                     let plane = read_type(self.r, self.types, 0)?;
-                    *v = read_ref(self.r, self.f, self.dom, b, None, plane)?;
+                    *v = read_ref(self.r, self.regs, self.dom, b, None, plane)?;
                 }
                 Fr::Dead
             }

@@ -6,7 +6,7 @@
 
 use crate::bits::BitWriter;
 use crate::layout::{CstTag, Opc, CST_TAGS, MAGIC, OPCODES, VERSION};
-use crate::refs::{write_ref, write_type};
+use crate::refs::{write_ref, write_type, RegisterFiles};
 use safetsa_core::cfg::{Cfg, EdgeKind};
 use safetsa_core::cst::Cst;
 use safetsa_core::dom::DomTree;
@@ -258,6 +258,7 @@ fn encode_function(
 ) -> Result<(), EncodeError> {
     let cfg = Cfg::build(f).map_err(|e| EncodeError::UnverifiedFunction(e.to_string()))?;
     let dom = DomTree::build(&cfg);
+    let regs = RegisterFiles::build(f);
     let mut mark = w.bit_len() as u64;
     let mut section = |w: &BitWriter, slot: &mut u64| {
         let here = w.bit_len() as u64;
@@ -299,7 +300,7 @@ fn encode_function(
             let planes = crate::planes::operand_planes(types, instr)
                 .map_err(|e| EncodeError::MalformedInstruction(e.to_string()))?;
             for (v, plane) in instr.operands().into_iter().zip(planes) {
-                write_ref(w, f, &dom, b, Some(k), plane, v)?;
+                write_ref(w, f, &regs, &dom, b, Some(k), plane, v)?;
             }
         }
     }
@@ -312,14 +313,15 @@ fn encode_function(
         f,
         cfg: &cfg,
         dom: &dom,
+        regs: &regs,
     };
     rw.walk(&f.body, Fr::Start)?;
     section(w, &mut sec.cst_ref_bits);
     // Phase 3: phi operands.
     for &b in &cfg.traversal {
-        let preds = cfg.preds_of(b).to_vec();
+        let preds = cfg.preds_of(b);
         for phi in &f.block(b).phis {
-            for e in &preds {
+            for e in preds {
                 let v = phi
                     .arg_from(e.from)
                     .ok_or(EncodeError::PhiMissingEdge { block: b })?;
@@ -327,7 +329,7 @@ fn encode_function(
                     EdgeKind::Normal => None,
                     EdgeKind::Exception { upto } => Some(upto as usize),
                 };
-                write_ref(w, f, &dom, e.from, limit, phi.ty, v)?;
+                write_ref(w, f, &regs, &dom, e.from, limit, phi.ty, v)?;
             }
         }
     }
@@ -533,6 +535,7 @@ struct RefWalk<'a> {
     f: &'a Function,
     cfg: &'a Cfg,
     dom: &'a DomTree,
+    regs: &'a RegisterFiles,
 }
 
 impl<'a> RefWalk<'a> {
@@ -569,6 +572,7 @@ impl<'a> RefWalk<'a> {
                     write_ref(
                         self.w,
                         self.f,
+                        self.regs,
                         self.dom,
                         b,
                         None,
@@ -596,7 +600,7 @@ impl<'a> RefWalk<'a> {
             Cst::Return(v) => {
                 if let (Fr::At(b), Some(v)) = (fr, v) {
                     let plane = self.f.ret.ok_or(EncodeError::MissingReturnType)?;
-                    write_ref(self.w, self.f, self.dom, b, None, plane, *v)?;
+                    write_ref(self.w, self.f, self.regs, self.dom, b, None, plane, *v)?;
                 }
                 Fr::Dead
             }
@@ -604,7 +608,7 @@ impl<'a> RefWalk<'a> {
                 if let Fr::At(b) = fr {
                     let plane = self.f.value_ty(*v);
                     write_type(self.w, self.types, plane);
-                    write_ref(self.w, self.f, self.dom, b, None, plane, *v)?;
+                    write_ref(self.w, self.f, self.regs, self.dom, b, None, plane, *v)?;
                 }
                 Fr::Dead
             }

@@ -16,42 +16,96 @@ use safetsa_core::function::{Function, ENTRY};
 use safetsa_core::types::{PrimKind, TypeId, TypeKind, TypeTable};
 use safetsa_core::value::{BlockId, ValueId};
 
-/// Values visible on `plane` in block `d`, in register order: entry
-/// pre-loads first (entry block only), then phis, then instruction
-/// results. `limit` restricts instruction results to indices `< k`
-/// (same-block uses and exception-edge visibility).
-pub fn visible(f: &Function, d: BlockId, plane: TypeId, limit: Option<usize>) -> Vec<ValueId> {
-    let mut out = Vec::new();
-    if d == ENTRY {
-        for i in 0..f.params.len() {
-            let v = ValueId(i as u32);
-            if f.value_ty(v) == plane {
-                out.push(v);
+/// The register files of one function: for each (block, plane), the
+/// values on that plane in register order — entry pre-loads first
+/// (entry block only), then phis, then instruction results — each with
+/// its position in the block (0 for pre-loads and phis, `k + 1` for the
+/// result of instruction `k`). These are the paper's per-type, per-block
+/// register counters (§2, §9), built once per function; a same-block
+/// limit selects a prefix, so resolving a reference never rescans a
+/// block.
+#[derive(Debug, Clone)]
+pub struct RegisterFiles {
+    /// Per block, the range of `planes` holding its non-empty planes
+    /// (`block_start[b]..block_start[b + 1]`), sorted by plane.
+    block_start: Vec<u32>,
+    /// `(plane, start, end)`: the plane's registers in `values`/`pos`.
+    planes: Vec<(TypeId, u32, u32)>,
+    /// Register contents, grouped by block, then plane, in register
+    /// order.
+    values: Vec<ValueId>,
+    /// Position of each register's definition in its block (parallel to
+    /// `values`).
+    pos: Vec<u32>,
+}
+
+impl RegisterFiles {
+    /// Builds the register files of `f` from its value table and block
+    /// result caches. Operands are not consulted, so a decoder can build
+    /// them as soon as every phi and instruction has its result plane.
+    pub fn build(f: &Function) -> RegisterFiles {
+        let n = f.block_count();
+        let mut rf = RegisterFiles {
+            block_start: Vec::with_capacity(n + 1),
+            planes: Vec::new(),
+            values: Vec::with_capacity(f.values.len()),
+            pos: Vec::with_capacity(f.values.len()),
+        };
+        // One block's registers as (plane, position, value), in register
+        // order; a stable sort by plane groups them without reordering.
+        let mut regs: Vec<(TypeId, u32, ValueId)> = Vec::new();
+        for (bi, res) in f.results.iter().enumerate() {
+            rf.block_start.push(rf.planes.len() as u32);
+            regs.clear();
+            if bi == ENTRY.index() {
+                let params = (0..f.params.len()).map(|i| ValueId(i as u32));
+                for v in params.chain(f.const_values.iter().copied()) {
+                    regs.push((f.value_ty(v), 0, v));
+                }
+            }
+            for &v in &res.phi_results {
+                regs.push((f.value_ty(v), 0, v));
+            }
+            for (k, r) in res.instr_results.iter().enumerate() {
+                if let Some(v) = *r {
+                    regs.push((f.value_ty(v), k as u32 + 1, v));
+                }
+            }
+            regs.sort_by_key(|&(plane, _, _)| plane);
+            let first = rf.planes.len();
+            for &(plane, pos, v) in &regs {
+                let at = rf.values.len() as u32;
+                match rf.planes[first..].last_mut() {
+                    Some(last) if last.0 == plane => last.2 = at + 1,
+                    _ => rf.planes.push((plane, at, at + 1)),
+                }
+                rf.values.push(v);
+                rf.pos.push(pos);
             }
         }
-        for i in 0..f.consts.len() {
-            let v = f.const_value(i);
-            if f.value_ty(v) == plane {
-                out.push(v);
+        rf.block_start.push(rf.planes.len() as u32);
+        rf
+    }
+
+    /// Values visible on `plane` in block `d`, in register order.
+    /// `limit` restricts instruction results to indices `< k`
+    /// (same-block uses and exception-edge visibility).
+    pub fn visible(&self, d: BlockId, plane: TypeId, limit: Option<usize>) -> &[ValueId] {
+        let planes = &self.planes
+            [self.block_start[d.index()] as usize..self.block_start[d.index() + 1] as usize];
+        let Ok(i) = planes.binary_search_by_key(&plane, |&(p, _, _)| p) else {
+            return &[];
+        };
+        let (start, end) = (planes[i].1 as usize, planes[i].2 as usize);
+        let end = match limit {
+            None => end,
+            Some(k) => {
+                let k = u32::try_from(k).unwrap_or(u32::MAX);
+                start + self.pos[start..end].partition_point(|&p| p <= k)
             }
-        }
+        };
+        &self.values[start..end]
     }
-    let block = f.block(d);
-    for k in 0..block.phis.len() {
-        let v = f.phi_result(d, k);
-        if f.value_ty(v) == plane {
-            out.push(v);
-        }
-    }
-    let n = limit.unwrap_or(block.instrs.len()).min(block.instrs.len());
-    for k in 0..n {
-        if let Some(v) = f.instr_result(d, k) {
-            if f.value_ty(v) == plane {
-                out.push(v);
-            }
-        }
-    }
-    out
 }
 
 /// Encodes a reference to `v` (on `plane`) made from block `b` with the
@@ -62,9 +116,11 @@ pub fn visible(f: &Function, d: BlockId, plane: TypeId, limit: Option<usize>) ->
 /// Returns [`EncodeError`] if `v` does not dominate the use or is not
 /// visible on `plane` — the properties the `(l, r)` coding cannot
 /// express, so the encoder refuses rather than emitting garbage.
+#[allow(clippy::too_many_arguments)]
 pub fn write_ref(
     w: &mut BitWriter,
     f: &Function,
+    regs: &RegisterFiles,
     dom: &DomTree,
     b: BlockId,
     limit: Option<usize>,
@@ -78,7 +134,7 @@ pub fn write_ref(
     let depth = dom.depth[b.index()];
     w.symbol(l, depth + 1);
     let lim = if l == 0 { limit } else { None };
-    let vis = visible(f, d, plane, lim);
+    let vis = regs.visible(d, plane, lim);
     let r = vis
         .iter()
         .position(|&x| x == v)
@@ -95,7 +151,7 @@ pub fn write_ref(
 /// check.
 pub fn read_ref(
     r: &mut BitReader<'_>,
-    f: &Function,
+    regs: &RegisterFiles,
     dom: &DomTree,
     b: BlockId,
     limit: Option<usize>,
@@ -107,7 +163,7 @@ pub fn read_ref(
         .ancestor(b, l)
         .ok_or_else(|| DecodeError::Malformed("dominator walk fell off the tree".into()))?;
     let lim = if l == 0 { limit } else { None };
-    let vis = visible(f, d, plane, lim);
+    let vis = regs.visible(d, plane, lim);
     let idx = r.symbol(vis.len() as u32)?;
     Ok(vis[idx as usize])
 }
@@ -232,7 +288,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod visible_tests {
+mod register_file_tests {
     use super::*;
     use safetsa_core::function::Function;
     use safetsa_core::instr::Instr;
@@ -274,21 +330,21 @@ mod visible_tests {
             )
             .unwrap()
             .unwrap();
+        let regs = RegisterFiles::build(&f);
         // Int plane, whole block: param0, const, r0, r1 (double param
         // is filtered out — type separation).
         assert_eq!(
-            visible(&f, ENTRY, int, None),
-            vec![f.param_value(0), c, r0, r1]
+            regs.visible(ENTRY, int, None),
+            [f.param_value(0), c, r0, r1]
         );
         // Limited to before instruction 1: r1 is not visible.
-        assert_eq!(
-            visible(&f, ENTRY, int, Some(1)),
-            vec![f.param_value(0), c, r0]
-        );
+        assert_eq!(regs.visible(ENTRY, int, Some(1)), [f.param_value(0), c, r0]);
+        // Limited to before instruction 0: only the pre-loads.
+        assert_eq!(regs.visible(ENTRY, int, Some(0)), [f.param_value(0), c]);
         // Double plane: only the double parameter.
-        assert_eq!(visible(&f, ENTRY, dbl, None), vec![f.param_value(1)]);
+        assert_eq!(regs.visible(ENTRY, dbl, None), [f.param_value(1)]);
         // A plane with nothing on it.
         let bool_ty = types.bool_ty();
-        assert!(visible(&f, ENTRY, bool_ty, None).is_empty());
+        assert!(regs.visible(ENTRY, bool_ty, None).is_empty());
     }
 }

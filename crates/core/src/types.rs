@@ -10,8 +10,8 @@
 //! generated implicitly by the consumer and are therefore tamper-proof;
 //! only locally declared classes travel with the mobile program.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a type (= register plane) in a [`TypeTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -189,6 +189,14 @@ pub struct MethodRef {
 ///
 /// Construction interns structurally: requesting the same array /
 /// safe-ref / safe-index type twice yields the same [`TypeId`].
+/// Interning goes through dense vectors indexed by [`PrimKind`],
+/// [`ClassId`] and [`TypeId`], so a plane lookup is an array index.
+///
+/// Classes are shared: cloning a table bumps one reference count per
+/// class, and [`TypeTable::class_mut`] copies a class only when another
+/// table still shares it. A consumer therefore starts every module from
+/// the host table without copying the host classes, and nothing it
+/// writes reaches the host's copy.
 ///
 /// # Examples
 ///
@@ -202,15 +210,31 @@ pub struct MethodRef {
 /// assert_eq!(table.array_of(int), arr);
 /// assert!(table.is_safe_ref(safe));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TypeTable {
     kinds: Vec<TypeKind>,
-    classes: Vec<ClassInfo>,
-    prim_ids: HashMap<PrimKind, TypeId>,
-    class_ids: HashMap<ClassId, TypeId>,
-    array_ids: HashMap<TypeId, TypeId>,
-    safe_ref_ids: HashMap<TypeId, TypeId>,
-    safe_index_ids: HashMap<TypeId, TypeId>,
+    classes: Vec<Arc<ClassInfo>>,
+    /// The plane of each primitive, by `PrimKind` discriminant.
+    prim_ids: [TypeId; PrimKind::ALL.len()],
+    /// The `ref` plane of each class, by `ClassId`.
+    class_ids: Vec<TypeId>,
+    /// The interned companions of each type, by `TypeId` (parallel to
+    /// `kinds`).
+    companions: Vec<Companions>,
+}
+
+/// The derived planes interned for one type.
+#[derive(Debug, Clone, Copy, Default)]
+struct Companions {
+    array: Option<TypeId>,
+    safe_ref: Option<TypeId>,
+    safe_index: Option<TypeId>,
+}
+
+impl Default for TypeTable {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl TypeTable {
@@ -219,15 +243,12 @@ impl TypeTable {
         let mut t = TypeTable {
             kinds: Vec::new(),
             classes: Vec::new(),
-            prim_ids: HashMap::new(),
-            class_ids: HashMap::new(),
-            array_ids: HashMap::new(),
-            safe_ref_ids: HashMap::new(),
-            safe_index_ids: HashMap::new(),
+            prim_ids: [TypeId(0); PrimKind::ALL.len()],
+            class_ids: Vec::new(),
+            companions: Vec::new(),
         };
         for &p in &PrimKind::ALL {
-            let id = t.push(TypeKind::Prim(p));
-            t.prim_ids.insert(p, id);
+            t.prim_ids[p as usize] = t.push(TypeKind::Prim(p));
         }
         t
     }
@@ -235,6 +256,7 @@ impl TypeTable {
     fn push(&mut self, kind: TypeKind) -> TypeId {
         let id = TypeId(self.kinds.len() as u32);
         self.kinds.push(kind);
+        self.companions.push(Companions::default());
         id
     }
 
@@ -264,7 +286,7 @@ impl TypeTable {
 
     /// The plane of primitive `p`.
     pub fn prim(&self, p: PrimKind) -> TypeId {
-        self.prim_ids[&p]
+        self.prim_ids[p as usize]
     }
 
     /// Shorthand for the `boolean` plane.
@@ -283,15 +305,15 @@ impl TypeTable {
     /// interned on first use.
     pub fn declare_class(&mut self, info: ClassInfo) -> (ClassId, TypeId) {
         let cid = ClassId(self.classes.len() as u32);
-        self.classes.push(info);
+        self.classes.push(Arc::new(info));
         let ty = self.push(TypeKind::Class(cid));
-        self.class_ids.insert(cid, ty);
+        self.class_ids.push(ty);
         (cid, ty)
     }
 
     /// The `ref` plane of class `c`.
     pub fn class_ty(&self, c: ClassId) -> TypeId {
-        self.class_ids[&c]
+        self.class_ids[c.index()]
     }
 
     /// The class metadata for `c`.
@@ -304,14 +326,15 @@ impl TypeTable {
     }
 
     /// Mutable class metadata (used while the front-end is populating
-    /// method bodies).
+    /// method bodies). Copies the class first if another table still
+    /// shares it, so the write stays in this table.
     pub fn class_mut(&mut self, c: ClassId) -> &mut ClassInfo {
-        &mut self.classes[c.index()]
+        Arc::make_mut(&mut self.classes[c.index()])
     }
 
     /// The class metadata for `c`, or `None` if out of range.
     pub fn class_checked(&self, c: ClassId) -> Option<&ClassInfo> {
-        self.classes.get(c.index())
+        self.classes.get(c.index()).map(|c| &**c)
     }
 
     /// Number of declared classes.
@@ -324,16 +347,16 @@ impl TypeTable {
         self.classes
             .iter()
             .enumerate()
-            .map(|(i, c)| (ClassId(i as u32), c))
+            .map(|(i, c)| (ClassId(i as u32), &**c))
     }
 
     /// Interns the array type with element type `elem`.
     pub fn array_of(&mut self, elem: TypeId) -> TypeId {
-        if let Some(&id) = self.array_ids.get(&elem) {
+        if let Some(id) = self.companions[elem.index()].array {
             return id;
         }
         let id = self.push(TypeKind::Array(elem));
-        self.array_ids.insert(elem, id);
+        self.companions[elem.index()].array = Some(id);
         id
     }
 
@@ -348,11 +371,11 @@ impl TypeTable {
             "safe-ref requires a reference type, got {:?}",
             self.kind(of)
         );
-        if let Some(&id) = self.safe_ref_ids.get(&of) {
+        if let Some(id) = self.companions[of.index()].safe_ref {
             return id;
         }
         let id = self.push(TypeKind::SafeRef(of));
-        self.safe_ref_ids.insert(of, id);
+        self.companions[of.index()].safe_ref = Some(id);
         id
     }
 
@@ -367,27 +390,27 @@ impl TypeTable {
             "safe-index requires an array type, got {:?}",
             self.kind(arr)
         );
-        if let Some(&id) = self.safe_index_ids.get(&arr) {
+        if let Some(id) = self.companions[arr.index()].safe_index {
             return id;
         }
         let id = self.push(TypeKind::SafeIndex(arr));
-        self.safe_index_ids.insert(arr, id);
+        self.companions[arr.index()].safe_index = Some(id);
         id
     }
 
     /// Looks up an already-interned safe-ref plane without creating it.
     pub fn find_safe_ref(&self, of: TypeId) -> Option<TypeId> {
-        self.safe_ref_ids.get(&of).copied()
+        self.companions.get(of.index())?.safe_ref
     }
 
     /// Looks up an already-interned array plane without creating it.
     pub fn find_array(&self, elem: TypeId) -> Option<TypeId> {
-        self.array_ids.get(&elem).copied()
+        self.companions.get(elem.index())?.array
     }
 
     /// Looks up an already-interned safe-index plane without creating it.
     pub fn find_safe_index(&self, arr: TypeId) -> Option<TypeId> {
-        self.safe_index_ids.get(&arr).copied()
+        self.companions.get(arr.index())?.safe_index
     }
 
     /// Whether `ty` is a primitive plane.
@@ -642,6 +665,31 @@ mod tests {
         assert!(!t.is_ref_assignable(obj_ty, a_ty, obj));
         assert!(t.is_ref_assignable(arr, obj_ty, obj));
         assert!(!t.is_ref_assignable(obj_ty, arr, obj));
+    }
+
+    #[test]
+    fn class_mut_on_a_clone_leaves_the_original_unchanged() {
+        let mut host = TypeTable::new();
+        let (obj, _) = object_class(&mut host);
+        let int = host.int_ty();
+        host.class_mut(obj).methods.push(MethodInfo {
+            name: "hashCode".into(),
+            params: vec![],
+            ret: Some(int),
+            kind: MethodKind::Virtual,
+            vtable_slot: Some(0),
+            body: None,
+        });
+        let before = host.class(obj).clone();
+        let mut module = host.clone();
+        module.class_mut(obj).methods[0].vtable_slot = Some(7);
+        module.class_mut(obj).name = "Changed".into();
+        assert_eq!(host.class(obj), &before);
+        assert_eq!(module.class(obj).methods[0].vtable_slot, Some(7));
+        // Planes interned by the clone stay out of the original too.
+        let arr = module.array_of(int);
+        assert_eq!(host.find_array(int), None);
+        assert_eq!(module.find_array(int), Some(arr));
     }
 
     #[test]

@@ -30,7 +30,6 @@ use crate::module::Module;
 use crate::types::{TypeKind, TypeTable};
 use crate::typing::{self, TypeError};
 use crate::value::{BlockId, Def, ValueId};
-use std::collections::HashSet;
 use std::fmt;
 
 /// A verification failure.
@@ -236,26 +235,28 @@ impl<'a> Checker<'a> {
     }
 
     fn check_blocks(&mut self) -> Result<(), VerifyError> {
+        let n = self.f.block_count();
         // Every block appears in the CST exactly once (duplicates are a
         // CfgError); here we catch blocks never mentioned.
-        if self.cfg.traversal.len() != self.f.block_count() {
-            let mentioned: HashSet<BlockId> = self.cfg.traversal.iter().copied().collect();
-            for i in 0..self.f.block_count() {
-                let b = BlockId(i as u32);
-                if !mentioned.contains(&b) {
-                    return Err(VerifyError::UnusedBlock(b));
-                }
+        if self.cfg.traversal.len() != n {
+            let mut mentioned = vec![false; n];
+            for &b in &self.cfg.traversal {
+                mentioned[b.index()] = true;
+            }
+            if let Some(i) = mentioned.iter().position(|&m| !m) {
+                return Err(VerifyError::UnusedBlock(BlockId(i as u32)));
             }
         }
-        let handler_entries: HashSet<BlockId> = {
-            let mut set = HashSet::new();
-            self.f.body.walk(&mut |c| {
-                if let Cst::Try { handler_entry, .. } = c {
-                    set.insert(*handler_entry);
-                }
-            });
-            set
-        };
+        let mut is_handler = vec![false; n];
+        self.f.body.walk(&mut |c| {
+            if let Cst::Try { handler_entry, .. } = c {
+                is_handler[handler_entry.index()] = true;
+            }
+        });
+        // `pred_seen[p] == b` once `p` has been seen as a predecessor of
+        // block `b`; stamping with the block index needs no reset
+        // between blocks.
+        let mut pred_seen = vec![u32::MAX; n];
         for (bi, block) in self.f.blocks.iter().enumerate() {
             let b = BlockId(bi as u32);
             if !self.cfg.reachable[bi] {
@@ -265,17 +266,18 @@ impl<'a> Checker<'a> {
                 continue;
             }
             // Duplicate predecessors make phi operands ambiguous.
-            let mut seen_preds = HashSet::new();
             for e in self.cfg.preds_of(b) {
-                if !seen_preds.insert(e.from) {
+                let seen = &mut pred_seen[e.from.index()];
+                if *seen == bi as u32 {
                     return Err(VerifyError::DuplicatePred {
                         block: b,
                         pred: e.from,
                     });
                 }
+                *seen = bi as u32;
             }
             self.check_phis(b)?;
-            let is_handler = handler_entries.contains(&b);
+            let is_handler = is_handler[bi];
             for (k, instr) in block.instrs.iter().enumerate() {
                 self.stats.instrs += 1;
                 // `catch` exactly at handler entries, position 0.
@@ -342,11 +344,10 @@ impl<'a> Checker<'a> {
     }
 
     fn check_phis(&mut self, b: BlockId) -> Result<(), VerifyError> {
-        let preds = self.cfg.preds_of(b).to_vec();
-        let n_phis = self.f.block(b).phis.len();
-        for k in 0..n_phis {
+        let (f, cfg) = (self.f, self.cfg);
+        let preds = cfg.preds_of(b);
+        for (k, phi) in f.block(b).phis.iter().enumerate() {
             self.stats.phis += 1;
-            let phi = self.f.block(b).phis[k].clone();
             let fail = |why: &'static str| VerifyError::PhiArgs {
                 func: self.f.name.clone(),
                 block: b,
@@ -357,7 +358,7 @@ impl<'a> Checker<'a> {
             }
             // Every pred covered exactly once (pred uniqueness already
             // established), in any stored order.
-            for e in &preds {
+            for e in preds {
                 let arg = phi
                     .arg_from(e.from)
                     .ok_or_else(|| fail("missing edge operand"))?;
@@ -784,6 +785,80 @@ mod tests {
             verify_function(&types, thr, &f),
             Err(VerifyError::UnusedBlock(_))
         ));
+    }
+
+    #[test]
+    fn duplicate_predecessors_are_rejected() {
+        let (types, thr) = base_types();
+        let b = types.prim(PrimKind::Bool);
+        let mut f = Function::new("f", None, vec![b], None);
+        let join = f.add_block();
+        // Both arms empty: the entry reaches the join twice, so a phi
+        // there could not tell its operands apart.
+        f.body = Cst::Seq(vec![
+            Cst::Basic(ENTRY),
+            Cst::If {
+                cond: f.param_value(0),
+                then_br: Box::new(Cst::empty()),
+                else_br: Box::new(Cst::empty()),
+                join,
+            },
+        ]);
+        assert_eq!(
+            verify_function(&types, thr, &f),
+            Err(VerifyError::DuplicatePred {
+                block: join,
+                pred: ENTRY
+            })
+        );
+    }
+
+    #[test]
+    fn catch_belongs_at_handler_entries_only() {
+        let (mut types, thr) = base_types();
+        let int = types.prim(PrimKind::Int);
+        let thr_ty = types.class_ty(thr);
+        let div = primops::find(PrimKind::Int, "div").unwrap();
+        let build = |types: &mut TypeTable, catch_in_handler: bool| {
+            let mut f = Function::new("f", None, vec![int, int], None);
+            let body_b = f.add_block();
+            let handler_entry = f.add_block();
+            let join = f.add_block();
+            let args = vec![f.param_value(0), f.param_value(1)];
+            f.add_instr(
+                types,
+                body_b,
+                Instr::XPrimitive {
+                    ty: int,
+                    op: div,
+                    args,
+                },
+            )
+            .unwrap();
+            let at = if catch_in_handler {
+                handler_entry
+            } else {
+                join
+            };
+            f.add_instr(types, at, Instr::Catch { ty: thr_ty }).unwrap();
+            f.body = Cst::Seq(vec![
+                Cst::Basic(ENTRY),
+                Cst::Try {
+                    body: Box::new(Cst::Basic(body_b)),
+                    handler_entry,
+                    handler: Box::new(Cst::empty()),
+                    join,
+                },
+            ]);
+            (f, handler_entry)
+        };
+        let (good, _) = build(&mut types, true);
+        verify_function(&types, thr, &good).unwrap();
+        let (bad, handler_entry) = build(&mut types, false);
+        assert_eq!(
+            verify_function(&types, thr, &bad),
+            Err(VerifyError::CatchPlacement(handler_entry))
+        );
     }
 
     #[test]

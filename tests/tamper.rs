@@ -2,9 +2,15 @@
 //! arbitrary mutations of valid streams must never panic the decoder
 //! and must never yield a module that fails the full verifier (i.e.
 //! `decode_and_verify` is total and its successes are always safe).
+//! A fixed-seed sweep over the corpus also pins every verdict to a
+//! checked-in golden, so a decoder change that accepts or rejects a
+//! different set of streams fails here.
 
 use proptest::prelude::*;
 use safetsa_codec::{decode_and_verify, encode_module, HostEnv};
+use safetsa_opt::Passes;
+use safetsa_telemetry::Telemetry;
+use std::path::PathBuf;
 
 fn wire_for(src: &str) -> Vec<u8> {
     let prog = safetsa_frontend::compile(src).unwrap();
@@ -69,4 +75,82 @@ proptest! {
         let cut = cut % (base.len() + 1);
         let _ = decode_and_verify(&base[..cut], &host);
     }
+}
+
+/// Mutants per corpus program in the verdict sweep.
+const MUTANTS: u64 = 128;
+
+/// SplitMix64: a fixed, dependency-free source of mutation choices.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Mutant `i` of `base`: every eighth is a truncation, the rest flip
+/// one to three bits.
+fn mutant(base: &[u8], rng: &mut u64, i: u64) -> Vec<u8> {
+    if i % 8 == 7 {
+        let cut = (splitmix(rng) % base.len() as u64) as usize;
+        return base[..cut].to_vec();
+    }
+    let mut evil = base.to_vec();
+    for _ in 0..1 + splitmix(rng) % 3 {
+        let bit = (splitmix(rng) % (evil.len() as u64 * 8)) as usize;
+        evil[bit / 8] ^= 0x80 >> (bit % 8);
+    }
+    evil
+}
+
+/// `decode_and_verify` on 128 fixed-seed mutants of every corpus
+/// program's optimized stream. The verdicts ("rejected", or "accepted
+/// with N functions") are hashed and compared with
+/// `tests/golden/decode_verdicts.txt`, so the set of accepted streams
+/// cannot drift silently. Regenerate only for an intentional wire-format
+/// change, with `UPDATE_GOLDEN=1 cargo test --test tamper`.
+#[test]
+fn decoder_verdicts_match_the_golden() {
+    let host = HostEnv::standard();
+    let mut verdicts = String::new();
+    let (mut accepted, mut rejected) = (0u32, 0u32);
+    for (p, entry) in safetsa_bench::corpus().iter().enumerate() {
+        let prog = safetsa_frontend::compile(entry.source).unwrap();
+        let mut m = safetsa_ssa::lower_program(&prog).unwrap().module;
+        safetsa_opt::optimize(&mut m, Passes::ALL, &Telemetry::disabled());
+        let base = encode_module(&m).expect("encodes");
+        let mut rng = 0x5afe_75a0_0000_0000 ^ p as u64;
+        for i in 0..MUTANTS {
+            let evil = mutant(&base, &mut rng, i);
+            let verdict = match decode_and_verify(&evil, &host) {
+                Ok(d) => {
+                    accepted += 1;
+                    format!("accepted with {} functions", d.functions.len())
+                }
+                Err(_) => {
+                    rejected += 1;
+                    "rejected".to_string()
+                }
+            };
+            verdicts.push_str(&format!("{} {i}: {verdict}\n", entry.name));
+        }
+    }
+    let actual = format!(
+        "fnv1a64:{:016x} accepted={accepted} rejected={rejected}\n",
+        safetsa_driver::store::fnv1a(verdicts.as_bytes())
+    );
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/decode_verdicts.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {} ({e})", path.display()));
+    assert_eq!(
+        expected,
+        actual,
+        "decoder verdicts drifted from {}",
+        path.display()
+    );
 }
