@@ -46,7 +46,6 @@ pub mod lint;
 pub mod liveness;
 pub mod nullness;
 pub mod range;
-pub mod summary;
 
 pub use alias::{AliasAnalysis, AllocSite, PointsTo};
 pub use escape::{Escape, EscapeAnalysis};
@@ -56,4 +55,3 @@ pub use lint::{lint_function, lint_module, Diagnostic, Severity};
 pub use liveness::Liveness;
 pub use nullness::{Nullity, NullnessAnalysis};
 pub use range::{Range, RangeAnalysis};
-pub use summary::{summarize, FactSummary};

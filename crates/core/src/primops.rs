@@ -9,8 +9,15 @@
 //!
 //! These tables are part of the trusted machine model: they are never
 //! transmitted and can therefore not be corrupted by a code producer.
+//!
+//! Each row also carries its Java semantics, written once against the
+//! [`Scalar`] access trait. [`eval`] monomorphizes a row per consumer
+//! into a plain `fn` pointer, so constant folding (over [`Literal`]s)
+//! and the VM (over runtime values) evaluate every operation through
+//! the same function.
 
 use crate::types::PrimKind;
+use crate::value::Literal;
 
 /// Index of an operation inside the table of its base type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,132 +44,273 @@ pub struct PrimOp {
     pub exceptional: bool,
 }
 
+/// How one consumer of the op semantics reads and makes values on the
+/// six primitive planes, and what it raises for division by zero.
+/// Readers are only ever applied to a value on their own plane.
+pub trait Scalar {
+    /// The consumer's value representation.
+    type Value;
+    /// The consumer's trap.
+    type Trap;
+    /// The trap of an exceptional row: integer division by zero.
+    fn div_by_zero() -> Self::Trap;
+    /// Reads a `boolean`.
+    fn z(v: Self::Value) -> bool;
+    /// Reads a `char`.
+    fn c(v: Self::Value) -> u16;
+    /// Reads an `int`.
+    fn i(v: Self::Value) -> i32;
+    /// Reads a `long`.
+    fn j(v: Self::Value) -> i64;
+    /// Reads a `float`.
+    fn f(v: Self::Value) -> f32;
+    /// Reads a `double`.
+    fn d(v: Self::Value) -> f64;
+    /// Makes a `boolean`.
+    fn of_z(x: bool) -> Self::Value;
+    /// Makes a `char`.
+    fn of_c(x: u16) -> Self::Value;
+    /// Makes an `int`.
+    fn of_i(x: i32) -> Self::Value;
+    /// Makes a `long`.
+    fn of_j(x: i64) -> Self::Value;
+    /// Makes a `float`.
+    fn of_f(x: f32) -> Self::Value;
+    /// Makes a `double`.
+    fn of_d(x: f64) -> Self::Value;
+}
+
+/// An operation's result for consumer `S`: a value, or its trap.
+pub type Outcome<S> = Result<<S as Scalar>::Value, <S as Scalar>::Trap>;
+
+/// One operation's semantics for consumer `S`: a plain `fn` pointer
+/// whose arity is the row's `params.len()`.
+pub enum Eval<S: Scalar> {
+    /// A one-operand operation.
+    Unary(fn(S::Value) -> Outcome<S>),
+    /// A two-operand operation.
+    Binary(fn(S::Value, S::Value) -> Outcome<S>),
+}
+
+/// Implements one plane's reader and maker for [`Literal`].
+macro_rules! literal_plane {
+    ($($get:ident, $make:ident: $variant:ident($t:ty);)*) => {$(
+        fn $get(v: Literal) -> $t {
+            match v {
+                Literal::$variant(x) => x,
+                other => unreachable!("{other:?} read as {}", stringify!($t)),
+            }
+        }
+        fn $make(x: $t) -> Literal {
+            Literal::$variant(x)
+        }
+    )*};
+}
+
+/// Constant folding evaluates on pool literals. It checks every
+/// operand's plane against [`PrimOp::params`] first, so no reader sees
+/// a literal of another plane, and a trapping row simply does not fold.
+impl Scalar for Literal {
+    type Value = Literal;
+    type Trap = ();
+    fn div_by_zero() {}
+    literal_plane! {
+        z, of_z: Bool(bool);
+        c, of_c: Char(u16);
+        i, of_i: Int(i32);
+        j, of_j: Long(i64);
+        f, of_f: Float(f32);
+        d, of_d: Double(f64);
+    }
+}
+
+/// Declares one operation table and its evaluator. A row reads
+/// `"name" (params) -> result [x] = |operands| body;`: the operands are
+/// bound as the Rust scalars of their planes, and the body computes the
+/// result's scalar. An exceptional row (`x`) returns `Option`, with
+/// `None` for a division by zero.
 macro_rules! ops {
-    ($($name:literal ($($p:ident),*) -> $r:ident $($x:ident)?;)*) => {
-        &[$(PrimOp {
+    ($(#[$doc:meta])* $table:ident, $eval:ident {
+        $($name:literal ($($p:ident),*) -> $r:ident $($x:ident)? = |$($v:ident),*| $body:expr;)*
+    }) => {
+        $(#[$doc])*
+        pub const $table: &[PrimOp] = &[$(PrimOp {
             name: $name,
             params: &[$(PrimKind::$p),*],
             result: PrimKind::$r,
             exceptional: ops!(@x $($x)?),
-        }),*]
+        }),*];
+
+        // The rows' semantics for consumer `S`, by row index.
+        fn $eval<S: Scalar>(op: PrimOpId) -> Option<Eval<S>> {
+            [$(ops!(@eval ($($p),*) ($($v),*) $r [$($x)?] $body)),*]
+                .into_iter()
+                .nth(op.index())
+        }
     };
     (@x) => { false };
     (@x x) => { true };
+    (@eval ($a:ident) ($x:ident) $r:ident [] $body:expr) => {
+        Eval::Unary(|a| {
+            let $x = ops!(@get $a a);
+            Ok(ops!(@put $r $body))
+        })
+    };
+    (@eval ($a:ident, $b:ident) ($x:ident, $y:ident) $r:ident [] $body:expr) => {
+        Eval::Binary(|a, b| {
+            let ($x, $y) = (ops!(@get $a a), ops!(@get $b b));
+            Ok(ops!(@put $r $body))
+        })
+    };
+    (@eval ($a:ident, $b:ident) ($x:ident, $y:ident) $r:ident [x] $body:expr) => {
+        Eval::Binary(|a, b| {
+            let ($x, $y) = (ops!(@get $a a), ops!(@get $b b));
+            $body.map(|v| ops!(@put $r v)).ok_or_else(S::div_by_zero)
+        })
+    };
+    (@get Bool $v:ident) => { S::z($v) };
+    (@get Char $v:ident) => { S::c($v) };
+    (@get Int $v:ident) => { S::i($v) };
+    (@get Long $v:ident) => { S::j($v) };
+    (@get Float $v:ident) => { S::f($v) };
+    (@get Double $v:ident) => { S::d($v) };
+    (@put Bool $e:expr) => { S::of_z($e) };
+    (@put Char $e:expr) => { S::of_c($e) };
+    (@put Int $e:expr) => { S::of_i($e) };
+    (@put Long $e:expr) => { S::of_j($e) };
+    (@put Float $e:expr) => { S::of_f($e) };
+    (@put Double $e:expr) => { S::of_d($e) };
 }
 
-/// Operations on `boolean`.
-pub const BOOL_OPS: &[PrimOp] = ops! {
-    "and" (Bool, Bool) -> Bool;
-    "or"  (Bool, Bool) -> Bool;
-    "xor" (Bool, Bool) -> Bool;
-    "not" (Bool) -> Bool;
-    "eq"  (Bool, Bool) -> Bool;
-    "ne"  (Bool, Bool) -> Bool;
-};
+ops! {
+    /// Operations on `boolean`.
+    BOOL_OPS, bool_eval {
+        "and" (Bool, Bool) -> Bool = |x, y| x & y;
+        "or"  (Bool, Bool) -> Bool = |x, y| x | y;
+        "xor" (Bool, Bool) -> Bool = |x, y| x ^ y;
+        "not" (Bool) -> Bool = |x| !x;
+        "eq"  (Bool, Bool) -> Bool = |x, y| x == y;
+        "ne"  (Bool, Bool) -> Bool = |x, y| x != y;
+    }
+}
 
-/// Operations on `char`.
-pub const CHAR_OPS: &[PrimOp] = ops! {
-    "eq" (Char, Char) -> Bool;
-    "ne" (Char, Char) -> Bool;
-    "lt" (Char, Char) -> Bool;
-    "le" (Char, Char) -> Bool;
-    "gt" (Char, Char) -> Bool;
-    "ge" (Char, Char) -> Bool;
-    "to_int" (Char) -> Int;
-};
+ops! {
+    /// Operations on `char`: unsigned 16-bit code units.
+    CHAR_OPS, char_eval {
+        "eq" (Char, Char) -> Bool = |x, y| x == y;
+        "ne" (Char, Char) -> Bool = |x, y| x != y;
+        "lt" (Char, Char) -> Bool = |x, y| x < y;
+        "le" (Char, Char) -> Bool = |x, y| x <= y;
+        "gt" (Char, Char) -> Bool = |x, y| x > y;
+        "ge" (Char, Char) -> Bool = |x, y| x >= y;
+        "to_int" (Char) -> Int = |x| x as i32;
+    }
+}
 
-/// Operations on `int`. Division and remainder are exceptional
-/// (division by zero), exactly as the paper's example notes.
-pub const INT_OPS: &[PrimOp] = ops! {
-    "add" (Int, Int) -> Int;
-    "sub" (Int, Int) -> Int;
-    "mul" (Int, Int) -> Int;
-    "div" (Int, Int) -> Int x;
-    "rem" (Int, Int) -> Int x;
-    "neg" (Int) -> Int;
-    "and" (Int, Int) -> Int;
-    "or"  (Int, Int) -> Int;
-    "xor" (Int, Int) -> Int;
-    "not" (Int) -> Int;
-    "shl" (Int, Int) -> Int;
-    "shr" (Int, Int) -> Int;
-    "ushr" (Int, Int) -> Int;
-    "eq" (Int, Int) -> Bool;
-    "ne" (Int, Int) -> Bool;
-    "lt" (Int, Int) -> Bool;
-    "le" (Int, Int) -> Bool;
-    "gt" (Int, Int) -> Bool;
-    "ge" (Int, Int) -> Bool;
-    "to_char" (Int) -> Char;
-    "to_long" (Int) -> Long;
-    "to_float" (Int) -> Float;
-    "to_double" (Int) -> Double;
-};
+ops! {
+    /// Operations on `int`. Division and remainder are exceptional
+    /// (division by zero), exactly as the paper's example notes.
+    /// Arithmetic wraps, `MIN / -1` is `MIN`, and shift counts are
+    /// masked to 5 bits.
+    INT_OPS, int_eval {
+        "add" (Int, Int) -> Int = |x, y| x.wrapping_add(y);
+        "sub" (Int, Int) -> Int = |x, y| x.wrapping_sub(y);
+        "mul" (Int, Int) -> Int = |x, y| x.wrapping_mul(y);
+        "div" (Int, Int) -> Int x = |x, y| (y != 0).then(|| x.wrapping_div(y));
+        "rem" (Int, Int) -> Int x = |x, y| (y != 0).then(|| x.wrapping_rem(y));
+        "neg" (Int) -> Int = |x| x.wrapping_neg();
+        "and" (Int, Int) -> Int = |x, y| x & y;
+        "or"  (Int, Int) -> Int = |x, y| x | y;
+        "xor" (Int, Int) -> Int = |x, y| x ^ y;
+        "not" (Int) -> Int = |x| !x;
+        "shl" (Int, Int) -> Int = |x, y| x.wrapping_shl(y as u32 & 31);
+        "shr" (Int, Int) -> Int = |x, y| x.wrapping_shr(y as u32 & 31);
+        "ushr" (Int, Int) -> Int = |x, y| ((x as u32) >> (y as u32 & 31)) as i32;
+        "eq" (Int, Int) -> Bool = |x, y| x == y;
+        "ne" (Int, Int) -> Bool = |x, y| x != y;
+        "lt" (Int, Int) -> Bool = |x, y| x < y;
+        "le" (Int, Int) -> Bool = |x, y| x <= y;
+        "gt" (Int, Int) -> Bool = |x, y| x > y;
+        "ge" (Int, Int) -> Bool = |x, y| x >= y;
+        "to_char" (Int) -> Char = |x| x as u16;
+        "to_long" (Int) -> Long = |x| x as i64;
+        "to_float" (Int) -> Float = |x| x as f32;
+        "to_double" (Int) -> Double = |x| x as f64;
+    }
+}
 
-/// Operations on `long`.
-pub const LONG_OPS: &[PrimOp] = ops! {
-    "add" (Long, Long) -> Long;
-    "sub" (Long, Long) -> Long;
-    "mul" (Long, Long) -> Long;
-    "div" (Long, Long) -> Long x;
-    "rem" (Long, Long) -> Long x;
-    "neg" (Long) -> Long;
-    "and" (Long, Long) -> Long;
-    "or"  (Long, Long) -> Long;
-    "xor" (Long, Long) -> Long;
-    "not" (Long) -> Long;
-    "shl" (Long, Int) -> Long;
-    "shr" (Long, Int) -> Long;
-    "ushr" (Long, Int) -> Long;
-    "eq" (Long, Long) -> Bool;
-    "ne" (Long, Long) -> Bool;
-    "lt" (Long, Long) -> Bool;
-    "le" (Long, Long) -> Bool;
-    "gt" (Long, Long) -> Bool;
-    "ge" (Long, Long) -> Bool;
-    "to_int" (Long) -> Int;
-    "to_float" (Long) -> Float;
-    "to_double" (Long) -> Double;
-};
+ops! {
+    /// Operations on `long`. As for `int`, except that shifts take an
+    /// `int` count masked to 6 bits.
+    LONG_OPS, long_eval {
+        "add" (Long, Long) -> Long = |x, y| x.wrapping_add(y);
+        "sub" (Long, Long) -> Long = |x, y| x.wrapping_sub(y);
+        "mul" (Long, Long) -> Long = |x, y| x.wrapping_mul(y);
+        "div" (Long, Long) -> Long x = |x, y| (y != 0).then(|| x.wrapping_div(y));
+        "rem" (Long, Long) -> Long x = |x, y| (y != 0).then(|| x.wrapping_rem(y));
+        "neg" (Long) -> Long = |x| x.wrapping_neg();
+        "and" (Long, Long) -> Long = |x, y| x & y;
+        "or"  (Long, Long) -> Long = |x, y| x | y;
+        "xor" (Long, Long) -> Long = |x, y| x ^ y;
+        "not" (Long) -> Long = |x| !x;
+        "shl" (Long, Int) -> Long = |x, y| x.wrapping_shl(y as u32 & 63);
+        "shr" (Long, Int) -> Long = |x, y| x.wrapping_shr(y as u32 & 63);
+        "ushr" (Long, Int) -> Long = |x, y| ((x as u64) >> (y as u32 & 63)) as i64;
+        "eq" (Long, Long) -> Bool = |x, y| x == y;
+        "ne" (Long, Long) -> Bool = |x, y| x != y;
+        "lt" (Long, Long) -> Bool = |x, y| x < y;
+        "le" (Long, Long) -> Bool = |x, y| x <= y;
+        "gt" (Long, Long) -> Bool = |x, y| x > y;
+        "ge" (Long, Long) -> Bool = |x, y| x >= y;
+        "to_int" (Long) -> Int = |x| x as i32;
+        "to_float" (Long) -> Float = |x| x as f32;
+        "to_double" (Long) -> Double = |x| x as f64;
+    }
+}
 
-/// Operations on `float`. Floating-point division never traps in Java,
-/// so all operations are plain primitives.
-pub const FLOAT_OPS: &[PrimOp] = ops! {
-    "add" (Float, Float) -> Float;
-    "sub" (Float, Float) -> Float;
-    "mul" (Float, Float) -> Float;
-    "div" (Float, Float) -> Float;
-    "rem" (Float, Float) -> Float;
-    "neg" (Float) -> Float;
-    "eq" (Float, Float) -> Bool;
-    "ne" (Float, Float) -> Bool;
-    "lt" (Float, Float) -> Bool;
-    "le" (Float, Float) -> Bool;
-    "gt" (Float, Float) -> Bool;
-    "ge" (Float, Float) -> Bool;
-    "to_int" (Float) -> Int;
-    "to_long" (Float) -> Long;
-    "to_double" (Float) -> Double;
-};
+ops! {
+    /// Operations on `float`. Floating-point division never traps in
+    /// Java, so all operations are plain primitives. Rust's float-to-int
+    /// `as` saturates and maps NaN to 0, which is Java's narrowing.
+    FLOAT_OPS, float_eval {
+        "add" (Float, Float) -> Float = |x, y| x + y;
+        "sub" (Float, Float) -> Float = |x, y| x - y;
+        "mul" (Float, Float) -> Float = |x, y| x * y;
+        "div" (Float, Float) -> Float = |x, y| x / y;
+        "rem" (Float, Float) -> Float = |x, y| x % y;
+        "neg" (Float) -> Float = |x| -x;
+        "eq" (Float, Float) -> Bool = |x, y| x == y;
+        "ne" (Float, Float) -> Bool = |x, y| x != y;
+        "lt" (Float, Float) -> Bool = |x, y| x < y;
+        "le" (Float, Float) -> Bool = |x, y| x <= y;
+        "gt" (Float, Float) -> Bool = |x, y| x > y;
+        "ge" (Float, Float) -> Bool = |x, y| x >= y;
+        "to_int" (Float) -> Int = |x| x as i32;
+        "to_long" (Float) -> Long = |x| x as i64;
+        "to_double" (Float) -> Double = |x| x as f64;
+    }
+}
 
-/// Operations on `double`.
-pub const DOUBLE_OPS: &[PrimOp] = ops! {
-    "add" (Double, Double) -> Double;
-    "sub" (Double, Double) -> Double;
-    "mul" (Double, Double) -> Double;
-    "div" (Double, Double) -> Double;
-    "rem" (Double, Double) -> Double;
-    "neg" (Double) -> Double;
-    "eq" (Double, Double) -> Bool;
-    "ne" (Double, Double) -> Bool;
-    "lt" (Double, Double) -> Bool;
-    "le" (Double, Double) -> Bool;
-    "gt" (Double, Double) -> Bool;
-    "ge" (Double, Double) -> Bool;
-    "to_int" (Double) -> Int;
-    "to_long" (Double) -> Long;
-    "to_float" (Double) -> Float;
-};
+ops! {
+    /// Operations on `double`, with the same rules as `float`.
+    DOUBLE_OPS, double_eval {
+        "add" (Double, Double) -> Double = |x, y| x + y;
+        "sub" (Double, Double) -> Double = |x, y| x - y;
+        "mul" (Double, Double) -> Double = |x, y| x * y;
+        "div" (Double, Double) -> Double = |x, y| x / y;
+        "rem" (Double, Double) -> Double = |x, y| x % y;
+        "neg" (Double) -> Double = |x| -x;
+        "eq" (Double, Double) -> Bool = |x, y| x == y;
+        "ne" (Double, Double) -> Bool = |x, y| x != y;
+        "lt" (Double, Double) -> Bool = |x, y| x < y;
+        "le" (Double, Double) -> Bool = |x, y| x <= y;
+        "gt" (Double, Double) -> Bool = |x, y| x > y;
+        "ge" (Double, Double) -> Bool = |x, y| x >= y;
+        "to_int" (Double) -> Int = |x| x as i32;
+        "to_long" (Double) -> Long = |x| x as i64;
+        "to_float" (Double) -> Float = |x| x as f32;
+    }
+}
 
 /// The operation table for `kind`.
 pub fn ops_of(kind: PrimKind) -> &'static [PrimOp] {
@@ -187,6 +335,20 @@ pub fn find(kind: PrimKind, name: &str) -> Option<PrimOpId> {
         .iter()
         .position(|o| o.name == name)
         .map(|i| PrimOpId(i as u16))
+}
+
+/// The semantics of `(kind, op)` for consumer `S`, or `None` when `op`
+/// is outside the table. An exceptional row returns
+/// [`Scalar::div_by_zero`] for a zero divisor.
+pub fn eval<S: Scalar>(kind: PrimKind, op: PrimOpId) -> Option<Eval<S>> {
+    match kind {
+        PrimKind::Bool => bool_eval(op),
+        PrimKind::Char => char_eval(op),
+        PrimKind::Int => int_eval(op),
+        PrimKind::Long => long_eval(op),
+        PrimKind::Float => float_eval(op),
+        PrimKind::Double => double_eval(op),
+    }
 }
 
 #[cfg(test)]
@@ -236,6 +398,49 @@ mod tests {
     fn unknown_ops_are_none() {
         assert!(find(PrimKind::Bool, "add").is_none());
         assert!(resolve(PrimKind::Bool, PrimOpId(999)).is_none());
+    }
+
+    /// A non-zero sample literal on plane `k`.
+    fn sample(k: PrimKind) -> Literal {
+        match k {
+            PrimKind::Bool => Literal::Bool(true),
+            PrimKind::Char => Literal::Char(7),
+            PrimKind::Int => Literal::Int(3),
+            PrimKind::Long => Literal::Long(3),
+            PrimKind::Float => Literal::Float(1.5),
+            PrimKind::Double => Literal::Double(1.5),
+        }
+    }
+
+    fn apply(kind: PrimKind, op: PrimOpId, args: &[Literal]) -> Result<Literal, ()> {
+        match (eval::<Literal>(kind, op), args) {
+            (Some(Eval::Unary(f)), [a]) => f(a.clone()),
+            (Some(Eval::Binary(f)), [a, b]) => f(a.clone(), b.clone()),
+            _ => panic!("{kind:?} op {op:?}: no evaluator of arity {}", args.len()),
+        }
+    }
+
+    #[test]
+    fn every_row_evaluates_onto_its_result_plane() {
+        for &kind in &PrimKind::ALL {
+            let ops = ops_of(kind);
+            for (i, op) in ops.iter().enumerate() {
+                let id = PrimOpId(i as u16);
+                let args: Vec<Literal> = op.params.iter().map(|&p| sample(p)).collect();
+                let out = apply(kind, id, &args).expect("no trap on non-zero operands");
+                assert_eq!(out.prim_kind(), Some(op.result), "{kind:?}.{}", op.name);
+                // Exactly the exceptional rows trap on a zero divisor.
+                if let [x, PrimKind::Int | PrimKind::Long] = op.params {
+                    let zero = match op.params[1] {
+                        PrimKind::Int => Literal::Int(0),
+                        _ => Literal::Long(0),
+                    };
+                    let trapped = apply(kind, id, &[sample(*x), zero]).is_err();
+                    assert_eq!(trapped, op.exceptional, "{kind:?}.{}", op.name);
+                }
+            }
+            assert!(eval::<Literal>(kind, PrimOpId(ops.len() as u16)).is_none());
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! referential integrity is a property of the *encoding*, while the
 //! in-memory representation stays convenient for optimizers.
 
-use crate::types::TypeId;
+use crate::types::{PrimKind, TypeId};
 use std::fmt;
 
 /// Absolute name of an SSA value within one function.
@@ -69,6 +69,20 @@ pub enum Literal {
 }
 
 impl Literal {
+    /// The primitive plane of a scalar literal; `None` for strings and
+    /// `null`, which live on reference planes.
+    pub fn prim_kind(&self) -> Option<PrimKind> {
+        Some(match self {
+            Literal::Bool(_) => PrimKind::Bool,
+            Literal::Char(_) => PrimKind::Char,
+            Literal::Int(_) => PrimKind::Int,
+            Literal::Long(_) => PrimKind::Long,
+            Literal::Float(_) => PrimKind::Float,
+            Literal::Double(_) => PrimKind::Double,
+            Literal::Str(_) | Literal::Null => return None,
+        })
+    }
+
     /// Structural equality that, unlike `PartialEq` on floats, treats
     /// NaNs with identical bits as equal (needed for pool deduplication).
     pub fn bit_eq(&self, other: &Literal) -> bool {

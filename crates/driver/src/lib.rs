@@ -14,9 +14,9 @@
 //!   deterministic merging, and content-addressed module records in
 //!   the [`store`].
 //! * [`store`] — the typed, method-granular incremental store
-//!   (`safetsa-cache/3`): per-unit encoded sections, optimizer stats,
-//!   and analysis-fact summaries, validated by structural dependency
-//!   signatures instead of file identity.
+//!   (`safetsa-cache/4`): per-unit encoded sections and optimizer
+//!   stats, validated by structural dependency signatures instead of
+//!   file identity, and by a header digest of every record's content.
 //!
 //! SSA's referential transparency is what makes the batch driver
 //! trivially correct: each module's compilation is a pure function of

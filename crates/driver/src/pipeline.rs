@@ -12,7 +12,6 @@ use crate::store::{
     self, passes_fingerprint, CacheKey, RecordKind, Store, StoreOptions, UnitIdentity, UnitRecord,
 };
 use crate::Error;
-use safetsa_analysis::FactSummary;
 use safetsa_codec::{decode_function_section, encode_function_section, HostEnv};
 use safetsa_core::verify::{verify_module, VerifyStats};
 use safetsa_core::Module;
@@ -283,9 +282,8 @@ impl Pipeline {
             let fingerprint = passes_fingerprint(&passes);
             let mut outcomes = Vec::with_capacity(plan.len());
             let (mut hits, mut misses, mut invalidated) = (0u64, 0u64, 0u64);
-            let (total, facts) = self.tm.time("opt.optimize_ns", || {
+            let total = self.tm.time("opt.optimize_ns", || {
                 let mut total = OptStats::default();
-                let mut facts = FactSummary::default();
                 for u in &plan {
                     let mut content = [0u8; 16];
                     content[..8].copy_from_slice(&u.body_hash.to_le_bytes());
@@ -304,7 +302,6 @@ impl Pipeline {
                         Some((f, rec)) => {
                             m.functions[u.func] = f;
                             total.add(&rec.stats);
-                            facts.add(&rec.facts);
                             hits += 1;
                             outcomes.push(UnitOutcome {
                                 name: u.name.clone(),
@@ -325,19 +322,10 @@ impl Pipeline {
                             };
                             let g = &mut m.functions[u.func];
                             let stats = safetsa_opt::optimize_function(&m.types, g, passes);
-                            let fsum = safetsa_analysis::summarize(&m.types, g);
                             if let Ok((section, _)) = encode_function_section(&m.types, g) {
-                                store.put_unit_degrading(
-                                    &key,
-                                    &UnitRecord {
-                                        section,
-                                        stats,
-                                        facts: fsum,
-                                    },
-                                );
+                                store.put_unit_degrading(&key, &UnitRecord { section, stats });
                             }
                             total.add(&stats);
-                            facts.add(&fsum);
                             outcomes.push(UnitOutcome {
                                 name: u.name.clone(),
                                 reused: false,
@@ -353,10 +341,9 @@ impl Pipeline {
                         },
                     );
                 }
-                (total, facts)
+                total
             });
             record_stats(&total, &passes, &self.tm);
-            record_facts(&facts, &self.tm);
             self.tm.add("cache.unit.hits", hits);
             self.tm.add("cache.unit.misses", misses);
             self.tm.add("cache.unit.invalidated_by_dep", invalidated);
@@ -452,27 +439,6 @@ impl Pipeline {
             profile,
         })
     }
-}
-
-/// Records one [`FactSummary`] into the `facts.*` counter plane — the
-/// shared-analysis payoff made visible: on a warm run these counters
-/// replay from the store without re-running any fixpoint.
-fn record_facts(s: &FactSummary, tm: &Telemetry) {
-    if !tm.is_enabled() {
-        return;
-    }
-    tm.add("facts.nullness.facts", s.nullness_facts);
-    tm.add("facts.nullness.iterations", s.nullness_iterations);
-    tm.add("facts.range.facts", s.range_facts);
-    tm.add("facts.range.iterations", s.range_iterations);
-    tm.add("facts.liveness.live", s.live_values);
-    tm.add("facts.liveness.iterations", s.liveness_iterations);
-    tm.add("facts.alias.sites", s.alias_sites);
-    tm.add("facts.alias.facts", s.alias_facts);
-    tm.add("facts.alias.iterations", s.alias_iterations);
-    tm.add("facts.escape.no", s.escape_no);
-    tm.add("facts.escape.arg", s.escape_arg);
-    tm.add("facts.escape.global", s.escape_global);
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The method-granular incremental store.
 //!
 //! This module replaces the old whole-file `Cache` with a typed,
-//! versioned analysis-sharing store (entry format `safetsa-cache/3`;
+//! versioned analysis-sharing store (entry format `safetsa-cache/4`;
 //! leftovers of earlier formats read as misses). Three record kinds live
 //! under one content-addressed namespace:
 //!
@@ -9,10 +9,10 @@
 //!   telemetry of the compilation that produced them; what
 //!   [`crate::batch::run_batch`] and the serve daemon replay.
 //! * **Unit records** — one per *method*: the standalone encoded
-//!   function section (see `safetsa_codec::encode_function_section`),
-//!   the per-unit [`OptStats`], and the [`FactSummary`] of the dataflow
-//!   analyses. Keyed by the unit's body hash and dependency-signature
-//!   hash, so reuse is validated structurally, not by file identity.
+//!   function section (see `safetsa_codec::encode_function_section`)
+//!   and the per-unit [`OptStats`]. Keyed by the unit's body hash and
+//!   dependency-signature hash, so reuse is validated structurally, not
+//!   by file identity.
 //! * **Unit-identity records** — the last seen `(body_hash, deps_hash)`
 //!   per unit *name*, which is what lets `--explain-cache` say *why* a
 //!   unit missed (new / body changed / dependency changed).
@@ -31,12 +31,12 @@
 //! distinct compilations.
 //!
 //! Every read treats corruption — truncated records, foreign files,
-//! stale formats — as a *miss*, never an error; every write goes to a
-//! temporary sibling first and is renamed into place. The store is an
-//! accelerator, not a source of truth.
+//! stale formats, and any content that no longer matches the digest in
+//! the record's header — as a *miss*, never an error; every write goes
+//! to a temporary sibling first and is renamed into place. The store is
+//! an accelerator, not a source of truth.
 
 use crate::Error;
-use safetsa_analysis::FactSummary;
 use safetsa_codec::encode_function_section;
 use safetsa_core::instr::Instr;
 use safetsa_core::types::{ClassId, MethodKind, TypeId, TypeKind, TypeTable};
@@ -48,7 +48,7 @@ use std::path::{Path, PathBuf};
 
 /// Entry-format version stamped into every store file; bump on any
 /// layout change so stale entries read as misses.
-pub const STORE_MAGIC: &str = "safetsa-cache/3";
+pub const STORE_MAGIC: &str = "safetsa-cache/4";
 
 /// The FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -68,6 +68,22 @@ fn fnv1a_continue(mut state: u64, bytes: &[u8]) -> u64 {
 /// FNV-1a 64-bit hash of a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_continue(FNV_OFFSET, bytes)
+}
+
+/// The digest in a record's header: FNV-1a over the record's kind, its
+/// key, and every section's name, length and body. A changed byte
+/// anywhere in these changes the digest, so bit rot or a torn write
+/// reads as a miss instead of a silent hit.
+fn record_digest<N: AsRef<str>, B: AsRef<[u8]>>(key: &CacheKey, sections: &[(N, B)]) -> u64 {
+    let mut h = fnv1a(key.kind.token().as_bytes());
+    h = fnv1a_continue(h, &key.hash.to_le_bytes());
+    for (name, body) in sections {
+        let body = body.as_ref();
+        h = fnv1a_continue(h, name.as_ref().as_bytes());
+        h = fnv1a_continue(h, &(body.len() as u64).to_le_bytes());
+        h = fnv1a_continue(h, body);
+    }
+    h
 }
 
 /// Renders a [`Passes`] configuration as a stable fingerprint string.
@@ -95,7 +111,7 @@ pub fn passes_fingerprint(passes: &Passes) -> String {
 pub enum RecordKind {
     /// Whole-file wire bytes + compilation metrics.
     Module,
-    /// One method's encoded section + opt stats + analysis facts.
+    /// One method's encoded section + opt stats.
     Unit,
     /// A unit's last-seen `(body_hash, deps_hash)` pair, keyed by name.
     UnitIdentity,
@@ -174,7 +190,7 @@ pub struct ModuleRecord {
 }
 
 /// A per-method record: everything needed to splice the method into a
-/// fresh lowering without re-optimizing or re-analyzing it.
+/// fresh lowering without re-optimizing it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnitRecord {
     /// The optimized body, encoded standalone with
@@ -183,8 +199,6 @@ pub struct UnitRecord {
     /// The optimizer statistics the original compilation recorded for
     /// this unit (replayed into the telemetry totals on reuse).
     pub stats: OptStats,
-    /// The dataflow-analysis fact summary of the optimized body.
-    pub facts: FactSummary,
 }
 
 /// A unit's last-seen signature, stored under its *name* so the next
@@ -230,7 +244,9 @@ impl Store {
     }
 
     /// Reads and validates one record, returning its named sections in
-    /// file order. Any corruption or version skew is `None`.
+    /// file order. Any corruption or version skew is `None`: the header
+    /// must match the current format and `key`, and the sections must
+    /// match the header's [`record_digest`].
     fn read_record(&self, key: &CacheKey) -> Option<Vec<(String, Vec<u8>)>> {
         let data = std::fs::read(self.entry_path(key)).ok()?;
         let mut rest = data.as_slice();
@@ -249,6 +265,7 @@ impl Store {
         if line(&mut rest)?.strip_prefix("key ")? != format!("{:016x}", key.hash) {
             return None;
         }
+        let digest = line(&mut rest)?;
         let count: usize = line(&mut rest)?.strip_prefix("sections ")?.parse().ok()?;
         // An absurd count is corruption, not an allocation request.
         if count > 64 {
@@ -269,7 +286,8 @@ impl Store {
             rest = &rest[len + 1..];
             sections.push((name.to_string(), body));
         }
-        rest.is_empty().then_some(sections)
+        let intact = digest == format!("digest {:016x}", record_digest(key, &sections));
+        (rest.is_empty() && intact).then_some(sections)
     }
 
     /// Writes one record atomically: a temporary sibling first, renamed
@@ -283,6 +301,7 @@ impl Store {
             writeln!(f, "{STORE_MAGIC}")?;
             writeln!(f, "kind {}", key.kind.token())?;
             writeln!(f, "key {:016x}", key.hash)?;
+            writeln!(f, "digest {:016x}", record_digest(key, sections))?;
             writeln!(f, "sections {}", sections.len())?;
             for (name, body) in sections {
                 writeln!(f, "{name} {}", body.len())?;
@@ -334,14 +353,13 @@ impl Store {
     /// Looks up a unit record. Any corruption is a miss.
     pub fn get_unit(&self, key: &CacheKey) -> Option<UnitRecord> {
         let sections = self.read_record(key)?;
-        let [(s_name, section), (st_name, stats), (f_name, facts)] = sections.try_into().ok()?;
-        if s_name != "section" || st_name != "stats" || f_name != "facts" {
+        let [(s_name, section), (st_name, stats)] = sections.try_into().ok()?;
+        if s_name != "section" || st_name != "stats" {
             return None;
         }
         Some(UnitRecord {
             section,
             stats: stats_from_flat(std::str::from_utf8(&stats).ok()?)?,
-            facts: FactSummary::from_flat(std::str::from_utf8(&facts).ok()?)?,
         })
     }
 
@@ -352,7 +370,6 @@ impl Store {
             &[
                 ("section", &rec.section),
                 ("stats", stats_to_flat(&rec.stats).as_bytes()),
-                ("facts", rec.facts.to_flat().as_bytes()),
             ],
         )
     }
@@ -823,14 +840,9 @@ mod tests {
             ..OptStats::default()
         };
         stats.loadfwd.alias_sites = 3;
-        let facts = FactSummary {
-            range_facts: 11,
-            ..FactSummary::default()
-        };
         let rec = UnitRecord {
             section: vec![0xde, 0xad, 0xbe, 0xef],
             stats,
-            facts,
         };
         assert!(store.put_unit_degrading(&key, &rec));
         assert_eq!(store.get_unit(&key), Some(rec));
@@ -853,28 +865,80 @@ mod tests {
         let store = Store::open(&dir, StoreOptions::default()).unwrap();
         let key = CacheKey::new(RecordKind::Module, "cfg", b"src");
         // Plant entries of earlier formats at exactly this key's path: a
-        // v1 entry, and a v2 entry that is well-formed except for its
-        // magic (v2 keys also folded in a VM engine name).
+        // v1 entry, v2 and v3 entries that are well-formed in their
+        // own format (v2 keys also folded in a VM engine name; neither
+        // had a digest line), and a current-layout entry under the v3
+        // magic.
         let path = dir.join(format!("{:016x}.tsac", key.hash()));
-        let record = |magic: &str| {
+        let sections: [(&str, &[u8]); 2] = [("bytes", b"abc"), ("metrics", b"")];
+        let body = "sections 2\nbytes 3\nabc\nmetrics 0\n\n";
+        let v3 = |magic: &str| format!("{magic}\nkind module\nkey {:016x}\n{body}", key.hash());
+        let v4 = |magic: &str| {
             format!(
-                "{magic}\nkind module\nkey {:016x}\nsections 2\nbytes 3\nabc\nmetrics 0\n\n",
-                key.hash()
+                "{magic}\nkind module\nkey {:016x}\ndigest {:016x}\n{body}",
+                key.hash(),
+                record_digest(&key, &sections)
             )
         };
         let stale = [
             format!("safetsa-cache/1\nkey {:016x}\nbytes 3\nabcmetrics 0\n", key.hash()),
-            record("safetsa-cache/2"),
+            v3("safetsa-cache/2"),
+            v3("safetsa-cache/3"),
+            v4("safetsa-cache/3"),
         ];
         for entry in stale {
             std::fs::write(&path, entry).unwrap();
             assert!(store.get_module(&key).is_none());
         }
         // Control: the same record under the current magic is a hit.
-        std::fs::write(&path, record(STORE_MAGIC)).unwrap();
+        std::fs::write(&path, v4(STORE_MAGIC)).unwrap();
         assert!(store.get_module(&key).is_some());
         std::fs::write(&path, b"not a cache entry at all").unwrap();
         assert!(store.get_module(&key).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Flips every bit of `path` in turn and asserts that `get` misses
+    /// on each mutant, then restores the original and asserts a hit.
+    fn assert_every_flip_misses<T>(path: &Path, get: impl Fn() -> Option<T>) {
+        let data = std::fs::read(path).unwrap();
+        for bit in 0..data.len() * 8 {
+            let mut evil = data.clone();
+            evil[bit / 8] ^= 0x80 >> (bit % 8);
+            std::fs::write(path, &evil).unwrap();
+            assert!(
+                get().is_none(),
+                "bit {bit} of {} read as a hit",
+                path.display()
+            );
+        }
+        std::fs::write(path, &data).unwrap();
+        assert!(get().is_some());
+    }
+
+    #[test]
+    fn every_single_bit_flip_reads_as_a_miss() {
+        let dir = test_dir("flip");
+        let store = Store::open(&dir, StoreOptions::default()).unwrap();
+        let module_key = CacheKey::new(RecordKind::Module, "cfg", b"src");
+        let module = ModuleRecord {
+            bytes: vec![0x5a, 0xfe, 0x75, 0xa0, 0, 1, 2, 3],
+            metrics: "c codec.total_bytes 8\nc vm.steps 12\n".into(),
+        };
+        assert!(store.put_module_degrading(&module_key, &module));
+        let unit_key = CacheKey::new(RecordKind::Unit, "cfg", b"u1");
+        let unit = UnitRecord {
+            section: vec![0xde, 0xad, 0xbe, 0xef, 0x10],
+            stats: OptStats {
+                instrs_before: 42,
+                instrs_after: 30,
+                ..OptStats::default()
+            },
+        };
+        assert!(store.put_unit_degrading(&unit_key, &unit));
+        let path = |key: &CacheKey| dir.join(format!("{:016x}.tsac", key.hash()));
+        assert_every_flip_misses(&path(&module_key), || store.get_module(&module_key));
+        assert_every_flip_misses(&path(&unit_key), || store.get_unit(&unit_key));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -174,7 +174,7 @@ impl<'a> Lexer<'a> {
                 .map_err(|_| self.err(start, "hex literal too large"))?;
             if self.peek() == b'L' || self.peek() == b'l' {
                 self.bump();
-                return Ok(Tok::LongLit(val as i64));
+                return Ok(Tok::LongLit(i128::from(val as i64)));
             }
             if val > u32::MAX as u64 {
                 return Err(self.err(start, "hex int literal exceeds 32 bits"));
@@ -213,9 +213,14 @@ impl<'a> Lexer<'a> {
                 if is_float {
                     return Err(self.err(start, "long literal cannot have a fraction"));
                 }
-                let v: i64 = text
+                // Allow up to 2^63 so `-9223372036854775808L` parses; the
+                // parser range-checks after applying unary minus.
+                let v: i128 = text
                     .parse()
                     .map_err(|_| self.err(start, "long literal too large"))?;
+                if v > i128::from(i64::MAX) + 1 {
+                    return Err(self.err(start, "long literal too large"));
+                }
                 Ok(Tok::LongLit(v))
             }
             b'f' | b'F' => {
@@ -473,6 +478,20 @@ mod tests {
         // 2147483648 lexes (parser applies the unary minus).
         assert_eq!(kinds("2147483648"), vec![Tok::IntLit(2147483648), Tok::Eof]);
         assert!(lex("2147483649").is_err());
+    }
+
+    #[test]
+    fn long_min_is_lexable() {
+        assert_eq!(
+            kinds("9223372036854775808L"),
+            vec![Tok::LongLit(1 << 63), Tok::Eof]
+        );
+        assert!(lex("9223372036854775809L").is_err());
+        // A hex literal names a bit pattern, so it may be negative.
+        assert_eq!(
+            kinds("0x8000000000000000L"),
+            vec![Tok::LongLit(i128::from(i64::MIN)), Tok::Eof]
+        );
     }
 
     #[test]

@@ -750,7 +750,7 @@ impl Parser {
                     let v = *v;
                     self.bump();
                     return Ok(Expr {
-                        kind: ExprKind::LongLit(v.wrapping_neg()),
+                        kind: ExprKind::LongLit((-v) as i64),
                         span,
                     });
                 }
@@ -944,6 +944,9 @@ impl Parser {
             }
             Tok::LongLit(v) => {
                 self.bump();
+                let Ok(v) = i64::try_from(v) else {
+                    return Err(CompileError::new(span, "long literal too large"));
+                };
                 ExprKind::LongLit(v)
             }
             Tok::FloatLit(v) => {
@@ -1220,5 +1223,22 @@ mod tests {
             }
         }
         panic!("unexpected shape");
+    }
+
+    #[test]
+    fn long_min_literal() {
+        let cu = parse_src("class A { long f() { return -9223372036854775808L; } }");
+        let Member::Method(m) = &cu.classes[0].members[0] else {
+            panic!("unexpected shape");
+        };
+        let Stmt::Return(Some(e), _) = &m.body[0] else {
+            panic!("unexpected shape");
+        };
+        assert_eq!(e.kind, ExprKind::LongLit(i64::MIN));
+        // 2^63 is only legal as the operand of unary minus.
+        for body in ["9223372036854775808L", "-(9223372036854775808L)"] {
+            let src = format!("class A {{ long f() {{ return {body}; }} }}");
+            assert!(parse(lex(&src).unwrap()).is_err(), "{body}");
+        }
     }
 }

@@ -21,8 +21,9 @@ pub enum Tok {
     /// unary minus + literal, except `Integer.MIN_VALUE` handling in the
     /// parser).
     IntLit(i64),
-    /// `long` literal (`L` suffix).
-    LongLit(i64),
+    /// `long` literal (`L` suffix; may be 2^63, the operand of
+    /// `Long.MIN_VALUE`'s unary minus, which the parser range-checks).
+    LongLit(i128),
     /// `float` literal (`f` suffix).
     FloatLit(f32),
     /// `double` literal.

@@ -1,15 +1,16 @@
 //! Constant propagation and folding over the SSA graph.
 //!
-//! Instructions whose operands all resolve to constant-pool pre-loads
-//! are evaluated with Java semantics and replaced by (possibly new)
-//! constant-pool entries. Exceptional cases (division by a constant
-//! zero) are left in place so the runtime exception survives.
+//! `primitive` instructions whose operands all resolve to constant-pool
+//! pre-loads are evaluated through [`primops::eval`], the same Java
+//! semantics the VM executes, and replaced by (possibly new)
+//! constant-pool entries. No `xprimitive` is folded, so every
+//! exceptional operation stays in place with its runtime exception.
 
 use safetsa_core::function::Function;
 use safetsa_core::instr::Instr;
-use safetsa_core::primops;
+use safetsa_core::primops::{self, Eval};
 use safetsa_core::rewrite::{compact, used_values, Rewrite};
-use safetsa_core::types::{PrimKind, TypeKind, TypeTable};
+use safetsa_core::types::{TypeKind, TypeTable};
 use safetsa_core::value::{BlockId, Const, Literal, ValueId};
 use std::collections::HashMap;
 
@@ -81,12 +82,8 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function) -> usize {
     removed
 }
 
-fn lit_of(consts: &HashMap<ValueId, Literal>, v: ValueId) -> Option<&Literal> {
-    consts.get(&v)
-}
-
-/// Folds one instruction if all operands are known constants and the
-/// operation cannot trap.
+/// Folds one `primitive` instruction if all operands are known
+/// constants on the op's parameter planes.
 fn try_fold(
     types: &TypeTable,
     consts: &HashMap<ValueId, Literal>,
@@ -95,146 +92,21 @@ fn try_fold(
     let Instr::Primitive { ty, op, args } = instr else {
         return None;
     };
-    let kind = match types.kind(*ty) {
-        TypeKind::Prim(k) => k,
-        _ => return None,
+    let TypeKind::Prim(kind) = types.kind(*ty) else {
+        return None;
     };
-    let name = primops::resolve(kind, *op)?.name;
-    let lits: Vec<&Literal> = args
+    let params = primops::resolve(kind, *op)?.params;
+    let lits: Vec<&Literal> = args.iter().map(|a| consts.get(a)).collect::<Option<_>>()?;
+    if lits
         .iter()
-        .map(|a| lit_of(consts, *a))
-        .collect::<Option<Vec<_>>>()?;
-    fold_prim(kind, name, &lits)
-}
-
-#[allow(clippy::too_many_lines)]
-fn fold_prim(kind: PrimKind, name: &str, a: &[&Literal]) -> Option<Literal> {
-    use Literal::*;
-    Some(match (kind, a) {
-        (PrimKind::Bool, [Bool(x)]) => match name {
-            "not" => Bool(!x),
-            _ => return None,
-        },
-        (PrimKind::Bool, [Bool(x), Bool(y)]) => match name {
-            "and" => Bool(x & y),
-            "or" => Bool(x | y),
-            "xor" => Bool(x ^ y),
-            "eq" => Bool(x == y),
-            "ne" => Bool(x != y),
-            _ => return None,
-        },
-        (PrimKind::Char, [Char(x)]) => match name {
-            "to_int" => Int(*x as i32),
-            _ => return None,
-        },
-        (PrimKind::Char, [Char(x), Char(y)]) => match name {
-            "eq" => Bool(x == y),
-            "ne" => Bool(x != y),
-            "lt" => Bool(x < y),
-            "le" => Bool(x <= y),
-            "gt" => Bool(x > y),
-            "ge" => Bool(x >= y),
-            _ => return None,
-        },
-        (PrimKind::Int, [Int(x)]) => match name {
-            "neg" => Int(x.wrapping_neg()),
-            "not" => Int(!x),
-            "to_char" => Char(*x as u16),
-            "to_long" => Long(*x as i64),
-            "to_float" => Float(*x as f32),
-            "to_double" => Double(*x as f64),
-            _ => return None,
-        },
-        (PrimKind::Int, [Int(x), Int(y)]) => match name {
-            "add" => Int(x.wrapping_add(*y)),
-            "sub" => Int(x.wrapping_sub(*y)),
-            "mul" => Int(x.wrapping_mul(*y)),
-            "and" => Int(x & y),
-            "or" => Int(x | y),
-            "xor" => Int(x ^ y),
-            "shl" => Int(x.wrapping_shl(*y as u32 & 31)),
-            "shr" => Int(x.wrapping_shr(*y as u32 & 31)),
-            "ushr" => Int(((*x as u32) >> (*y as u32 & 31)) as i32),
-            "eq" => Bool(x == y),
-            "ne" => Bool(x != y),
-            "lt" => Bool(x < y),
-            "le" => Bool(x <= y),
-            "gt" => Bool(x > y),
-            "ge" => Bool(x >= y),
-            _ => return None, // div/rem are xprimitives anyway
-        },
-        (PrimKind::Long, [Long(x)]) => match name {
-            "neg" => Long(x.wrapping_neg()),
-            "not" => Long(!x),
-            "to_int" => Int(*x as i32),
-            "to_float" => Float(*x as f32),
-            "to_double" => Double(*x as f64),
-            _ => return None,
-        },
-        (PrimKind::Long, [Long(x), Long(y)]) => match name {
-            "add" => Long(x.wrapping_add(*y)),
-            "sub" => Long(x.wrapping_sub(*y)),
-            "mul" => Long(x.wrapping_mul(*y)),
-            "and" => Long(x & y),
-            "or" => Long(x | y),
-            "xor" => Long(x ^ y),
-            "eq" => Bool(x == y),
-            "ne" => Bool(x != y),
-            "lt" => Bool(x < y),
-            "le" => Bool(x <= y),
-            "gt" => Bool(x > y),
-            "ge" => Bool(x >= y),
-            _ => return None,
-        },
-        (PrimKind::Long, [Long(x), Int(y)]) => match name {
-            "shl" => Long(x.wrapping_shl(*y as u32 & 63)),
-            "shr" => Long(x.wrapping_shr(*y as u32 & 63)),
-            "ushr" => Long(((*x as u64) >> (*y as u32 & 63)) as i64),
-            _ => return None,
-        },
-        // Floating point folding is bit-exact and safe.
-        (PrimKind::Float, [Float(x)]) => match name {
-            "neg" => Float(-x),
-            "to_int" => Int(*x as i32),
-            "to_long" => Long(*x as i64),
-            "to_double" => Double(*x as f64),
-            _ => return None,
-        },
-        (PrimKind::Float, [Float(x), Float(y)]) => match name {
-            "add" => Float(x + y),
-            "sub" => Float(x - y),
-            "mul" => Float(x * y),
-            "div" => Float(x / y),
-            "rem" => Float(x % y),
-            "eq" => Bool(x == y),
-            "ne" => Bool(x != y),
-            "lt" => Bool(x < y),
-            "le" => Bool(x <= y),
-            "gt" => Bool(x > y),
-            "ge" => Bool(x >= y),
-            _ => return None,
-        },
-        (PrimKind::Double, [Double(x)]) => match name {
-            "neg" => Double(-x),
-            "to_int" => Int(*x as i32),
-            "to_long" => Long(*x as i64),
-            "to_float" => Float(*x as f32),
-            _ => return None,
-        },
-        (PrimKind::Double, [Double(x), Double(y)]) => match name {
-            "add" => Double(x + y),
-            "sub" => Double(x - y),
-            "mul" => Double(x * y),
-            "div" => Double(x / y),
-            "rem" => Double(x % y),
-            "eq" => Bool(x == y),
-            "ne" => Bool(x != y),
-            "lt" => Bool(x < y),
-            "le" => Bool(x <= y),
-            "gt" => Bool(x > y),
-            "ge" => Bool(x >= y),
-            _ => return None,
-        },
-        _ => return None,
-    })
+        .zip(params)
+        .any(|(l, &p)| l.prim_kind() != Some(p))
+    {
+        return None;
+    }
+    match (primops::eval::<Literal>(kind, *op)?, lits.as_slice()) {
+        (Eval::Unary(f), [a]) => f((*a).clone()).ok(),
+        (Eval::Binary(f), [a, b]) => f((*a).clone(), (*b).clone()).ok(),
+        _ => None,
+    }
 }

@@ -37,7 +37,7 @@ use safetsa_core::cst::Cst;
 use safetsa_core::function::{Function, ENTRY};
 use safetsa_core::instr::Instr;
 use safetsa_core::module::FuncId;
-use safetsa_core::primops;
+use safetsa_core::primops::{self, Eval};
 use safetsa_core::types::{ClassId, MethodKind, MethodRef, PrimKind, TypeId, TypeKind};
 use safetsa_core::value::{BlockId, Literal};
 use safetsa_rt::heap::Obj;
@@ -69,14 +69,21 @@ pub(crate) enum CmpPred {
     Ge,
 }
 
-fn cmp_pred(name: &str) -> Option<CmpPred> {
-    Some(match name {
-        "eq" => CmpPred::Eq,
-        "ne" => CmpPred::Ne,
-        "lt" => CmpPred::Lt,
-        "le" => CmpPred::Le,
-        "gt" => CmpPred::Gt,
-        "ge" => CmpPred::Ge,
+/// The predicate of an `int` comparison, read off the truth table of
+/// its [`primops::eval`] function so that the fused compare computes
+/// what the op does; `None` for every other op.
+fn cmp_pred(kind: PrimKind, f: PrimFn2) -> Option<CmpPred> {
+    if kind != PrimKind::Int {
+        return None;
+    }
+    let holds = |x, y| matches!(f(Value::I(x), Value::I(y)), Ok(Value::Z(true)));
+    Some(match (holds(0, 1), holds(1, 0), holds(0, 0)) {
+        (false, false, true) => CmpPred::Eq,
+        (true, true, false) => CmpPred::Ne,
+        (true, false, false) => CmpPred::Lt,
+        (true, false, true) => CmpPred::Le,
+        (false, true, false) => CmpPred::Gt,
+        (false, true, true) => CmpPred::Ge,
         _ => return None,
     })
 }
@@ -93,140 +100,51 @@ fn cmp_eval(pred: CmpPred, x: i32, y: i32) -> bool {
     }
 }
 
-/// Unary primitive decode table with Java semantics (wrapping integer
-/// arithmetic, `as`-conversions); the op names come from the trusted
-/// `primops` tables, so the fallback arm is unreachable for verified
-/// modules.
-fn un_fn(kind: PrimKind, name: &'static str) -> PrimFn1 {
-    use PrimKind::*;
-    match (kind, name) {
-        (Bool, "not") => |a| Ok(Value::Z(!a.as_z())),
-        (Char, "to_int") => |a| Ok(Value::I(a.as_c() as i32)),
-        (Int, "neg") => |a| Ok(Value::I(a.as_i().wrapping_neg())),
-        (Int, "not") => |a| Ok(Value::I(!a.as_i())),
-        (Int, "to_char") => |a| Ok(Value::C(a.as_i() as u16)),
-        (Int, "to_long") => |a| Ok(Value::J(a.as_i() as i64)),
-        (Int, "to_float") => |a| Ok(Value::F(a.as_i() as f32)),
-        (Int, "to_double") => |a| Ok(Value::D(a.as_i() as f64)),
-        (Long, "neg") => |a| Ok(Value::J(a.as_j().wrapping_neg())),
-        (Long, "not") => |a| Ok(Value::J(!a.as_j())),
-        (Long, "to_int") => |a| Ok(Value::I(a.as_j() as i32)),
-        (Long, "to_float") => |a| Ok(Value::F(a.as_j() as f32)),
-        (Long, "to_double") => |a| Ok(Value::D(a.as_j() as f64)),
-        (Float, "neg") => |a| Ok(Value::F(-a.as_f())),
-        (Float, "to_int") => |a| Ok(Value::I(a.as_f() as i32)),
-        (Float, "to_long") => |a| Ok(Value::J(a.as_f() as i64)),
-        (Float, "to_double") => |a| Ok(Value::D(a.as_f() as f64)),
-        (Double, "neg") => |a| Ok(Value::D(-a.as_d())),
-        (Double, "to_int") => |a| Ok(Value::I(a.as_d() as i32)),
-        (Double, "to_long") => |a| Ok(Value::J(a.as_d() as i64)),
-        (Double, "to_float") => |a| Ok(Value::F(a.as_d() as f32)),
-        _ => |_| Err(Trap::Internal("unknown unary primop".into())),
-    }
-}
+/// The VM's access to primitive values for [`primops::eval`], which
+/// instantiates each op's semantics as a [`PrimFn1`] or [`PrimFn2`].
+struct Vals;
 
-/// Binary primitive decode table with Java semantics (div/rem trap
-/// DivByZero, int shifts mask to 5 bits, long shifts take an `int`
-/// amount masked to 6 bits).
-fn bin_fn(kind: PrimKind, name: &'static str) -> PrimFn2 {
-    use PrimKind::*;
-    match (kind, name) {
-        (Bool, "and") => |a, b| Ok(Value::Z(a.as_z() & b.as_z())),
-        (Bool, "or") => |a, b| Ok(Value::Z(a.as_z() | b.as_z())),
-        (Bool, "xor") => |a, b| Ok(Value::Z(a.as_z() ^ b.as_z())),
-        (Bool, "eq") => |a, b| Ok(Value::Z(a.as_z() == b.as_z())),
-        (Bool, "ne") => |a, b| Ok(Value::Z(a.as_z() != b.as_z())),
-        (Char, "eq") => |a, b| Ok(Value::Z(a.as_c() == b.as_c())),
-        (Char, "ne") => |a, b| Ok(Value::Z(a.as_c() != b.as_c())),
-        (Char, "lt") => |a, b| Ok(Value::Z(a.as_c() < b.as_c())),
-        (Char, "le") => |a, b| Ok(Value::Z(a.as_c() <= b.as_c())),
-        (Char, "gt") => |a, b| Ok(Value::Z(a.as_c() > b.as_c())),
-        (Char, "ge") => |a, b| Ok(Value::Z(a.as_c() >= b.as_c())),
-        (Int, "add") => |a, b| Ok(Value::I(a.as_i().wrapping_add(b.as_i()))),
-        (Int, "sub") => |a, b| Ok(Value::I(a.as_i().wrapping_sub(b.as_i()))),
-        (Int, "mul") => |a, b| Ok(Value::I(a.as_i().wrapping_mul(b.as_i()))),
-        (Int, "div") => |a, b| {
-            let y = b.as_i();
-            if y == 0 {
-                return Err(Trap::DivByZero);
-            }
-            Ok(Value::I(a.as_i().wrapping_div(y)))
-        },
-        (Int, "rem") => |a, b| {
-            let y = b.as_i();
-            if y == 0 {
-                return Err(Trap::DivByZero);
-            }
-            Ok(Value::I(a.as_i().wrapping_rem(y)))
-        },
-        (Int, "and") => |a, b| Ok(Value::I(a.as_i() & b.as_i())),
-        (Int, "or") => |a, b| Ok(Value::I(a.as_i() | b.as_i())),
-        (Int, "xor") => |a, b| Ok(Value::I(a.as_i() ^ b.as_i())),
-        (Int, "shl") => |a, b| Ok(Value::I(a.as_i().wrapping_shl(b.as_i() as u32 & 31))),
-        (Int, "shr") => |a, b| Ok(Value::I(a.as_i().wrapping_shr(b.as_i() as u32 & 31))),
-        (Int, "ushr") => {
-            |a, b| Ok(Value::I(((a.as_i() as u32) >> (b.as_i() as u32 & 31)) as i32))
-        }
-        (Int, "eq") => |a, b| Ok(Value::Z(a.as_i() == b.as_i())),
-        (Int, "ne") => |a, b| Ok(Value::Z(a.as_i() != b.as_i())),
-        (Int, "lt") => |a, b| Ok(Value::Z(a.as_i() < b.as_i())),
-        (Int, "le") => |a, b| Ok(Value::Z(a.as_i() <= b.as_i())),
-        (Int, "gt") => |a, b| Ok(Value::Z(a.as_i() > b.as_i())),
-        (Int, "ge") => |a, b| Ok(Value::Z(a.as_i() >= b.as_i())),
-        (Long, "add") => |a, b| Ok(Value::J(a.as_j().wrapping_add(b.as_j()))),
-        (Long, "sub") => |a, b| Ok(Value::J(a.as_j().wrapping_sub(b.as_j()))),
-        (Long, "mul") => |a, b| Ok(Value::J(a.as_j().wrapping_mul(b.as_j()))),
-        (Long, "div") => |a, b| {
-            let y = b.as_j();
-            if y == 0 {
-                return Err(Trap::DivByZero);
-            }
-            Ok(Value::J(a.as_j().wrapping_div(y)))
-        },
-        (Long, "rem") => |a, b| {
-            let y = b.as_j();
-            if y == 0 {
-                return Err(Trap::DivByZero);
-            }
-            Ok(Value::J(a.as_j().wrapping_rem(y)))
-        },
-        (Long, "and") => |a, b| Ok(Value::J(a.as_j() & b.as_j())),
-        (Long, "or") => |a, b| Ok(Value::J(a.as_j() | b.as_j())),
-        (Long, "xor") => |a, b| Ok(Value::J(a.as_j() ^ b.as_j())),
-        (Long, "shl") => |a, b| Ok(Value::J(a.as_j().wrapping_shl(b.as_i() as u32 & 63))),
-        (Long, "shr") => |a, b| Ok(Value::J(a.as_j().wrapping_shr(b.as_i() as u32 & 63))),
-        (Long, "ushr") => {
-            |a, b| Ok(Value::J(((a.as_j() as u64) >> (b.as_i() as u32 & 63)) as i64))
-        }
-        (Long, "eq") => |a, b| Ok(Value::Z(a.as_j() == b.as_j())),
-        (Long, "ne") => |a, b| Ok(Value::Z(a.as_j() != b.as_j())),
-        (Long, "lt") => |a, b| Ok(Value::Z(a.as_j() < b.as_j())),
-        (Long, "le") => |a, b| Ok(Value::Z(a.as_j() <= b.as_j())),
-        (Long, "gt") => |a, b| Ok(Value::Z(a.as_j() > b.as_j())),
-        (Long, "ge") => |a, b| Ok(Value::Z(a.as_j() >= b.as_j())),
-        (Float, "add") => |a, b| Ok(Value::F(a.as_f() + b.as_f())),
-        (Float, "sub") => |a, b| Ok(Value::F(a.as_f() - b.as_f())),
-        (Float, "mul") => |a, b| Ok(Value::F(a.as_f() * b.as_f())),
-        (Float, "div") => |a, b| Ok(Value::F(a.as_f() / b.as_f())),
-        (Float, "rem") => |a, b| Ok(Value::F(a.as_f() % b.as_f())),
-        (Float, "eq") => |a, b| Ok(Value::Z(a.as_f() == b.as_f())),
-        (Float, "ne") => |a, b| Ok(Value::Z(a.as_f() != b.as_f())),
-        (Float, "lt") => |a, b| Ok(Value::Z(a.as_f() < b.as_f())),
-        (Float, "le") => |a, b| Ok(Value::Z(a.as_f() <= b.as_f())),
-        (Float, "gt") => |a, b| Ok(Value::Z(a.as_f() > b.as_f())),
-        (Float, "ge") => |a, b| Ok(Value::Z(a.as_f() >= b.as_f())),
-        (Double, "add") => |a, b| Ok(Value::D(a.as_d() + b.as_d())),
-        (Double, "sub") => |a, b| Ok(Value::D(a.as_d() - b.as_d())),
-        (Double, "mul") => |a, b| Ok(Value::D(a.as_d() * b.as_d())),
-        (Double, "div") => |a, b| Ok(Value::D(a.as_d() / b.as_d())),
-        (Double, "rem") => |a, b| Ok(Value::D(a.as_d() % b.as_d())),
-        (Double, "eq") => |a, b| Ok(Value::Z(a.as_d() == b.as_d())),
-        (Double, "ne") => |a, b| Ok(Value::Z(a.as_d() != b.as_d())),
-        (Double, "lt") => |a, b| Ok(Value::Z(a.as_d() < b.as_d())),
-        (Double, "le") => |a, b| Ok(Value::Z(a.as_d() <= b.as_d())),
-        (Double, "gt") => |a, b| Ok(Value::Z(a.as_d() > b.as_d())),
-        (Double, "ge") => |a, b| Ok(Value::Z(a.as_d() >= b.as_d())),
-        _ => |_, _| Err(Trap::Internal("unknown binary primop".into())),
+impl primops::Scalar for Vals {
+    type Value = Value;
+    type Trap = Trap;
+    fn div_by_zero() -> Trap {
+        Trap::DivByZero
+    }
+    fn z(v: Value) -> bool {
+        v.as_z()
+    }
+    fn c(v: Value) -> u16 {
+        v.as_c()
+    }
+    fn i(v: Value) -> i32 {
+        v.as_i()
+    }
+    fn j(v: Value) -> i64 {
+        v.as_j()
+    }
+    fn f(v: Value) -> f32 {
+        v.as_f()
+    }
+    fn d(v: Value) -> f64 {
+        v.as_d()
+    }
+    fn of_z(x: bool) -> Value {
+        Value::Z(x)
+    }
+    fn of_c(x: u16) -> Value {
+        Value::C(x)
+    }
+    fn of_i(x: i32) -> Value {
+        Value::I(x)
+    }
+    fn of_j(x: i64) -> Value {
+        Value::J(x)
+    }
+    fn of_f(x: f32) -> Value {
+        Value::F(x)
+    }
+    fn of_d(x: f64) -> Value {
+        Value::D(x)
     }
 }
 
@@ -890,36 +808,23 @@ impl<'a, 'm> Flattener<'a, 'm> {
         let fail = |msg: &str| Op::Fail { msg: msg.into() };
         match instr {
             Instr::Primitive { ty, op, args } | Instr::XPrimitive { ty, op, args } => {
-                let kind = match types.kind(*ty) {
-                    TypeKind::Prim(k) => k,
-                    _ => return fail("primitive on non-prim"),
+                let TypeKind::Prim(kind) = types.kind(*ty) else {
+                    return fail("primitive on non-prim");
                 };
-                let Some(desc) = primops::resolve(kind, *op) else {
-                    return fail("unknown primop");
-                };
-                if kind == PrimKind::Int {
-                    if let Some(pred) = cmp_pred(desc.name) {
-                        return Op::IntCmp {
-                            pred,
-                            a: args[0].0,
-                            b: args[1].0,
-                            dst,
-                        };
-                    }
-                }
-                if desc.params.len() == 1 {
-                    Op::Prim1 {
-                        f: un_fn(kind, desc.name),
+                match primops::eval::<Vals>(kind, *op) {
+                    Some(Eval::Unary(f)) => Op::Prim1 {
+                        f,
                         a: args[0].0,
                         dst,
+                    },
+                    Some(Eval::Binary(f)) => {
+                        let (a, b) = (args[0].0, args[1].0);
+                        match cmp_pred(kind, f) {
+                            Some(pred) => Op::IntCmp { pred, a, b, dst },
+                            None => Op::Prim2 { f, a, b, dst },
+                        }
                     }
-                } else {
-                    Op::Prim2 {
-                        f: bin_fn(kind, desc.name),
-                        a: args[0].0,
-                        b: args[1].0,
-                        dst,
-                    }
+                    None => fail("unknown primop"),
                 }
             }
             Instr::NullCheck { value, .. } => Op::NullCheck { v: value.0, dst },

@@ -239,3 +239,54 @@ fn corrupt_and_stale_entries_read_as_misses() {
     assert_eq!(again.metrics().counter("cache.unit.hits"), Some(0));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every single-bit flip of a stored unit record reads as a miss: the
+/// header digest covers the kind, the key and every section. The warm
+/// build over each flipped record recompiles that one unit (classified
+/// `evicted`) and is byte-identical to a cold build.
+#[test]
+fn flipped_unit_records_rebuild_like_a_cold_build() {
+    let dir = std::env::temp_dir().join(format!(
+        "safetsa-incr-flip-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let build = |p: &Pipeline| {
+        let m = p.compile_source(TWO_METHODS_V1).unwrap();
+        p.encode(&m).unwrap()
+    };
+    let warm = || {
+        Pipeline::new()
+            .telemetry(Telemetry::enabled())
+            .cache(&dir)
+            .unwrap()
+    };
+    let cold_bytes = build(&Pipeline::new());
+    assert_eq!(build(&warm()), cold_bytes);
+
+    // The smallest unit record in the store.
+    let (path, data) = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .map(|path| {
+            let data = std::fs::read(&path).unwrap();
+            (path, data)
+        })
+        .filter(|(_, data)| data.split(|&b| b == b'\n').nth(1) == Some(b"kind unit"))
+        .min_by_key(|(_, data)| data.len())
+        .expect("a unit record");
+    for bit in 0..data.len() * 8 {
+        let mut evil = data.clone();
+        evil[bit / 8] ^= 0x80 >> (bit % 8);
+        std::fs::write(&path, &evil).unwrap();
+        let p = warm();
+        assert_eq!(build(&p), cold_bytes, "bit {bit}: warm differs from cold");
+        let misses: Vec<_> = p.cache_report().into_iter().filter(|u| !u.reused).collect();
+        assert_eq!(misses.len(), 1, "bit {bit}");
+        assert_eq!(misses[0].why, "evicted", "bit {bit}");
+        // The miss rewrote the record with the cold build's content.
+        assert_eq!(std::fs::read(&path).unwrap(), data, "bit {bit}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -4,12 +4,18 @@
 //! `decode_and_verify` is total and its successes are always safe).
 //! A fixed-seed sweep over the corpus also pins every verdict to a
 //! checked-in golden, so a decoder change that accepts or rejects a
-//! different set of streams fails here.
+//! different set of streams fails here. Accepted means safe to run:
+//! every accepted mutant of the sweep is loaded and run, and must
+//! neither panic nor reach an internal VM error.
 
 use proptest::prelude::*;
 use safetsa_codec::{decode_and_verify, encode_module, HostEnv};
+use safetsa_core::Module;
 use safetsa_opt::Passes;
+use safetsa_rt::Trap;
 use safetsa_telemetry::Telemetry;
+use safetsa_vm::{ResourceLimits, Vm, VmError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 fn wire_for(src: &str) -> Vec<u8> {
@@ -80,6 +86,51 @@ proptest! {
 /// Mutants per corpus program in the verdict sweep.
 const MUTANTS: u64 = 128;
 
+/// A corpus program's stream after every producer pass.
+fn optimized_stream(src: &str) -> Vec<u8> {
+    let prog = safetsa_frontend::compile(src).unwrap();
+    let mut m = safetsa_ssa::lower_program(&prog).unwrap().module;
+    safetsa_opt::optimize(&mut m, Passes::ALL, &Telemetry::disabled());
+    encode_module(&m).expect("encodes")
+}
+
+/// How the run of an accepted mutant ended.
+enum RunEnd {
+    /// A flipped bit renamed the entry method, so there is nothing to run.
+    NoEntry,
+    /// The entry method returned.
+    Returned,
+    /// A guest trap went uncaught.
+    Uncaught,
+    /// The fuel budget ran out.
+    OutOfFuel,
+}
+
+/// Loads and runs an accepted mutant under fuel 200k, a 1 MiB heap and
+/// call depth 64. A panic or an internal error, on load or on run,
+/// fails the test.
+fn run_accepted(module: &Module, entry: &str, what: &str) -> RunEnd {
+    if module.find_function(entry).is_none() {
+        return RunEnd::NoEntry;
+    }
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut vm = Vm::load(module)?;
+        vm.set_limits(ResourceLimits {
+            fuel: Some(200_000),
+            max_heap_bytes: Some(1 << 20),
+            max_call_depth: Some(64),
+        });
+        vm.run_entry(entry)
+    }));
+    match outcome {
+        Err(_) => panic!("{what}: accepted mutant panicked"),
+        Ok(Ok(_)) => RunEnd::Returned,
+        Ok(Err(VmError::FuelExhausted)) => RunEnd::OutOfFuel,
+        Ok(Err(VmError::Uncaught(t))) if !matches!(t, Trap::Internal(_)) => RunEnd::Uncaught,
+        Ok(Err(e)) => panic!("{what}: accepted mutant ended in {e:?}"),
+    }
+}
+
 /// SplitMix64: a fixed, dependency-free source of mutation choices.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -109,23 +160,22 @@ fn mutant(base: &[u8], rng: &mut u64, i: u64) -> Vec<u8> {
 /// with N functions") are hashed and compared with
 /// `tests/golden/decode_verdicts.txt`, so the set of accepted streams
 /// cannot drift silently. Regenerate only for an intentional wire-format
-/// change, with `UPDATE_GOLDEN=1 cargo test --test tamper`.
+/// change, with `UPDATE_GOLDEN=1 cargo test --test tamper`. Every
+/// accepted mutant is also run (see [`run_accepted`]).
 #[test]
 fn decoder_verdicts_match_the_golden() {
     let host = HostEnv::standard();
     let mut verdicts = String::new();
     let (mut accepted, mut rejected) = (0u32, 0u32);
     for (p, entry) in safetsa_bench::corpus().iter().enumerate() {
-        let prog = safetsa_frontend::compile(entry.source).unwrap();
-        let mut m = safetsa_ssa::lower_program(&prog).unwrap().module;
-        safetsa_opt::optimize(&mut m, Passes::ALL, &Telemetry::disabled());
-        let base = encode_module(&m).expect("encodes");
+        let base = optimized_stream(entry.source);
         let mut rng = 0x5afe_75a0_0000_0000 ^ p as u64;
         for i in 0..MUTANTS {
             let evil = mutant(&base, &mut rng, i);
             let verdict = match decode_and_verify(&evil, &host) {
                 Ok(d) => {
                     accepted += 1;
+                    run_accepted(&d, entry.entry, &format!("{} mutant {i}", entry.name));
                     format!("accepted with {} functions", d.functions.len())
                 }
                 Err(_) => {
@@ -152,5 +202,34 @@ fn decoder_verdicts_match_the_golden() {
         actual,
         "decoder verdicts drifted from {}",
         path.display()
+    );
+}
+
+/// Every single-bit flip of every optimized corpus stream, about 118k
+/// mutants: each accepted one must load and run like [`run_accepted`]
+/// demands. Takes about a minute in a release build; run it with
+/// `cargo test --release --test tamper -- --ignored`.
+#[test]
+#[ignore = "about a minute in release; run with --ignored"]
+fn every_single_bit_flip_of_the_corpus_runs_safely() {
+    let host = HostEnv::standard();
+    let (mut mutants, mut ends) = (0u64, [0u64; 4]);
+    for entry in safetsa_bench::corpus() {
+        let base = optimized_stream(entry.source);
+        for bit in 0..base.len() * 8 {
+            let mut evil = base.clone();
+            evil[bit / 8] ^= 0x80 >> (bit % 8);
+            mutants += 1;
+            if let Ok(m) = decode_and_verify(&evil, &host) {
+                let what = format!("{} bit {bit}", entry.name);
+                ends[run_accepted(&m, entry.entry, &what) as usize] += 1;
+            }
+        }
+    }
+    let [no_entry, returned, uncaught, out_of_fuel] = ends;
+    eprintln!(
+        "{mutants} mutants, {} accepted: {no_entry} without an entry method, \
+         {returned} returned, {uncaught} uncaught traps, {out_of_fuel} out of fuel",
+        ends.iter().sum::<u64>()
     );
 }
