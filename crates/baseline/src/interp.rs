@@ -115,7 +115,8 @@ impl<'p> Bvm<'p> {
     ///
     /// # Errors
     ///
-    /// Returns load errors for unknown entries and uncaught traps.
+    /// Returns load errors for unknown entries and for entries that take
+    /// parameters (an entry runs with no arguments), and uncaught traps.
     pub fn run_entry(&mut self, name: &str) -> Result<Option<Value>, BvmError> {
         self.run_clinits()?;
         let (cname, mname) = name
@@ -130,6 +131,14 @@ impl<'p> Bvm<'p> {
             .iter()
             .position(|m| m.name == mname)
             .ok_or_else(|| BvmError::Load(format!("no method {name}")))?;
+        let m = &self.prog.classes[ci].methods[mi];
+        let n = m.params.len() + usize::from(m.kind != MethodKind::Static);
+        if n != 0 {
+            let s = if n == 1 { "" } else { "s" };
+            return Err(BvmError::Load(format!(
+                "entry {name} takes {n} parameter{s}"
+            )));
+        }
         self.invoke(ci, mi, vec![]).map_err(BvmError::Uncaught)
     }
 

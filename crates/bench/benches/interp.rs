@@ -1,5 +1,6 @@
-//! Execution-engine comparison: the SafeTSA CST-walking interpreter vs
-//! the baseline operand-stack interpreter, unoptimized and optimized.
+//! Execution-engine comparison: the SafeTSA direct-threaded interpreter
+//! (unoptimized and optimized modules) vs the baseline operand-stack
+//! interpreter.
 //! (The paper promises competitive runtimes from SafeTSA consumers; the
 //! reproduction compares interpreters, not JITs — see DESIGN.md.)
 

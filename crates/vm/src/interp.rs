@@ -4,7 +4,6 @@
 
 use safetsa_core::module::{FuncId, Module};
 use safetsa_core::types::{ClassId, PrimKind, TypeId, TypeKind};
-use safetsa_core::value::Literal;
 use safetsa_rt::heap::Obj;
 use safetsa_rt::layout::{ClassShape, Layout, Statics};
 use safetsa_rt::{Heap, HeapRef, Output, Trap, Value};
@@ -303,9 +302,11 @@ pub struct Vm<'m> {
     pub(crate) icache_hits: u64,
     /// `xdispatch` inline-cache guard misses, i.e. vtable walks.
     pub(crate) icache_misses: u64,
-    /// Reusable staging buffer for the threaded engine's parallel phi
-    /// copies.
-    pub(crate) moves_scratch: Vec<Value>,
+    /// Free list of frame buffers: a call takes one, fills it from the
+    /// callee's frame template and gives it back, cleared, on return.
+    frames: Vec<Vec<Value>>,
+    /// Reusable argument buffer for intrinsic calls.
+    pub(crate) call_args: Vec<Value>,
 }
 
 impl<'m> Vm<'m> {
@@ -432,7 +433,8 @@ impl<'m> Vm<'m> {
             tcode: vec![None; module.functions.len()],
             icache_hits: 0,
             icache_misses: 0,
-            moves_scratch: Vec::new(),
+            frames: Vec::new(),
+            call_args: Vec::new(),
         };
         // Typed defaults for statics, then run the static initializers.
         for i in 0..n {
@@ -452,19 +454,35 @@ impl<'m> Vm<'m> {
     ///
     /// # Errors
     ///
-    /// Propagates uncaught traps from initializers.
+    /// Propagates uncaught traps from initializers, and returns
+    /// [`VmError::Load`] for an initializer that takes parameters.
     pub fn run_clinits(&mut self) -> Result<(), VmError> {
-        for (id, class) in self.module.types.classes() {
-            let _ = id;
+        for (_, class) in self.module.types.classes() {
             for m in &class.methods {
                 if m.name == "<clinit>" {
                     if let Some(body) = m.body {
-                        self.call(FuncId(body), vec![]).map_err(vm_err)?;
+                        let f = FuncId(body);
+                        self.no_params(f, "static initializer")?;
+                        self.call(f, vec![]).map_err(vm_err)?;
                     }
                 }
             }
         }
         Ok(())
+    }
+
+    /// A load error unless `f`, run as `what` with no arguments, takes
+    /// no parameters.
+    fn no_params(&self, f: FuncId, what: &str) -> Result<(), VmError> {
+        let f = self.module.function(f);
+        match f.params.len() {
+            0 => Ok(()),
+            n => Err(VmError::Load(format!(
+                "{what} {} takes {n} parameter{}",
+                f.name,
+                if n == 1 { "" } else { "s" }
+            ))),
+        }
     }
 
     /// Sets the execution budget in instructions.
@@ -606,18 +624,21 @@ impl<'m> Vm<'m> {
     ///
     /// # Errors
     ///
-    /// Returns [`VmError::Load`] for unknown entry points and
-    /// [`VmError::Uncaught`] for escaping exceptions.
+    /// Returns [`VmError::Load`] for unknown entry points and for entry
+    /// points that take parameters (an entry runs with no arguments),
+    /// and [`VmError::Uncaught`] for escaping exceptions.
     pub fn run_entry(&mut self, name: &str) -> Result<Option<Value>, VmError> {
         self.run_clinits()?;
         let f = self
             .module
             .find_function(name)
             .ok_or_else(|| VmError::Load(format!("no function named {name}")))?;
+        self.no_params(f, "entry")?;
         self.call(f, vec![]).map_err(vm_err)
     }
 
-    /// Calls a function with already-evaluated arguments. Counts one
+    /// Calls a function with already-evaluated arguments, one per
+    /// parameter (the receiver first for instance methods). Counts one
     /// unit of guest call depth against the stack budget; the depth is
     /// restored on every exit path, so a trapped VM stays consistent
     /// and can run another entry point.
@@ -625,8 +646,29 @@ impl<'m> Vm<'m> {
     /// # Errors
     ///
     /// Returns the trap if execution traps (caught by enclosing
-    /// handlers when called from inside a running function).
+    /// handlers when called from inside a running function), and
+    /// [`Trap::Internal`] if `args` does not match the parameter count.
     pub fn call(&mut self, fid: FuncId, args: Vec<Value>) -> Result<Option<Value>, Trap> {
+        let f = self.module.function(fid);
+        if args.len() != f.params.len() {
+            return Err(Trap::Internal(format!(
+                "{} takes {} arguments, not {}",
+                f.name,
+                f.params.len(),
+                args.len()
+            )));
+        }
+        self.invoke(fid, |frame| frame[..args.len()].copy_from_slice(&args))
+    }
+
+    /// The one call path: depth budget and accounting, then a pooled
+    /// frame built from the callee's template, with `pass` writing the
+    /// arguments into its head.
+    pub(crate) fn invoke(
+        &mut self,
+        fid: FuncId,
+        pass: impl FnOnce(&mut [Value]),
+    ) -> Result<Option<Value>, Trap> {
         if let Some(max) = self.max_depth {
             if self.depth >= max {
                 return Err(Trap::StackOverflow);
@@ -637,7 +679,13 @@ impl<'m> Vm<'m> {
         }
         self.depth += 1;
         self.peak_depth = self.peak_depth.max(self.depth);
-        let r = self.call_threaded(fid, args);
+        let tf = self.tfunc(fid);
+        let mut frame = self.frames.pop().unwrap_or_default();
+        frame.extend_from_slice(&tf.template);
+        pass(&mut frame);
+        let r = self.execute(&tf, &mut frame);
+        frame.clear();
+        self.frames.push(frame);
         self.depth -= 1;
         if self.depth == 0 && self.collect_stats {
             self.fold_stats();
@@ -645,24 +693,15 @@ impl<'m> Vm<'m> {
         r
     }
 
-    pub(crate) fn literal(&mut self, lit: &Literal) -> Result<Value, Trap> {
-        Ok(match lit {
-            Literal::Bool(b) => Value::Z(*b),
-            Literal::Char(c) => Value::C(*c),
-            Literal::Int(v) => Value::I(*v),
-            Literal::Long(v) => Value::J(*v),
-            Literal::Float(v) => Value::F(*v),
-            Literal::Double(v) => Value::D(*v),
-            Literal::Null => Value::NULL,
-            Literal::Str(s) => {
-                if let Some(&r) = self.str_pool.get(s) {
-                    return Ok(Value::Ref(Some(r)));
-                }
-                let r = self.heap.try_alloc_str(s.clone())?;
-                self.str_pool.insert(s.clone(), r);
-                Value::Ref(Some(r))
-            }
-        })
+    /// A string constant's value: its interned heap string, allocated
+    /// under the heap budget on first use.
+    pub(crate) fn intern(&mut self, s: &str) -> Result<Value, Trap> {
+        if let Some(&r) = self.str_pool.get(s) {
+            return Ok(Value::Ref(Some(r)));
+        }
+        let r = self.heap.try_alloc_str(s.to_string())?;
+        self.str_pool.insert(s.to_string(), r);
+        Ok(Value::Ref(Some(r)))
     }
 
     /// Turns a trap into an exception object (allocating the implicit

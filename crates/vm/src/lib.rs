@@ -9,9 +9,9 @@
 //!
 //! The interpreter decodes each function once, on first call, by
 //! flattening the Control Structure Tree into a direct-threaded op
-//! array; phi nodes become parallel copies on each static CFG edge,
-//! exceptions follow the implicit edges to the innermost handler, and
-//! dynamic dispatch uses vtables derived (by the consumer,
+//! array; phi nodes become copies on each static CFG edge, sequenced at
+//! decode time, exceptions follow the implicit edges to the innermost
+//! handler, and dynamic dispatch uses vtables derived (by the consumer,
 //! tamper-proof) from the type table's slot assignments. Its output is
 //! checked against the independent bytecode baseline interpreter
 //! (`safetsa-baseline`) corpus-wide.

@@ -3,12 +3,12 @@
 //! At first call, each function's verified SSA stream is *decoded*:
 //! the Control Structure Tree is flattened into a linear array of
 //! [`Op`]s with branch targets as array indices, operands resolved to
-//! dense frame slots, phi parallel-copies pre-resolved per static edge
-//! into explicit [`Op::Moves`], and field/method references resolved to
+//! dense frame slots, phi parallel copies resolved per static edge into
+//! sequential [`Op::Moves`], and field/method references resolved to
 //! layout slots and call targets. The dispatch loop is a single match
 //! over a dense op enum (a jump table).
 //!
-//! Three optimizations ride on the decoded form (see DESIGN.md
+//! Five optimizations ride on the decoded form (see DESIGN.md
 //! "Interpreter architecture"):
 //!
 //! * **Superinstruction fusion** — the top opcode pairs from the corpus
@@ -31,6 +31,16 @@
 //!   out does so at the entry of the block that would overrun it, at
 //!   most one block before the overrunning instruction, so fuel remains
 //!   a hard ceiling.
+//! * **Prologues folded into edges** — a block's entry work (fuel,
+//!   steps, slice countdown, stats) is carried by each jump, branch arm
+//!   or phi-move op that enters it, so a control transfer is one
+//!   dispatch. The `Block` op stays in place for entries that fall
+//!   into it, so op indices, block starts and handler entries do not
+//!   move.
+//! * **Frame templates** — a call starts from a copy of the callee's
+//!   template (value table plus one scratch slot, non-string constants
+//!   in place) in a pooled buffer, and arguments go slot to slot from
+//!   the caller's frame.
 
 use crate::interp::{Vm, DEADLINE_SLICE, PROFILE_WINDOW};
 use safetsa_core::cst::Cst;
@@ -206,8 +216,25 @@ const FUSE_NULL_SETFIELD: usize = 3;
 const FUSE_IDX_GETELT: usize = 4;
 const FUSE_IDX_SETELT: usize = 5;
 
-/// The `(dst, src)` parallel copies for one static predecessor block.
+/// The sequential `(dst, src)` phi copies for one static predecessor
+/// block.
 type PredMoves = (u32, Box<[(Slot, Slot)]>);
+
+/// Where a control transfer lands: the op to continue at and, when the
+/// decoder folded it in, the `(cost, bi)` prologue of the entered block,
+/// whose [`Op::Block`] at `pc - 1` is then skipped.
+#[derive(Clone, Copy)]
+pub(crate) struct Edge {
+    pc: u32,
+    enter: Option<(u32, u32)>,
+}
+
+impl Edge {
+    /// A transfer to `pc` with no folded prologue.
+    fn to(pc: u32) -> Edge {
+        Edge { pc, enter: None }
+    }
+}
 
 /// One exception-handler region: where to resume, and the handler-entry
 /// phi moves keyed by static predecessor block.
@@ -218,7 +245,7 @@ pub(crate) struct HandlerInfo {
     /// Whether the handler entry has phis at all (a faulting block with
     /// no move entry is then an internal error: a missing phi argument).
     pub(crate) has_phis: bool,
-    /// Per-predecessor `(dst, src)` parallel copies.
+    /// Per-predecessor sequential `(dst, src)` copies.
     pub(crate) moves: Vec<PredMoves>,
 }
 
@@ -226,12 +253,13 @@ pub(crate) struct HandlerInfo {
 pub(crate) enum Op {
     /// Basic-block prologue: charges `cost` fuel (the block's charged-op
     /// count), runs the slice/profiler countdown, bumps the block's
-    /// stats entry counter.
+    /// stats entry counter. Runs only for entries that fall into the
+    /// block; edges carry it themselves.
     Block { cost: u32, bi: u32 },
     /// Unconditional jump.
-    Jump { t: u32 },
-    /// Fall through when the slot holds `true`, jump to `t` otherwise.
-    BranchFalse { cond: Slot, t: u32 },
+    Jump { to: Edge },
+    /// Take `then` when the slot holds `true`, `els` otherwise.
+    BranchFalse { cond: Slot, then: Edge, els: Edge },
     /// Fused int-compare + branch: writes the compare result (it is an
     /// SSA value later ops may read), then branches on it.
     CmpBranchFalse {
@@ -239,10 +267,15 @@ pub(crate) enum Op {
         a: Slot,
         b: Slot,
         dst: Slot,
-        t: u32,
+        then: Edge,
+        els: Edge,
     },
-    /// Parallel phi copies for one static CFG edge.
-    Moves { pairs: Box<[(Slot, Slot)]> },
+    /// The phi copies of one static CFG edge, in an order that needs no
+    /// staging, then the transfer along it.
+    Moves {
+        pairs: Box<[(Slot, Slot)]>,
+        to: Edge,
+    },
     /// Return (`NO_SLOT` = void).
     Ret { src: Slot },
     /// `throw`: null receiver traps NullPointer, else a user trap.
@@ -372,10 +405,13 @@ pub(crate) enum Op {
 pub(crate) struct TFunc {
     /// Diagnostic name (for the profiler's hot-function table).
     pub(crate) name: String,
-    /// Frame size in slots (the SSA value-table length).
-    pub(crate) nvals: usize,
-    /// Constant preloads: `(slot, literal)`.
-    pub(crate) consts: Vec<(Slot, Literal)>,
+    /// The frame a call starts from: the SSA value table plus one
+    /// scratch slot for breaking phi-copy cycles, zero-filled, with
+    /// every non-string constant in place.
+    pub(crate) template: Box<[Value]>,
+    /// String constants `(slot, text)`, interned on every entry in
+    /// constant-pool order.
+    pub(crate) strs: Box<[(Slot, String)]>,
     /// The decoded op array.
     pub(crate) code: Vec<Op>,
     /// Per-block metadata, indexed by the `bi` field of [`Op::Block`].
@@ -407,6 +443,74 @@ struct Flattener<'a, 'm> {
     handlers: Vec<HandlerInfo>,
     ctx: Vec<Ctx>,
     cur: BlockId,
+    copies: CopySequencer,
+}
+
+/// Orders phi parallel copies into sequential ones, in time linear in
+/// the copies: its per-slot tables are sized to the frame once per
+/// function and left clean after each edge.
+struct CopySequencer {
+    /// The frame's scratch slot, one past the value table.
+    scratch: Slot,
+    /// Pending copies reading each slot.
+    readers: Vec<u32>,
+    /// Each pending destination's current source (`NO_SLOT`: none).
+    source: Vec<Slot>,
+}
+
+impl CopySequencer {
+    fn new(nvals: usize) -> Self {
+        CopySequencer {
+            scratch: nvals as Slot,
+            readers: vec![0; nvals + 1],
+            source: vec![NO_SLOT; nvals + 1],
+        }
+    }
+
+    /// Sequential copies with the effect of the parallel copy `pairs`
+    /// (`(dst, src)`, destinations distinct). A copy is emitted once no
+    /// pending copy still reads its destination; what is left after
+    /// that are cycles, and each is broken by saving one destination in
+    /// the scratch slot.
+    fn order(&mut self, pairs: &[(Slot, Slot)]) -> Box<[(Slot, Slot)]> {
+        let moved = || pairs.iter().filter(|&&(d, s)| d != s);
+        for &(d, s) in moved() {
+            self.source[d as usize] = s;
+            self.readers[s as usize] += 1;
+        }
+        let mut ready: Vec<Slot> = moved()
+            .filter(|&&(d, _)| self.readers[d as usize] == 0)
+            .map(|&(d, _)| d)
+            .collect();
+        let mut out = Vec::with_capacity(pairs.len() + 1);
+        let mut rest = moved();
+        loop {
+            while let Some(d) = ready.pop() {
+                let s = std::mem::replace(&mut self.source[d as usize], NO_SLOT);
+                out.push((d, s));
+                self.readers[s as usize] -= 1;
+                if self.readers[s as usize] == 0 && self.source[s as usize] != NO_SLOT {
+                    ready.push(s);
+                }
+            }
+            // Every pending destination is now read by exactly one
+            // pending copy, so following sources from `d` comes back
+            // to it.
+            let Some(&(d, _)) = rest.find(|&&(d, _)| self.source[d as usize] != NO_SLOT) else {
+                break;
+            };
+            out.push((self.scratch, d));
+            let mut reader = d;
+            while self.source[reader as usize] != d {
+                reader = self.source[reader as usize];
+            }
+            self.source[reader as usize] = self.scratch;
+            self.readers[d as usize] = 0;
+            self.readers[self.scratch as usize] += 1;
+            ready.push(d);
+        }
+        out.into_boxed_slice()
+    }
 }
 
 impl<'m> Vm<'m> {
@@ -423,6 +527,7 @@ impl<'m> Vm<'m> {
 }
 
 fn decode_function<'m>(vm: &Vm<'m>, f: &'m Function) -> TFunc {
+    let nvals = f.values.len();
     let mut fl = Flattener {
         vm,
         f,
@@ -432,20 +537,34 @@ fn decode_function<'m>(vm: &Vm<'m>, f: &'m Function) -> TFunc {
         handlers: Vec::new(),
         ctx: Vec::new(),
         cur: ENTRY,
+        copies: CopySequencer::new(nvals),
     };
     if fl.emit(&f.body) {
         fl.code.push(Op::Ret { src: NO_SLOT });
     }
-    let consts = f
-        .consts
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (f.const_value(i).0, c.lit.clone()))
-        .collect();
+    fold_prologues(&mut fl.code);
+    let mut template = vec![Value::I(0); nvals + 1];
+    let mut strs = Vec::new();
+    for (i, c) in f.consts.iter().enumerate() {
+        let slot = f.const_value(i).0;
+        template[slot as usize] = match &c.lit {
+            Literal::Str(text) => {
+                strs.push((slot, text.clone()));
+                continue;
+            }
+            Literal::Bool(b) => Value::Z(*b),
+            Literal::Char(c) => Value::C(*c),
+            Literal::Int(v) => Value::I(*v),
+            Literal::Long(v) => Value::J(*v),
+            Literal::Float(v) => Value::F(*v),
+            Literal::Double(v) => Value::D(*v),
+            Literal::Null => Value::NULL,
+        };
+    }
     TFunc {
         name: f.name.clone(),
-        nvals: f.values.len(),
-        consts,
+        template: template.into_boxed_slice(),
+        strs: strs.into_boxed_slice(),
         code: fl.code,
         blocks: fl.blocks,
         block_starts: fl.block_starts,
@@ -453,22 +572,97 @@ fn decode_function<'m>(vm: &Vm<'m>, f: &'m Function) -> TFunc {
     }
 }
 
+/// The landing of a transfer to `pc`: past the [`Op::Block`] there,
+/// carrying its prologue, or at `pc` itself when no block starts there.
+fn land(code: &[Op], pc: u32) -> Edge {
+    match code.get(pc as usize) {
+        Some(&Op::Block { cost, bi }) => Edge {
+            pc: pc + 1,
+            enter: Some((cost, bi)),
+        },
+        _ => Edge::to(pc),
+    }
+}
+
+/// Folds each block's prologue into the control transfers that enter
+/// it: a jump, both arms of a branch, and phi moves, which take over
+/// the jump that follows them or fall into the block after them. Runs
+/// after jump patching and rewrites ops in place, so no index moves;
+/// `Block` ops are never rewritten, and walking backwards folds a jump
+/// before the moves that adopt its edge.
+fn fold_prologues(code: &mut [Op]) {
+    for at in (0..code.len()).rev() {
+        match code[at] {
+            Op::Jump { to } => {
+                code[at] = Op::Jump {
+                    to: land(code, to.pc),
+                };
+            }
+            Op::BranchFalse { cond, then, els } => {
+                code[at] = Op::BranchFalse {
+                    cond,
+                    then: land(code, then.pc),
+                    els: land(code, els.pc),
+                };
+            }
+            Op::CmpBranchFalse {
+                pred,
+                a,
+                b,
+                dst,
+                then,
+                els,
+            } => {
+                code[at] = Op::CmpBranchFalse {
+                    pred,
+                    a,
+                    b,
+                    dst,
+                    then: land(code, then.pc),
+                    els: land(code, els.pc),
+                };
+            }
+            Op::Moves { to: next, .. } => {
+                let edge = match code.get(next.pc as usize) {
+                    Some(&Op::Jump { to }) => to,
+                    _ => land(code, next.pc),
+                };
+                if let Op::Moves { to, .. } = &mut code[at] {
+                    *to = edge;
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 impl<'a, 'm> Flattener<'a, 'm> {
+    fn push_branch(&mut self, cond: Slot) {
+        let then = Edge::to(self.code.len() as u32 + 1);
+        self.code.push(Op::BranchFalse {
+            cond,
+            then,
+            els: Edge::to(0),
+        });
+    }
+
     fn push_jump(&mut self) -> usize {
-        self.code.push(Op::Jump { t: 0 });
+        self.code.push(Op::Jump { to: Edge::to(0) });
         self.code.len() - 1
     }
 
     fn patch(&mut self, at: usize, target: u32) {
         match &mut self.code[at] {
-            Op::Jump { t } | Op::BranchFalse { t, .. } | Op::CmpBranchFalse { t, .. } => {
-                *t = target;
+            Op::Jump { to: e }
+            | Op::BranchFalse { els: e, .. }
+            | Op::CmpBranchFalse { els: e, .. } => {
+                e.pc = target;
             }
             _ => unreachable!("patch target is not a branch"),
         }
     }
 
-    /// Emits the phi parallel copies for the static edge `from → to`.
+    /// Emits the phi copies for the static edge `from → to`, sequenced.
     fn emit_moves(&mut self, from: BlockId, to: BlockId) {
         let block = self.f.block(to);
         if block.phis.is_empty() {
@@ -486,8 +680,10 @@ impl<'a, 'm> Flattener<'a, 'm> {
                 }
             }
         }
+        let next = self.code.len() as u32 + 1;
         self.code.push(Op::Moves {
-            pairs: pairs.into_boxed_slice(),
+            pairs: self.copies.order(&pairs),
+            to: Edge::to(next),
         });
     }
 
@@ -571,18 +767,20 @@ impl<'a, 'm> Flattener<'a, 'm> {
                         let Some(Op::IntCmp { pred, a, b, dst }) = self.code.pop() else {
                             unreachable!()
                         };
+                        let then = Edge::to(self.code.len() as u32 + 1);
                         self.code.push(Op::CmpBranchFalse {
                             pred,
                             a,
                             b,
                             dst,
-                            t: 0,
+                            then,
+                            els: Edge::to(0),
                         });
                     } else {
-                        self.code.push(Op::BranchFalse { cond: cond.0, t: 0 });
+                        self.push_branch(cond.0);
                     }
                 } else {
-                    self.code.push(Op::BranchFalse { cond: cond.0, t: 0 });
+                    self.push_branch(cond.0);
                 }
                 let branch_at = self.code.len() - 1;
                 let saved = self.cur;
@@ -620,7 +818,9 @@ impl<'a, 'm> Flattener<'a, 'm> {
                 });
                 if self.emit(body) {
                     self.emit_moves(self.cur, *header);
-                    self.code.push(Op::Jump { t: header_pc });
+                    self.code.push(Op::Jump {
+                        to: Edge::to(header_pc),
+                    });
                 }
                 self.ctx.pop();
                 false
@@ -715,7 +915,9 @@ impl<'a, 'm> Flattener<'a, 'm> {
                     unreachable!()
                 };
                 self.emit_moves(self.cur, header);
-                self.code.push(Op::Jump { t: header_pc });
+                self.code.push(Op::Jump {
+                    to: Edge::to(header_pc),
+                });
                 false
             }
             Cst::Return(v) => {
@@ -775,7 +977,7 @@ impl<'a, 'm> Flattener<'a, 'm> {
                         }
                     }
                     if complete {
-                        moves.push((p.0, pairs.into_boxed_slice()));
+                        moves.push((p.0, self.copies.order(&pairs)));
                     }
                 }
                 self.handlers[h as usize] = HandlerInfo {
@@ -1069,23 +1271,33 @@ fn try_fuse(prev: &Op, cur: &Op) -> Option<Op> {
 // Execution.
 // ---------------------------------------------------------------------
 
+/// Copies a call's receiver (if any) and argument slots from the
+/// caller's frame into the head of the callee's, which is never empty:
+/// it ends in the scratch slot.
+fn pass_args(frame: &mut [Value], recv: Option<Value>, args: &[Slot], caller: &[Value]) {
+    let mut first = 0;
+    if let Some(r) = recv {
+        frame[0] = r;
+        first = 1;
+    }
+    for (d, &s) in frame[first..].iter_mut().zip(args) {
+        *d = caller[s as usize];
+    }
+}
+
 impl<'m> Vm<'m> {
-    /// Runs one call: argument and constant preloads, then the dispatch
-    /// loop, with traps unwinding to the innermost active handler.
-    pub(crate) fn call_threaded(
+    /// Runs one decoded function on its frame (`tf.template` with the
+    /// arguments in place): interns the string constants, then runs the
+    /// dispatch loop, with traps unwinding to the innermost active
+    /// handler. The verifier guarantees def-before-use, so slots can be
+    /// plain values rather than options.
+    pub(crate) fn execute(
         &mut self,
-        fid: FuncId,
-        args: Vec<Value>,
+        tf: &TFunc,
+        vals: &mut [Value],
     ) -> Result<Option<Value>, Trap> {
-        let tf = self.tfunc(fid);
-        // The verifier guarantees def-before-use, so slots can be plain
-        // values (zero-initialized) rather than options.
-        let mut vals = vec![Value::I(0); tf.nvals];
-        for (i, a) in args.into_iter().enumerate() {
-            vals[i] = a;
-        }
-        for (slot, lit) in &tf.consts {
-            vals[*slot as usize] = self.literal(lit)?;
+        for (slot, text) in tf.strs.iter() {
+            vals[*slot as usize] = self.intern(text)?;
         }
         let mut pc: usize = 0;
         let mut handlers: Vec<u32> = Vec::new();
@@ -1093,61 +1305,66 @@ impl<'m> Vm<'m> {
         'l: loop {
             let trap: Trap = 'op: {
                 match &tf.code[pc] {
-                    Op::Block { cost, bi } => {
-                        let cost = *cost;
-                        if self.fuel < u64::from(cost) {
-                            break 'op Trap::OutOfFuel;
-                        }
-                        self.fuel -= u64::from(cost);
-                        self.steps += u64::from(cost);
-                        if self.slice_active {
-                            if let Err(t) = self.slice_tick(&tf, *bi, cost) {
-                                break 'op t;
-                            }
-                        }
-                        if self.collect_stats {
-                            let hits = &tf.blocks[*bi as usize].hits;
-                            hits.set(hits.get() + 1);
-                        }
-                        pc += 1;
-                        continue 'l;
-                    }
-                    Op::Jump { t } => {
-                        pc = *t as usize;
-                        continue 'l;
-                    }
-                    Op::BranchFalse { cond, t } => {
-                        if vals[*cond as usize].as_z() {
+                    Op::Block { cost, bi } => match self.enter_block(tf, *cost, *bi) {
+                        Ok(()) => {
                             pc += 1;
-                        } else {
-                            pc = *t as usize;
+                            continue 'l;
                         }
-                        continue 'l;
+                        Err(t) => break 'op t,
+                    },
+                    Op::Jump { to } => match self.take_edge(tf, *to) {
+                        Ok(next) => {
+                            pc = next;
+                            continue 'l;
+                        }
+                        Err(t) => break 'op t,
+                    },
+                    Op::BranchFalse { cond, then, els } => {
+                        let e = if vals[*cond as usize].as_z() {
+                            then
+                        } else {
+                            els
+                        };
+                        match self.take_edge(tf, *e) {
+                            Ok(next) => {
+                                pc = next;
+                                continue 'l;
+                            }
+                            Err(t) => break 'op t,
+                        }
                     }
-                    Op::CmpBranchFalse { pred, a, b, dst, t } => {
-                        let r =
-                            cmp_eval(*pred, vals[*a as usize].as_i(), vals[*b as usize].as_i());
+                    Op::CmpBranchFalse {
+                        pred,
+                        a,
+                        b,
+                        dst,
+                        then,
+                        els,
+                    } => {
+                        let r = cmp_eval(*pred, vals[*a as usize].as_i(), vals[*b as usize].as_i());
                         vals[*dst as usize] = Value::Z(r);
                         if self.collect_stats {
                             self.fused_hits[FUSE_CMP_BRANCH] += 1;
                         }
-                        if r {
-                            pc += 1;
-                        } else {
-                            pc = *t as usize;
+                        match self.take_edge(tf, if r { *then } else { *els }) {
+                            Ok(next) => {
+                                pc = next;
+                                continue 'l;
+                            }
+                            Err(t) => break 'op t,
                         }
-                        continue 'l;
                     }
-                    Op::Moves { pairs } => {
-                        let mut scratch = std::mem::take(&mut self.moves_scratch);
-                        scratch.clear();
-                        scratch.extend(pairs.iter().map(|&(_, src)| vals[src as usize]));
-                        for (&(dst, _), v) in pairs.iter().zip(&scratch) {
-                            vals[dst as usize] = *v;
+                    Op::Moves { pairs, to } => {
+                        for &(dst, src) in pairs.iter() {
+                            vals[dst as usize] = vals[src as usize];
                         }
-                        self.moves_scratch = scratch;
-                        pc += 1;
-                        continue 'l;
+                        match self.take_edge(tf, *to) {
+                            Ok(next) => {
+                                pc = next;
+                                continue 'l;
+                            }
+                            Err(t) => break 'op t,
+                        }
                     }
                     Op::Ret { src } => {
                         return Ok(if *src == NO_SLOT {
@@ -1552,30 +1769,15 @@ impl<'m> Vm<'m> {
                         args,
                         dst,
                     } => {
-                        let argv: Vec<Value> =
-                            args.iter().map(|&s| vals[s as usize]).collect();
+                        let rv = (*recv != NO_SLOT).then(|| vals[*recv as usize]);
                         let res = match *target {
                             CallTarget::Func(f2) => {
-                                let mut all = Vec::with_capacity(argv.len() + 1);
-                                if *recv != NO_SLOT {
-                                    all.push(vals[*recv as usize]);
-                                }
-                                all.extend(argv);
-                                self.call(f2, all)
+                                let caller = &*vals;
+                                self.invoke(f2, |frame| pass_args(frame, rv, args, caller))
                             }
                             CallTarget::Intrinsic { id, is_static } => {
-                                let rv = if is_static || *recv == NO_SLOT {
-                                    None
-                                } else {
-                                    Some(vals[*recv as usize])
-                                };
-                                intrinsics::invoke(
-                                    id,
-                                    &mut self.heap,
-                                    &mut self.output,
-                                    rv,
-                                    &argv,
-                                )
+                                let rv = if is_static { None } else { rv };
+                                self.intrinsic(id, rv, args, vals)
                             }
                         };
                         match res {
@@ -1625,24 +1827,14 @@ impl<'m> Vm<'m> {
                                 }
                             }
                         };
-                        let argv: Vec<Value> =
-                            args.iter().map(|&s| vals[s as usize]).collect();
                         let res = match target {
                             CallTarget::Func(f2) => {
-                                let mut all = Vec::with_capacity(argv.len() + 1);
-                                all.push(rv);
-                                all.extend(argv);
-                                self.call(f2, all)
+                                let caller = &*vals;
+                                self.invoke(f2, |frame| pass_args(frame, Some(rv), args, caller))
                             }
                             CallTarget::Intrinsic { id, is_static } => {
                                 let rv = if is_static { None } else { Some(rv) };
-                                intrinsics::invoke(
-                                    id,
-                                    &mut self.heap,
-                                    &mut self.output,
-                                    rv,
-                                    &argv,
-                                )
+                                self.intrinsic(id, rv, args, vals)
                             }
                         };
                         match res {
@@ -1663,11 +1855,58 @@ impl<'m> Vm<'m> {
                     Op::Fail { msg } => break 'op Trap::Internal(msg.to_string()),
                 }
             };
-            match self.unwind_threaded(&tf, &mut handlers, trap, pc, &mut vals, &mut pending) {
+            match self.unwind_threaded(tf, &mut handlers, trap, pc, vals, &mut pending) {
                 Ok(npc) => pc = npc,
                 Err(t) => return Err(t),
             }
         }
+    }
+
+    /// A block's prologue: charges its `cost` in fuel and steps, runs
+    /// the slice countdown and counts the entry for stats. Raises only
+    /// `OutOfFuel` and `DeadlineExceeded`, which no handler catches, so
+    /// running it from the edge instead of the block's own op moves no
+    /// handler entry.
+    #[inline(always)]
+    fn enter_block(&mut self, tf: &TFunc, cost: u32, bi: u32) -> Result<(), Trap> {
+        if self.fuel < u64::from(cost) {
+            return Err(Trap::OutOfFuel);
+        }
+        self.fuel -= u64::from(cost);
+        self.steps += u64::from(cost);
+        if self.slice_active {
+            self.slice_tick(tf, bi, cost)?;
+        }
+        if self.collect_stats {
+            let hits = &tf.blocks[bi as usize].hits;
+            hits.set(hits.get() + 1);
+        }
+        Ok(())
+    }
+
+    /// Takes a control edge: runs the entered block's prologue if the
+    /// edge carries it, and returns the op index to continue at.
+    #[inline(always)]
+    fn take_edge(&mut self, tf: &TFunc, e: Edge) -> Result<usize, Trap> {
+        if let Some((cost, bi)) = e.enter {
+            self.enter_block(tf, cost, bi)?;
+        }
+        Ok(e.pc as usize)
+    }
+
+    /// Calls a host intrinsic with the argument slots of `caller`,
+    /// staged in the VM's one reusable argument buffer.
+    fn intrinsic(
+        &mut self,
+        id: intrinsics::Intrinsic,
+        recv: Option<Value>,
+        args: &[Slot],
+        caller: &[Value],
+    ) -> Result<Option<Value>, Trap> {
+        self.call_args.clear();
+        self.call_args
+            .extend(args.iter().map(|&s| caller[s as usize]));
+        intrinsics::invoke(id, &mut self.heap, &mut self.output, recv, &self.call_args)
     }
 
     /// Slice countdown for one block. While profiling, the countdown
@@ -1763,13 +2002,9 @@ impl<'m> Vm<'m> {
             };
             match hi.moves.iter().find(|(p, _)| *p == bid) {
                 Some((_, pairs)) => {
-                    let mut scratch = std::mem::take(&mut self.moves_scratch);
-                    scratch.clear();
-                    scratch.extend(pairs.iter().map(|&(_, src)| vals[src as usize]));
-                    for (&(dst, _), v) in pairs.iter().zip(&scratch) {
-                        vals[dst as usize] = *v;
+                    for &(dst, src) in pairs.iter() {
+                        vals[dst as usize] = vals[src as usize];
                     }
-                    self.moves_scratch = scratch;
                 }
                 None => {
                     return Err(Trap::Internal(format!(
@@ -1862,5 +2097,56 @@ impl<'m> Vm<'m> {
             }
         }
         (fused, total)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{CopySequencer, Slot, NO_SLOT};
+
+    #[test]
+    fn sequenced_copies_have_the_parallel_effect() {
+        // Every parallel copy with up to 4 distinct destinations drawn
+        // from 5 slots, each destination reading any slot: swaps,
+        // 3- and 4-cycles, self-moves, one source fanned out to several
+        // destinations, and mixes of them.
+        const SLOTS: u32 = 5;
+        let mut seq = CopySequencer::new(SLOTS as usize);
+        let digit = |code: u32, i: usize| code / SLOTS.pow(i as u32) % SLOTS;
+        let mut cases = 0u32;
+        for k in 0..=4 {
+            for dst_code in 0..SLOTS.pow(k as u32) {
+                let dsts: Vec<Slot> = (0..k).map(|i| digit(dst_code, i)).collect();
+                if (1..k).any(|i| dsts[..i].contains(&dsts[i])) {
+                    continue;
+                }
+                for src_code in 0..SLOTS.pow(k as u32) {
+                    let pairs: Vec<(Slot, Slot)> =
+                        (0..k).map(|i| (dsts[i], digit(src_code, i))).collect();
+                    // Slot i holds 100 + i; the scratch slot is the last.
+                    let before: Vec<u32> = (100..=100 + SLOTS).collect();
+                    let mut want = before.clone();
+                    for &(d, s) in &pairs {
+                        want[d as usize] = before[s as usize];
+                    }
+                    let mut got = before.clone();
+                    for &(d, s) in seq.order(&pairs).iter() {
+                        assert!(
+                            d == SLOTS || dsts.contains(&d),
+                            "{pairs:?}: writes slot {d}"
+                        );
+                        got[d as usize] = got[s as usize];
+                    }
+                    assert_eq!(got[..SLOTS as usize], want[..SLOTS as usize], "{pairs:?}");
+                    assert!(
+                        seq.readers.iter().all(|&n| n == 0)
+                            && seq.source.iter().all(|&s| s == NO_SLOT),
+                        "{pairs:?}: tables left dirty"
+                    );
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 1 + 5 * 5 + 20 * 25 + 60 * 125 + 120 * 625);
     }
 }

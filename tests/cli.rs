@@ -73,6 +73,34 @@ fn run_directly_from_source() {
 }
 
 #[test]
+fn entry_with_parameters_is_a_load_error() {
+    // An entry point runs with no arguments: one that takes a parameter
+    // (or an instance method's receiver) exits 1 with an error line
+    // instead of running on zero-filled slots or panicking.
+    let dir = std::env::temp_dir().join("safetsa-cli-test-params");
+    std::fs::create_dir_all(&dir).unwrap();
+    let src = dir.join("Q.java");
+    std::fs::write(
+        &src,
+        "class Q { int k; static int h(int x) { return x + 41; } int m() { return k + 1; } }",
+    )
+    .unwrap();
+    for entry in ["Q.h", "Q.m"] {
+        let run = cli()
+            .args(["run", src.to_str().unwrap(), "--entry", entry])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{entry}: {stderr}");
+        assert!(
+            stderr.contains(&format!("entry {entry} takes 1 parameter")),
+            "{entry}: {stderr}"
+        );
+        assert!(!String::from_utf8_lossy(&run.stdout).contains("=>"));
+    }
+}
+
+#[test]
 fn stats_and_dump() {
     let dir = std::env::temp_dir().join("safetsa-cli-test3");
     std::fs::create_dir_all(&dir).unwrap();

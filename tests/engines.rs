@@ -16,6 +16,10 @@
 //!   total minus the fused executions, plus the `primitive>branch`
 //!   fusions (their branch is a control-structure node, not a charged
 //!   instruction).
+//! * Goldens pin what the VM observably does: every counter of every
+//!   corpus run, and where in the program each fuel budget runs out.
+//!   Regenerate them only for an intentional change of behaviour, with
+//!   `UPDATE_GOLDEN=1 cargo test --test engines`.
 
 use safetsa_baseline::{compile as bcompile, interp::Bvm, verify as bverify};
 use safetsa_bench::{build_pipeline, corpus, run_differential};
@@ -27,7 +31,9 @@ use safetsa_rt::Value;
 use safetsa_ssa::lower_program;
 use safetsa_telemetry::Telemetry;
 use safetsa_vm::{Vm, VmError, VmStats};
-use std::time::Instant;
+use std::fmt::Write as _;
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 /// The baseline returns `boolean`/`char` as ints (JVM convention).
 fn norm(v: Option<Value>) -> Option<Value> {
@@ -139,6 +145,72 @@ fn trap_paths_agree_across_engines() {
             "{label}: expected an uncaught trap, got {r:?}"
         );
     }
+}
+
+#[test]
+fn phi_copy_cycles_agree_across_engines() {
+    // Loop-carried rotations and swaps make the back edge's phi copies
+    // cycles, which the decoder sequences through the frame's scratch
+    // slot; swapped values also reach a handler entry with phis from
+    // two faulting blocks.
+    let rotate = "class R {
+        static int main() {
+            int a = 1; int b = 2; int c = 3;
+            for (int i = 0; i < 10; i++) {
+                int t = a; a = b; b = c; c = t;
+                Sys.println(a * 100 + b * 10 + c);
+            }
+            return a * 100 + b * 10 + c;
+        }
+    }";
+    assert_eq!(
+        assert_matches_baseline(rotate, "R.main", "rotate three").expect("runs"),
+        Some(Value::I(231))
+    );
+    let swap = "class S {
+        static int main() {
+            int a = 1; int b = 2; int r = 0;
+            for (int i = 0; i < 6; i++) {
+                try {
+                    int t = a; a = b; b = t;
+                    if (i % 3 == 1) r = r + 100 / (i - i);
+                    t = a; a = b + 1; b = t;
+                    if (i % 3 == 2) r = r + 100 / (i - i);
+                } catch (ArithmeticException e) {
+                    r = r + a * 10 + b;
+                    int t = a; a = b; b = t;
+                }
+                Sys.println(r * 100 + a * 10 + b);
+            }
+            return r * 100 + a * 10 + b;
+        }
+    }";
+    assert_matches_baseline(swap, "S.main", "swap into handler").expect("runs");
+}
+
+#[test]
+fn entries_with_parameters_are_rejected_by_both_engines() {
+    // An entry point runs with no arguments, so one that declares
+    // parameters (a static one, or an instance method's receiver) is a
+    // load error on both engines, not a run on zero-filled slots.
+    let src = "class Q {
+        int k;
+        static int h(int x) { return x + 41; }
+        static int s(Q q) { return q.k; }
+        int m() { return k + 1; }
+        static int main() { return 0; }
+    }";
+    for entry in ["Q.h", "Q.s", "Q.m"] {
+        let err = assert_matches_baseline(src, entry, entry).expect_err("rejected");
+        let want = format!("load error: entry {entry} takes 1 parameter");
+        assert_eq!(err.to_string(), want);
+    }
+    let m = module_for(src);
+    let mut vm = Vm::load(&m).expect("loads");
+    let h = m.find_function("Q.h").expect("Q.h");
+    let err = vm.call(h, vec![]).expect_err("arity checked");
+    assert!(matches!(err, safetsa_rt::Trap::Internal(_)), "{err:?}");
+    assert_eq!(vm.call(h, vec![Value::I(1)]), Ok(Some(Value::I(42))));
 }
 
 #[test]
@@ -369,4 +441,142 @@ fn stats_fold_on_error_returns() {
         );
         assert_fused_within_opcodes(s, kill);
     }
+}
+
+/// FNV-1a of `text`, as the goldens print it.
+fn digest(text: &str) -> String {
+    format!(
+        "fnv1a64:{:016x}",
+        safetsa_driver::store::fnv1a(text.as_bytes())
+    )
+}
+
+/// Compares `actual` with `tests/golden/<file>`, or rewrites the file
+/// under `UPDATE_GOLDEN=1`.
+fn check_golden(file: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {} ({e})", path.display()));
+    if let Some((n, (want, got))) = expected
+        .lines()
+        .zip(actual.lines())
+        .enumerate()
+        .find(|(_, (a, b))| a != b)
+    {
+        panic!(
+            "{} line {}:\n  golden: {want}\n  actual: {got}",
+            path.display(),
+            n + 1
+        );
+    }
+    assert_eq!(
+        expected.lines().count(),
+        actual.lines().count(),
+        "{}: line count drifted",
+        path.display()
+    );
+}
+
+#[test]
+fn vm_counters_match_the_golden() {
+    // Every corpus program, unoptimized and optimized, with stats on:
+    // outcome, output, every exported `vm.*` counter (steps, calls,
+    // depth, opcode histogram, fused executions, dynamic checks, inline
+    // cache, heap) and the decoded code's static fusion counts.
+    let mut doc = String::new();
+    for entry in corpus() {
+        let pl = build_pipeline(&entry);
+        for (m, which) in [(&pl.module, "unoptimized"), (&pl.optimized, "optimized")] {
+            let mut vm = Vm::load(m).expect("loads");
+            vm.enable_stats();
+            vm.set_fuel(500_000_000);
+            let r = vm.run_entry(entry.entry);
+            let tm = Telemetry::enabled();
+            vm.export_metrics(&tm);
+            let (fused, charged) = vm.fused_static_counts();
+            let out = digest(vm.output.text());
+            writeln!(doc, "{} {which}: {r:?} output={out}", entry.name).unwrap();
+            for line in tm.export_flat().lines() {
+                writeln!(doc, "  {line}").unwrap();
+            }
+            writeln!(doc, "  static fused={fused} charged={charged}").unwrap();
+        }
+    }
+    check_golden("vm_counters.txt", &doc);
+}
+
+#[test]
+fn fuel_exhaustion_matches_the_golden() {
+    // For budgets of k/16 of each corpus run's steps (k = 1..15) and one
+    // step short of it, unoptimized and optimized: the steps charged when
+    // fuel ran out and the output printed so far, as
+    // `budget:steps:output hash`. `fuel_budget_is_exact_at_the_step_total`
+    // bounds the charge; this pins where in the program each trap lands.
+    // Then one run with a far deadline (the slice countdown runs, no
+    // clock fires) and one with the sampling profiler on.
+    let mut doc = String::new();
+    let mut bitsieve = None;
+    for entry in corpus() {
+        let pl = build_pipeline(&entry);
+        for (m, which) in [(&pl.module, "unoptimized"), (&pl.optimized, "optimized")] {
+            let (r, _, steps) = run_vm(m, entry.entry);
+            r.unwrap_or_else(|e| panic!("{} ({which}): reference run: {e}", entry.name));
+            write!(doc, "{} {which} steps={steps}:", entry.name).unwrap();
+            for budget in (1..16).map(|k| steps * k / 16).chain([steps - 1]) {
+                let mut vm = Vm::load(m).expect("loads");
+                vm.set_fuel(budget);
+                let err = vm.run_entry(entry.entry).expect_err("must exhaust");
+                assert!(
+                    matches!(err, VmError::FuelExhausted),
+                    "{} ({which}) at fuel {budget}: {err}",
+                    entry.name
+                );
+                let out = safetsa_driver::store::fnv1a(vm.output.text().as_bytes());
+                write!(doc, " {budget}:{}:{:08x}", vm.steps, out as u32).unwrap();
+            }
+            doc.push('\n');
+        }
+        if entry.name == "BitSieve" {
+            bitsieve = Some((entry, pl));
+        }
+    }
+    let (entry, pl) = bitsieve.expect("BitSieve in corpus");
+
+    let mut vm = Vm::load(&pl.optimized).expect("loads");
+    vm.set_fuel(500_000_000);
+    vm.set_deadline(Instant::now() + Duration::from_secs(3600));
+    let r = vm.run_entry(entry.entry);
+    let tm = Telemetry::enabled();
+    vm.export_metrics(&tm);
+    let checks = tm
+        .counter("vm.deadline.slice_checks")
+        .expect("deadline set");
+    let out = digest(vm.output.text());
+    writeln!(
+        doc,
+        "{} deadline: {r:?} steps={} slice_checks={checks} output={out}",
+        entry.name, vm.steps
+    )
+    .unwrap();
+
+    let mut vm = Vm::load(&pl.optimized).expect("loads");
+    vm.set_fuel(500_000_000);
+    vm.enable_profiler(1);
+    let r = vm.run_entry(entry.entry);
+    let (top, n) = vm.profile().top_function().expect("samples taken");
+    let out = digest(vm.output.text());
+    writeln!(
+        doc,
+        "{} profiler: {r:?} steps={} top={top}:{n} output={out}",
+        entry.name, vm.steps
+    )
+    .unwrap();
+    writeln!(doc, "  {}", vm.profile().to_json().render()).unwrap();
+    check_golden("vm_fuel_exhaustion.txt", &doc);
 }

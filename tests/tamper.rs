@@ -96,7 +96,9 @@ fn optimized_stream(src: &str) -> Vec<u8> {
 
 /// How the run of an accepted mutant ended.
 enum RunEnd {
-    /// A flipped bit renamed the entry method, so there is nothing to run.
+    /// A flipped bit renamed the entry method, or gave it or a static
+    /// initializer a parameter (a load error, since both run with no
+    /// arguments), so there is nothing to run.
     NoEntry,
     /// The entry method returned.
     Returned,
@@ -110,9 +112,14 @@ enum RunEnd {
 /// call depth 64. A panic or an internal error, on load or on run,
 /// fails the test.
 fn run_accepted(module: &Module, entry: &str, what: &str) -> RunEnd {
-    if module.find_function(entry).is_none() {
+    let Some(f) = module.find_function(entry) else {
         return RunEnd::NoEntry;
-    }
+    };
+    let unrunnable = !module.function(f).params.is_empty()
+        || module
+            .functions
+            .iter()
+            .any(|f| f.name.ends_with(".<clinit>") && !f.params.is_empty());
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut vm = Vm::load(module)?;
         vm.set_limits(ResourceLimits {
@@ -124,6 +131,7 @@ fn run_accepted(module: &Module, entry: &str, what: &str) -> RunEnd {
     }));
     match outcome {
         Err(_) => panic!("{what}: accepted mutant panicked"),
+        Ok(Err(VmError::Load(_))) if unrunnable => RunEnd::NoEntry,
         Ok(Ok(_)) => RunEnd::Returned,
         Ok(Err(VmError::FuelExhausted)) => RunEnd::OutOfFuel,
         Ok(Err(VmError::Uncaught(t))) if !matches!(t, Trap::Internal(_)) => RunEnd::Uncaught,
@@ -228,7 +236,7 @@ fn every_single_bit_flip_of_the_corpus_runs_safely() {
     }
     let [no_entry, returned, uncaught, out_of_fuel] = ends;
     eprintln!(
-        "{mutants} mutants, {} accepted: {no_entry} without an entry method, \
+        "{mutants} mutants, {} accepted: {no_entry} without a runnable entry, \
          {returned} returned, {uncaught} uncaught traps, {out_of_fuel} out of fuel",
         ends.iter().sum::<u64>()
     );
