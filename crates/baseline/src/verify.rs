@@ -6,7 +6,8 @@
 //! This is exactly the cost the paper's §9 attributes to the JVM
 //! ("checking that all operand accesses to the stack are valid — which
 //! requires a data flow analysis"), and the cost SafeTSA avoids by
-//! construction. `benches/verify.rs` compares the two.
+//! construction. The `verify_cost` binary in `safetsa-bench` compares
+//! the two.
 
 use crate::opcode::{Code, Op};
 use safetsa_frontend::hir::{MethodKind, PrimTy, Program, Ty};

@@ -33,9 +33,10 @@ fn main() {
     ];
     println!("Pass ablation over the corpus (instruction+phi counts)");
     println!();
+    let width = |name: &str| name.len().max(8);
     print!("{:<14} {:>8}", "Program", "base");
     for (name, _) in configs {
-        print!(" {:>8}", &name[..name.len().min(8)]);
+        print!(" {name:>w$}", w = width(name));
     }
     println!();
     let mut totals = vec![0usize; configs.len() + 1];
@@ -50,9 +51,9 @@ fn main() {
             verify_module(&m).expect("verifies");
             row.push(count(&m));
         }
-        print!("{:<14}", entry.name);
-        for v in &row {
-            print!(" {v:>8}");
+        print!("{:<14} {:>8}", entry.name, row[0]);
+        for ((name, _), v) in configs.iter().zip(&row[1..]) {
+            print!(" {v:>w$}", w = width(name));
         }
         println!();
         for (t, v) in totals.iter_mut().zip(&row) {

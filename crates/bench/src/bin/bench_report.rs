@@ -14,21 +14,24 @@
 //!                                # against the thresholds file
 //! ```
 //!
-//! The per-program sections are byte-identical whatever `--jobs` says
-//! (scheduling never shows); the batch-level measurements — worker
-//! count, wall time vs summed task time, cache hits/misses — land in
-//! `totals.driver`. A touch-one-method incremental replay (edit one
-//! method of a multi-method corpus program, rebuild against the
-//! method-granular store) lands in `totals.incremental` — units,
-//! reused, recompiled (always 1), and the warm rebuild's wall time.
+//! The document holds counts only — sizes, instruction, phi and check
+//! counts, VM steps, cache hits — and no wall-clock time (tsabench
+//! times things), so it depends only on the commit: `--jobs` never
+//! shows, and a warm `--cache-dir` run differs from a cold one only in
+//! `totals.driver.cache_hits`/`cache_misses`. CI regenerates the file
+//! and fails on any difference from the committed one. A
+//! touch-one-method incremental replay (edit one method of a
+//! multi-method corpus program, rebuild against the method-granular
+//! store) lands in `totals.incremental` — units, reused, and
+//! recompiled (always 1).
 //!
 //! The thresholds file is line-oriented: `Name max_permille
 //! [min_checks_eliminated [min_mem_removed [max_vm_steps]]]`, `#`
-//! comments and blank lines ignored. A program whose
-//! `codec.size_ratio_permille` (optimized SafeTSA bytes * 1000 /
-//! class-file bytes) exceeds its threshold fails the check, as does
-//! one whose eliminated safety-check count (null + index, full pass
-//! pipeline) drops below the optional floor, one whose
+//! comments and blank lines ignored; any other token is an error. A
+//! program fails the check when its `codec.size_ratio_permille`
+//! (optimized SafeTSA bytes × 1000 / class-file bytes) exceeds its
+//! threshold, as does one whose eliminated safety-check count (null +
+//! index, full pass pipeline) drops below the optional floor, one whose
 //! memory-operation removals (loads forwarded by `loadfwd` + stores
 //! eliminated by `dse`) drop below the optional third floor, or one
 //! whose threaded-engine dynamic step count rises above the optional
@@ -41,7 +44,6 @@
 //! merged over every program) — the offline analysis that selects the
 //! threaded engine's superinstructions.
 
-use safetsa_bench::serve::{run_loadgen, LoadgenOptions};
 use safetsa_bench::{corpus_report, incremental_replay, pair_histogram, IncrementalReplay, ProgramReport};
 use safetsa_driver::batch::BatchReport;
 use safetsa_telemetry::Json;
@@ -126,16 +128,8 @@ fn main() -> ExitCode {
         return check_thresholds(&reports, &path);
     }
 
-    let serve = run_loadgen(&LoadgenOptions::default());
-    if !serve.violations.is_empty() {
-        for v in &serve.violations {
-            eprintln!("bench_report: serve VIOLATION: {v}");
-        }
-        return ExitCode::FAILURE;
-    }
-
     let incr = run_incremental();
-    let doc = aggregate(&reports, &batch, serve.to_json(), &incr);
+    let doc = aggregate(&reports, &batch, &incr);
     if let Err(e) = std::fs::write(&out_path, doc.render_pretty()) {
         eprintln!("bench_report: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
@@ -148,34 +142,16 @@ fn main() -> ExitCode {
         total_ratio_permille(&reports),
     );
     println!(
-        "bench_report: {} worker(s), {} ms wall ({} ms summed tasks, {}.{:03}x speedup), cache {} hit(s) / {} miss(es)",
-        batch.jobs,
-        batch.wall_ns / 1_000_000,
-        batch.tasks_wall_ns / 1_000_000,
-        batch.speedup_permille() / 1000,
-        batch.speedup_permille() % 1000,
-        batch.cache_hits,
-        batch.cache_misses,
+        "bench_report: cache {} hit(s) / {} miss(es)",
+        batch.cache_hits, batch.cache_misses,
     );
     println!(
-        "bench_report: vm {} ms, {} steps",
-        reports.iter().map(|r| r.vm_wall_ns).sum::<u64>() / 1_000_000,
+        "bench_report: vm {} steps",
         reports.iter().map(|r| r.steps).sum::<u64>(),
     );
     println!(
-        "bench_report: serve loadgen {} requests ({} shed, {} panics isolated), p50 {} us / p99 {} us",
-        serve.requests,
-        serve.shed,
-        serve.panic_isolated,
-        serve.p50_ns / 1_000,
-        serve.p99_ns / 1_000,
-    );
-    println!(
-        "bench_report: incremental replay {} unit(s), {} reused / {} recompiled, warm rebuild {} us",
-        incr.units,
-        incr.reused,
-        incr.recompiled,
-        incr.warm_wall_ns / 1_000,
+        "bench_report: incremental replay {} unit(s), {} reused / {} recompiled",
+        incr.units, incr.reused, incr.recompiled,
     );
     ExitCode::SUCCESS
 }
@@ -205,26 +181,16 @@ fn total_ratio_permille(reports: &[ProgramReport]) -> u64 {
 }
 
 /// Builds the `safetsa-bench/1` aggregate: corpus totals up front
-/// (including the batch-driver measurements and the serve-daemon
-/// loadgen summary), then the full per-program metrics documents.
-fn aggregate(
-    reports: &[ProgramReport],
-    batch: &BatchReport,
-    serve: Json,
-    incr: &IncrementalReplay,
-) -> Json {
+/// (including the batch driver's cache hit/miss counts), then the full
+/// per-program metrics documents.
+fn aggregate(reports: &[ProgramReport], batch: &BatchReport, incr: &IncrementalReplay) -> Json {
     let mut driver = Json::obj();
-    driver.set("jobs", Json::U64(batch.jobs as u64));
-    driver.set("wall_ns", Json::U64(batch.wall_ns));
-    driver.set("tasks_wall_ns", Json::U64(batch.tasks_wall_ns));
-    driver.set("speedup_permille", Json::U64(batch.speedup_permille()));
     driver.set("cache_hits", Json::U64(batch.cache_hits));
     driver.set("cache_misses", Json::U64(batch.cache_misses));
 
     let mut totals = Json::obj();
     totals.set("programs", Json::U64(reports.len() as u64));
     totals.set("driver", driver);
-    totals.set("serve", serve);
     totals.set(
         "safetsa_opt_bytes",
         Json::U64(reports.iter().map(|r| r.opt_size).sum()),
@@ -244,10 +210,6 @@ fn aggregate(
     let icache_hits: u64 = reports.iter().map(|r| r.icache_hits).sum();
     let icache_misses: u64 = reports.iter().map(|r| r.icache_misses).sum();
     let mut vm = Json::obj();
-    vm.set(
-        "wall_ns",
-        Json::U64(reports.iter().map(|r| r.vm_wall_ns).sum()),
-    );
     vm.set(
         "steps",
         Json::U64(reports.iter().map(|r| r.steps).sum()),
@@ -283,7 +245,6 @@ fn aggregate(
     incremental.set("units", Json::U64(incr.units));
     incremental.set("reused", Json::U64(incr.reused));
     incremental.set("recompiled", Json::U64(incr.recompiled));
-    incremental.set("warm_wall_ns", Json::U64(incr.warm_wall_ns));
     totals.set("incremental", incremental);
 
     let mut doc = Json::obj();
@@ -296,6 +257,61 @@ fn aggregate(
     doc
 }
 
+/// One `size_thresholds.txt` row, in column order after the name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Threshold {
+    max_permille: u64,
+    checks_floor: Option<u64>,
+    mem_floor: Option<u64>,
+    steps_ceiling: Option<u64>,
+}
+
+/// What each value column holds, for error messages.
+const COLUMNS: [&str; 4] = [
+    "permille value",
+    "eliminated-check floor",
+    "memory-removal floor",
+    "vm-steps ceiling",
+];
+
+/// Parses a thresholds file; `path` only labels the errors, which name
+/// the file and line.
+fn parse_thresholds(text: &str, path: &str) -> Result<BTreeMap<String, Threshold>, String> {
+    let mut thresholds = BTreeMap::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let at = format!("{path}:{}", lineno + 1);
+        let mut parts = line.split_whitespace();
+        let name = parts.next().unwrap_or_default();
+        let mut values = [None; COLUMNS.len()];
+        for (i, raw) in parts.enumerate() {
+            let Some(slot) = values.get_mut(i) else {
+                return Err(format!("{at}: unexpected extra value `{raw}`"));
+            };
+            let value = raw
+                .parse::<u64>()
+                .map_err(|_| format!("{at}: bad {} `{raw}`", COLUMNS[i]))?;
+            *slot = Some(value);
+        }
+        let [Some(max_permille), checks_floor, mem_floor, steps_ceiling] = values else {
+            return Err(format!("{at}: malformed line `{line}`"));
+        };
+        thresholds.insert(
+            name.to_string(),
+            Threshold {
+                max_permille,
+                checks_floor,
+                mem_floor,
+                steps_ceiling,
+            },
+        );
+    }
+    Ok(thresholds)
+}
+
 fn check_thresholds(reports: &[ProgramReport], path: &str) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -304,72 +320,24 @@ fn check_thresholds(reports: &[ProgramReport], path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    type Entry = (u64, Option<u64>, Option<u64>, Option<u64>);
-    let mut thresholds: BTreeMap<String, Entry> = BTreeMap::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+    let thresholds = match parse_thresholds(&text, path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("bench_report: {e}");
+            return ExitCode::FAILURE;
         }
-        let mut parts = line.split_whitespace();
-        let (Some(name), Some(limit)) = (parts.next(), parts.next()) else {
-            eprintln!("bench_report: {path}:{}: malformed line `{line}`", lineno + 1);
-            return ExitCode::FAILURE;
-        };
-        let Ok(limit) = limit.parse::<u64>() else {
-            eprintln!(
-                "bench_report: {path}:{}: bad permille value `{limit}`",
-                lineno + 1
-            );
-            return ExitCode::FAILURE;
-        };
-        let floor = match parts.next() {
-            Some(raw) => match raw.parse::<u64>() {
-                Ok(v) => Some(v),
-                Err(_) => {
-                    eprintln!(
-                        "bench_report: {path}:{}: bad eliminated-check floor `{raw}`",
-                        lineno + 1
-                    );
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
-        };
-        let mem_floor = match parts.next() {
-            Some(raw) => match raw.parse::<u64>() {
-                Ok(v) => Some(v),
-                Err(_) => {
-                    eprintln!(
-                        "bench_report: {path}:{}: bad memory-removal floor `{raw}`",
-                        lineno + 1
-                    );
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
-        };
-        let steps_ceiling = match parts.next() {
-            Some(raw) => match raw.parse::<u64>() {
-                Ok(v) => Some(v),
-                Err(_) => {
-                    eprintln!(
-                        "bench_report: {path}:{}: bad vm-steps ceiling `{raw}`",
-                        lineno + 1
-                    );
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
-        };
-        thresholds.insert(name.to_string(), (limit, floor, mem_floor, steps_ceiling));
-    }
+    };
 
     let mut failures = 0usize;
     for r in reports {
         let mem_removed = r.loads_forwarded + r.stores_eliminated;
         match thresholds.get(r.name) {
-            Some(&(limit, floor, mem_floor, steps_ceiling)) => {
+            Some(&Threshold {
+                max_permille: limit,
+                checks_floor: floor,
+                mem_floor,
+                steps_ceiling,
+            }) => {
                 let ratio_ok = r.ratio_permille <= limit;
                 let checks_ok = floor.is_none_or(|f| r.checks_eliminated >= f);
                 let mem_ok = mem_floor.is_none_or(|f| mem_removed >= f);
@@ -437,5 +405,57 @@ fn check_thresholds(reports: &[ProgramReport], path: &str) -> ExitCode {
     } else {
         println!("bench_report: all {} programs within thresholds", reports.len());
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(text: &str) -> Result<BTreeMap<String, Threshold>, String> {
+        parse_thresholds(text, "t.txt")
+    }
+
+    #[test]
+    fn one_to_four_values_parse() {
+        let t = parse("# comment\n\nA 700\nB 700 5\nC 700 5 2\n  D 700 5 2 9000  \n").unwrap();
+        let row = |max_permille, checks_floor, mem_floor, steps_ceiling| Threshold {
+            max_permille,
+            checks_floor,
+            mem_floor,
+            steps_ceiling,
+        };
+        assert_eq!(t["A"], row(700, None, None, None));
+        assert_eq!(t["B"], row(700, Some(5), None, None));
+        assert_eq!(t["C"], row(700, Some(5), Some(2), None));
+        assert_eq!(t["D"], row(700, Some(5), Some(2), Some(9000)));
+    }
+
+    #[test]
+    fn extra_values_and_non_numbers_are_rejected() {
+        assert_eq!(
+            parse("A 700\nScanner 724 6 0 3610 17 junk\n"),
+            Err("t.txt:2: unexpected extra value `17`".to_string())
+        );
+        assert_eq!(
+            parse("Scanner 724 6 0 3610 junk\n"),
+            Err("t.txt:1: unexpected extra value `junk`".to_string())
+        );
+        assert_eq!(
+            parse("Scanner\n"),
+            Err("t.txt:1: malformed line `Scanner`".to_string())
+        );
+        for (line, column) in [
+            ("A x", "permille value"),
+            ("A 700 x", "eliminated-check floor"),
+            ("A 700 5 -1", "memory-removal floor"),
+            ("A 700 5 2 9e3", "vm-steps ceiling"),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert!(
+                err.starts_with(&format!("t.txt:1: bad {column} `")),
+                "{err}"
+            );
+        }
     }
 }

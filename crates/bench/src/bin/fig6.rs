@@ -15,15 +15,17 @@ fn main() {
     println!("Figure 6: Phi-, Null-Check and Array-Check instructions");
     println!("         before and after producer-side optimization");
     println!();
-    println!(
-        "{:<14} | {:>6} {:>6} {:>5} | {:>6} {:>6} {:>5} | {:>6} {:>6} {:>5}",
-        "", "Phi", "Instr", "", "Null-", "Checks", "", "Array-", "Checks", ""
+    let groups = format!(
+        "{:<14} | {:^19} | {:^19} | {:^19}",
+        "", "Phi Instr", "Null-Checks", "Array-Checks"
     );
+    println!("{}", groups.trim_end());
     println!(
         "{:<14} | {:>6} {:>6} {:>5} | {:>6} {:>6} {:>5} | {:>6} {:>6} {:>5}",
         "Class Name", "Before", "After", "d%", "Before", "After", "d%", "Before", "After", "d%"
     );
-    println!("{}", "-".repeat(14 + 3 * (6 + 6 + 5 + 3) + 9));
+    let rule = "-".repeat(14 + 3 * (3 + 19));
+    println!("{rule}");
     let mut tot = [0usize; 6];
     let mut pruning = (0usize, 0usize);
     for entry in corpus() {
@@ -51,7 +53,7 @@ fn main() {
         pruning.0 += m.construction.phis_candidate;
         pruning.1 += m.construction.phis_inserted;
     }
-    println!("{}", "-".repeat(14 + 3 * (6 + 6 + 5 + 3) + 9));
+    println!("{rule}");
     println!(
         "{:<14} | {:>6} {:>6} {:>5} | {:>6} {:>6} {:>5} | {:>6} {:>6} {:>5}",
         "TOTAL",

@@ -14,6 +14,9 @@
 //! * `cargo run -p safetsa-bench --bin verify_cost` — §9's
 //!   verification-cost comparison (SafeTSA decode+verify vs JVM-style
 //!   dataflow verification)
+//!
+//! `bench_report` writes the counts-only corpus sweep,
+//! `BENCH_pipeline.json`; timings come from tsabench.
 
 #![warn(missing_docs)]
 
@@ -110,8 +113,10 @@ pub struct Measurement {
     pub bverify: bverify::BVerifyStats,
 }
 
-/// The full producer/consumer artifacts for one program (used by the
-/// Criterion benches so they measure stages in isolation).
+/// The full producer/consumer artifacts for one program, with the
+/// statistics each stage reports along the way. [`measure`] reads the
+/// Figure 5/6 quantities off it; tests and `verify_cost` reuse the
+/// artifacts.
 pub struct Pipeline {
     /// The resolved program.
     pub prog: Program,
@@ -125,6 +130,12 @@ pub struct Pipeline {
     pub opt_bytes: Vec<u8>,
     /// Baseline stack code.
     pub bcode: bcompile::CompiledProgram,
+    /// SSA construction statistics (phi pruning, checks inserted).
+    pub construction: FnStats,
+    /// Optimization statistics (Figure 6 columns).
+    pub opt: OptStats,
+    /// Baseline dataflow-verification statistics.
+    pub bverify: bverify::BVerifyStats,
 }
 
 /// Builds every artifact for `entry`.
@@ -138,16 +149,17 @@ pub fn build_pipeline(entry: &CorpusEntry) -> Pipeline {
         .unwrap_or_else(|e| panic!("{}: front-end: {e}", entry.name));
     let lowered = lower_program(&prog).unwrap_or_else(|e| panic!("{}: lowering: {e}", entry.name));
     verify_module(&lowered.module).unwrap_or_else(|e| panic!("{}: verify: {e}", entry.name));
+    let construction = lowered.totals();
     let module = lowered.module;
     let mut optimized = module.clone();
-    safetsa_opt::optimize(&mut optimized, Passes::ALL, &Telemetry::disabled());
+    let opt = safetsa_opt::optimize(&mut optimized, Passes::ALL, &Telemetry::disabled());
     verify_module(&optimized).unwrap_or_else(|e| panic!("{}: verify optimized: {e}", entry.name));
     let bytes =
         encode_module(&module).unwrap_or_else(|e| panic!("{}: encode: {e}", entry.name));
     let opt_bytes =
         encode_module(&optimized).unwrap_or_else(|e| panic!("{}: encode optimized: {e}", entry.name));
     let mut bcode = bcompile::compile_program(&prog);
-    bverify::verify_program(&prog, &mut bcode)
+    let bverify = bverify::verify_program(&prog, &mut bcode)
         .unwrap_or_else(|e| panic!("{}: bytecode verify: {e}", entry.name));
     Pipeline {
         prog,
@@ -156,49 +168,36 @@ pub fn build_pipeline(entry: &CorpusEntry) -> Pipeline {
         bytes,
         opt_bytes,
         bcode,
+        construction,
+        opt,
+        bverify,
     }
 }
 
-/// Measures one corpus program end to end.
+/// Measures one corpus program end to end: the Figure 5/6 view of
+/// [`build_pipeline`].
 ///
 /// # Panics
 ///
 /// Panics when a stage fails.
 pub fn measure(entry: &CorpusEntry) -> Measurement {
-    let prog = safetsa_frontend::compile(entry.source)
-        .unwrap_or_else(|e| panic!("{}: front-end: {e}", entry.name));
-    let lowered = lower_program(&prog).unwrap_or_else(|e| panic!("{}: lowering: {e}", entry.name));
-    verify_module(&lowered.module).unwrap_or_else(|e| panic!("{}: verify: {e}", entry.name));
-    let construction = lowered.totals();
-    let module = lowered.module;
-    let mut optimized = module.clone();
-    let opt = safetsa_opt::optimize(&mut optimized, Passes::ALL, &Telemetry::disabled());
-    verify_module(&optimized).unwrap_or_else(|e| panic!("{}: verify optimized: {e}", entry.name));
+    let pl = build_pipeline(entry);
     // Wire sizes round-trip through the decoder as a sanity check.
     let host = HostEnv::standard();
-    let bytes =
-        encode_module(&module).unwrap_or_else(|e| panic!("{}: encode: {e}", entry.name));
-    decode_and_verify(&bytes, &host).unwrap_or_else(|e| panic!("{}: decode: {e}", entry.name));
-    let opt_bytes =
-        encode_module(&optimized).unwrap_or_else(|e| panic!("{}: encode optimized: {e}", entry.name));
-    decode_and_verify(&opt_bytes, &host)
+    decode_and_verify(&pl.bytes, &host).unwrap_or_else(|e| panic!("{}: decode: {e}", entry.name));
+    decode_and_verify(&pl.opt_bytes, &host)
         .unwrap_or_else(|e| panic!("{}: decode optimized: {e}", entry.name));
-    // Baseline.
-    let mut bcode = bcompile::compile_program(&prog);
-    let bstats = bverify::verify_program(&prog, &mut bcode)
-        .unwrap_or_else(|e| panic!("{}: bytecode verify: {e}", entry.name));
-    let bytecode_size = classfile::total_size(&prog, &bcode);
     Measurement {
         name: entry.name,
-        bytecode_size,
-        safetsa_size: bytes.len(),
-        safetsa_opt_size: opt_bytes.len(),
-        bytecode_instrs: bcode.instr_count(),
-        safetsa_instrs: module.instr_count() + module.phi_count(),
-        safetsa_opt_instrs: optimized.instr_count() + optimized.phi_count(),
-        construction,
-        opt,
-        bverify: bstats,
+        bytecode_size: classfile::total_size(&pl.prog, &pl.bcode),
+        safetsa_size: pl.bytes.len(),
+        safetsa_opt_size: pl.opt_bytes.len(),
+        bytecode_instrs: pl.bcode.instr_count(),
+        safetsa_instrs: pl.module.instr_count() + pl.module.phi_count(),
+        safetsa_opt_instrs: pl.optimized.instr_count() + pl.optimized.phi_count(),
+        construction: pl.construction,
+        opt: pl.opt,
+        bverify: pl.bverify,
     }
 }
 
@@ -291,8 +290,6 @@ pub struct ProgramReport {
     /// Dynamic instructions executed by the optimized module under the
     /// threaded engine (fused pairs count once, which is the point).
     pub steps: u64,
-    /// Threaded-engine wall time for the run, nanoseconds.
-    pub vm_wall_ns: u64,
     /// Threaded-engine xdispatch inline-cache hits.
     pub icache_hits: u64,
     /// Threaded-engine xdispatch inline-cache misses.
@@ -312,17 +309,25 @@ impl ProgramReport {
     /// Reconstructs the headline quantities from a metrics registry —
     /// the inverse of [`record_program`], and the reason every headline
     /// lives in a counter: a registry replayed from the batch cache
-    /// carries everything the report needs.
+    /// carries everything the report needs. The document keeps the
+    /// counters and histograms and drops every timer: a single-shot
+    /// wall time is noise, and tsabench times each layer.
     pub fn from_metrics(name: &'static str, tm: &Telemetry) -> ProgramReport {
         let c = |key: &str| tm.counter(key).unwrap_or(0);
+        let counts: String = tm
+            .export_flat()
+            .lines()
+            .filter(|line| !line.starts_with("t "))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        let counts = Telemetry::import_flat(&counts).expect("export_flat output re-imports");
         ProgramReport {
             name,
-            json: tm.report("bench-report", name),
+            json: counts.report("bench-report", name),
             opt_size: c("codec.total_bytes"),
             class_size: c("baseline.class_file_bytes"),
             ratio_permille: c("codec.size_ratio_permille"),
             steps: c("vm.steps"),
-            vm_wall_ns: c("vm.run_ns"),
             icache_hits: c("vm.icache.hits"),
             icache_misses: c("vm.icache.misses"),
             checks_eliminated: c("opt.checks.eliminated"),
@@ -382,17 +387,15 @@ pub fn record_program(entry: &CorpusEntry, tm: &Telemetry) -> Vec<u8> {
     tm.set("baseline.class_file_bytes", class_size);
     tm.set("baseline.instrs", bcode.instr_count() as u64);
     tm.set("codec.size_ratio_permille", ratio_permille);
-    // Consumer plane: run the optimized module (timed, with dynamic
-    // counters and inline-cache telemetry). Its output is checked
-    // against the bytecode baseline by `run_differential` and the corpus
-    // tests, not here.
+    // Consumer plane: run the optimized module with dynamic counters
+    // and inline-cache telemetry. Its output is checked against the
+    // bytecode baseline by `run_differential` and the corpus tests,
+    // not here.
     let mut vm = safetsa_vm::Vm::load(&module).expect("loads");
     vm.enable_stats();
     vm.set_fuel(500_000_000);
-    let t0 = std::time::Instant::now();
     vm.run_entry(entry.entry)
         .unwrap_or_else(|e| panic!("{}: vm: {e}", entry.name));
-    tm.set("vm.run_ns", t0.elapsed().as_nanos() as u64);
     vm.export_metrics(tm);
     bytes
 }
@@ -441,8 +444,7 @@ pub fn program_report(entry: &CorpusEntry) -> ProgramReport {
 /// workers (`0` = one per CPU), an optional content-addressed cache,
 /// and one [`record_program`] task per program. Returns the per-program
 /// reports (in corpus order — scheduling never shows) together with the
-/// batch-level [`BatchReport`] (merged metrics, wall times, cache
-/// hit/miss counts).
+/// batch-level [`BatchReport`] (merged metrics, cache hit/miss counts).
 ///
 /// # Panics
 ///
@@ -457,7 +459,7 @@ pub fn corpus_report(jobs: usize, cache_dir: Option<&Path>) -> (Vec<ProgramRepor
         })
         .collect();
     let mut opts = BatchOptions::new(format!(
-        "bench-report/2/{}",
+        "bench-report/3/{}",
         passes_fingerprint(&Passes::ALL)
     ));
     opts.jobs = jobs;
@@ -476,8 +478,8 @@ pub fn corpus_report(jobs: usize, cache_dir: Option<&Path>) -> (Vec<ProgramRepor
     (reports, report)
 }
 
-/// One touch-one-method incremental replay measurement (the
-/// `totals.incremental` block in `bench_report`'s document).
+/// One touch-one-method incremental replay (the `totals.incremental`
+/// block in `bench_report`'s document).
 #[derive(Debug, Clone, Copy)]
 pub struct IncrementalReplay {
     /// Units (method bodies) in the edited program's plan.
@@ -486,15 +488,14 @@ pub struct IncrementalReplay {
     pub reused: u64,
     /// Units recompiled — exactly 1, the edited method.
     pub recompiled: u64,
-    /// Wall time of the warm (post-edit) rebuild.
-    pub warm_wall_ns: u64,
 }
 
 /// Cold-populates the method-granular incremental store from the
 /// QuickSort corpus program, replays a one-method edit (`main`'s
-/// element count bumped), and measures the warm rebuild. The warm
-/// output is asserted byte-identical to a cold build of the edited
-/// source before the numbers are returned.
+/// element count bumped), and counts the units the warm rebuild
+/// reuses and recompiles. The warm output is asserted byte-identical
+/// to a cold build of the edited source before the counts are
+/// returned.
 ///
 /// # Panics
 ///
@@ -517,11 +518,9 @@ pub fn incremental_replay(cache_dir: &Path) -> IncrementalReplay {
     let warm = DriverPipeline::new()
         .cache(cache_dir)
         .unwrap_or_else(|e| panic!("incremental store: {e}"));
-    let start = std::time::Instant::now();
     let wm = warm
         .compile_source(&edited)
         .unwrap_or_else(|e| panic!("warm rebuild: {e}"));
-    let warm_wall_ns = start.elapsed().as_nanos() as u64;
     let warm_bytes = warm.encode(&wm).unwrap_or_else(|e| panic!("encode: {e}"));
 
     let plain = DriverPipeline::new();
@@ -546,6 +545,5 @@ pub fn incremental_replay(cache_dir: &Path) -> IncrementalReplay {
         units,
         reused,
         recompiled,
-        warm_wall_ns,
     }
 }

@@ -81,7 +81,7 @@ pub struct ServeLoadReport {
 }
 
 impl ServeLoadReport {
-    /// The `totals.serve` block of `BENCH_pipeline.json`.
+    /// The `serve` block of `serve_loadgen --metrics-json`.
     pub fn to_json(&self) -> Json {
         let mut o = Json::obj();
         o.set("requests", Json::U64(self.requests));

@@ -6,9 +6,9 @@
 //! derived from the CST), so the tree is never transmitted.
 //!
 //! Two classic algorithms are implemented and cross-checked by the test
-//! suite: the iterative algorithm of Cooper–Harvey–Kennedy (the default)
-//! and Lengauer–Tarjan (the paper's citation \[21\]); `benches/dom.rs`
-//! compares them.
+//! suite (`tests/proptests.rs`, `chk_and_lengauer_tarjan_agree`): the
+//! iterative algorithm of Cooper–Harvey–Kennedy (the default) and
+//! Lengauer–Tarjan (the paper's citation \[21\]).
 
 use crate::cfg::Cfg;
 use crate::function::ENTRY;

@@ -127,20 +127,6 @@ pub struct BatchReport {
     pub cache_misses: u64,
     /// Wall time of the whole batch.
     pub wall_ns: u64,
-    /// Sum of per-task wall times — the serial-equivalent cost, so
-    /// `tasks_wall_ns / wall_ns` is the measured speedup.
-    pub tasks_wall_ns: u64,
-}
-
-impl BatchReport {
-    /// Measured speedup over a serial run of the same tasks, in
-    /// permille (sum of task times vs batch wall time).
-    pub fn speedup_permille(&self) -> u64 {
-        self.tasks_wall_ns
-            .saturating_mul(1000)
-            .checked_div(self.wall_ns)
-            .unwrap_or(0)
-    }
 }
 
 struct TaskOut {
@@ -369,7 +355,6 @@ where
         cache_hits: hits,
         cache_misses: misses,
         wall_ns,
-        tasks_wall_ns,
     })
 }
 

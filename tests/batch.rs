@@ -101,17 +101,6 @@ fn warm_cache_replays_identical_artifacts_and_metrics() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Masks the values of `_ns` keys in a rendered metrics document.
-fn mask_ns(doc: &str) -> String {
-    doc.lines()
-        .map(|line| match line.split_once("_ns\": ") {
-            Some((prefix, _)) => format!("{prefix}_ns\": X"),
-            None => line.to_string(),
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[test]
 fn bench_per_program_sections_identical_across_jobs() {
     let (serial, serial_batch) = safetsa_bench::corpus_report(1, None);
@@ -129,8 +118,8 @@ fn bench_per_program_sections_identical_across_jobs() {
             a.name
         );
         assert_eq!(
-            mask_ns(&a.json.render_pretty()),
-            mask_ns(&b.json.render_pretty()),
+            a.json.render_pretty(),
+            b.json.render_pretty(),
             "{}: per-program metrics document differs across jobs",
             a.name
         );

@@ -11,9 +11,14 @@
 //! run-dependent members, and they never appear in a shape. Regenerate
 //! with `UPDATE_GOLDEN=1 cargo test --test trace_schema` after an
 //! intentional schema change.
+//!
+//! It also pins the registry's zero-overhead preconditions on the real
+//! stage spans of `Pipeline`: a disabled registry records nothing, and
+//! tracing adds spans without touching the metrics plane.
 
 use safetsa::server::json;
-use safetsa_telemetry::Json;
+use safetsa::Pipeline;
+use safetsa_telemetry::{Json, Telemetry};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
@@ -204,4 +209,75 @@ fn run_trace_shape_is_stable() {
         assert!(names.iter().any(|n| n == span), "missing `{span}` span");
     }
     check_golden("trace_run_events.txt", &event_shapes(&doc));
+}
+
+/// Compiles and encodes `src` through `Pipeline` on `tm` and hands the
+/// registry back.
+fn compile_on(src: &str, tm: Telemetry) -> Telemetry {
+    let pipeline = Pipeline::new().telemetry(tm);
+    let module = pipeline
+        .compile_source(src)
+        .expect("corpus program compiles");
+    pipeline.encode(&module).expect("corpus program encodes");
+    pipeline.into_metrics()
+}
+
+/// The zero-overhead contract, stated as preconditions rather than a
+/// timing: a disabled registry records no metric and no span, so every
+/// recording call is only a branch; and a tracing registry records the
+/// stage spans while exporting exactly the counter and histogram lines
+/// of a metrics-only registry. Timer lines (`t name ns`) are compared
+/// by name only, since their values are wall clock.
+#[test]
+fn zero_overhead_preconditions_hold_on_pipeline_stages() {
+    let entry = safetsa_bench::corpus()
+        .into_iter()
+        .find(|e| e.name == "QuickSort")
+        .expect("QuickSort in corpus");
+
+    let disabled = compile_on(entry.source, Telemetry::disabled());
+    assert_eq!(
+        disabled.export_flat(),
+        "",
+        "disabled registry must record no metric"
+    );
+    assert!(
+        disabled.trace_spans().is_empty(),
+        "disabled registry must record no span"
+    );
+
+    let traced = compile_on(entry.source, Telemetry::with_trace());
+    let plain = compile_on(entry.source, Telemetry::enabled());
+    let metrics_plane = |tm: &Telemetry| -> Vec<String> {
+        tm.export_flat()
+            .lines()
+            .map(|line| {
+                if line.starts_with("t ") {
+                    line.rsplit_once(' ')
+                        .map_or(line, |(key, _ns)| key)
+                        .to_string()
+                } else {
+                    line.to_string()
+                }
+            })
+            .collect()
+    };
+    assert_eq!(
+        metrics_plane(&traced),
+        metrics_plane(&plain),
+        "tracing must not perturb the metrics plane"
+    );
+    assert!(
+        plain.trace_spans().is_empty(),
+        "a metrics-only registry must not trace"
+    );
+    let spans: BTreeSet<String> = traced.trace_spans().into_iter().map(|s| s.name).collect();
+    for stage in [
+        "compile", "frontend", "lower", "optimize", "verify", "encode",
+    ] {
+        assert!(
+            spans.contains(stage),
+            "tracing registry recorded no `{stage}` span"
+        );
+    }
 }
