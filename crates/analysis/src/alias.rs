@@ -141,9 +141,10 @@ impl<'a> ForwardAnalysis for Analysis<'a> {
             // edge) is top for now; later passes tighten it.
             Instr::NullCheck { value, .. }
             | Instr::Downcast { value, .. }
-            | Instr::Upcast { value, .. } => {
-                facts.get(*value).cloned().unwrap_or_else(PointsTo::external)
-            }
+            | Instr::Upcast { value, .. } => facts
+                .get(*value)
+                .cloned()
+                .unwrap_or_else(PointsTo::external),
             // Heap loads, call results, and caught exceptions may hand
             // back any object the outside world can reach.
             _ => PointsTo::external(),

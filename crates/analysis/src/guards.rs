@@ -59,7 +59,11 @@ fn is_null_const(f: &Function, v: ValueId) -> bool {
 
 /// The name of the primitive op computing `v`, with its operand plane
 /// kind and arguments, if `v` is a primitive result.
-fn prim_of(f: &Function, types: &TypeTable, v: ValueId) -> Option<(PrimKind, &'static str, Vec<ValueId>)> {
+fn prim_of(
+    f: &Function,
+    types: &TypeTable,
+    v: ValueId,
+) -> Option<(PrimKind, &'static str, Vec<ValueId>)> {
     let Def::Instr(b, k) = f.value(v).def else {
         return None;
     };
@@ -76,7 +80,13 @@ fn prim_of(f: &Function, types: &TypeTable, v: ValueId) -> Option<(PrimKind, &'s
 }
 
 /// Relations implied by `cond` evaluating to `polarity`.
-fn cond_guards(f: &Function, types: &TypeTable, cond: ValueId, polarity: bool, out: &mut Vec<Guard>) {
+fn cond_guards(
+    f: &Function,
+    types: &TypeTable,
+    cond: ValueId,
+    polarity: bool,
+    out: &mut Vec<Guard>,
+) {
     let Def::Instr(b, k) = f.value(cond).def else {
         return;
     };

@@ -183,7 +183,9 @@ pub fn lint_function(types: &TypeTable, f: &Function) -> Vec<Diagnostic> {
                             "dead-store",
                             b,
                             Some(j),
-                            format!("stored value is overwritten at instruction {k} before any read"),
+                            format!(
+                                "stored value is overwritten at instruction {k} before any read"
+                            ),
                         );
                     }
                     last_store.insert(key, k);
@@ -667,9 +669,10 @@ fn lint_branches(
                     message: format!("branch condition {cond} is always {v}"),
                 });
                 let dead = if v { else_br } else { then_br };
-                let has_code = dead.blocks().iter().any(|b| {
-                    !f.block(*b).instrs.is_empty() || !f.block(*b).phis.is_empty()
-                });
+                let has_code = dead
+                    .blocks()
+                    .iter()
+                    .any(|b| !f.block(*b).instrs.is_empty() || !f.block(*b).phis.is_empty());
                 if has_code {
                     let first = dead.blocks()[0];
                     out.push(Diagnostic {
@@ -678,9 +681,7 @@ fn lint_branches(
                         function: f.name.clone(),
                         block: first,
                         instr: None,
-                        message: format!(
-                            "branch is never taken (condition {cond} is always {v})"
-                        ),
+                        message: format!("branch is never taken (condition {cond} is always {v})"),
                     });
                 }
             }

@@ -202,13 +202,10 @@ impl Analysis<'_> {
                 Guard::IntLt(x, y) if x == v => {
                     r.hi = r.hi.min(self.raw(facts, y).hi.saturating_sub(1));
                     if r.len_rel.is_none() {
-                        r.len_rel = self
-                            .len_rels(facts, y)
-                            .first()
-                            .map(|lr| LenRel {
-                                array: lr.array,
-                                offset: lr.offset - 1,
-                            });
+                        r.len_rel = self.len_rels(facts, y).first().map(|lr| LenRel {
+                            array: lr.array,
+                            offset: lr.offset - 1,
+                        });
                     }
                 }
                 Guard::IntLt(y, x) if x == v => {
@@ -348,7 +345,13 @@ impl ForwardAnalysis for Analysis<'_> {
         })
     }
 
-    fn transfer(&mut self, f: &Function, b: BlockId, k: usize, facts: &Facts<Range>) -> Option<Range> {
+    fn transfer(
+        &mut self,
+        f: &Function,
+        b: BlockId,
+        k: usize,
+        facts: &Facts<Range>,
+    ) -> Option<Range> {
         let result = f.instr_result(b, k)?;
         if !self.models(f, result) {
             return None;

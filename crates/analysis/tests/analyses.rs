@@ -21,10 +21,7 @@ fn func<'m>(m: &'m Module, name: &str) -> &'m Function {
 }
 
 /// Every `(block, index, instr)` site matching `pred`.
-fn find_sites<'f>(
-    f: &'f Function,
-    pred: impl Fn(&Instr) -> bool,
-) -> Vec<(BlockId, usize, &'f Instr)> {
+fn find_sites(f: &Function, pred: impl Fn(&Instr) -> bool) -> Vec<(BlockId, usize, &Instr)> {
     let mut out = Vec::new();
     for (bi, block) in f.blocks.iter().enumerate() {
         for (k, i) in block.instrs.iter().enumerate() {
@@ -64,9 +61,7 @@ fn nullness_proves_fresh_allocation_nonnull() {
 
 #[test]
 fn nullness_proves_null_literal_null() {
-    let m = build(
-        "class A { static int g() { int[] x = null; return x[0]; } }",
-    );
+    let m = build("class A { static int g() { int[] x = null; return x[0]; } }");
     let f = func(&m, "A.g");
     let cfg = Cfg::build(f).unwrap();
     let nn = safetsa_analysis::nullness::analyze(&m.types, f, &cfg);
@@ -104,9 +99,7 @@ fn range_proves_loop_index_in_bounds() {
 
 #[test]
 fn range_flags_constant_out_of_bounds() {
-    let m = build(
-        "class A { static int g() { int[] a = new int[2]; return a[5]; } }",
-    );
+    let m = build("class A { static int g() { int[] a = new int[2]; return a[5]; } }");
     let f = func(&m, "A.g");
     let cfg = Cfg::build(f).unwrap();
     let rg = safetsa_analysis::range::analyze(&m.types, f, &cfg);
@@ -146,9 +139,7 @@ fn liveness_kills_unused_pure_values() {
 
 #[test]
 fn lint_reports_always_null_deref_as_error() {
-    let m = build(
-        "class A { static int g() { int[] x = null; return x[0]; } }",
-    );
+    let m = build("class A { static int g() { int[] x = null; return x[0]; } }");
     let diags = lint_module(&m);
     let hit = diags
         .iter()
@@ -182,9 +173,7 @@ fn lint_downgrades_trap_inside_try_to_warning() {
 
 #[test]
 fn lint_reports_out_of_bounds_index() {
-    let m = build(
-        "class A { static int g() { int[] a = new int[3]; return a[7]; } }",
-    );
+    let m = build("class A { static int g() { int[] a = new int[3]; return a[7]; } }");
     let diags = lint_module(&m);
     let hit = diags
         .iter()
@@ -242,10 +231,7 @@ fn lint_reports_unused_value() {
          } }",
     );
     let diags = lint_module(&m);
-    assert!(
-        diags.iter().any(|d| d.kind == "unused-value"),
-        "{diags:?}"
-    );
+    assert!(diags.iter().any(|d| d.kind == "unused-value"), "{diags:?}");
 }
 
 #[test]

@@ -44,7 +44,9 @@
 //! merged over every program) — the offline analysis that selects the
 //! threaded engine's superinstructions.
 
-use safetsa_bench::{corpus_report, incremental_replay, pair_histogram, IncrementalReplay, ProgramReport};
+use safetsa_bench::{
+    corpus_report, incremental_replay, pair_histogram, IncrementalReplay, ProgramReport,
+};
 use safetsa_driver::batch::BatchReport;
 use safetsa_telemetry::Json;
 use std::collections::BTreeMap;
@@ -203,17 +205,11 @@ fn aggregate(reports: &[ProgramReport], batch: &BatchReport, incr: &IncrementalR
         "size_ratio_permille",
         Json::U64(total_ratio_permille(reports)),
     );
-    totals.set(
-        "vm_steps",
-        Json::U64(reports.iter().map(|r| r.steps).sum()),
-    );
+    totals.set("vm_steps", Json::U64(reports.iter().map(|r| r.steps).sum()));
     let icache_hits: u64 = reports.iter().map(|r| r.icache_hits).sum();
     let icache_misses: u64 = reports.iter().map(|r| r.icache_misses).sum();
     let mut vm = Json::obj();
-    vm.set(
-        "steps",
-        Json::U64(reports.iter().map(|r| r.steps).sum()),
-    );
+    vm.set("steps", Json::U64(reports.iter().map(|r| r.steps).sum()));
     vm.set(
         "icache_hit_permille",
         Json::U64(
@@ -403,7 +399,10 @@ fn check_thresholds(reports: &[ProgramReport], path: &str) -> ExitCode {
         eprintln!("bench_report: {failures} program(s) regressed past their thresholds");
         ExitCode::FAILURE
     } else {
-        println!("bench_report: all {} programs within thresholds", reports.len());
+        println!(
+            "bench_report: all {} programs within thresholds",
+            reports.len()
+        );
         ExitCode::SUCCESS
     }
 }

@@ -23,10 +23,7 @@ use safetsa_telemetry::Json;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    fn value(
-        it: &mut std::vec::IntoIter<String>,
-        what: &str,
-    ) -> Result<String, String> {
+    fn value(it: &mut std::vec::IntoIter<String>, what: &str) -> Result<String, String> {
         it.next().ok_or_else(|| format!("{what} needs a value"))
     }
     fn parsed<T: std::str::FromStr>(
@@ -46,9 +43,7 @@ fn main() -> ExitCode {
     while let Some(arg) = it.next() {
         let r: Result<(), String> = match arg.as_str() {
             "--addr" => value(&mut it, "--addr").map(|v| opts.addr = Some(v)),
-            "--connections" => {
-                parsed(&mut it, "--connections").map(|v| opts.connections = v)
-            }
+            "--connections" => parsed(&mut it, "--connections").map(|v| opts.connections = v),
             "--passes" => parsed(&mut it, "--passes").map(|v| opts.passes = v),
             "--no-chaos" => {
                 opts.chaos = false;
@@ -56,19 +51,13 @@ fn main() -> ExitCode {
             }
             "--workers" => parsed(&mut it, "--workers").map(|v| opts.workers = v),
             "--queue" => parsed(&mut it, "--queue").map(|v| opts.queue_capacity = v),
-            "--metrics-json" => {
-                value(&mut it, "--metrics-json").map(|v| metrics_path = Some(v))
-            }
+            "--metrics-json" => value(&mut it, "--metrics-json").map(|v| metrics_path = Some(v)),
             other => Err(format!("unknown argument `{other}`")),
         };
         if let Err(msg) = r {
             eprintln!("serve_loadgen: {msg}");
-            eprintln!(
-                "usage: serve_loadgen [--addr HOST:PORT] [--connections N] [--passes N]"
-            );
-            eprintln!(
-                "       [--no-chaos] [--workers N] [--queue N] [--metrics-json PATH]"
-            );
+            eprintln!("usage: serve_loadgen [--addr HOST:PORT] [--connections N] [--passes N]");
+            eprintln!("       [--no-chaos] [--workers N] [--queue N] [--metrics-json PATH]");
             return ExitCode::from(2);
         }
     }

@@ -154,10 +154,9 @@ pub fn build_pipeline(entry: &CorpusEntry) -> Pipeline {
     let mut optimized = module.clone();
     let opt = safetsa_opt::optimize(&mut optimized, Passes::ALL, &Telemetry::disabled());
     verify_module(&optimized).unwrap_or_else(|e| panic!("{}: verify optimized: {e}", entry.name));
-    let bytes =
-        encode_module(&module).unwrap_or_else(|e| panic!("{}: encode: {e}", entry.name));
-    let opt_bytes =
-        encode_module(&optimized).unwrap_or_else(|e| panic!("{}: encode optimized: {e}", entry.name));
+    let bytes = encode_module(&module).unwrap_or_else(|e| panic!("{}: encode: {e}", entry.name));
+    let opt_bytes = encode_module(&optimized)
+        .unwrap_or_else(|e| panic!("{}: encode optimized: {e}", entry.name));
     let mut bcode = bcompile::compile_program(&prog);
     let bverify = bverify::verify_program(&prog, &mut bcode)
         .unwrap_or_else(|e| panic!("{}: bytecode verify: {e}", entry.name));

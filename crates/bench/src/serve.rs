@@ -222,10 +222,7 @@ fn replay_connection(addr: &str, conn_idx: usize, opts: &LoadgenOptions) -> Conn
                         // A worker panic mid-corpus.
                         let id = format!("c{conn_idx}-p{pass}-boom{i}");
                         let mut doc = request_obj("compile", &id);
-                        doc.set(
-                            "source",
-                            Json::Str("//!chaos:panic\nclass B {}".into()),
-                        );
+                        doc.set("source", Json::Str("//!chaos:panic\nclass B {}".into()));
                         tally.roundtrip(&mut client, &doc, &id);
                     }
                     1 => {
@@ -238,9 +235,9 @@ fn replay_connection(addr: &str, conn_idx: usize, opts: &LoadgenOptions) -> Conn
                                     tally.responses += 1;
                                     tally.classify(&resp, IdExpect::Null, None);
                                 }
-                                other => tally.violations.push(format!(
-                                    "garbage frame got no response: {other:?}"
-                                )),
+                                other => tally
+                                    .violations
+                                    .push(format!("garbage frame got no response: {other:?}")),
                             }
                         }
                     }

@@ -156,7 +156,11 @@ struct TaskOut {
 /// Returns the failure of the lowest-indexed failing task (every task
 /// still runs; picking the lowest index keeps the reported error
 /// independent of scheduling), or the I/O error of a cache write.
-pub fn run_batch<F>(inputs: &[BatchInput], opts: &BatchOptions, work: F) -> Result<BatchReport, Error>
+pub fn run_batch<F>(
+    inputs: &[BatchInput],
+    opts: &BatchOptions,
+    work: F,
+) -> Result<BatchReport, Error>
 where
     F: Fn(usize, &BatchInput, Telemetry) -> Result<(Vec<u8>, Telemetry), Error> + Sync,
 {
@@ -302,8 +306,8 @@ where
     };
     let (mut hits, mut misses, mut tasks_wall_ns) = (0u64, 0u64, 0u64);
     for (input, slot) in inputs.iter().zip(slots) {
-        let out = slot
-            .unwrap_or_else(|| Err(Error::Panic("batch worker died before reporting".into())))?;
+        let out =
+            slot.unwrap_or_else(|| Err(Error::Panic("batch worker died before reporting".into())))?;
         merged.merge(&out.metrics);
         hits += u64::from(out.cache_hit);
         misses += u64::from(!out.cache_hit);
@@ -376,18 +380,11 @@ mod tests {
     }
 
     /// The work closure: deterministic bytes per input, one counter.
-    fn work(
-        _idx: usize,
-        input: &BatchInput,
-        tm: Telemetry,
-    ) -> Result<(Vec<u8>, Telemetry), Error> {
+    fn work(_idx: usize, input: &BatchInput, tm: Telemetry) -> Result<(Vec<u8>, Telemetry), Error> {
         tm.add("work.calls", 1);
         tm.add("work.bytes", input.source.len() as u64);
         tm.span("compile", || {});
-        Ok((
-            input.source.as_bytes().iter().rev().copied().collect(),
-            tm,
-        ))
+        Ok((input.source.as_bytes().iter().rev().copied().collect(), tm))
     }
 
     #[test]
@@ -462,10 +459,8 @@ mod tests {
     /// count the degradations.
     #[test]
     fn vanished_cache_dir_degrades_with_counter() {
-        let dir = std::env::temp_dir().join(format!(
-            "safetsa-batch-degrade-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("safetsa-batch-degrade-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let ins = inputs(4);
         let mut opts = BatchOptions::new("t");
@@ -585,10 +580,7 @@ mod tests {
 
     #[test]
     fn cache_hits_still_appear_in_the_trace() {
-        let dir = std::env::temp_dir().join(format!(
-            "safetsa-batch-trace-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("safetsa-batch-trace-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let ins = inputs(3);
         let mut opts = BatchOptions::new("t");
@@ -611,8 +603,7 @@ mod tests {
                 .iter()
                 .filter(|e| {
                     e.name == "cache.probe.done"
-                        && e.attrs
-                            .contains(&("hit".to_string(), AttrValue::Bool(hit)))
+                        && e.attrs.contains(&("hit".to_string(), AttrValue::Bool(hit)))
                 })
                 .count()
         };

@@ -186,9 +186,7 @@ impl Pipeline {
     /// [`VmError::DeadlineExceeded`] iff the deadline has passed.
     pub fn check_deadline(&self) -> Result<(), Error> {
         match self.deadline {
-            Some(d) if std::time::Instant::now() >= d => {
-                Err(Error::Vm(VmError::DeadlineExceeded))
-            }
+            Some(d) if std::time::Instant::now() >= d => Err(Error::Vm(VmError::DeadlineExceeded)),
             _ => Ok(()),
         }
     }
@@ -211,9 +209,9 @@ impl Pipeline {
     ///
     /// Returns [`Error::Compile`].
     pub fn frontend(&self, srcs: &[&str]) -> Result<Program, Error> {
-        Ok(self
-            .tm
-            .span("frontend", || safetsa_frontend::compile_sources(srcs, &self.tm))?)
+        Ok(self.tm.span("frontend", || {
+            safetsa_frontend::compile_sources(srcs, &self.tm)
+        })?)
     }
 
     /// SSA construction only (no optimization, no verification).
@@ -264,7 +262,10 @@ impl Pipeline {
     /// [`Pipeline::cache`] store): which methods were reused, which
     /// recompiled, and why.
     pub fn cache_report(&self) -> Vec<UnitOutcome> {
-        self.unit_outcomes.lock().map(|v| v.clone()).unwrap_or_default()
+        self.unit_outcomes
+            .lock()
+            .map(|v| v.clone())
+            .unwrap_or_default()
     }
 
     /// The incremental optimize stage: consult the store per unit,
@@ -388,7 +389,9 @@ impl Pipeline {
     ///
     /// Returns [`Error::Encode`].
     pub fn encode(&self, m: &Module) -> Result<Vec<u8>, Error> {
-        Ok(self.tm.span("encode", || safetsa_codec::encode(m, &self.tm))?)
+        Ok(self
+            .tm
+            .span("encode", || safetsa_codec::encode(m, &self.tm))?)
     }
 
     /// Decodes and verifies wire bytes against the standard host
@@ -429,8 +432,7 @@ impl Pipeline {
         if let Some(every) = self.profile_every {
             vm.enable_profiler(every);
         }
-        let result: Result<Option<Value>, VmError> =
-            self.tm.span("vm.run", || vm.run_entry(entry));
+        let result: Result<Option<Value>, VmError> = self.tm.span("vm.run", || vm.run_entry(entry));
         vm.export_metrics(&self.tm);
         let profile = self.profile_every.map(|_| vm.take_profile());
         Ok(RunOutcome {
@@ -476,7 +478,9 @@ mod tests {
 
     #[test]
     fn no_optimize_skips_the_opt_plane() {
-        let p = Pipeline::new().no_optimize().telemetry(Telemetry::enabled());
+        let p = Pipeline::new()
+            .no_optimize()
+            .telemetry(Telemetry::enabled());
         p.compile_source(SRC).unwrap();
         assert_eq!(p.metrics().counter("opt.instrs.after"), None);
         assert!(p.metrics().counter("ssa.instrs").is_some());

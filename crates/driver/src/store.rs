@@ -601,9 +601,7 @@ fn type_digest(types: &TypeTable, ty: TypeId) -> u64 {
             let state = fnv1a_continue(fnv1a(b"class"), &c.0.to_le_bytes());
             fnv1a_continue(state, types.class(c).name.as_bytes())
         }
-        TypeKind::Array(e) => {
-            fnv1a_continue(fnv1a(b"array"), &type_digest(types, e).to_le_bytes())
-        }
+        TypeKind::Array(e) => fnv1a_continue(fnv1a(b"array"), &type_digest(types, e).to_le_bytes()),
         TypeKind::SafeRef(of) => {
             fnv1a_continue(fnv1a(b"saferef"), &type_digest(types, of).to_le_bytes())
         }
@@ -646,10 +644,7 @@ fn class_digest(types: &TypeTable, cid: ClassId) -> u64 {
             h = fnv1a_continue(h, &type_digest(types, p).to_le_bytes());
         }
         h = fnv1a_continue(h, &[0]);
-        h = fnv1a_continue(
-            h,
-            &m.ret.map_or(0, |r| type_digest(types, r)).to_le_bytes(),
-        );
+        h = fnv1a_continue(h, &m.ret.map_or(0, |r| type_digest(types, r)).to_le_bytes());
     }
     h
 }
@@ -720,7 +715,11 @@ fn deps_hash(m: &Module, own: ClassId, f: &Function) -> u64 {
     let types = &m.types;
     let mut set = BTreeSet::new();
     set.insert(own);
-    for wk in [m.well_known.object, m.well_known.throwable, m.well_known.string] {
+    for wk in [
+        m.well_known.object,
+        m.well_known.throwable,
+        m.well_known.string,
+    ] {
         set.insert(wk);
     }
     for &p in &f.params {
@@ -881,7 +880,10 @@ mod tests {
             )
         };
         let stale = [
-            format!("safetsa-cache/1\nkey {:016x}\nbytes 3\nabcmetrics 0\n", key.hash()),
+            format!(
+                "safetsa-cache/1\nkey {:016x}\nbytes 3\nabcmetrics 0\n",
+                key.hash()
+            ),
             v3("safetsa-cache/2"),
             v3("safetsa-cache/3"),
             v4("safetsa-cache/3"),

@@ -65,11 +65,7 @@ fn stmt_nodes(s: &Stmt) -> u64 {
                     .iter()
                     .map(|c| 1 + c.body.iter().map(stmt_nodes).sum::<u64>())
                     .sum::<u64>()
-                + finally
-                    .iter()
-                    .flatten()
-                    .map(stmt_nodes)
-                    .sum::<u64>()
+                + finally.iter().flatten().map(stmt_nodes).sum::<u64>()
         }
         Stmt::Labeled { body, .. } => stmt_nodes(body),
         Stmt::SuperCall(args, _) => args.iter().map(expr_nodes).sum(),

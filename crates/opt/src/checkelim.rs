@@ -40,7 +40,7 @@ use safetsa_analysis::{liveness, nullness, range, Nullity};
 use safetsa_core::function::Function;
 use safetsa_core::instr::Instr;
 use safetsa_core::rewrite::{compact, Rewrite};
-use safetsa_core::types::{TypeTable, TypeId};
+use safetsa_core::types::{TypeId, TypeTable};
 use safetsa_core::typing;
 use safetsa_core::value::{BlockId, Def, ValueId};
 use std::collections::HashMap;
@@ -88,7 +88,12 @@ impl CheckElimStats {
 /// Chases `value` through the reference-preserving casts to a value on
 /// a `safe-ref` plane that can be safely downcast to `target` — the
 /// non-null witness justifying a `nullcheck` rewrite.
-fn safe_witness(types: &TypeTable, f: &Function, value: ValueId, target: TypeId) -> Option<ValueId> {
+fn safe_witness(
+    types: &TypeTable,
+    f: &Function,
+    value: ValueId,
+    target: TypeId,
+) -> Option<ValueId> {
     let mut w = value;
     loop {
         let ty = f.value_ty(w);

@@ -92,9 +92,8 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> DseSt
 
     // Whether a location based on `base` is invisible outside the
     // function: points-to set complete and every site `NoEscape`.
-    let contained = |base: ValueId| -> bool {
-        al.sites_of(base).is_some_and(|s| esc.all_no_escape(s))
-    };
+    let contained =
+        |base: ValueId| -> bool { al.sites_of(base).is_some_and(|s| esc.all_no_escape(s)) };
 
     let mut dead: HashSet<(BlockId, usize)> = HashSet::new();
 
@@ -219,14 +218,10 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> DseSt
             let gone = match instr {
                 Instr::SetField { object, field, .. } => al
                     .sites_of(*object)
-                    .is_some_and(|s| {
-                        esc.all_no_escape(s) && unread(s, field_reads.get(field))
-                    }),
+                    .is_some_and(|s| esc.all_no_escape(s) && unread(s, field_reads.get(field))),
                 Instr::SetElt { arr_ty, array, .. } => al
                     .sites_of(*array)
-                    .is_some_and(|s| {
-                        esc.all_no_escape(s) && unread(s, elt_reads.get(arr_ty))
-                    }),
+                    .is_some_and(|s| esc.all_no_escape(s) && unread(s, elt_reads.get(arr_ty))),
                 _ => false,
             };
             if gone {

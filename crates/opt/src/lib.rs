@@ -399,7 +399,9 @@ pub fn record_stats(stats: &OptStats, passes: &Passes, tm: &Telemetry) {
     tm.add("opt.null_checks.after", stats.null_checks_after as u64);
     tm.add(
         "opt.null_checks.eliminated",
-        stats.null_checks_before.saturating_sub(stats.null_checks_after) as u64,
+        stats
+            .null_checks_before
+            .saturating_sub(stats.null_checks_after) as u64,
     );
     tm.add("opt.index_checks.before", stats.index_checks_before as u64);
     tm.add("opt.index_checks.after", stats.index_checks_after as u64);

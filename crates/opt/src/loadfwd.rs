@@ -272,7 +272,13 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> LoadF
 
         /// Processes one load: forward a known fact, or record the
         /// result for later loads.
-        fn load(&mut self, b: BlockId, k: usize, key: Loc, facts: &mut HashMap<Loc, (ValueId, Src)>) {
+        fn load(
+            &mut self,
+            b: BlockId,
+            k: usize,
+            key: Loc,
+            facts: &mut HashMap<Loc, (ValueId, Src)>,
+        ) {
             let Some(result) = self.f.instr_result(b, k) else {
                 return;
             };

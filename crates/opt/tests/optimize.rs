@@ -4,9 +4,9 @@
 use safetsa_core::verify::verify_module;
 use safetsa_frontend::compile;
 use safetsa_opt::{optimize_module, OptStats, Passes};
-use safetsa_telemetry::Telemetry;
 use safetsa_rt::Value;
 use safetsa_ssa::lower_program;
+use safetsa_telemetry::Telemetry;
 use safetsa_vm::Vm;
 
 fn run_module(m: &safetsa_core::Module, entry: &str) -> (Option<Value>, String) {

@@ -39,6 +39,7 @@ impl ArrData {
     }
 
     /// Number of elements.
+    #[inline]
     pub fn len(&self) -> usize {
         match self {
             ArrData::Z(v) => v.len(),
@@ -61,6 +62,7 @@ impl ArrData {
     /// # Errors
     ///
     /// Returns [`Trap::IndexOutOfBounds`] when out of range.
+    #[inline]
     pub fn get(&self, i: usize) -> Result<Value, Trap> {
         if i >= self.len() {
             return Err(Trap::IndexOutOfBounds);
@@ -82,6 +84,7 @@ impl ArrData {
     ///
     /// Returns [`Trap::IndexOutOfBounds`] when out of range, or
     /// [`Trap::Internal`] on a kind mismatch (verified code never does).
+    #[inline]
     pub fn set(&mut self, i: usize, v: Value) -> Result<(), Trap> {
         if i >= self.len() {
             return Err(Trap::IndexOutOfBounds);
@@ -251,6 +254,7 @@ impl Heap {
     /// # Panics
     ///
     /// Panics on a dangling handle (cannot happen without unsafe code).
+    #[inline]
     pub fn get(&self, r: HeapRef) -> &Obj {
         &self.objects[r.0 as usize]
     }
@@ -260,6 +264,7 @@ impl Heap {
     /// # Panics
     ///
     /// Panics on a dangling handle.
+    #[inline]
     pub fn get_mut(&mut self, r: HeapRef) -> &mut Obj {
         &mut self.objects[r.0 as usize]
     }

@@ -30,6 +30,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics if the value is not an `int` (verified code never does).
+    #[inline]
     pub fn as_i(self) -> i32 {
         match self {
             Value::I(v) => v,
@@ -42,6 +43,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics on a non-`long`.
+    #[inline]
     pub fn as_j(self) -> i64 {
         match self {
             Value::J(v) => v,
@@ -54,6 +56,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics on a non-`float`.
+    #[inline]
     pub fn as_f(self) -> f32 {
         match self {
             Value::F(v) => v,
@@ -66,6 +69,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics on a non-`double`.
+    #[inline]
     pub fn as_d(self) -> f64 {
         match self {
             Value::D(v) => v,
@@ -78,6 +82,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics on a non-`boolean`.
+    #[inline]
     pub fn as_z(self) -> bool {
         match self {
             Value::Z(v) => v,
@@ -90,6 +95,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics on a non-`char`.
+    #[inline]
     pub fn as_c(self) -> u16 {
         match self {
             Value::C(v) => v,
@@ -102,6 +108,7 @@ impl Value {
     /// # Panics
     ///
     /// Panics on a non-reference.
+    #[inline]
     pub fn as_ref(self) -> Option<HeapRef> {
         match self {
             Value::Ref(r) => r,

@@ -71,15 +71,14 @@ impl FlightRecord {
         o.set("status", Json::Str(self.status.clone()));
         o.set(
             "kind",
-            self.kind.as_ref().map_or(Json::Null, |k| Json::Str(k.clone())),
+            self.kind
+                .as_ref()
+                .map_or(Json::Null, |k| Json::Str(k.clone())),
         );
         o.set("queued_ns", Json::U64(self.queued_ns));
         o.set("total_ns", Json::U64(self.total_ns));
         o.set("trace", trace_to_json(&self.spans, &self.events));
-        o.set(
-            "profile",
-            self.profile.clone().unwrap_or(Json::Null),
-        );
+        o.set("profile", self.profile.clone().unwrap_or(Json::Null));
         o
     }
 }
@@ -155,10 +154,7 @@ impl FlightRecorder {
     /// request's lanes shifted into its own `tid` group.
     pub fn to_chrome_trace(&self) -> Json {
         let mut doc = Json::obj();
-        doc.set(
-            "schema",
-            Json::Str(safetsa_telemetry::TRACE_SCHEMA.into()),
-        );
+        doc.set("schema", Json::Str(safetsa_telemetry::TRACE_SCHEMA.into()));
         doc.set("displayTimeUnit", Json::Str("ms".into()));
         let mut all = Vec::new();
         for (i, rec) in self.records().iter().enumerate() {

@@ -181,8 +181,7 @@ impl<'a> Parser<'a> {
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let cp =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(cp)
                             } else {
                                 char::from_u32(hi)
@@ -318,8 +317,19 @@ mod tests {
     #[test]
     fn rejects_malformed_input_without_panicking() {
         for bad in [
-            "", "{", "}", "[1,", "{\"a\":}", "tru", "01x", "\"", "{\"a\" 1}",
-            "nulll", "1 2", "{\"a\":1}garbage", "\u{1}",
+            "",
+            "{",
+            "}",
+            "[1,",
+            "{\"a\":}",
+            "tru",
+            "01x",
+            "\"",
+            "{\"a\" 1}",
+            "nulll",
+            "1 2",
+            "{\"a\":1}garbage",
+            "\u{1}",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }

@@ -251,8 +251,7 @@ mod tests {
     #[test]
     fn malformed_requests_recover_the_id_when_possible() {
         // Parseable json, bad field: id comes back for addressing.
-        let err = Request::parse(r#"{"id":"x","deadline_ms":"soon","op":"run"}"#)
-            .unwrap_err();
+        let err = Request::parse(r#"{"id":"x","deadline_ms":"soon","op":"run"}"#).unwrap_err();
         assert_eq!(err.0.as_deref(), Some("x"));
         // Unparseable json: no id to recover.
         let err = Request::parse("{not json").unwrap_err();

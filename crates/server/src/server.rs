@@ -484,11 +484,7 @@ enum FrameRead {
     TooLong,
 }
 
-fn read_frame(
-    r: &mut impl BufRead,
-    max: usize,
-    buf: &mut Vec<u8>,
-) -> std::io::Result<FrameRead> {
+fn read_frame(r: &mut impl BufRead, max: usize, buf: &mut Vec<u8>) -> std::io::Result<FrameRead> {
     buf.clear();
     let mut overflow = false;
     loop {
@@ -642,8 +638,8 @@ fn reader_loop(conn: Conn, shared: &Arc<Shared>) {
 fn admit(req: Request, out: &Responder, shared: &Arc<Shared>) {
     let profile = shared.profile(&req.tenant);
     shared.stats.tenant(&req.tenant, |t| t.requests += 1);
-    let payload_len = req.source.as_deref().map_or(0, str::len)
-        + req.tsa.as_deref().map_or(0, str::len);
+    let payload_len =
+        req.source.as_deref().map_or(0, str::len) + req.tsa.as_deref().map_or(0, str::len);
     if payload_len > profile.max_source_bytes {
         shared.stats.bump(&shared.stats.errors);
         shared.stats.bump_kind("too_large");
@@ -965,8 +961,7 @@ fn op_compile(job: &Job, shared: &Arc<Shared>, pipeline: &Pipeline) -> Result<Js
 fn op_verify(job: &Job, pipeline: &Pipeline) -> Result<Json, Error> {
     let req = &job.req;
     let hex = require(&req.tsa, "tsa")?;
-    let bytes = protocol::from_hex(hex)
-        .map_err(|e| Error::Usage(format!("bad `tsa` hex: {e}")))?;
+    let bytes = protocol::from_hex(hex).map_err(|e| Error::Usage(format!("bad `tsa` hex: {e}")))?;
     pipeline.check_deadline()?;
     // Decode *is* verification: the codec refuses to materialize a
     // module that fails the consumer-side checks.
@@ -988,13 +983,11 @@ fn op_run(
     let module = if let Some(src) = &req.source {
         pipeline.compile_source(src)?
     } else if let Some(hex) = &req.tsa {
-        let bytes = protocol::from_hex(hex)
-            .map_err(|e| Error::Usage(format!("bad `tsa` hex: {e}")))?;
+        let bytes =
+            protocol::from_hex(hex).map_err(|e| Error::Usage(format!("bad `tsa` hex: {e}")))?;
         pipeline.decode(&bytes)?
     } else {
-        return Err(Error::Usage(
-            "run requires `source` or `tsa`".into(),
-        ));
+        return Err(Error::Usage("run requires `source` or `tsa`".into()));
     };
     let outcome = pipeline.run(&module, entry)?;
     // Park the sample profile before the result check: a deadline kill

@@ -426,7 +426,9 @@ impl Telemetry {
     /// `{"opt":{"cse":{"removed":…}}}`), members in sorted-path order.
     pub fn to_json(&self) -> Json {
         let mut root = Json::obj();
-        let Some(inner) = &self.inner else { return root };
+        let Some(inner) = &self.inner else {
+            return root;
+        };
         for (path, metric) in &inner.borrow().metrics {
             let value = match metric {
                 Metric::Counter(c) => Json::U64(*c),
@@ -577,7 +579,9 @@ fn insert_path(root: &mut Json, path: &str, value: Json) {
         if cur.get(head).is_none() {
             cur.set(head, Json::obj());
         }
-        let Json::Obj(pairs) = cur else { unreachable!() };
+        let Json::Obj(pairs) = cur else {
+            unreachable!()
+        };
         cur = &mut pairs
             .iter_mut()
             .find(|(k, _)| k == head)
@@ -772,9 +776,9 @@ mod tests {
         tm.span_open("vm.run");
         let spans = tm.trace_spans();
         assert_eq!(spans.len(), 2);
-        assert!(spans
-            .iter()
-            .all(|s| s.attrs.contains(&("unfinished".into(), AttrValue::Bool(true)))));
+        assert!(spans.iter().all(|s| s
+            .attrs
+            .contains(&("unfinished".into(), AttrValue::Bool(true)))));
         assert_eq!(spans[1].parent, Some(root));
         // Closing the root closes the orphan child too.
         tm.span_close(root);
@@ -841,10 +845,7 @@ mod tests {
         let tm = Telemetry::with_trace();
         tm.span("compile", || tm.event("cache.probe", &[]));
         let doc = tm.to_chrome_trace();
-        assert_eq!(
-            doc.get("schema"),
-            Some(&Json::Str(TRACE_SCHEMA.into()))
-        );
+        assert_eq!(doc.get("schema"), Some(&Json::Str(TRACE_SCHEMA.into())));
         let Some(Json::Arr(events)) = doc.get("traceEvents") else {
             panic!("missing traceEvents: {}", doc.render());
         };

@@ -316,10 +316,7 @@ pub fn trace_to_json(spans: &[SpanRecord], events: &[EventRecord]) -> Json {
         .map(|s| {
             let mut o = Json::obj();
             o.set("id", Json::U64(s.id));
-            o.set(
-                "parent",
-                s.parent.map_or(Json::Null, Json::U64),
-            );
+            o.set("parent", s.parent.map_or(Json::Null, Json::U64));
             o.set("name", Json::Str(s.name.clone()));
             o.set("lane", Json::U64(u64::from(s.lane)));
             o.set("start_ns", Json::U64(s.start_ns));
@@ -333,10 +330,7 @@ pub fn trace_to_json(spans: &[SpanRecord], events: &[EventRecord]) -> Json {
         .iter()
         .map(|e| {
             let mut o = Json::obj();
-            o.set(
-                "parent",
-                e.parent.map_or(Json::Null, Json::U64),
-            );
+            o.set("parent", e.parent.map_or(Json::Null, Json::U64));
             o.set("name", Json::Str(e.name.clone()));
             o.set("lane", Json::U64(u64::from(e.lane)));
             o.set("ts_ns", Json::U64(e.ts_ns));
@@ -377,11 +371,7 @@ pub fn chrome_trace_json_offset(
 
 /// The bare `traceEvents` entries (no enclosing document) — callers
 /// that stitch several traces together concatenate these.
-pub fn chrome_events(
-    spans: &[SpanRecord],
-    events: &[EventRecord],
-    tid_offset: u64,
-) -> Vec<Json> {
+pub fn chrome_events(spans: &[SpanRecord], events: &[EventRecord], tid_offset: u64) -> Vec<Json> {
     let us = |ns: u64| Json::F64(ns as f64 / 1_000.0);
     let mut out = Vec::with_capacity(spans.len() + events.len());
     for s in spans {

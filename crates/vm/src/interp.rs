@@ -208,9 +208,20 @@ impl VmProfile {
                 self.hot.insert(name.to_string(), 1);
             }
         }
+        // One key buffer per sample: a pair seen before costs no
+        // allocation.
+        let mut key = String::with_capacity(32);
         for w in window.windows(2) {
-            let key = format!("{}>{}", w[0], w[1]);
-            *self.pairs.entry(key).or_insert(0) += 1;
+            key.clear();
+            key.push_str(w[0]);
+            key.push('>');
+            key.push_str(w[1]);
+            match self.pairs.get_mut(key.as_str()) {
+                Some(n) => *n += 1,
+                None => {
+                    self.pairs.insert(key.clone(), 1);
+                }
+            }
         }
     }
 }
@@ -278,13 +289,9 @@ pub struct Vm<'m> {
     pub(crate) profile_every: u32,
     /// Slices remaining until the next profiler sample.
     pub(crate) profile_countdown: u32,
-    /// Ring of the most recently executed opcode mnemonics (the
-    /// profiler's opcode window), maintained only while profiling.
-    pub(crate) profile_ring: [&'static str; PROFILE_WINDOW],
-    /// Valid entries in `profile_ring` (saturates at the window size).
-    pub(crate) profile_ring_len: u8,
-    /// Next write position in `profile_ring`.
-    pub(crate) profile_ring_idx: u8,
+    /// The most recently entered blocks, from which a sample reads the
+    /// profiler's opcode window; maintained only while profiling.
+    pub(crate) profile_ring: crate::threaded::BlockRing,
     /// The sampling profile (empty until [`Vm::enable_profiler`]).
     pub(crate) profile: VmProfile,
     /// Whether the dispatch loop updates [`VmStats`].
@@ -423,9 +430,7 @@ impl<'m> Vm<'m> {
             deadline_checks: 0,
             profile_every: 0,
             profile_countdown: 0,
-            profile_ring: [""; PROFILE_WINDOW],
-            profile_ring_len: 0,
-            profile_ring_idx: 0,
+            profile_ring: Default::default(),
             profile: VmProfile::default(),
             collect_stats: false,
             stats: VmStats::default(),
@@ -751,7 +756,10 @@ impl<'m> Vm<'m> {
         })
     }
 
-    pub(crate) fn instance_field_slot(&self, field: &safetsa_core::types::FieldRef) -> Result<usize, Trap> {
+    pub(crate) fn instance_field_slot(
+        &self,
+        field: &safetsa_core::types::FieldRef,
+    ) -> Result<usize, Trap> {
         // Flattened slot: base of declaring class + index among its
         // instance fields.
         let class = field.class;

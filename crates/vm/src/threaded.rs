@@ -185,9 +185,9 @@ pub(crate) enum ElemKind {
 }
 
 /// Per-block metadata: the *original* (pre-fusion) instruction
-/// mnemonics in execution order, both as a list (fed to the profiler
-/// ring so pair histograms count the unfused instruction stream) and
-/// aggregated (for the stats opcode histogram).
+/// mnemonics in execution order, both as a list (the profiler's window
+/// reads it, so pair histograms count the unfused instruction stream)
+/// and aggregated (for the stats opcode histogram).
 pub(crate) struct BlockMeta {
     /// Original mnemonics in order.
     pub(crate) mnems: Box<[&'static str]>,
@@ -215,6 +215,77 @@ const FUSE_NULL_GETFIELD: usize = 2;
 const FUSE_NULL_SETFIELD: usize = 3;
 const FUSE_IDX_GETELT: usize = 4;
 const FUSE_IDX_SETELT: usize = 5;
+
+/// One slot of [`BlockRing`]: the first `n` mnemonics of block `bi` of
+/// function `func` ran; `n == 0` marks a slot never filled.
+#[derive(Clone, Copy, Default)]
+struct RingSlot {
+    func: u32,
+    bi: u32,
+    n: u32,
+}
+
+/// The profiler's opcode window, recorded per block: the last
+/// [`PROFILE_WINDOW`] non-empty blocks entered, newest last. Empty
+/// blocks are never pushed, so every filled slot holds at least one
+/// mnemonic and the slots together cover the window; the window's
+/// mnemonics are read back only when a sample is taken.
+#[derive(Default)]
+pub(crate) struct BlockRing {
+    slots: [RingSlot; PROFILE_WINDOW],
+    next: usize,
+}
+
+impl BlockRing {
+    /// Records that the `n > 0` mnemonics of block `bi` of `func` ran.
+    #[inline(always)]
+    fn push(&mut self, func: FuncId, bi: u32, n: u32) {
+        // `next` is always in range; the mask lets the compiler see it.
+        let at = self.next % PROFILE_WINDOW;
+        self.next = (at + 1) % PROFILE_WINDOW;
+        self.slots[at] = RingSlot {
+            func: func.0,
+            bi,
+            n,
+        };
+    }
+
+    /// Cuts the newest block to its first `n > 0` mnemonics.
+    fn cut_newest(&mut self, n: u32) {
+        self.slots[(self.next + PROFILE_WINDOW - 1) % PROFILE_WINDOW].n = n;
+    }
+
+    /// The last (up to) [`PROFILE_WINDOW`] mnemonics that ran, oldest
+    /// first, read from the blocks' decoded functions in `tcode` and
+    /// written to the tail of `buf`.
+    fn window<'b>(
+        &self,
+        tcode: &[Option<Rc<TFunc>>],
+        buf: &'b mut [&'static str; PROFILE_WINDOW],
+    ) -> &'b [&'static str] {
+        let mut start = PROFILE_WINDOW;
+        for back in 1..=PROFILE_WINDOW {
+            let slot = self.slots[(self.next + PROFILE_WINDOW - back) % PROFILE_WINDOW];
+            if slot.n == 0 {
+                break;
+            }
+            let tf = tcode[slot.func as usize]
+                .as_ref()
+                .expect("a block in the ring belongs to a decoded function");
+            for &m in tf.blocks[slot.bi as usize].mnems[..slot.n as usize]
+                .iter()
+                .rev()
+            {
+                start -= 1;
+                buf[start] = m;
+                if start == 0 {
+                    return &buf[..];
+                }
+            }
+        }
+        &buf[start..]
+    }
+}
 
 /// The sequential `(dst, src)` phi copies for one static predecessor
 /// block.
@@ -403,6 +474,8 @@ pub(crate) enum Op {
 
 /// A fully decoded function.
 pub(crate) struct TFunc {
+    /// The function this was decoded from.
+    pub(crate) id: FuncId,
     /// Diagnostic name (for the profiler's hot-function table).
     pub(crate) name: String,
     /// The frame a call starts from: the SSA value table plus one
@@ -519,14 +592,14 @@ impl<'m> Vm<'m> {
         if let Some(tf) = &self.tcode[fid.index()] {
             return tf.clone();
         }
-        let f = self.module.function(fid);
-        let tf = Rc::new(decode_function(self, f));
+        let tf = Rc::new(decode_function(self, fid));
         self.tcode[fid.index()] = Some(tf.clone());
         tf
     }
 }
 
-fn decode_function<'m>(vm: &Vm<'m>, f: &'m Function) -> TFunc {
+fn decode_function(vm: &Vm<'_>, fid: FuncId) -> TFunc {
+    let f = vm.module.function(fid);
     let nvals = f.values.len();
     let mut fl = Flattener {
         vm,
@@ -562,6 +635,7 @@ fn decode_function<'m>(vm: &Vm<'m>, f: &'m Function) -> TFunc {
         };
     }
     TFunc {
+        id: fid,
         name: f.name.clone(),
         template: template.into_boxed_slice(),
         strs: strs.into_boxed_slice(),
@@ -700,11 +774,7 @@ impl<'a, 'm> Flattener<'a, 'm> {
         let block = self.f.block(b);
         let mut charged: u32 = 0;
         for (k, instr) in block.instrs.iter().enumerate() {
-            let dst = self
-                .f
-                .instr_result(b, k)
-                .map(|v| v.0)
-                .unwrap_or(NO_SLOT);
+            let dst = self.f.instr_result(b, k).map(|v| v.0).unwrap_or(NO_SLOT);
             let op = self.decode(instr, dst);
             charged += 1;
             if charged >= 2 {
@@ -1183,9 +1253,8 @@ impl<'a, 'm> Flattener<'a, 'm> {
             .iter()
             .map(|p| crate::interp::sig_letter(types, *p))
             .collect();
-        let id = intrinsics::resolve(&cinfo.name, &minfo.name, &sig).ok_or_else(|| {
-            format!("no intrinsic for {}.{}({sig})", cinfo.name, minfo.name)
-        })?;
+        let id = intrinsics::resolve(&cinfo.name, &minfo.name, &sig)
+            .ok_or_else(|| format!("no intrinsic for {}.{}({sig})", cinfo.name, minfo.name))?;
         Ok(CallTarget::Intrinsic {
             id,
             is_static: minfo.kind == MethodKind::Static,
@@ -1201,25 +1270,25 @@ impl<'a, 'm> Flattener<'a, 'm> {
 fn try_fuse(prev: &Op, cur: &Op) -> Option<Op> {
     match (prev, cur) {
         // nullcheck → getfield on the checked ref.
-        (
-            &Op::NullCheck { v, dst: chk },
-            &Op::GetField { obj, slot, dst },
-        ) if obj == chk => Some(Op::NullGetField {
-            obj: v,
-            slot,
-            chk,
-            dst,
-        }),
+        (&Op::NullCheck { v, dst: chk }, &Op::GetField { obj, slot, dst }) if obj == chk => {
+            Some(Op::NullGetField {
+                obj: v,
+                slot,
+                chk,
+                dst,
+            })
+        }
         // nullcheck → setfield on the checked ref.
-        (
-            &Op::NullCheck { v, dst: chk },
-            &Op::SetField { obj, slot, val },
-        ) if obj == chk && val != chk => Some(Op::NullSetField {
-            obj: v,
-            slot,
-            val,
-            chk,
-        }),
+        (&Op::NullCheck { v, dst: chk }, &Op::SetField { obj, slot, val })
+            if obj == chk && val != chk =>
+        {
+            Some(Op::NullSetField {
+                obj: v,
+                slot,
+                val,
+                chk,
+            })
+        }
         // indexcheck → getelt with the checked index on the same array.
         (
             &Op::IndexCheck { arr, idx, dst: chk },
@@ -1400,16 +1469,14 @@ impl<'m> Vm<'m> {
                         }
                         Err(t) => break 'op t,
                     },
-                    Op::Prim2 { f, a, b, dst } => {
-                        match f(vals[*a as usize], vals[*b as usize]) {
-                            Ok(v) => {
-                                vals[*dst as usize] = v;
-                                pc += 1;
-                                continue 'l;
-                            }
-                            Err(t) => break 'op t,
+                    Op::Prim2 { f, a, b, dst } => match f(vals[*a as usize], vals[*b as usize]) {
+                        Ok(v) => {
+                            vals[*dst as usize] = v;
+                            pc += 1;
+                            continue 'l;
                         }
-                    }
+                        Err(t) => break 'op t,
+                    },
                     Op::Prim2Pair {
                         f1,
                         a1,
@@ -1532,8 +1599,7 @@ impl<'m> Vm<'m> {
                         }
                     }
                     Op::GetStatic { class, idx, dst } => {
-                        vals[*dst as usize] =
-                            self.statics.get(*class as usize, *idx as usize);
+                        vals[*dst as usize] = self.statics.get(*class as usize, *idx as usize);
                         pc += 1;
                         continue 'l;
                     }
@@ -1747,9 +1813,8 @@ impl<'m> Vm<'m> {
                         continue 'l;
                     }
                     Op::RefEq { a, b, dst } => {
-                        vals[*dst as usize] = Value::Z(
-                            vals[*a as usize].as_ref() == vals[*b as usize].as_ref(),
-                        );
+                        vals[*dst as usize] =
+                            Value::Z(vals[*a as usize].as_ref() == vals[*b as usize].as_ref());
                         pc += 1;
                         continue 'l;
                     }
@@ -1909,36 +1974,51 @@ impl<'m> Vm<'m> {
         intrinsics::invoke(id, &mut self.heap, &mut self.output, recv, &self.call_args)
     }
 
-    /// Slice countdown for one block. While profiling, the countdown
-    /// runs per original (pre-fusion) instruction, feeding each one to
-    /// the opcode ring; otherwise the whole block cost is debited at
-    /// once, with one boundary action per slice crossed.
+    /// Slice countdown for one block: debits its tick count, which is
+    /// its original (pre-fusion) instruction count while profiling and
+    /// its charged cost otherwise. While profiling, a non-empty block
+    /// also joins the profiler's ring whole. Only a block that a slice
+    /// boundary falls inside leaves this path.
+    #[inline(always)]
     fn slice_tick(&mut self, tf: &TFunc, bi: u32, cost: u32) -> Result<(), Trap> {
-        if self.profile_every != 0 {
-            // Split borrow: the ring push needs &mut self while `tf` is
-            // a separate Rc, so this is fine.
-            let meta = &tf.blocks[bi as usize];
-            for &m in meta.mnems.iter() {
-                self.profile_ring[self.profile_ring_idx as usize] = m;
-                self.profile_ring_idx = (self.profile_ring_idx + 1) % PROFILE_WINDOW as u8;
-                if (self.profile_ring_len as usize) < PROFILE_WINDOW {
-                    self.profile_ring_len += 1;
-                }
-                self.slice_left -= 1;
-                if self.slice_left == 0 {
-                    self.slice_left = DEADLINE_SLICE;
-                    self.slice_boundary(&tf.name)?;
-                }
+        let n = if self.profile_every != 0 {
+            let n = tf.blocks[bi as usize].mnems.len() as u32;
+            if n != 0 {
+                self.profile_ring.push(tf.id, bi, n);
             }
+            n
         } else {
-            let mut c = cost;
-            while c >= self.slice_left {
-                c -= self.slice_left;
-                self.slice_left = DEADLINE_SLICE;
-                self.slice_boundary(&tf.name)?;
-            }
-            self.slice_left -= c;
+            cost
+        };
+        if n < self.slice_left {
+            self.slice_left -= n;
+            return Ok(());
         }
+        self.slice_boundaries(tf, n)
+    }
+
+    /// The slice boundaries inside a block of `n` ticks: at its
+    /// `slice_left`-th tick and every [`DEADLINE_SLICE`] after. While
+    /// profiling, the block (the ring's newest) is cut at each boundary,
+    /// so a sample's window ends on the boundary's instruction and a
+    /// trap there leaves the ring as if the rest of the block never ran.
+    #[cold]
+    #[inline(never)]
+    fn slice_boundaries(&mut self, tf: &TFunc, n: u32) -> Result<(), Trap> {
+        let profiling = self.profile_every != 0;
+        let mut k = self.slice_left;
+        while k <= n {
+            if profiling {
+                self.profile_ring.cut_newest(k);
+            }
+            self.slice_left = DEADLINE_SLICE;
+            self.slice_boundary(&tf.name)?;
+            k += DEADLINE_SLICE;
+        }
+        if profiling {
+            self.profile_ring.cut_newest(n);
+        }
+        self.slice_left = k - n;
         Ok(())
     }
 
@@ -1950,14 +2030,9 @@ impl<'m> Vm<'m> {
             self.profile_countdown -= 1;
             if self.profile_countdown == 0 {
                 self.profile_countdown = self.profile_every;
-                let mut window = [""; PROFILE_WINDOW];
-                let n = self.profile_ring_len as usize;
-                for (i, slot) in window[..n].iter_mut().enumerate() {
-                    let src =
-                        (self.profile_ring_idx as usize + PROFILE_WINDOW - n + i) % PROFILE_WINDOW;
-                    *slot = self.profile_ring[src];
-                }
-                self.profile.sample(name, &window[..n]);
+                let mut buf = [""; PROFILE_WINDOW];
+                let window = self.profile_ring.window(&self.tcode, &mut buf);
+                self.profile.sample(name, window);
             }
         }
         if let Some(deadline) = self.deadline {
@@ -2102,7 +2177,213 @@ impl<'m> Vm<'m> {
 
 #[cfg(test)]
 mod tests {
-    use super::{CopySequencer, Slot, NO_SLOT};
+    use super::{BlockMeta, CopySequencer, Slot, TFunc, NO_SLOT};
+    use crate::interp::{Vm, VmProfile, DEADLINE_SLICE, PROFILE_WINDOW};
+    use safetsa_core::module::FuncId;
+    use safetsa_rt::Trap;
+    use std::cell::Cell;
+    use std::rc::Rc;
+    use std::time::{Duration, Instant};
+
+    const MNEMS: [&str; 7] = ["a", "b", "c", "d", "e", "f", "g"];
+
+    /// A decoded function with no code, only blocks of the given
+    /// mnemonic counts.
+    fn blocks_only(id: u32, lens: &[usize]) -> TFunc {
+        let blocks = lens
+            .iter()
+            .enumerate()
+            .map(|(bi, &len)| BlockMeta {
+                mnems: (0..len)
+                    .map(|i| MNEMS[(id as usize * 5 + bi * 3 + i) % MNEMS.len()])
+                    .collect(),
+                counts: Box::new([]),
+                hits: Cell::new(0),
+            })
+            .collect();
+        TFunc {
+            id: FuncId(id),
+            name: format!("F{id}"),
+            template: Box::new([]),
+            strs: Box::new([]),
+            code: Vec::new(),
+            blocks,
+            block_starts: Vec::new(),
+            handlers: Vec::new(),
+        }
+    }
+
+    /// The slice countdown one tick at a time, as the reference: while
+    /// profiling (`every != 0`), every mnemonic enters an 8-entry ring
+    /// and ticks the slice counter, and each boundary samples (every
+    /// `every` slices) and then checks the deadline; otherwise each unit
+    /// of block cost ticks. Ring entries carry their function, to check
+    /// coverage.
+    struct MnemonicLoop {
+        ring: Vec<(&'static str, u32)>,
+        slice_left: u32,
+        every: u32,
+        countdown: u32,
+        expired: bool,
+        checks: u64,
+        profile: VmProfile,
+    }
+
+    /// How often the test reached each edge case it must cover.
+    #[derive(Default, Debug)]
+    struct Seen {
+        empty_blocks: u32,
+        boundary_on_first: u32,
+        boundary_on_last: u32,
+        two_in_one_block: u32,
+        window_returns: u32,
+    }
+
+    impl MnemonicLoop {
+        fn enter(&mut self, tf: &TFunc, bi: u32, cost: u32, seen: &mut Seen) -> Result<(), Trap> {
+            let mnems = &tf.blocks[bi as usize].mnems;
+            let ticks = if self.every == 0 {
+                cost as usize
+            } else {
+                mnems.len()
+            };
+            seen.empty_blocks += u32::from(ticks == 0);
+            let mut boundaries = 0;
+            for k in 0..ticks {
+                if self.every != 0 {
+                    if self.ring.len() == PROFILE_WINDOW {
+                        self.ring.remove(0);
+                    }
+                    self.ring.push((mnems[k], tf.id.0));
+                }
+                self.slice_left -= 1;
+                if self.slice_left != 0 {
+                    continue;
+                }
+                self.slice_left = DEADLINE_SLICE;
+                boundaries += 1;
+                seen.boundary_on_first += u32::from(k == 0);
+                seen.boundary_on_last += u32::from(k > 0 && k + 1 == ticks);
+                seen.two_in_one_block += u32::from(boundaries == 2);
+                if self.every != 0 {
+                    self.countdown -= 1;
+                    if self.countdown == 0 {
+                        self.countdown = self.every;
+                        self.sample(&tf.name, seen);
+                    }
+                }
+                self.checks += 1;
+                if self.expired {
+                    return Err(Trap::DeadlineExceeded);
+                }
+            }
+            Ok(())
+        }
+
+        fn sample(&mut self, name: &str, seen: &mut Seen) {
+            // Some function's mnemonics, another's, then the first one's
+            // again: a call and its return.
+            let funcs: Vec<u32> = self.ring.iter().map(|e| e.1).collect();
+            seen.window_returns += u32::from((0..funcs.len()).any(|j| {
+                funcs[..j]
+                    .iter()
+                    .any(|&f| f != funcs[j] && funcs[j + 1..].contains(&f))
+            }));
+            self.profile.sample(name, &self.window());
+        }
+
+        fn window(&self) -> Vec<&'static str> {
+            self.ring.iter().map(|e| e.0).collect()
+        }
+    }
+
+    #[test]
+    fn block_ring_matches_the_per_mnemonic_loop() {
+        // Entries into blocks of 0 to 2,100 mnemonics in three
+        // functions, in a pseudo-random order, against the reference
+        // loop, with the profiler off, sampling every slice and every
+        // third: the ring's window, the slice countdown, every sample and
+        // every deadline check must agree after each entry. Then a
+        // deadline kill inside a block, and more entries after it, whose
+        // windows must start from the cut block.
+        let prog = safetsa_frontend::compile(
+            "class A { static int f() { return 1; } static int g() { return 2; }
+               static int main() { return f() + g(); } }",
+        )
+        .expect("compiles");
+        let m = safetsa_ssa::lower_program(&prog).expect("lowers").module;
+        let lens: [&[usize]; 3] = [
+            &[0, 1, 2, 7, 8, 9, 300],
+            &[0, 3, 1023, 1024, 1025],
+            &[1, 5, 2048, 2049, 2100],
+        ];
+        for every in [0, 1, 3] {
+            let mut vm = Vm::load(&m).expect("loads");
+            let funcs: Vec<Rc<TFunc>> = (0..3)
+                .map(|id| Rc::new(blocks_only(id, lens[id as usize])))
+                .collect();
+            for tf in &funcs {
+                vm.tcode[tf.id.index()] = Some(tf.clone());
+            }
+            vm.set_deadline(Instant::now() + Duration::from_secs(3600));
+            vm.enable_profiler(every);
+            let mut reference = MnemonicLoop {
+                ring: Vec::new(),
+                slice_left: DEADLINE_SLICE,
+                every,
+                countdown: every,
+                expired: false,
+                checks: 0,
+                profile: vm.profile.clone(),
+            };
+            let mut seen = Seen::default();
+            let mut rng: u64 = 0x9e37_79b9_7f4a_7c15;
+            let mut pick = |k: usize| {
+                rng = rng
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (rng >> 33) as usize % k
+            };
+            let mut kill_at = None;
+            for step in 0..6000 {
+                if step == 4000 {
+                    vm.deadline = Some(Instant::now());
+                    reference.expired = true;
+                }
+                // First a window of one-mnemonic blocks, one per ring slot.
+                let (tf, bi) = if step <= PROFILE_WINDOW {
+                    [(&funcs[0], 1), (&funcs[2], 0)][step % 2]
+                } else {
+                    let tf = &funcs[pick(funcs.len())];
+                    (tf, pick(tf.blocks.len()) as u32)
+                };
+                let cost = tf.blocks[bi as usize].mnems.len() as u32 * 3 / 4;
+                let got = vm.slice_tick(tf, bi, cost);
+                let want = reference.enter(tf, bi, cost, &mut seen);
+                assert_eq!(got, want, "step {step}");
+                if got.is_err() {
+                    kill_at.get_or_insert(step);
+                    vm.deadline = Some(Instant::now() + Duration::from_secs(3600));
+                    reference.expired = false;
+                }
+                let mut buf = [""; PROFILE_WINDOW];
+                let window = vm.profile_ring.window(&vm.tcode, &mut buf);
+                assert_eq!(window, reference.window(), "step {step}");
+                assert_eq!(vm.slice_left, reference.slice_left, "step {step}");
+                assert_eq!(vm.deadline_checks, reference.checks, "step {step}");
+                assert_eq!(vm.profile, reference.profile, "step {step}");
+            }
+            assert!(kill_at.is_some_and(|s| s < 5000), "no deadline kill");
+            assert!(
+                seen.empty_blocks > 0
+                    && seen.boundary_on_first > 0
+                    && seen.boundary_on_last > 0
+                    && seen.two_in_one_block > 0
+                    && (every == 0 || seen.window_returns > 0),
+                "every {every}: edge cases not reached: {seen:?}"
+            );
+        }
+    }
 
     #[test]
     fn sequenced_copies_have_the_parallel_effect() {

@@ -668,10 +668,8 @@ fn profiler_survives_a_deadline_kill() {
     // The at-kill-time sample: a spin killed by the deadline must still
     // carry hot-function evidence, because sampling happens at the
     // slice boundary *before* the deadline check.
-    let prog = compile(
-        "class A { static int main() { int i = 0; while (true) { i = i + 1; } } }",
-    )
-    .expect("compiles");
+    let prog = compile("class A { static int main() { int i = 0; while (true) { i = i + 1; } } }")
+        .expect("compiles");
     let lowered = lower_program(&prog).expect("lowers");
     verify_module(&lowered.module).expect("verifies");
     let mut vm = Vm::load(&lowered.module).expect("loads");
@@ -686,14 +684,18 @@ fn profiler_survives_a_deadline_kill() {
 
 #[test]
 fn profiles_merge_additively() {
-    let mut a = safetsa_vm::VmProfile::default();
-    a.every_slices = 4;
-    a.samples = 3;
+    let mut a = safetsa_vm::VmProfile {
+        every_slices: 4,
+        samples: 3,
+        ..Default::default()
+    };
     a.hot.insert("A.f".into(), 3);
     a.pairs.insert("add>mul".into(), 2);
-    let mut b = safetsa_vm::VmProfile::default();
-    b.every_slices = 4;
-    b.samples = 5;
+    let mut b = safetsa_vm::VmProfile {
+        every_slices: 4,
+        samples: 5,
+        ..Default::default()
+    };
     b.hot.insert("A.f".into(), 1);
     b.hot.insert("B.g".into(), 5);
     a.merge(&b);

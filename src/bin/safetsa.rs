@@ -253,7 +253,9 @@ fn cmd_compile(args: &[String]) -> Result<(), Error> {
         // Per-unit incremental mode: all inputs form one program,
         // cached method-by-method (vs. batch's whole-module records).
         if jobs.is_some() {
-            return Err("--explain-cache uses the in-process incremental store (drop --jobs)".into());
+            return Err(
+                "--explain-cache uses the in-process incremental store (drop --jobs)".into(),
+            );
         }
         if cache_dir.is_none() {
             return Err("--explain-cache requires --cache-dir PATH".into());
@@ -281,7 +283,10 @@ fn cmd_compile(args: &[String]) -> Result<(), Error> {
     if let Some(path) = metrics_path {
         record_baseline(&built.prog, bytes.len() as u64, pipeline.metrics())?;
         let subject: Vec<&str> = sources.iter().map(|s| s.as_str()).collect();
-        write_metrics(path, &pipeline.metrics().report("compile", &subject.join(" ")))?;
+        write_metrics(
+            path,
+            &pipeline.metrics().report("compile", &subject.join(" ")),
+        )?;
     }
     if let Some(path) = trace_path {
         write_trace(path, pipeline.metrics())?;
@@ -558,10 +563,7 @@ fn run_analyze(args: &[String]) -> Result<bool, Error> {
                 o.set("kind", Json::Str(d.kind.into()));
                 o.set("function", Json::Str(d.function.clone()));
                 o.set("block", Json::U64(u64::from(d.block.0)));
-                o.set(
-                    "instr",
-                    d.instr.map_or(Json::Null, |i| Json::U64(i as u64)),
-                );
+                o.set("instr", d.instr.map_or(Json::Null, |i| Json::U64(i as u64)));
                 o.set("message", Json::Str(d.message.clone()));
                 o
             })
@@ -693,8 +695,8 @@ fn parse_tenant(spec: &str, base: TenantProfile) -> Result<(String, TenantProfil
             }
             "deadline_ms" => profile.max_deadline_ms = n,
             "source_bytes" => {
-                profile.max_source_bytes =
-                    usize::try_from(n).map_err(|_| format!("--tenant {spec}: source_bytes too large"))?
+                profile.max_source_bytes = usize::try_from(n)
+                    .map_err(|_| format!("--tenant {spec}: source_bytes too large"))?
             }
             other => return Err(format!("--tenant {spec}: unknown key `{other}`").into()),
         }

@@ -31,7 +31,11 @@ fn options(jobs: usize) -> BatchOptions {
 
 /// One batch task: the full producer pipeline on the driver-provided
 /// per-task registry.
-fn compile_task(_idx: usize, input: &BatchInput, tm: Telemetry) -> Result<(Vec<u8>, Telemetry), Error> {
+fn compile_task(
+    _idx: usize,
+    input: &BatchInput,
+    tm: Telemetry,
+) -> Result<(Vec<u8>, Telemetry), Error> {
     let pipeline = Pipeline::new().telemetry(tm);
     let module = pipeline.compile_source(&input.source)?;
     let bytes = pipeline.encode(&module)?;
@@ -59,7 +63,11 @@ fn corpus_bytes_identical_serial_vs_parallel() {
     assert_eq!(serial.items.len(), inputs.len());
     for (a, b) in serial.items.iter().zip(&parallel.items) {
         assert_eq!(a.name, b.name, "batch reordered outputs");
-        assert_eq!(a.bytes, b.bytes, "{}: .tsa bytes differ across jobs", a.name);
+        assert_eq!(
+            a.bytes, b.bytes,
+            "{}: .tsa bytes differ across jobs",
+            a.name
+        );
         assert_eq!(
             deterministic_flat(&a.metrics),
             deterministic_flat(&b.metrics),

@@ -44,7 +44,8 @@ fn spawn(mut cfg: ServerConfig) -> (String, ServerHandle, std::thread::JoinHandl
 
 fn drain(handle: &ServerHandle, join: std::thread::JoinHandle<()>) {
     handle.request_shutdown();
-    join.join().expect("daemon thread must not panic during drain");
+    join.join()
+        .expect("daemon thread must not panic during drain");
 }
 
 fn status(resp: &Json) -> &str {
@@ -67,9 +68,13 @@ fn payload(resp: &Json) -> &Json {
 }
 
 fn stat(handle: &ServerHandle, key: &str) -> u64 {
-    handle.stats().get(key).and_then(Json::as_u64).unwrap_or_else(|| {
-        panic!("stats payload missing `{key}`");
-    })
+    handle
+        .stats()
+        .get(key)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| {
+            panic!("stats payload missing `{key}`");
+        })
 }
 
 fn run_req(id: &str, source: &str, entry: &str, deadline_ms: u64) -> Json {
@@ -126,10 +131,18 @@ fn injected_panic_is_isolated_and_counted() {
 
     // Same connection, same worker pool: still alive.
     let resp = client
-        .request(&run_req("after", "class A { static int main() { return 6 * 7; } }", "A.main", 5_000))
+        .request(&run_req(
+            "after",
+            "class A { static int main() { return 6 * 7; } }",
+            "A.main",
+            5_000,
+        ))
         .expect("post-panic response");
     assert_eq!(status(&resp), "ok");
-    assert_eq!(payload(&resp).get("result"), Some(&Json::Str("I(42)".into())));
+    assert_eq!(
+        payload(&resp).get("result"),
+        Some(&Json::Str("I(42)".into()))
+    );
 
     assert_eq!(stat(&handle, "panics_isolated"), 1);
     drain(&handle, join);
@@ -174,9 +187,12 @@ fn tampered_and_truncated_frames_leave_daemon_live() {
     // EOF. The reader flushes the trailing partial line as one last
     // (malformed) frame, so three responses come back.
     let mut raw = TcpStream::connect(&addr).expect("raw connect");
-    raw.write_all(b"{\"op\": \"run\", \"id\": tampered!!\n").unwrap();
-    raw.write_all(b"\xff\xfe{binary\x00garbage}\xc3\x28\n").unwrap();
-    raw.write_all(b"{\"op\":\"ping\",\"id\":\"cut-mid-fra").unwrap();
+    raw.write_all(b"{\"op\": \"run\", \"id\": tampered!!\n")
+        .unwrap();
+    raw.write_all(b"\xff\xfe{binary\x00garbage}\xc3\x28\n")
+        .unwrap();
+    raw.write_all(b"{\"op\":\"ping\",\"id\":\"cut-mid-fra")
+        .unwrap();
     raw.shutdown(std::net::Shutdown::Write).unwrap();
 
     let mut text = String::new();
@@ -193,7 +209,9 @@ fn tampered_and_truncated_frames_leave_daemon_live() {
 
     // Fresh connection: the daemon took no damage.
     let mut client = Client::connect_tcp(&addr).expect("reconnect");
-    let resp = client.request(&request_obj("ping", "still-alive")).expect("ping");
+    let resp = client
+        .request(&request_obj("ping", "still-alive"))
+        .expect("ping");
     assert_eq!(status(&resp), "ok");
 
     assert_eq!(stat(&handle, "malformed"), 3);
@@ -240,7 +258,10 @@ fn corrupted_cache_degrades_to_cache_off() {
 
     // Tampered entry bytes: the load treats corruption as a miss and
     // the request still succeeds.
-    assert!(corrupt_cache_entries(&dir) > 0, "no cache entry was written");
+    assert!(
+        corrupt_cache_entries(&dir) > 0,
+        "no cache entry was written"
+    );
     let resp = compile("c3", src);
     assert_eq!(status(&resp), "ok");
     assert_eq!(payload(&resp).get("cached"), Some(&Json::Bool(false)));
@@ -374,12 +395,20 @@ fn saturation_sheds_then_recovers() {
         }
     }
     assert_eq!(ok + shed, n);
-    assert!(shed > 0, "a 12-deep burst into 1 worker + 2 slots must shed");
+    assert!(
+        shed > 0,
+        "a 12-deep burst into 1 worker + 2 slots must shed"
+    );
     assert!(ok > 0, "admitted burst requests must still complete");
 
     // Saturation over: the next request is admitted normally.
     let resp = client
-        .request(&run_req("after", "class A { static int main() { return 7; } }", "A.main", 5_000))
+        .request(&run_req(
+            "after",
+            "class A { static int main() { return 7; } }",
+            "A.main",
+            5_000,
+        ))
         .expect("post-burst response");
     assert_eq!(status(&resp), "ok");
     assert_eq!(stat(&handle, "shed") as usize, shed);
@@ -405,9 +434,15 @@ fn shutdown_drains_in_flight_requests() {
     std::thread::sleep(Duration::from_millis(50));
     handle.request_shutdown();
 
-    let resp = client.recv().expect("drain recv").expect("drained response");
+    let resp = client
+        .recv()
+        .expect("drain recv")
+        .expect("drained response");
     assert_eq!(status(&resp), "ok");
-    assert_eq!(payload(&resp).get("result"), Some(&Json::Str("I(9)".into())));
+    assert_eq!(
+        payload(&resp).get("result"),
+        Some(&Json::Str("I(9)".into()))
+    );
 
     join.join().expect("clean daemon exit");
     let stats = handle.stats();
@@ -435,10 +470,18 @@ fn unix_socket_serves_and_cleans_up() {
 
     let mut client = Client::connect_unix(&path).expect("unix connect");
     let resp = client
-        .request(&run_req("u1", "class A { static int main() { return 6 * 7; } }", "A.main", 5_000))
+        .request(&run_req(
+            "u1",
+            "class A { static int main() { return 6 * 7; } }",
+            "A.main",
+            5_000,
+        ))
         .expect("unix response");
     assert_eq!(status(&resp), "ok");
-    assert_eq!(payload(&resp).get("result"), Some(&Json::Str("I(42)".into())));
+    assert_eq!(
+        payload(&resp).get("result"),
+        Some(&Json::Str("I(42)".into()))
+    );
 
     drain(&handle, join);
     assert!(!path.exists(), "drain must remove the socket file");
@@ -471,13 +514,19 @@ fn pipeline_deadline_records_fuel_slice_telemetry() {
         elapsed < Duration::from_secs(2),
         "deadline enforcement took {elapsed:?}, expected well under 2s"
     );
-    let steps = pipeline.metrics().counter("vm.steps").expect("vm.steps recorded");
+    let steps = pipeline
+        .metrics()
+        .counter("vm.steps")
+        .expect("vm.steps recorded");
     assert!(steps > 0, "the loop must have executed instructions");
     let checks = pipeline
         .metrics()
         .counter("vm.deadline.slice_checks")
         .expect("slice checks recorded");
-    assert!(checks >= 1, "at least one slice boundary must check the clock");
+    assert!(
+        checks >= 1,
+        "at least one slice boundary must check the clock"
+    );
 }
 
 /// The flight recorder's reason to exist: a panicked request's span
@@ -561,7 +610,10 @@ fn flight_recorder_catches_deadline_kill_with_profile() {
         .iter()
         .find(|r| r.get("id") == Some(&Json::Str("spin-flight".into())))
         .expect("deadline-killed request retained");
-    assert_eq!(rec.get("kind"), Some(&Json::Str("deadline_exceeded".into())));
+    assert_eq!(
+        rec.get("kind"),
+        Some(&Json::Str("deadline_exceeded".into()))
+    );
 
     let Some(Json::Arr(spans)) = rec.get("trace").and_then(|t| t.get("spans")) else {
         panic!("record without spans: {}", rec.render());
@@ -614,7 +666,12 @@ fn stats_break_down_by_kind_and_tenant() {
     let resp = client.request(&doc).expect("panic response");
     assert_eq!(kind(&resp), "panic");
     let resp = client
-        .request(&run_req("fine", "class A { static int main() { return 7; } }", "A.main", 5_000))
+        .request(&run_req(
+            "fine",
+            "class A { static int main() { return 7; } }",
+            "A.main",
+            5_000,
+        ))
         .expect("ok response");
     assert_eq!(status(&resp), "ok");
 

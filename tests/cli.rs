@@ -275,11 +275,7 @@ fn verify_accepts_good_module_and_rejects_garbage() {
     std::fs::create_dir_all(&dir).unwrap();
     let src = dir.join("V.java");
     let out = dir.join("v.tsa");
-    std::fs::write(
-        &src,
-        "class V { static int main() { return 6 * 7; } }",
-    )
-    .unwrap();
+    std::fs::write(&src, "class V { static int main() { return 6 * 7; } }").unwrap();
     let st = cli()
         .args([
             "compile",

@@ -159,7 +159,10 @@ fn corpus_memory_pass_toggles_preserve_semantics() {
             let mut m = lowered.module.clone();
             safetsa_opt::optimize(&mut m, passes, &Telemetry::disabled());
             verify_module(&m).unwrap_or_else(|e| {
-                panic!("{} [{cfg_name}]: optimized module rejected: {e}", entry.name)
+                panic!(
+                    "{} [{cfg_name}]: optimized module rejected: {e}",
+                    entry.name
+                )
             });
             let (r2, o2) = run(&m);
             assert_eq!(o1, o2, "{} [{cfg_name}]: output diverged", entry.name);
@@ -171,7 +174,10 @@ fn corpus_memory_pass_toggles_preserve_semantics() {
                 (Err(a), Err(b)) => {
                     assert_eq!(a, b, "{} [{cfg_name}]: error diverged", entry.name);
                 }
-                (a, b) => panic!("{} [{cfg_name}]: outcome diverged: {a:?} vs {b:?}", entry.name),
+                (a, b) => panic!(
+                    "{} [{cfg_name}]: outcome diverged: {a:?} vs {b:?}",
+                    entry.name
+                ),
             }
         }
     }

@@ -17,7 +17,8 @@
 //!   fusions (their branch is a control-structure node, not a charged
 //!   instruction).
 //! * Goldens pin what the VM observably does: every counter of every
-//!   corpus run, and where in the program each fuel budget runs out.
+//!   corpus run, where in the program each fuel budget runs out, and
+//!   every sample the serve daemon's profiler takes.
 //!   Regenerate them only for an intentional change of behaviour, with
 //!   `UPDATE_GOLDEN=1 cargo test --test engines`.
 
@@ -579,4 +580,39 @@ fn fuel_exhaustion_matches_the_golden() {
     .unwrap();
     writeln!(doc, "  {}", vm.profile().to_json().render()).unwrap();
     check_golden("vm_fuel_exhaustion.txt", &doc);
+}
+
+#[test]
+fn daemon_profiles_match_the_golden() {
+    // Every corpus program, unoptimized and optimized, in the serve
+    // daemon's VM configuration (stats on, a deadline that never fires,
+    // a sample every 4 slices): outcome, steps, slice checks, output and
+    // the full profile. Each sample's window and function pin where the
+    // slice countdown crosses a boundary.
+    let mut doc = String::new();
+    for entry in corpus() {
+        let pl = build_pipeline(&entry);
+        for (m, which) in [(&pl.module, "unoptimized"), (&pl.optimized, "optimized")] {
+            let mut vm = Vm::load(m).expect("loads");
+            vm.enable_stats();
+            vm.set_fuel(500_000_000);
+            vm.set_deadline(Instant::now() + Duration::from_secs(3600));
+            vm.enable_profiler(4);
+            let r = vm.run_entry(entry.entry);
+            let tm = Telemetry::enabled();
+            vm.export_metrics(&tm);
+            let checks = tm
+                .counter("vm.deadline.slice_checks")
+                .expect("deadline set");
+            let out = digest(vm.output.text());
+            writeln!(
+                doc,
+                "{} {which}: {r:?} steps={} slice_checks={checks} output={out}",
+                entry.name, vm.steps
+            )
+            .unwrap();
+            writeln!(doc, "  {}", vm.profile().to_json().render()).unwrap();
+        }
+    }
+    check_golden("vm_profiles.txt", &doc);
 }

@@ -52,8 +52,14 @@ fn expected_error(axis: Axis, err: &VmError) -> bool {
     matches!(
         (axis, err),
         (Axis::Fuel, VmError::FuelExhausted)
-            | (Axis::Heap, VmError::Uncaught(Trap::OutOfMemory | Trap::User(_)))
-            | (Axis::Depth, VmError::Uncaught(Trap::StackOverflow | Trap::User(_)))
+            | (
+                Axis::Heap,
+                VmError::Uncaught(Trap::OutOfMemory | Trap::User(_))
+            )
+            | (
+                Axis::Depth,
+                VmError::Uncaught(Trap::StackOverflow | Trap::User(_))
+            )
     )
 }
 
@@ -91,7 +97,11 @@ fn corpus_survives_budget_sweeps() {
         let natural_steps = vm.steps;
         let natural_bytes = vm.heap.bytes_allocated();
         let natural_depth = u64::from(vm.peak_depth());
-        assert!(natural_steps > 0, "{}: no instructions executed", entry.name);
+        assert!(
+            natural_steps > 0,
+            "{}: no instructions executed",
+            entry.name
+        );
         assert!(natural_depth > 0, "{}: no calls executed", entry.name);
 
         for (axis, natural) in [
@@ -104,7 +114,10 @@ fn corpus_survives_budget_sweeps() {
             let mut vm = Vm::load(&pl.module).expect("loads");
             vm.set_limits(limits_for(axis, natural));
             let r = vm.run_entry(entry.entry).unwrap_or_else(|e| {
-                panic!("{}: {axis:?} budget {natural} (== natural) trapped: {e}", entry.name)
+                panic!(
+                    "{}: {axis:?} budget {natural} (== natural) trapped: {e}",
+                    entry.name
+                )
             });
             assert!(
                 results_agree(&r, &ref_result),
@@ -180,7 +193,11 @@ fn vm_recovers_when_budget_is_lifted() {
         let err = vm
             .run_entry(entry.entry)
             .expect_err("half fuel must exhaust");
-        assert!(matches!(err, VmError::FuelExhausted), "{}: {err}", entry.name);
+        assert!(
+            matches!(err, VmError::FuelExhausted),
+            "{}: {err}",
+            entry.name
+        );
 
         vm.set_limits(ResourceLimits::unlimited());
         let recovered = vm

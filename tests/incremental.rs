@@ -203,7 +203,11 @@ fn corrupt_and_stale_entries_read_as_misses() {
     let _store = Store::open(&dir, StoreOptions::default()).unwrap();
 
     // Foreign and v1-format files are ignored.
-    std::fs::write(dir.join("0123456789abcdef.tsac"), b"safetsa-cache/1\nkey 0123456789abcdef\nbytes 3\nabcmetrics 0\n").unwrap();
+    std::fs::write(
+        dir.join("0123456789abcdef.tsac"),
+        b"safetsa-cache/1\nkey 0123456789abcdef\nbytes 3\nabcmetrics 0\n",
+    )
+    .unwrap();
     std::fs::write(dir.join("README.txt"), b"not a cache entry").unwrap();
 
     let p = Pipeline::new().telemetry(Telemetry::enabled());
@@ -214,7 +218,8 @@ fn corrupt_and_stale_entries_read_as_misses() {
     let m = warm.compile_source(TWO_METHODS_V1).unwrap();
     assert_eq!(
         warm.encode(&m).unwrap(),
-        p.encode(&p.compile_source(TWO_METHODS_V1).unwrap()).unwrap()
+        p.encode(&p.compile_source(TWO_METHODS_V1).unwrap())
+            .unwrap()
     );
     assert_eq!(warm.metrics().counter("cache.unit.misses"), Some(3));
 
@@ -234,7 +239,8 @@ fn corrupt_and_stale_entries_read_as_misses() {
     let m2 = again.compile_source(TWO_METHODS_V1).unwrap();
     assert_eq!(
         again.encode(&m2).unwrap(),
-        p.encode(&p.compile_source(TWO_METHODS_V1).unwrap()).unwrap()
+        p.encode(&p.compile_source(TWO_METHODS_V1).unwrap())
+            .unwrap()
     );
     assert_eq!(again.metrics().counter("cache.unit.hits"), Some(0));
     let _ = std::fs::remove_dir_all(&dir);

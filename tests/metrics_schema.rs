@@ -111,10 +111,7 @@ fn metrics_json_schema_is_stable_and_deterministic() {
     let run_a = metrics_doc(&dir, &run_args, "run_a.json");
     let run_b = metrics_doc(&dir, &run_args, "run_b.json");
 
-    for (label, a, b) in [
-        ("compile", &compile_a, &compile_b),
-        ("run", &run_a, &run_b),
-    ] {
+    for (label, a, b) in [("compile", &compile_a, &compile_b), ("run", &run_a, &run_b)] {
         let la = leaves(a);
         let lb = leaves(b);
         let keys_a: Vec<String> = la.iter().map(|(k, _)| k.clone()).collect();

@@ -164,7 +164,9 @@ fn batch_compile_trace_covers_stages_probes_and_workers() {
     assert_eq!(names.iter().filter(|n| *n == "task").count(), 3);
     assert_eq!(names.iter().filter(|n| *n == "cache.probe").count(), 3);
     assert_eq!(names.iter().filter(|n| *n == "cache.probe.done").count(), 3);
-    for stage in ["compile", "frontend", "lower", "optimize", "verify", "encode"] {
+    for stage in [
+        "compile", "frontend", "lower", "optimize", "verify", "encode",
+    ] {
         assert_eq!(
             names.iter().filter(|n| *n == stage).count(),
             3,
