@@ -11,10 +11,12 @@
 //! transmitted and can therefore not be corrupted by a code producer.
 //!
 //! Each row also carries its Java semantics, written once against the
-//! [`Scalar`] access trait. [`eval`] monomorphizes a row per consumer
-//! into a plain `fn` pointer, so constant folding (over [`Literal`]s)
-//! and the VM (over runtime values) evaluate every operation through
-//! the same function.
+//! [`Scalar`] access trait. The table macro turns the rows into one
+//! `match` per arity, [`apply1`] and [`apply2`]: generic over the
+//! consumer and `#[inline(always)]`, so each consumer's instantiation
+//! compiles every row inline at its call site. Constant folding (over
+//! [`Literal`]s) and the VM (over runtime values) evaluate every
+//! operation through these two functions.
 
 use crate::types::PrimKind;
 use crate::value::Literal;
@@ -46,7 +48,10 @@ pub struct PrimOp {
 
 /// How one consumer of the op semantics reads and makes values on the
 /// six primitive planes, and what it raises for division by zero.
-/// Readers are only ever applied to a value on their own plane.
+/// Readers are only ever applied to a value on their own plane. They
+/// take the value by reference, so an inlined row loads only its own
+/// plane's payload, after the row is picked, instead of every plane's
+/// before.
 pub trait Scalar {
     /// The consumer's value representation.
     type Value;
@@ -55,17 +60,17 @@ pub trait Scalar {
     /// The trap of an exceptional row: integer division by zero.
     fn div_by_zero() -> Self::Trap;
     /// Reads a `boolean`.
-    fn z(v: Self::Value) -> bool;
+    fn z(v: &Self::Value) -> bool;
     /// Reads a `char`.
-    fn c(v: Self::Value) -> u16;
+    fn c(v: &Self::Value) -> u16;
     /// Reads an `int`.
-    fn i(v: Self::Value) -> i32;
+    fn i(v: &Self::Value) -> i32;
     /// Reads a `long`.
-    fn j(v: Self::Value) -> i64;
+    fn j(v: &Self::Value) -> i64;
     /// Reads a `float`.
-    fn f(v: Self::Value) -> f32;
+    fn f(v: &Self::Value) -> f32;
     /// Reads a `double`.
-    fn d(v: Self::Value) -> f64;
+    fn d(v: &Self::Value) -> f64;
     /// Makes a `boolean`.
     fn of_z(x: bool) -> Self::Value;
     /// Makes a `char`.
@@ -83,22 +88,13 @@ pub trait Scalar {
 /// An operation's result for consumer `S`: a value, or its trap.
 pub type Outcome<S> = Result<<S as Scalar>::Value, <S as Scalar>::Trap>;
 
-/// One operation's semantics for consumer `S`: a plain `fn` pointer
-/// whose arity is the row's `params.len()`.
-pub enum Eval<S: Scalar> {
-    /// A one-operand operation.
-    Unary(fn(S::Value) -> Outcome<S>),
-    /// A two-operand operation.
-    Binary(fn(S::Value, S::Value) -> Outcome<S>),
-}
-
 /// Implements one plane's reader and maker for [`Literal`].
 macro_rules! literal_plane {
     ($($get:ident, $make:ident: $variant:ident($t:ty);)*) => {$(
-        fn $get(v: Literal) -> $t {
-            match v {
+        fn $get(v: &Literal) -> $t {
+            match *v {
                 Literal::$variant(x) => x,
-                other => unreachable!("{other:?} read as {}", stringify!($t)),
+                ref other => unreachable!("{other:?} read as {}", stringify!($t)),
             }
         }
         fn $make(x: $t) -> Literal {
@@ -124,49 +120,71 @@ impl Scalar for Literal {
     }
 }
 
-/// Declares one operation table and its evaluator. A row reads
-/// `"name" (params) -> result [x] = |operands| body;`: the operands are
+/// Declares one operation table and its evaluators. A row reads
+/// `name (params) -> result [x] = |operands| body;`: the operands are
 /// bound as the Rust scalars of their planes, and the body computes the
 /// result's scalar. An exceptional row (`x`) returns `Option`, with
-/// `None` for a division by zero.
+/// `None` for a division by zero. The rows' semantics go into module
+/// `$rows` as `apply1` and `apply2`, each a `match` on the row index
+/// whose arms are the bodies of the rows of its arity.
 macro_rules! ops {
-    ($(#[$doc:meta])* $table:ident, $eval:ident {
-        $($name:literal ($($p:ident),*) -> $r:ident $($x:ident)? = |$($v:ident),*| $body:expr;)*
+    ($(#[$doc:meta])* $table:ident, $rows:ident {
+        $($name:ident ($($p:ident),*) -> $r:ident $($x:ident)? = |$($v:ident),*| $body:expr;)*
     }) => {
         $(#[$doc])*
         pub const $table: &[PrimOp] = &[$(PrimOp {
-            name: $name,
+            name: stringify!($name),
             params: &[$(PrimKind::$p),*],
             result: PrimKind::$r,
             exceptional: ops!(@x $($x)?),
         }),*];
 
-        // The rows' semantics for consumer `S`, by row index.
-        fn $eval<S: Scalar>(op: PrimOpId) -> Option<Eval<S>> {
-            [$(ops!(@eval ($($p),*) ($($v),*) $r [$($x)?] $body)),*]
-                .into_iter()
-                .nth(op.index())
+        #[allow(non_camel_case_types, non_upper_case_globals)]
+        mod $rows {
+            use super::*;
+
+            // Numbers the rows in table order, for the `match` patterns.
+            enum Row {
+                $($name),*
+            }
+            $(const $name: u16 = Row::$name as u16;)*
+
+            #[inline(always)]
+            pub(super) fn apply1<S: Scalar>(op: PrimOpId, a: &S::Value) -> Outcome<S> {
+                match op.0 {
+                    $(self::$name => ops!(@apply1 ($($p),*) ($($v),*) $r [$($x)?] $body, a),)*
+                    _ => unreachable!("{} has no row {}", stringify!($table), op.0),
+                }
+            }
+
+            #[inline(always)]
+            pub(super) fn apply2<S: Scalar>(op: PrimOpId, a: &S::Value, b: &S::Value) -> Outcome<S> {
+                match op.0 {
+                    $(self::$name => ops!(@apply2 ($($p),*) ($($v),*) $r [$($x)?] $body, a, b),)*
+                    _ => unreachable!("{} has no row {}", stringify!($table), op.0),
+                }
+            }
         }
     };
     (@x) => { false };
     (@x x) => { true };
-    (@eval ($a:ident) ($x:ident) $r:ident [] $body:expr) => {
-        Eval::Unary(|a| {
-            let $x = ops!(@get $a a);
-            Ok(ops!(@put $r $body))
-        })
+    (@apply1 ($a:ident) ($x:ident) $r:ident [] $body:expr, $va:ident) => {{
+        let $x = ops!(@get $a $va);
+        Ok(ops!(@put $r $body))
+    }};
+    (@apply1 ($a:ident, $b:ident) $($row:tt)*) => {
+        unreachable!("a binary row applied to one operand")
     };
-    (@eval ($a:ident, $b:ident) ($x:ident, $y:ident) $r:ident [] $body:expr) => {
-        Eval::Binary(|a, b| {
-            let ($x, $y) = (ops!(@get $a a), ops!(@get $b b));
-            Ok(ops!(@put $r $body))
-        })
-    };
-    (@eval ($a:ident, $b:ident) ($x:ident, $y:ident) $r:ident [x] $body:expr) => {
-        Eval::Binary(|a, b| {
-            let ($x, $y) = (ops!(@get $a a), ops!(@get $b b));
-            $body.map(|v| ops!(@put $r v)).ok_or_else(S::div_by_zero)
-        })
+    (@apply2 ($a:ident, $b:ident) ($x:ident, $y:ident) $r:ident [] $body:expr, $va:ident, $vb:ident) => {{
+        let ($x, $y) = (ops!(@get $a $va), ops!(@get $b $vb));
+        Ok(ops!(@put $r $body))
+    }};
+    (@apply2 ($a:ident, $b:ident) ($x:ident, $y:ident) $r:ident [x] $body:expr, $va:ident, $vb:ident) => {{
+        let ($x, $y) = (ops!(@get $a $va), ops!(@get $b $vb));
+        $body.map(|v| ops!(@put $r v)).ok_or_else(S::div_by_zero)
+    }};
+    (@apply2 ($a:ident) $($row:tt)*) => {
+        unreachable!("a unary row applied to two operands")
     };
     (@get Bool $v:ident) => { S::z($v) };
     (@get Char $v:ident) => { S::c($v) };
@@ -184,26 +202,26 @@ macro_rules! ops {
 
 ops! {
     /// Operations on `boolean`.
-    BOOL_OPS, bool_eval {
-        "and" (Bool, Bool) -> Bool = |x, y| x & y;
-        "or"  (Bool, Bool) -> Bool = |x, y| x | y;
-        "xor" (Bool, Bool) -> Bool = |x, y| x ^ y;
-        "not" (Bool) -> Bool = |x| !x;
-        "eq"  (Bool, Bool) -> Bool = |x, y| x == y;
-        "ne"  (Bool, Bool) -> Bool = |x, y| x != y;
+    BOOL_OPS, bool_rows {
+        and (Bool, Bool) -> Bool = |x, y| x & y;
+        or  (Bool, Bool) -> Bool = |x, y| x | y;
+        xor (Bool, Bool) -> Bool = |x, y| x ^ y;
+        not (Bool) -> Bool = |x| !x;
+        eq  (Bool, Bool) -> Bool = |x, y| x == y;
+        ne  (Bool, Bool) -> Bool = |x, y| x != y;
     }
 }
 
 ops! {
     /// Operations on `char`: unsigned 16-bit code units.
-    CHAR_OPS, char_eval {
-        "eq" (Char, Char) -> Bool = |x, y| x == y;
-        "ne" (Char, Char) -> Bool = |x, y| x != y;
-        "lt" (Char, Char) -> Bool = |x, y| x < y;
-        "le" (Char, Char) -> Bool = |x, y| x <= y;
-        "gt" (Char, Char) -> Bool = |x, y| x > y;
-        "ge" (Char, Char) -> Bool = |x, y| x >= y;
-        "to_int" (Char) -> Int = |x| x as i32;
+    CHAR_OPS, char_rows {
+        eq (Char, Char) -> Bool = |x, y| x == y;
+        ne (Char, Char) -> Bool = |x, y| x != y;
+        lt (Char, Char) -> Bool = |x, y| x < y;
+        le (Char, Char) -> Bool = |x, y| x <= y;
+        gt (Char, Char) -> Bool = |x, y| x > y;
+        ge (Char, Char) -> Bool = |x, y| x >= y;
+        to_int (Char) -> Int = |x| x as i32;
     }
 }
 
@@ -212,59 +230,59 @@ ops! {
     /// (division by zero), exactly as the paper's example notes.
     /// Arithmetic wraps, `MIN / -1` is `MIN`, and shift counts are
     /// masked to 5 bits.
-    INT_OPS, int_eval {
-        "add" (Int, Int) -> Int = |x, y| x.wrapping_add(y);
-        "sub" (Int, Int) -> Int = |x, y| x.wrapping_sub(y);
-        "mul" (Int, Int) -> Int = |x, y| x.wrapping_mul(y);
-        "div" (Int, Int) -> Int x = |x, y| (y != 0).then(|| x.wrapping_div(y));
-        "rem" (Int, Int) -> Int x = |x, y| (y != 0).then(|| x.wrapping_rem(y));
-        "neg" (Int) -> Int = |x| x.wrapping_neg();
-        "and" (Int, Int) -> Int = |x, y| x & y;
-        "or"  (Int, Int) -> Int = |x, y| x | y;
-        "xor" (Int, Int) -> Int = |x, y| x ^ y;
-        "not" (Int) -> Int = |x| !x;
-        "shl" (Int, Int) -> Int = |x, y| x.wrapping_shl(y as u32 & 31);
-        "shr" (Int, Int) -> Int = |x, y| x.wrapping_shr(y as u32 & 31);
-        "ushr" (Int, Int) -> Int = |x, y| ((x as u32) >> (y as u32 & 31)) as i32;
-        "eq" (Int, Int) -> Bool = |x, y| x == y;
-        "ne" (Int, Int) -> Bool = |x, y| x != y;
-        "lt" (Int, Int) -> Bool = |x, y| x < y;
-        "le" (Int, Int) -> Bool = |x, y| x <= y;
-        "gt" (Int, Int) -> Bool = |x, y| x > y;
-        "ge" (Int, Int) -> Bool = |x, y| x >= y;
-        "to_char" (Int) -> Char = |x| x as u16;
-        "to_long" (Int) -> Long = |x| x as i64;
-        "to_float" (Int) -> Float = |x| x as f32;
-        "to_double" (Int) -> Double = |x| x as f64;
+    INT_OPS, int_rows {
+        add (Int, Int) -> Int = |x, y| x.wrapping_add(y);
+        sub (Int, Int) -> Int = |x, y| x.wrapping_sub(y);
+        mul (Int, Int) -> Int = |x, y| x.wrapping_mul(y);
+        div (Int, Int) -> Int x = |x, y| (y != 0).then(|| x.wrapping_div(y));
+        rem (Int, Int) -> Int x = |x, y| (y != 0).then(|| x.wrapping_rem(y));
+        neg (Int) -> Int = |x| x.wrapping_neg();
+        and (Int, Int) -> Int = |x, y| x & y;
+        or  (Int, Int) -> Int = |x, y| x | y;
+        xor (Int, Int) -> Int = |x, y| x ^ y;
+        not (Int) -> Int = |x| !x;
+        shl (Int, Int) -> Int = |x, y| x.wrapping_shl(y as u32 & 31);
+        shr (Int, Int) -> Int = |x, y| x.wrapping_shr(y as u32 & 31);
+        ushr (Int, Int) -> Int = |x, y| ((x as u32) >> (y as u32 & 31)) as i32;
+        eq (Int, Int) -> Bool = |x, y| x == y;
+        ne (Int, Int) -> Bool = |x, y| x != y;
+        lt (Int, Int) -> Bool = |x, y| x < y;
+        le (Int, Int) -> Bool = |x, y| x <= y;
+        gt (Int, Int) -> Bool = |x, y| x > y;
+        ge (Int, Int) -> Bool = |x, y| x >= y;
+        to_char (Int) -> Char = |x| x as u16;
+        to_long (Int) -> Long = |x| x as i64;
+        to_float (Int) -> Float = |x| x as f32;
+        to_double (Int) -> Double = |x| x as f64;
     }
 }
 
 ops! {
     /// Operations on `long`. As for `int`, except that shifts take an
     /// `int` count masked to 6 bits.
-    LONG_OPS, long_eval {
-        "add" (Long, Long) -> Long = |x, y| x.wrapping_add(y);
-        "sub" (Long, Long) -> Long = |x, y| x.wrapping_sub(y);
-        "mul" (Long, Long) -> Long = |x, y| x.wrapping_mul(y);
-        "div" (Long, Long) -> Long x = |x, y| (y != 0).then(|| x.wrapping_div(y));
-        "rem" (Long, Long) -> Long x = |x, y| (y != 0).then(|| x.wrapping_rem(y));
-        "neg" (Long) -> Long = |x| x.wrapping_neg();
-        "and" (Long, Long) -> Long = |x, y| x & y;
-        "or"  (Long, Long) -> Long = |x, y| x | y;
-        "xor" (Long, Long) -> Long = |x, y| x ^ y;
-        "not" (Long) -> Long = |x| !x;
-        "shl" (Long, Int) -> Long = |x, y| x.wrapping_shl(y as u32 & 63);
-        "shr" (Long, Int) -> Long = |x, y| x.wrapping_shr(y as u32 & 63);
-        "ushr" (Long, Int) -> Long = |x, y| ((x as u64) >> (y as u32 & 63)) as i64;
-        "eq" (Long, Long) -> Bool = |x, y| x == y;
-        "ne" (Long, Long) -> Bool = |x, y| x != y;
-        "lt" (Long, Long) -> Bool = |x, y| x < y;
-        "le" (Long, Long) -> Bool = |x, y| x <= y;
-        "gt" (Long, Long) -> Bool = |x, y| x > y;
-        "ge" (Long, Long) -> Bool = |x, y| x >= y;
-        "to_int" (Long) -> Int = |x| x as i32;
-        "to_float" (Long) -> Float = |x| x as f32;
-        "to_double" (Long) -> Double = |x| x as f64;
+    LONG_OPS, long_rows {
+        add (Long, Long) -> Long = |x, y| x.wrapping_add(y);
+        sub (Long, Long) -> Long = |x, y| x.wrapping_sub(y);
+        mul (Long, Long) -> Long = |x, y| x.wrapping_mul(y);
+        div (Long, Long) -> Long x = |x, y| (y != 0).then(|| x.wrapping_div(y));
+        rem (Long, Long) -> Long x = |x, y| (y != 0).then(|| x.wrapping_rem(y));
+        neg (Long) -> Long = |x| x.wrapping_neg();
+        and (Long, Long) -> Long = |x, y| x & y;
+        or  (Long, Long) -> Long = |x, y| x | y;
+        xor (Long, Long) -> Long = |x, y| x ^ y;
+        not (Long) -> Long = |x| !x;
+        shl (Long, Int) -> Long = |x, y| x.wrapping_shl(y as u32 & 63);
+        shr (Long, Int) -> Long = |x, y| x.wrapping_shr(y as u32 & 63);
+        ushr (Long, Int) -> Long = |x, y| ((x as u64) >> (y as u32 & 63)) as i64;
+        eq (Long, Long) -> Bool = |x, y| x == y;
+        ne (Long, Long) -> Bool = |x, y| x != y;
+        lt (Long, Long) -> Bool = |x, y| x < y;
+        le (Long, Long) -> Bool = |x, y| x <= y;
+        gt (Long, Long) -> Bool = |x, y| x > y;
+        ge (Long, Long) -> Bool = |x, y| x >= y;
+        to_int (Long) -> Int = |x| x as i32;
+        to_float (Long) -> Float = |x| x as f32;
+        to_double (Long) -> Double = |x| x as f64;
     }
 }
 
@@ -272,43 +290,43 @@ ops! {
     /// Operations on `float`. Floating-point division never traps in
     /// Java, so all operations are plain primitives. Rust's float-to-int
     /// `as` saturates and maps NaN to 0, which is Java's narrowing.
-    FLOAT_OPS, float_eval {
-        "add" (Float, Float) -> Float = |x, y| x + y;
-        "sub" (Float, Float) -> Float = |x, y| x - y;
-        "mul" (Float, Float) -> Float = |x, y| x * y;
-        "div" (Float, Float) -> Float = |x, y| x / y;
-        "rem" (Float, Float) -> Float = |x, y| x % y;
-        "neg" (Float) -> Float = |x| -x;
-        "eq" (Float, Float) -> Bool = |x, y| x == y;
-        "ne" (Float, Float) -> Bool = |x, y| x != y;
-        "lt" (Float, Float) -> Bool = |x, y| x < y;
-        "le" (Float, Float) -> Bool = |x, y| x <= y;
-        "gt" (Float, Float) -> Bool = |x, y| x > y;
-        "ge" (Float, Float) -> Bool = |x, y| x >= y;
-        "to_int" (Float) -> Int = |x| x as i32;
-        "to_long" (Float) -> Long = |x| x as i64;
-        "to_double" (Float) -> Double = |x| x as f64;
+    FLOAT_OPS, float_rows {
+        add (Float, Float) -> Float = |x, y| x + y;
+        sub (Float, Float) -> Float = |x, y| x - y;
+        mul (Float, Float) -> Float = |x, y| x * y;
+        div (Float, Float) -> Float = |x, y| x / y;
+        rem (Float, Float) -> Float = |x, y| x % y;
+        neg (Float) -> Float = |x| -x;
+        eq (Float, Float) -> Bool = |x, y| x == y;
+        ne (Float, Float) -> Bool = |x, y| x != y;
+        lt (Float, Float) -> Bool = |x, y| x < y;
+        le (Float, Float) -> Bool = |x, y| x <= y;
+        gt (Float, Float) -> Bool = |x, y| x > y;
+        ge (Float, Float) -> Bool = |x, y| x >= y;
+        to_int (Float) -> Int = |x| x as i32;
+        to_long (Float) -> Long = |x| x as i64;
+        to_double (Float) -> Double = |x| x as f64;
     }
 }
 
 ops! {
     /// Operations on `double`, with the same rules as `float`.
-    DOUBLE_OPS, double_eval {
-        "add" (Double, Double) -> Double = |x, y| x + y;
-        "sub" (Double, Double) -> Double = |x, y| x - y;
-        "mul" (Double, Double) -> Double = |x, y| x * y;
-        "div" (Double, Double) -> Double = |x, y| x / y;
-        "rem" (Double, Double) -> Double = |x, y| x % y;
-        "neg" (Double) -> Double = |x| -x;
-        "eq" (Double, Double) -> Bool = |x, y| x == y;
-        "ne" (Double, Double) -> Bool = |x, y| x != y;
-        "lt" (Double, Double) -> Bool = |x, y| x < y;
-        "le" (Double, Double) -> Bool = |x, y| x <= y;
-        "gt" (Double, Double) -> Bool = |x, y| x > y;
-        "ge" (Double, Double) -> Bool = |x, y| x >= y;
-        "to_int" (Double) -> Int = |x| x as i32;
-        "to_long" (Double) -> Long = |x| x as i64;
-        "to_float" (Double) -> Float = |x| x as f32;
+    DOUBLE_OPS, double_rows {
+        add (Double, Double) -> Double = |x, y| x + y;
+        sub (Double, Double) -> Double = |x, y| x - y;
+        mul (Double, Double) -> Double = |x, y| x * y;
+        div (Double, Double) -> Double = |x, y| x / y;
+        rem (Double, Double) -> Double = |x, y| x % y;
+        neg (Double) -> Double = |x| -x;
+        eq (Double, Double) -> Bool = |x, y| x == y;
+        ne (Double, Double) -> Bool = |x, y| x != y;
+        lt (Double, Double) -> Bool = |x, y| x < y;
+        le (Double, Double) -> Bool = |x, y| x <= y;
+        gt (Double, Double) -> Bool = |x, y| x > y;
+        ge (Double, Double) -> Bool = |x, y| x >= y;
+        to_int (Double) -> Int = |x| x as i32;
+        to_long (Double) -> Long = |x| x as i64;
+        to_float (Double) -> Float = |x| x as f32;
     }
 }
 
@@ -337,17 +355,39 @@ pub fn find(kind: PrimKind, name: &str) -> Option<PrimOpId> {
         .map(|i| PrimOpId(i as u16))
 }
 
-/// The semantics of `(kind, op)` for consumer `S`, or `None` when `op`
-/// is outside the table. An exceptional row returns
-/// [`Scalar::div_by_zero`] for a zero divisor.
-pub fn eval<S: Scalar>(kind: PrimKind, op: PrimOpId) -> Option<Eval<S>> {
+/// Row `op` of `kind`'s table applied to `a`, for consumer `S`.
+///
+/// The caller passes only a row that [`resolve`] accepted and that
+/// takes one operand, on the row's parameter plane; any other row
+/// panics.
+#[inline(always)]
+pub fn apply1<S: Scalar>(kind: PrimKind, op: PrimOpId, a: &S::Value) -> Outcome<S> {
     match kind {
-        PrimKind::Bool => bool_eval(op),
-        PrimKind::Char => char_eval(op),
-        PrimKind::Int => int_eval(op),
-        PrimKind::Long => long_eval(op),
-        PrimKind::Float => float_eval(op),
-        PrimKind::Double => double_eval(op),
+        PrimKind::Bool => bool_rows::apply1::<S>(op, a),
+        PrimKind::Char => char_rows::apply1::<S>(op, a),
+        PrimKind::Int => int_rows::apply1::<S>(op, a),
+        PrimKind::Long => long_rows::apply1::<S>(op, a),
+        PrimKind::Float => float_rows::apply1::<S>(op, a),
+        PrimKind::Double => double_rows::apply1::<S>(op, a),
+    }
+}
+
+/// Row `op` of `kind`'s table applied to `a` and `b`, for consumer
+/// `S`. An exceptional row returns [`Scalar::div_by_zero`] for a zero
+/// divisor.
+///
+/// The caller passes only a row that [`resolve`] accepted and that
+/// takes two operands, on the row's parameter planes; any other row
+/// panics.
+#[inline(always)]
+pub fn apply2<S: Scalar>(kind: PrimKind, op: PrimOpId, a: &S::Value, b: &S::Value) -> Outcome<S> {
+    match kind {
+        PrimKind::Bool => bool_rows::apply2::<S>(op, a, b),
+        PrimKind::Char => char_rows::apply2::<S>(op, a, b),
+        PrimKind::Int => int_rows::apply2::<S>(op, a, b),
+        PrimKind::Long => long_rows::apply2::<S>(op, a, b),
+        PrimKind::Float => float_rows::apply2::<S>(op, a, b),
+        PrimKind::Double => double_rows::apply2::<S>(op, a, b),
     }
 }
 
@@ -413,10 +453,10 @@ mod tests {
     }
 
     fn apply(kind: PrimKind, op: PrimOpId, args: &[Literal]) -> Result<Literal, ()> {
-        match (eval::<Literal>(kind, op), args) {
-            (Some(Eval::Unary(f)), [a]) => f(a.clone()),
-            (Some(Eval::Binary(f)), [a, b]) => f(a.clone(), b.clone()),
-            _ => panic!("{kind:?} op {op:?}: no evaluator of arity {}", args.len()),
+        match args {
+            [a] => apply1::<Literal>(kind, op, a),
+            [a, b] => apply2::<Literal>(kind, op, a, b),
+            _ => panic!("{kind:?} op {op:?}: no row takes {} operands", args.len()),
         }
     }
 
@@ -439,7 +479,6 @@ mod tests {
                     assert_eq!(trapped, op.exceptional, "{kind:?}.{}", op.name);
                 }
             }
-            assert!(eval::<Literal>(kind, PrimOpId(ops.len() as u16)).is_none());
         }
     }
 

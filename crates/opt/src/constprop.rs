@@ -1,14 +1,15 @@
 //! Constant propagation and folding over the SSA graph.
 //!
 //! `primitive` instructions whose operands all resolve to constant-pool
-//! pre-loads are evaluated through [`primops::eval`], the same Java
-//! semantics the VM executes, and replaced by (possibly new)
-//! constant-pool entries. No `xprimitive` is folded, so every
-//! exceptional operation stays in place with its runtime exception.
+//! pre-loads are evaluated through [`primops::apply1`] and
+//! [`primops::apply2`], the same Java semantics the VM executes, and
+//! replaced by (possibly new) constant-pool entries. No `xprimitive` is
+//! folded, so every exceptional operation stays in place with its
+//! runtime exception.
 
 use safetsa_core::function::Function;
 use safetsa_core::instr::Instr;
-use safetsa_core::primops::{self, Eval};
+use safetsa_core::primops;
 use safetsa_core::rewrite::{compact, used_values, Rewrite};
 use safetsa_core::types::{TypeKind, TypeTable};
 use safetsa_core::value::{BlockId, Const, Literal, ValueId};
@@ -97,16 +98,17 @@ fn try_fold(
     };
     let params = primops::resolve(kind, *op)?.params;
     let lits: Vec<&Literal> = args.iter().map(|a| consts.get(a)).collect::<Option<_>>()?;
-    if lits
-        .iter()
-        .zip(params)
-        .any(|(l, &p)| l.prim_kind() != Some(p))
+    if lits.len() != params.len()
+        || lits
+            .iter()
+            .zip(params)
+            .any(|(l, &p)| l.prim_kind() != Some(p))
     {
         return None;
     }
-    match (primops::eval::<Literal>(kind, *op)?, lits.as_slice()) {
-        (Eval::Unary(f), [a]) => f((*a).clone()).ok(),
-        (Eval::Binary(f), [a, b]) => f((*a).clone(), (*b).clone()).ok(),
+    match *lits.as_slice() {
+        [a] => primops::apply1::<Literal>(kind, *op, a).ok(),
+        [a, b] => primops::apply2::<Literal>(kind, *op, a, b).ok(),
         _ => None,
     }
 }

@@ -5,7 +5,10 @@
 //! [`Op`]s with branch targets as array indices, operands resolved to
 //! dense frame slots, phi parallel copies resolved per static edge into
 //! sequential [`Op::Moves`], and field/method references resolved to
-//! layout slots and call targets. The dispatch loop is a single match
+//! layout slots and call targets. Primitive ops carry their row of the
+//! trusted `core::primops` tables, which the loop evaluates in place
+//! through the inlined [`primops::apply1`]/[`primops::apply2`], the
+//! semantics constant folding uses. The dispatch loop is a single match
 //! over a dense op enum (a jump table).
 //!
 //! Five optimizations ride on the decoded form (see DESIGN.md
@@ -47,7 +50,7 @@ use safetsa_core::cst::Cst;
 use safetsa_core::function::{Function, ENTRY};
 use safetsa_core::instr::Instr;
 use safetsa_core::module::FuncId;
-use safetsa_core::primops::{self, Eval};
+use safetsa_core::primops::{self, PrimOp, PrimOpId};
 use safetsa_core::types::{ClassId, MethodKind, MethodRef, PrimKind, TypeId, TypeKind};
 use safetsa_core::value::{BlockId, Literal};
 use safetsa_rt::heap::Obj;
@@ -62,12 +65,6 @@ type Slot = u32;
 /// Sentinel slot for "no receiver" / "no result".
 const NO_SLOT: Slot = u32::MAX;
 
-/// Unary primitive operation, pre-resolved to a function pointer.
-type PrimFn1 = fn(Value) -> Result<Value, Trap>;
-
-/// Binary primitive operation, pre-resolved to a function pointer.
-type PrimFn2 = fn(Value, Value) -> Result<Value, Trap>;
-
 /// `int` comparison predicate (the cmp half of the fused cmp+branch).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum CmpPred {
@@ -79,14 +76,19 @@ pub(crate) enum CmpPred {
     Ge,
 }
 
-/// The predicate of an `int` comparison, read off the truth table of
-/// its [`primops::eval`] function so that the fused compare computes
-/// what the op does; `None` for every other op.
-fn cmp_pred(kind: PrimKind, f: PrimFn2) -> Option<CmpPred> {
-    if kind != PrimKind::Int {
+/// The predicate of binary row `op` of `kind` when it is an `int`
+/// comparison, read off the row's truth table so that the fused compare
+/// computes what the row does; `None` for every other row.
+fn cmp_pred(kind: PrimKind, op: PrimOpId, row: &PrimOp) -> Option<CmpPred> {
+    if row.params != [PrimKind::Int, PrimKind::Int] {
         return None;
     }
-    let holds = |x, y| matches!(f(Value::I(x), Value::I(y)), Ok(Value::Z(true)));
+    let holds = |x, y| {
+        matches!(
+            primops::apply2::<Vals>(kind, op, &Value::I(x), &Value::I(y)),
+            Ok(Value::Z(true))
+        )
+    };
     Some(match (holds(0, 1), holds(1, 0), holds(0, 0)) {
         (false, false, true) => CmpPred::Eq,
         (true, true, false) => CmpPred::Ne,
@@ -110,8 +112,9 @@ fn cmp_eval(pred: CmpPred, x: i32, y: i32) -> bool {
     }
 }
 
-/// The VM's access to primitive values for [`primops::eval`], which
-/// instantiates each op's semantics as a [`PrimFn1`] or [`PrimFn2`].
+/// The VM's access to primitive values for [`primops::apply1`] and
+/// [`primops::apply2`], whose instantiation over it the dispatch loop
+/// inlines: each primitive op evaluates its row in place, with no call.
 struct Vals;
 
 impl primops::Scalar for Vals {
@@ -120,22 +123,22 @@ impl primops::Scalar for Vals {
     fn div_by_zero() -> Trap {
         Trap::DivByZero
     }
-    fn z(v: Value) -> bool {
+    fn z(v: &Value) -> bool {
         v.as_z()
     }
-    fn c(v: Value) -> u16 {
+    fn c(v: &Value) -> u16 {
         v.as_c()
     }
-    fn i(v: Value) -> i32 {
+    fn i(v: &Value) -> i32 {
         v.as_i()
     }
-    fn j(v: Value) -> i64 {
+    fn j(v: &Value) -> i64 {
         v.as_j()
     }
-    fn f(v: Value) -> f32 {
+    fn f(v: &Value) -> f32 {
         v.as_f()
     }
-    fn d(v: Value) -> f64 {
+    fn d(v: &Value) -> f64 {
         v.as_d()
     }
     fn of_z(x: bool) -> Value {
@@ -357,11 +360,17 @@ pub(crate) enum Op {
     PopHandler,
     /// Statically safe cast (downcast): a slot copy.
     Copy { src: Slot, dst: Slot },
-    /// Unary primitive.
-    Prim1 { f: PrimFn1, a: Slot, dst: Slot },
-    /// Binary primitive.
+    /// Unary primitive: row `op` of `kind`'s table.
+    Prim1 {
+        kind: PrimKind,
+        op: PrimOpId,
+        a: Slot,
+        dst: Slot,
+    },
+    /// Binary primitive: row `op` of `kind`'s table.
     Prim2 {
-        f: PrimFn2,
+        kind: PrimKind,
+        op: PrimOpId,
         a: Slot,
         b: Slot,
         dst: Slot,
@@ -369,11 +378,13 @@ pub(crate) enum Op {
     /// Fused pair of binary primitives (sequential: the first result is
     /// written before the second op's operands are read).
     Prim2Pair {
-        f1: PrimFn2,
+        k1: PrimKind,
+        op1: PrimOpId,
         a1: Slot,
         b1: Slot,
         d1: Slot,
-        f2: PrimFn2,
+        k2: PrimKind,
+        op2: PrimOpId,
         a2: Slot,
         b2: Slot,
         d2: Slot,
@@ -471,6 +482,10 @@ pub(crate) enum Op {
     /// ever) executed, so a bad reference fails only the path using it.
     Fail { msg: Box<str> },
 }
+
+// The dispatch loop indexes the op array in strides of `size_of::<Op>()`;
+// 48 bytes is the widest op today, and a wider field grows every op.
+const _: () = assert!(std::mem::size_of::<Op>() <= 48);
 
 /// A fully decoded function.
 pub(crate) struct TFunc {
@@ -1083,20 +1098,30 @@ impl<'a, 'm> Flattener<'a, 'm> {
                 let TypeKind::Prim(kind) = types.kind(*ty) else {
                     return fail("primitive on non-prim");
                 };
-                match primops::eval::<Vals>(kind, *op) {
-                    Some(Eval::Unary(f)) => Op::Prim1 {
-                        f,
-                        a: args[0].0,
+                // Only a row the table holds, at its own arity, reaches
+                // the evaluators.
+                let op = *op;
+                match (primops::resolve(kind, op), args.as_slice()) {
+                    (Some(row), &[a]) if row.params.len() == 1 => Op::Prim1 {
+                        kind,
+                        op,
+                        a: a.0,
                         dst,
                     },
-                    Some(Eval::Binary(f)) => {
-                        let (a, b) = (args[0].0, args[1].0);
-                        match cmp_pred(kind, f) {
+                    (Some(row), &[a, b]) if row.params.len() == 2 => {
+                        let (a, b) = (a.0, b.0);
+                        match cmp_pred(kind, op, row) {
                             Some(pred) => Op::IntCmp { pred, a, b, dst },
-                            None => Op::Prim2 { f, a, b, dst },
+                            None => Op::Prim2 {
+                                kind,
+                                op,
+                                a,
+                                b,
+                                dst,
+                            },
                         }
                     }
-                    None => fail("unknown primop"),
+                    _ => fail("unknown primop"),
                 }
             }
             Instr::NullCheck { value, .. } => Op::NullCheck { v: value.0, dst },
@@ -1311,23 +1336,27 @@ fn try_fuse(prev: &Op, cur: &Op) -> Option<Op> {
         // dataflow and trap order identical to the unfused pair).
         (
             &Op::Prim2 {
-                f: f1,
+                kind: k1,
+                op: op1,
                 a: a1,
                 b: b1,
                 dst: d1,
             },
             &Op::Prim2 {
-                f: f2,
+                kind: k2,
+                op: op2,
                 a: a2,
                 b: b2,
                 dst: d2,
             },
         ) => Some(Op::Prim2Pair {
-            f1,
+            k1,
+            op1,
             a1,
             b1,
             d1,
-            f2,
+            k2,
+            op2,
             a2,
             b2,
             d2,
@@ -1461,15 +1490,28 @@ impl<'m> Vm<'m> {
                         pc += 1;
                         continue 'l;
                     }
-                    Op::Prim1 { f, a, dst } => match f(vals[*a as usize]) {
-                        Ok(v) => {
-                            vals[*dst as usize] = v;
-                            pc += 1;
-                            continue 'l;
+                    Op::Prim1 { kind, op, a, dst } => {
+                        match primops::apply1::<Vals>(*kind, *op, &vals[*a as usize]) {
+                            Ok(v) => {
+                                vals[*dst as usize] = v;
+                                pc += 1;
+                                continue 'l;
+                            }
+                            Err(t) => break 'op t,
                         }
-                        Err(t) => break 'op t,
-                    },
-                    Op::Prim2 { f, a, b, dst } => match f(vals[*a as usize], vals[*b as usize]) {
+                    }
+                    Op::Prim2 {
+                        kind,
+                        op,
+                        a,
+                        b,
+                        dst,
+                    } => match primops::apply2::<Vals>(
+                        *kind,
+                        *op,
+                        &vals[*a as usize],
+                        &vals[*b as usize],
+                    ) {
                         Ok(v) => {
                             vals[*dst as usize] = v;
                             pc += 1;
@@ -1478,20 +1520,32 @@ impl<'m> Vm<'m> {
                         Err(t) => break 'op t,
                     },
                     Op::Prim2Pair {
-                        f1,
+                        k1,
+                        op1,
                         a1,
                         b1,
                         d1,
-                        f2,
+                        k2,
+                        op2,
                         a2,
                         b2,
                         d2,
                     } => {
-                        match f1(vals[*a1 as usize], vals[*b1 as usize]) {
+                        match primops::apply2::<Vals>(
+                            *k1,
+                            *op1,
+                            &vals[*a1 as usize],
+                            &vals[*b1 as usize],
+                        ) {
                             Ok(v) => vals[*d1 as usize] = v,
                             Err(t) => break 'op t,
                         }
-                        match f2(vals[*a2 as usize], vals[*b2 as usize]) {
+                        match primops::apply2::<Vals>(
+                            *k2,
+                            *op2,
+                            &vals[*a2 as usize],
+                            &vals[*b2 as usize],
+                        ) {
                             Ok(v) => vals[*d2 as usize] = v,
                             Err(t) => break 'op t,
                         }
@@ -2177,10 +2231,13 @@ impl<'m> Vm<'m> {
 
 #[cfg(test)]
 mod tests {
-    use super::{BlockMeta, CopySequencer, Slot, TFunc, NO_SLOT};
+    use super::{BlockMeta, CopySequencer, Slot, TFunc, Vals, NO_SLOT};
     use crate::interp::{Vm, VmProfile, DEADLINE_SLICE, PROFILE_WINDOW};
     use safetsa_core::module::FuncId;
-    use safetsa_rt::Trap;
+    use safetsa_core::primops::{self, PrimOpId};
+    use safetsa_core::types::PrimKind;
+    use safetsa_core::value::Literal;
+    use safetsa_rt::{Trap, Value};
     use std::cell::Cell;
     use std::rc::Rc;
     use std::time::{Duration, Instant};
@@ -2429,5 +2486,102 @@ mod tests {
             }
         }
         assert_eq!(cases, 1 + 5 * 5 + 20 * 25 + 60 * 125 + 120 * 625);
+    }
+
+    /// The operand grid of `tests/engines.rs`'s primitive-row golden.
+    fn operand_grid(kind: PrimKind) -> Vec<Literal> {
+        match kind {
+            PrimKind::Bool => vec![Literal::Bool(false), Literal::Bool(true)],
+            PrimKind::Char => [0, 1, 97, 65535].map(Literal::Char).to_vec(),
+            PrimKind::Int => [0, 1, -1, 31, 32, 33, i32::MIN, i32::MAX]
+                .map(Literal::Int)
+                .to_vec(),
+            PrimKind::Long => [0, 1, -1, 63, 64, i64::MIN, i64::MAX]
+                .map(Literal::Long)
+                .to_vec(),
+            PrimKind::Float => [
+                0.0,
+                -0.0,
+                1.5,
+                -2.5,
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                3e9,
+            ]
+            .map(Literal::Float)
+            .to_vec(),
+            PrimKind::Double => [
+                0.0,
+                -0.0,
+                1.5,
+                -2.5,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                3e9,
+                1e19,
+            ]
+            .map(Literal::Double)
+            .to_vec(),
+        }
+    }
+
+    fn value(l: &Literal) -> Value {
+        match *l {
+            Literal::Bool(x) => Value::Z(x),
+            Literal::Char(x) => Value::C(x),
+            Literal::Int(x) => Value::I(x),
+            Literal::Long(x) => Value::J(x),
+            Literal::Float(x) => Value::F(x),
+            Literal::Double(x) => Value::D(x),
+            Literal::Str(_) | Literal::Null => unreachable!("not a primitive"),
+        }
+    }
+
+    #[test]
+    fn vm_rows_equal_folding_rows_on_the_operand_grid() {
+        let mut tuples = 0;
+        for kind in PrimKind::ALL {
+            for (i, row) in primops::ops_of(kind).iter().enumerate() {
+                let op = PrimOpId(i as u16);
+                let grids: Vec<Vec<Literal>> =
+                    row.params.iter().map(|&p| operand_grid(p)).collect();
+                let mut check = |args: &[&Literal]| {
+                    let (vm, folded) = match *args {
+                        [a] => (
+                            primops::apply1::<Vals>(kind, op, &value(a)),
+                            primops::apply1::<Literal>(kind, op, a),
+                        ),
+                        [a, b] => (
+                            primops::apply2::<Vals>(kind, op, &value(a), &value(b)),
+                            primops::apply2::<Literal>(kind, op, a, b),
+                        ),
+                        _ => unreachable!("rows take one or two operands"),
+                    };
+                    match (vm, folded) {
+                        (Ok(v), Ok(l)) => assert!(
+                            v.bits_eq(value(&l)),
+                            "{kind:?}.{} {args:?}: VM {v:?}, folding {l:?}",
+                            row.name
+                        ),
+                        (Err(Trap::DivByZero), Err(())) => {}
+                        (vm, folded) => panic!(
+                            "{kind:?}.{} {args:?}: VM {vm:?}, folding {folded:?}",
+                            row.name
+                        ),
+                    }
+                    tuples += 1;
+                };
+                match grids.as_slice() {
+                    [xs] => xs.iter().for_each(|a| check(&[a])),
+                    [xs, ys] => xs
+                        .iter()
+                        .for_each(|a| ys.iter().for_each(|b| check(&[a, b]))),
+                    _ => unreachable!("rows take one or two operands"),
+                }
+            }
+        }
+        assert_eq!(tuples, 3810, "every row saw its whole grid");
     }
 }

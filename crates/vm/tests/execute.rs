@@ -703,3 +703,54 @@ fn profiles_merge_additively() {
     assert_eq!(a.hot["A.f"], 4);
     assert_eq!(a.top_function().unwrap(), ("B.g", 5));
 }
+
+#[test]
+fn rows_outside_their_table_or_arity_fail_where_they_run() {
+    // The decoder hands the inlined row evaluators only a row its table
+    // holds, at the row's own arity. Any other primitive, which the
+    // verifier rejects (skipped here), decodes to an op that reports an
+    // internal error when reached instead of panicking.
+    use safetsa_core::instr::Instr;
+    use safetsa_core::primops::PrimOpId;
+    use safetsa_core::value::ValueId;
+    type Edit = fn(&mut PrimOpId, &mut Vec<ValueId>);
+    let src = "class A { static int main() { int a = 3; int b = 4; return -a + b; } }";
+    let module = lower_program(&compile(src).expect("compiles"))
+        .expect("lowers")
+        .module;
+    verify_module(&module).expect("verifies");
+    let edits: [(&str, Edit); 3] = [
+        ("a row past the table", |op, _| op.0 = 999),
+        ("a unary row given two operands", |_, args| {
+            if args.len() == 1 {
+                args.push(args[0]);
+            }
+        }),
+        ("a binary row given one operand", |_, args| {
+            if args.len() == 2 {
+                args.pop();
+            }
+        }),
+    ];
+    for (what, edit) in edits {
+        let mut m = module.clone();
+        let mut edited = 0;
+        for f in &mut m.functions {
+            for block in &mut f.blocks {
+                for instr in &mut block.instrs {
+                    if let Instr::Primitive { op, args, .. } = instr {
+                        let before = (*op, args.len());
+                        edit(op, args);
+                        edited += usize::from(before != (*op, args.len()));
+                    }
+                }
+            }
+        }
+        assert!(edited > 0, "{what}: no primitive edited");
+        let err = Vm::load(&m)
+            .expect("loads")
+            .run_entry("A.main")
+            .expect_err(what);
+        assert!(err.to_string().contains("unknown primop"), "{what}: {err}");
+    }
+}

@@ -5,8 +5,9 @@
 //! Every row runs three ways: on the VM unoptimized, on the VM after
 //! the producer passes (where constprop folds the constant operands),
 //! and on the bytecode baseline. Folding and the VM evaluate through
-//! the same `safetsa_core::primops` semantics, so the pinned value and
-//! the baseline's own copy are the independent oracles.
+//! the same generated evaluators, `safetsa_core::primops::apply1` and
+//! `apply2`, so the pinned value and the baseline's own copy are the
+//! independent oracles.
 
 use safetsa_baseline::{compile as bcompile, interp::Bvm, verify as bverify};
 use safetsa_core::verify::verify_module;

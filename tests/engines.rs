@@ -18,12 +18,16 @@
 //!   instruction).
 //! * Goldens pin what the VM observably does: every counter of every
 //!   corpus run, where in the program each fuel budget runs out, and
-//!   every sample the serve daemon's profiler takes.
+//!   every sample the serve daemon's profiler takes. One more pins what
+//!   every primitive row computes on a fixed operand grid.
 //!   Regenerate them only for an intentional change of behaviour, with
 //!   `UPDATE_GOLDEN=1 cargo test --test engines`.
 
 use safetsa_baseline::{compile as bcompile, interp::Bvm, verify as bverify};
 use safetsa_bench::{build_pipeline, corpus, run_differential};
+use safetsa_core::primops::{self, PrimOpId};
+use safetsa_core::types::PrimKind;
+use safetsa_core::value::Literal;
 use safetsa_core::verify::verify_module;
 use safetsa_core::Module;
 use safetsa_frontend::compile;
@@ -615,4 +619,117 @@ fn daemon_profiles_match_the_golden() {
         }
     }
     check_golden("vm_profiles.txt", &doc);
+}
+
+/// The operands every primitive row is evaluated on, per plane: the
+/// identities, the edges of each range, shift counts at and around the
+/// width, and the float specials (±0.0, NaN, ±∞, values outside the
+/// `int` and `long` ranges).
+fn operand_grid(kind: PrimKind) -> Vec<Literal> {
+    match kind {
+        PrimKind::Bool => vec![Literal::Bool(false), Literal::Bool(true)],
+        PrimKind::Char => [0, 1, 97, 65535].map(Literal::Char).to_vec(),
+        PrimKind::Int => [0, 1, -1, 31, 32, 33, i32::MIN, i32::MAX]
+            .map(Literal::Int)
+            .to_vec(),
+        PrimKind::Long => [0, 1, -1, 63, 64, i64::MIN, i64::MAX]
+            .map(Literal::Long)
+            .to_vec(),
+        PrimKind::Float => [
+            0.0,
+            -0.0,
+            1.5,
+            -2.5,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            3e9,
+        ]
+        .map(Literal::Float)
+        .to_vec(),
+        PrimKind::Double => [
+            0.0,
+            -0.0,
+            1.5,
+            -2.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            3e9,
+            1e19,
+        ]
+        .map(Literal::Double)
+        .to_vec(),
+    }
+}
+
+/// Row `op` of `kind` on `args`, as constant folding evaluates it.
+fn eval_row(kind: PrimKind, op: PrimOpId, args: &[Literal]) -> Result<Literal, ()> {
+    match args {
+        [a] => primops::apply1::<Literal>(kind, op, a),
+        [a, b] => primops::apply2::<Literal>(kind, op, a, b),
+        _ => panic!("{kind:?} row {op:?}: no row takes {} operands", args.len()),
+    }
+}
+
+#[test]
+fn primop_rows_match_the_golden() {
+    // Every row of the six tables over the cross product of its
+    // parameters' grids: the tuple count, FNV-1a over each outcome in
+    // grid order (the result's plane and bit pattern with one canonical
+    // NaN, or a trap marker) and the number of trapping tuples.
+    let mut doc = String::new();
+    for kind in PrimKind::ALL {
+        for (i, row) in primops::ops_of(kind).iter().enumerate() {
+            let mut tuples: Vec<Vec<Literal>> = vec![Vec::new()];
+            for &p in row.params {
+                tuples = tuples
+                    .iter()
+                    .flat_map(|t| {
+                        operand_grid(p).into_iter().map(move |v| {
+                            let mut t = t.clone();
+                            t.push(v);
+                            t
+                        })
+                    })
+                    .collect();
+            }
+            let mut bytes = Vec::new();
+            let mut traps = 0;
+            for args in &tuples {
+                let (tag, bits) = match eval_row(kind, PrimOpId(i as u16), args) {
+                    Err(()) => {
+                        traps += 1;
+                        (u8::MAX, 0)
+                    }
+                    Ok(v) => (
+                        v.prim_kind().expect("a row yields a primitive") as u8,
+                        match v {
+                            Literal::Bool(x) => u64::from(x),
+                            Literal::Char(x) => u64::from(x),
+                            Literal::Int(x) => u64::from(x as u32),
+                            Literal::Long(x) => x as u64,
+                            Literal::Float(x) if x.is_nan() => u64::from(f32::NAN.to_bits()),
+                            Literal::Float(x) => u64::from(x.to_bits()),
+                            Literal::Double(x) if x.is_nan() => f64::NAN.to_bits(),
+                            Literal::Double(x) => x.to_bits(),
+                            Literal::Str(_) | Literal::Null => unreachable!(),
+                        },
+                    ),
+                };
+                bytes.push(tag);
+                bytes.extend(bits.to_le_bytes());
+            }
+            writeln!(
+                doc,
+                "{} {} tuples={} results=fnv1a64:{:016x} traps={traps}",
+                kind.name(),
+                row.name,
+                tuples.len(),
+                safetsa_driver::store::fnv1a(&bytes)
+            )
+            .unwrap();
+        }
+    }
+    check_golden("primop_rows.txt", &doc);
 }

@@ -1,13 +1,24 @@
 //! Generative differential testing: random (but well-formed) programs
 //! in the Java subset are compiled through both the SafeTSA pipeline
 //! (with and without optimization, through the codec) and the bytecode
-//! baseline; all four executions must agree.
+//! baseline; all three executions must return the same result and
+//! print the same output.
 //!
 //! Besides integer arithmetic, control flow and array traffic, the
 //! generated statements reach the heap through a fixed class prelude
 //! (`Cell` and two subclasses overriding `get`): field stores read back
 //! through an alias, virtual calls whose receiver class depends on the
 //! data, and null dereferences that throw inside the program's `try`.
+//!
+//! They also compute on a `long`, a `double`, a `char` and a `boolean`
+//! local: `long` division, remainder and shifts by counts at and above
+//! 64, `double` arithmetic whose literals (0.0, -0.0, 1e308, ...) reach
+//! NaN, -0.0 and infinities, casts among the planes (saturating `(int)`
+//! of huge doubles and of NaN included), boolean `&`, `|`, `^` and `!`,
+//! and compares on every plane feeding an `if`. Operands that are all
+//! literals fold in the optimized build, so constant folding meets
+//! execution on generated inputs too. Each call prints the `long` and
+//! `double` locals and folds every typed local into its result.
 
 mod common;
 
@@ -16,13 +27,16 @@ use safetsa_codec::{decode_and_verify, encode_module, HostEnv};
 use safetsa_rt::Value;
 
 /// A tiny expression/statement generator over locals a,b,c (ints) and
-/// f (boolean); always produces a compilable program.
+/// the typed locals x (long), y (double), ch (char) and f (boolean);
+/// always produces a compilable program.
 #[derive(Debug, Clone)]
 enum E {
     A,
     B,
     C,
     Lit(i32),
+    /// `(int)` of a `long`, `double` or `char` expression, as source.
+    Cast(String),
     Add(Box<E>, Box<E>),
     Sub(Box<E>, Box<E>),
     Mul(Box<E>, Box<E>),
@@ -40,6 +54,7 @@ impl E {
             E::B => "b".into(),
             E::C => "c".into(),
             E::Lit(v) => format!("({v})"),
+            E::Cast(src) => src.clone(),
             E::Add(l, r) => format!("({} + {})", l.render(), r.render()),
             E::Sub(l, r) => format!("({} - {})", l.render(), r.render()),
             E::Mul(l, r) => format!("({} * {})", l.render(), r.render()),
@@ -52,12 +67,148 @@ impl E {
     }
 }
 
+/// One of `options`, as source text.
+fn pick(options: &'static [&'static str]) -> impl Strategy<Value = String> {
+    (0..options.len()).prop_map(move |i| options[i].to_string())
+}
+
+/// An `int` operand of a typed expression: a local or a small literal.
+fn int_leaf() -> BoxedStrategy<String> {
+    prop_oneof![
+        pick(&["a", "b", "c"]),
+        (-100i32..100).prop_map(|v| format!("({v})")),
+    ]
+}
+
+/// A `long` shift count: a local, or a count around the `int` width
+/// or at and above the `long` width, where the 6-bit mask matters.
+fn shift_count() -> impl Strategy<Value = String> {
+    pick(&[
+        "a", "b", "c", "(-1)", "31", "32", "33", "63", "64", "65", "127",
+    ])
+}
+
+/// A `double` leaf: the local, or a literal that leads to the specials.
+fn double_leaf() -> BoxedStrategy<String> {
+    pick(&[
+        "y", "0.0", "(-0.0)", "1.5", "(-2.5)", "1e308", "(-1e308)", "3e9", "1e19",
+    ])
+    .boxed()
+}
+
+/// A `long` leaf: the local, a range edge, a widened `int` or a
+/// truncated `double`.
+fn long_leaf() -> BoxedStrategy<String> {
+    prop_oneof![
+        pick(&[
+            "x",
+            "0L",
+            "1L",
+            "(-1L)",
+            "64L",
+            "1099511627776L",
+            "9223372036854775807L",
+            "(-9223372036854775807L - 1L)",
+        ]),
+        int_leaf().prop_map(|e| format!("((long) {e})")),
+        double_leaf().prop_map(|d| format!("((long) {d})")),
+    ]
+}
+
+/// A `long` expression over `x`: arithmetic (division and remainder may
+/// throw) and shifts by `int` counts.
+fn long_expr() -> BoxedStrategy<String> {
+    long_leaf().prop_recursive(2, 8, 2, |inner| {
+        prop_oneof![
+            (
+                inner.clone(),
+                pick(&["+", "-", "*", "/", "%", "&", "|", "^"]),
+                inner.clone()
+            )
+                .prop_map(|(l, op, r)| format!("({l} {op} {r})")),
+            (inner.clone(), pick(&["<<", ">>", ">>>"]), shift_count())
+                .prop_map(|(l, op, n)| format!("({l} {op} {n})")),
+            inner.prop_map(|e| format!("(-{e})")),
+        ]
+    })
+}
+
+/// A `double` expression over `y`: widened `int`s and `long`s and
+/// arithmetic that reaches NaN, -0.0 and infinities.
+fn double_expr() -> BoxedStrategy<String> {
+    let leaf = prop_oneof![
+        double_leaf(),
+        int_leaf().prop_map(|e| format!("((double) {e})")),
+        long_expr().prop_map(|l| format!("((double) {l})")),
+    ];
+    leaf.prop_recursive(2, 8, 2, |inner| {
+        prop_oneof![
+            (
+                inner.clone(),
+                pick(&["+", "-", "*", "/", "%"]),
+                inner.clone()
+            )
+                .prop_map(|(l, op, r)| format!("({l} {op} {r})")),
+            inner.prop_map(|e| format!("(-{e})")),
+        ]
+    })
+}
+
+/// A `char` expression over `ch`, narrowed from `int` or `long`.
+fn char_expr() -> BoxedStrategy<String> {
+    prop_oneof![
+        pick(&["ch", "'a'", "((char) 0)", "((char) 65535)"]),
+        int_leaf().prop_map(|e| format!("((char) {e})")),
+        long_expr().prop_map(|l| format!("((char) {l})")),
+    ]
+}
+
+/// A compare on one plane: `int`, `long`, `float`, `double` or `char`.
+/// Half of the `long` and `double` operands are leaves, so the two
+/// sides are often equal, or 0.0 against -0.0.
+fn compare() -> BoxedStrategy<String> {
+    let op = || pick(&["<", "<=", ">", ">=", "==", "!="]);
+    let long = || prop_oneof![long_leaf(), long_expr()];
+    let double = || prop_oneof![double_leaf(), double_expr()];
+    let cmp = |(l, op, r): (String, String, String)| format!("({l} {op} {r})");
+    prop_oneof![
+        (int_leaf(), op(), int_leaf()).prop_map(cmp),
+        (long(), op(), long()).prop_map(cmp),
+        (double(), op(), double()).prop_map(cmp),
+        (double(), op(), double())
+            .prop_map(|(l, op, r)| format!("(((float) {l}) {op} ((float) {r}))")),
+        (char_expr(), op(), char_expr()).prop_map(cmp),
+    ]
+}
+
+/// A `boolean` expression over `f`, with the non-short-circuit
+/// operators.
+fn bool_expr() -> BoxedStrategy<String> {
+    let leaf = prop_oneof![pick(&["f", "true", "false"]), compare()];
+    leaf.prop_recursive(2, 8, 2, |inner| {
+        prop_oneof![
+            (
+                inner.clone(),
+                pick(&["&", "|", "^", "==", "!="]),
+                inner.clone()
+            )
+                .prop_map(|(l, op, r)| format!("({l} {op} {r})")),
+            inner.prop_map(|z| format!("(!{z})")),
+        ]
+    })
+}
+
 fn expr_strategy() -> impl Strategy<Value = E> {
     let leaf = prop_oneof![
         Just(E::A),
         Just(E::B),
         Just(E::C),
         (-100i32..100).prop_map(E::Lit),
+        prop_oneof![
+            long_expr().prop_map(|l| E::Cast(format!("((int) {l})"))),
+            double_expr().prop_map(|d| E::Cast(format!("((int) {d})"))),
+            char_expr().prop_map(|c| E::Cast(format!("((int) {c})"))),
+        ],
     ];
     leaf.prop_recursive(3, 24, 2, |inner| {
         prop_oneof![
@@ -78,7 +229,10 @@ enum S {
     AssignA(E),
     AssignB(E),
     AssignC(E),
-    If(E, E, Vec<S>, Vec<S>),
+    /// One statement on the typed locals, as source.
+    Line(String),
+    /// `if (cond) { .. } else { .. }`, the condition as source.
+    If(String, Vec<S>, Vec<S>),
     Loop(u8, Vec<S>),
     ArrayRoundTrip(E, E),
     /// Store through `p`, read back through its alias `q`.
@@ -97,8 +251,9 @@ impl S {
             S::AssignA(e) => out.push_str(&format!("{pad}a = {};\n", e.render())),
             S::AssignB(e) => out.push_str(&format!("{pad}b = {};\n", e.render())),
             S::AssignC(e) => out.push_str(&format!("{pad}c = {};\n", e.render())),
-            S::If(l, r, t, f) => {
-                out.push_str(&format!("{pad}if ({} < {}) {{\n", l.render(), r.render()));
+            S::Line(src) => out.push_str(&format!("{pad}{src}\n")),
+            S::If(cond, t, f) => {
+                out.push_str(&format!("{pad}if ({cond}) {{\n"));
                 for s in t {
                     s.render(out, depth + 1);
                 }
@@ -161,16 +316,27 @@ fn stmt_strategy() -> impl Strategy<Value = S> {
         expr_strategy().prop_map(S::FieldAlias),
         expr_strategy().prop_map(S::VirtualCall),
         (expr_strategy(), expr_strategy()).prop_map(|(l, r)| S::NullDeref(l, r)),
+        long_expr().prop_map(|l| S::Line(format!("x = {l};"))),
+        double_expr().prop_map(|d| S::Line(format!("y = {d};"))),
+        char_expr().prop_map(|c| S::Line(format!("ch = {c};"))),
+        bool_expr().prop_map(|z| S::Line(format!("f = {z};"))),
+        pick(&["Sys.println(x);", "Sys.println(y);"]).prop_map(S::Line),
     ];
     leaf.prop_recursive(2, 16, 4, |inner| {
         prop_oneof![
             (
-                expr_strategy(),
-                expr_strategy(),
+                prop_oneof![
+                    (expr_strategy(), expr_strategy()).prop_map(|(l, r)| format!(
+                        "{} < {}",
+                        l.render(),
+                        r.render()
+                    )),
+                    bool_expr(),
+                ],
                 proptest::collection::vec(inner.clone(), 0..3),
                 proptest::collection::vec(inner.clone(), 0..3)
             )
-                .prop_map(|(l, r, t, f)| S::If(l, r, t, f)),
+                .prop_map(|(cond, t, f)| S::If(cond, t, f)),
             (1u8..4, proptest::collection::vec(inner.clone(), 1..3))
                 .prop_map(|(n, b)| S::Loop(n, b)),
         ]
@@ -186,7 +352,7 @@ fn program_for(stmts: &[S]) -> String {
         s.render(&mut body, 0);
     }
     format!(
-        "{PRELUDE}class Gen {{\n    static int run(int a, int b) {{\n        int c = 1;\n        int[] buf = new int[7];\n        Cell p = new Cell();\n        Cell q = p;\n        Cell tw = new Twice();\n        Cell pl = new Plus();\n        Cell d = tw;\n        Cell n = q;\n        try {{\n{body}        }} catch (RuntimeException e) {{\n            c = c * 31 + 1;\n        }}\n        return a ^ (b * 7) ^ c ^ q.v ^ d.get();\n    }}\n    static int main() {{\n        int acc = 0;\n        for (int a = -2; a <= 2; a++)\n            for (int b = -2; b <= 2; b++)\n                acc = acc * 33 + run(a * 17, b * 29);\n        return acc;\n    }}\n}}\n"
+        "{PRELUDE}class Gen {{\n    static int run(int a, int b) {{\n        int c = 1;\n        int[] buf = new int[7];\n        Cell p = new Cell();\n        Cell q = p;\n        Cell tw = new Twice();\n        Cell pl = new Plus();\n        Cell d = tw;\n        Cell n = q;\n        long x = a * 3000000000L;\n        double y = b / 4.0;\n        char ch = (char) (a + 97);\n        boolean f = a < b;\n        try {{\n{body}        }} catch (RuntimeException e) {{\n            c = c * 31 + 1;\n        }}\n        Sys.println(x);\n        Sys.println(y);\n        return a ^ (b * 7) ^ c ^ q.v ^ d.get() ^ (int) x ^ (int) (x >>> 32) ^ (int) (y * 1000.0) ^ ch ^ (f ? 1 : 0);\n    }}\n    static int main() {{\n        int acc = 0;\n        for (int a = -2; a <= 2; a++)\n            for (int b = -2; b <= 2; b++)\n                acc = acc * 33 + run(a * 17, b * 29);\n        return acc;\n    }}\n}}\n"
     )
 }
 
@@ -234,7 +400,8 @@ proptest! {
         let mut bvm = safetsa_baseline::interp::Bvm::load(&prog, &code);
         bvm.set_fuel(80_000_000);
         let r3 = norm(bvm.run_entry("Gen.main").expect("baseline runs"));
-        prop_assert_eq!(o1, o2);
+        prop_assert_eq!(&o1, &o2, "optimized output diverged\n{}", src);
+        prop_assert_eq!(o1.as_str(), bvm.output.text(), "baseline output diverged\n{}", src);
         prop_assert_eq!(&r1, &r2, "optimized diverged\n{}", src);
         prop_assert_eq!(&r1, &r3, "baseline diverged\n{}", src);
     }
