@@ -79,8 +79,7 @@ impl BackwardAnalysis for Analysis {
         if !demanded {
             return Vec::new();
         }
-        let mut out: Vec<(ValueId, Live)> =
-            instr.operands().into_iter().map(|v| (v, Live)).collect();
+        let mut out: Vec<(ValueId, Live)> = instr.operands().iter().map(|&v| (v, Live)).collect();
         if let Some(r) = f.instr_result(b, k) {
             if result.is_some() {
                 if let Some(p) = f.value(r).provenance {

@@ -16,7 +16,7 @@ use safetsa_core::cfg::{Cfg, EdgeKind};
 use safetsa_core::cst::Cst;
 use safetsa_core::dom::DomTree;
 use safetsa_core::function::{Function, ENTRY};
-use safetsa_core::instr::Instr;
+use safetsa_core::instr::{Instr, Operands};
 use safetsa_core::module::{Module, WellKnown};
 use safetsa_core::primops::{self, PrimOpId};
 use safetsa_core::types::{
@@ -168,19 +168,19 @@ pub fn decode_module(bytes: &[u8], host: &HostEnv) -> Result<Module, DecodeError
     }
     // Dispatch-table slots are derived by the consumer — never
     // transmitted, so they cannot be corrupted.
-    derive_vtable_slots(&mut types)?;
+    derive_vtable_slots(&mut types);
 
-    // Function bodies.
+    // Function bodies, each deriving its graphs in the buffers of the
+    // one before.
     let mut functions = Vec::with_capacity(has_body.len());
+    let mut derived = Derived::default();
     for (cid, mi) in has_body {
         let fid = functions.len() as u32;
-        let fname = format!(
-            "{}.{}",
-            types.class(cid).name,
-            types.class(cid).methods[mi].name
-        );
-        let f = decode_function(&mut r, &mut types, cid, mi)
-            .map_err(|e| DecodeError::Malformed(format!("in {fname}: {e}")))?;
+        let f = decode_function(&mut r, &mut types, cid, mi, &mut derived).map_err(|e| {
+            let class = types.class(cid);
+            let method = &class.methods[mi].name;
+            DecodeError::Malformed(format!("in {}.{method}: {e}", class.name))
+        })?;
         types.class_mut(cid).methods[mi].body = Some(fid);
         functions.push(f);
     }
@@ -207,63 +207,58 @@ pub fn decode_and_verify(bytes: &[u8], host: &HostEnv) -> Result<Module, DecodeE
 
 /// Recomputes virtual-dispatch slots from the method tables (same
 /// override rule as the producer: match by name, parameters, and
-/// return type along the superclass chain).
-fn derive_vtable_slots(types: &mut TypeTable) -> Result<(), DecodeError> {
+/// return type along the superclass chain). Superclass chains must be
+/// acyclic.
+fn derive_vtable_slots(types: &mut TypeTable) {
     let n = types.class_count();
-    let mut tables: Vec<Option<Vec<(ClassId, u32)>>> = vec![None; n];
-    fn build(
-        i: usize,
-        types: &mut TypeTable,
-        tables: &mut Vec<Option<Vec<(ClassId, u32)>>>,
-    ) -> Vec<(ClassId, u32)> {
-        if let Some(t) = &tables[i] {
-            return t.clone();
-        }
-        let sup = types.class(ClassId(i as u32)).superclass;
-        let mut table = match sup {
-            Some(s) => build(s.index(), types, tables),
-            None => Vec::new(),
-        };
-        let n_methods = types.class(ClassId(i as u32)).methods.len();
-        for mi in 0..n_methods {
-            let (name, params, ret, kind) = {
-                let m = &types.class(ClassId(i as u32)).methods[mi];
-                (m.name.clone(), m.params.clone(), m.ret, m.kind)
-            };
-            if kind != MethodKind::Virtual {
-                continue;
-            }
-            let mut slot = None;
-            for (s, &(oc, om)) in table.iter().enumerate() {
-                let o = &types.class(oc).methods[om as usize];
-                if o.name == name && o.params == params && o.ret == ret {
-                    slot = Some(s);
-                    break;
-                }
-            }
-            let s = match slot {
-                Some(s) => {
-                    table[s] = (ClassId(i as u32), mi as u32);
-                    s
-                }
-                None => {
-                    table.push((ClassId(i as u32), mi as u32));
-                    table.len() - 1
-                }
-            };
-            // Host classes arrive with their slots already derived, and a
-            // write would copy the shared class into this module.
-            if types.class(ClassId(i as u32)).methods[mi].vtable_slot != Some(s as u32) {
-                types.class_mut(ClassId(i as u32)).methods[mi].vtable_slot = Some(s as u32);
-            }
-        }
-        tables[i] = Some(table.clone());
-        table
-    }
+    // Every class's dispatch table lives in one arena: `tables[c]` is the
+    // range of class `c`'s, a copy of its superclass's with overridden
+    // slots replaced and new methods appended.
+    let mut arena: Vec<(ClassId, u32)> = Vec::new();
+    let mut tables: Vec<Option<(usize, usize)>> = vec![None; n];
+    // A class and its ancestors without a table yet, nearest first.
+    let mut chain: Vec<ClassId> = Vec::new();
     for i in 0..n {
-        build(i, types, &mut tables);
+        let mut cur = Some(ClassId(i as u32));
+        while let Some(c) = cur.filter(|c| tables[c.index()].is_none()) {
+            chain.push(c);
+            cur = types.class(c).superclass;
+        }
+        while let Some(c) = chain.pop() {
+            let start = arena.len();
+            if let Some(sup) = types.class(c).superclass {
+                let (from, to) = tables[sup.index()].expect("superclasses come first");
+                arena.extend_from_within(from..to);
+            }
+            for mi in 0..types.class(c).methods.len() {
+                let m = &types.class(c).methods[mi];
+                if m.kind != MethodKind::Virtual {
+                    continue;
+                }
+                let table = &mut arena[start..];
+                let overridden = table.iter().position(|&(oc, om)| {
+                    let o = &types.class(oc).methods[om as usize];
+                    o.name == m.name && o.params == m.params && o.ret == m.ret
+                });
+                let slot = match overridden {
+                    Some(s) => {
+                        table[s] = (c, mi as u32);
+                        s
+                    }
+                    None => {
+                        arena.push((c, mi as u32));
+                        arena.len() - 1 - start
+                    }
+                };
+                // Host classes arrive with their slots already derived, and
+                // a write would copy the shared class into this module.
+                if types.class(c).methods[mi].vtable_slot != Some(slot as u32) {
+                    types.class_mut(c).methods[mi].vtable_slot = Some(slot as u32);
+                }
+            }
+            tables[c.index()] = Some((start, arena.len()));
+        }
     }
-    Ok(())
 }
 
 /// Decodes one standalone function section (the counterpart of
@@ -290,10 +285,20 @@ pub fn decode_function_section(
         return Err(DecodeError::Malformed("method record out of range".into()));
     }
     let mut r = BitReader::new(bytes);
-    decode_function(&mut r, types, class, method_idx)
+    decode_function(&mut r, types, class, method_idx, &mut Derived::default())
 }
 
 const PLACEHOLDER: ValueId = ValueId(u32::MAX);
+
+/// What a function's reference phases consult: its control-flow graph,
+/// dominator tree and register files. A module decode keeps one set and
+/// rebuilds it in place for each function.
+#[derive(Default)]
+struct Derived {
+    cfg: Cfg,
+    dom: DomTree,
+    regs: RegisterFiles,
+}
 
 struct FnDecoder<'a, 'b> {
     r: &'a mut BitReader<'b>,
@@ -310,26 +315,24 @@ fn decode_function(
     types: &mut TypeTable,
     class: ClassId,
     method_idx: usize,
+    derived: &mut Derived,
 ) -> Result<Function, DecodeError> {
     // Derive the signature from the (already decoded) method record.
-    let (params, ret, name) = {
-        let cinfo = types.class(class);
-        let m = &cinfo.methods[method_idx];
-        let name = format!("{}.{}", cinfo.name, m.name);
-        let mut params = Vec::with_capacity(m.params.len() + 1);
-        if m.kind != MethodKind::Static {
-            params.push((true, types.class_ty(class)));
-        }
-        for p in &m.params {
-            params.push((false, *p));
-        }
-        (params, m.ret, name)
+    let receiver = match types.class(class).methods[method_idx].kind {
+        MethodKind::Static => None,
+        _ => Some(types.safe_ref_of(types.class_ty(class))),
     };
-    let params: Vec<TypeId> = params
-        .into_iter()
-        .map(|(recv, ty)| if recv { types.safe_ref_of(ty) } else { ty })
-        .collect();
-    let f = Function::new(name, Some(class), params, ret);
+    let cinfo = types.class(class);
+    let m = &cinfo.methods[method_idx];
+    let mut params = Vec::with_capacity(m.params.len() + 1);
+    params.extend(receiver);
+    params.extend_from_slice(&m.params);
+    let f = Function::new(
+        format!("{}.{}", cinfo.name, m.name),
+        Some(class),
+        params,
+        m.ret,
+    );
     let mut d = FnDecoder {
         r,
         types,
@@ -362,11 +365,15 @@ fn decode_function(
     // single forward pass with context-determined symbol alphabets.
     for b in blocks() {
         let n_phis = cap(d.r.gamma()?, "phi")?;
+        d.f.blocks[b.index()].phis = reserve(n_phis, d.r);
+        d.f.results[b.index()].phi_results = reserve(n_phis, d.r);
         for _ in 0..n_phis {
             let ty = read_type(d.r, d.types, 0)?;
             d.f.add_phi(b, ty);
         }
         let n_instrs = cap(d.r.gamma()?, "instruction")?;
+        d.f.blocks[b.index()].instrs = reserve(n_instrs, d.r);
+        d.f.results[b.index()].instr_results = reserve(n_instrs, d.r);
         for _ in 0..n_instrs {
             let instr = d.read_instr_fields()?;
             let result = crate::planes::result_plane(d.types, &instr)?;
@@ -379,7 +386,9 @@ fn decode_function(
     // at all (leaving the entry block out) fails that. Unreachable
     // blocks must be empty (verified again later, but needed now so
     // reference decoding never consults an unreachable block).
-    let cfg = build_cfg(&d.f)?;
+    let Derived { cfg, dom, regs } = derived;
+    cfg.rebuild(&d.f)
+        .map_err(|e| DecodeError::Malformed(format!("control structure: {e}")))?;
     if !cfg.traversal.iter().copied().eq(blocks()) {
         return Err(DecodeError::Malformed("blocks not covered by CST".into()));
     }
@@ -393,17 +402,16 @@ fn decode_function(
             }
         }
     }
-    let dom = DomTree::build(&cfg);
-    let regs = RegisterFiles::build(&d.f);
+    dom.rebuild(cfg);
+    regs.rebuild(&d.f);
     // Phase 2b: operand references.
-    let mut vals = Vec::new();
     for b in blocks() {
         let n_instrs = d.f.block(b).instrs.len();
         for k in 0..n_instrs {
             let planes = crate::planes::operand_planes(d.types, &d.f.block(b).instrs[k])?;
-            vals.clear();
-            for plane in planes {
-                let v = read_ref(d.r, &regs, &dom, b, Some(k), plane).map_err(|e| {
+            let mut vals = Operands::new();
+            for &plane in planes.iter() {
+                let v = read_ref(d.r, regs, dom, b, Some(k), plane).map_err(|e| {
                     DecodeError::Malformed(format!("operand in {b} instr {k}: {e}"))
                 })?;
                 vals.push(v);
@@ -430,9 +438,9 @@ fn decode_function(
             r: d.r,
             types: d.types,
             f: &d.f,
-            cfg: &cfg,
-            dom: &dom,
-            regs: &regs,
+            cfg,
+            dom,
+            regs,
         };
         w.walk(&mut body, Fr::Start)?;
     }
@@ -449,7 +457,7 @@ fn decode_function(
                     EdgeKind::Normal => None,
                     EdgeKind::Exception { upto } => Some(upto as usize),
                 };
-                let v = read_ref(d.r, &regs, &dom, e.from, limit, ty)?;
+                let v = read_ref(d.r, regs, dom, e.from, limit, ty)?;
                 args.push((e.from, v));
             }
             let result = d.f.phi_result(b, k);
@@ -463,10 +471,6 @@ fn decode_function(
         }
     }
     Ok(d.f)
-}
-
-fn build_cfg(f: &Function) -> Result<Cfg, DecodeError> {
-    Cfg::build(f).map_err(|e| DecodeError::Malformed(format!("control structure: {e}")))
 }
 
 impl<'a, 'b> FnDecoder<'a, 'b> {

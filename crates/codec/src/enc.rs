@@ -299,7 +299,7 @@ fn encode_function(
         for (k, instr) in block.instrs.iter().enumerate() {
             let planes = crate::planes::operand_planes(types, instr)
                 .map_err(|e| EncodeError::MalformedInstruction(e.to_string()))?;
-            for (v, plane) in instr.operands().into_iter().zip(planes) {
+            for (&v, &plane) in instr.operands().iter().zip(planes.iter()) {
                 write_ref(w, f, &regs, &dom, b, Some(k), plane, v)?;
             }
         }

@@ -50,6 +50,7 @@ pub use dec::{decode_and_verify, decode_function_section, decode_module, HostEnv
 pub use enc::{encode_function_section, encode_module, encode_sections, EncodeError, Sections};
 
 use safetsa_telemetry::Telemetry;
+use std::sync::OnceLock;
 
 /// The canonical instrumented entry point: [`encode_module`] recording
 /// the encode wall time (`codec.encode_ns`), the stream size
@@ -85,19 +86,26 @@ pub fn record_sections(sec: &Sections, tm: &Telemetry) {
 
 impl HostEnv {
     /// The standard host environment: the same implicit classes the
-    /// front-end installs (built by compiling an empty program).
+    /// front-end installs. It is built once per process, by compiling an
+    /// empty program; every call returns a clone that shares the host
+    /// classes with the others.
     ///
     /// # Panics
     ///
     /// Never panics in practice: the empty program always compiles.
     pub fn standard() -> HostEnv {
-        // Build via the producer pipeline over an empty program: only
-        // the implicit host classes remain.
-        let prog = safetsa_frontend::compile("").expect("empty program compiles");
-        let lowered = safetsa_ssa::lower_program(&prog).expect("empty program lowers");
-        HostEnv {
-            types: lowered.module.types,
-            well_known: lowered.module.well_known,
-        }
+        static STANDARD: OnceLock<HostEnv> = OnceLock::new();
+        STANDARD
+            .get_or_init(|| {
+                // Build via the producer pipeline over an empty program:
+                // only the implicit host classes remain.
+                let prog = safetsa_frontend::compile("").expect("empty program compiles");
+                let lowered = safetsa_ssa::lower_program(&prog).expect("empty program lowers");
+                HostEnv {
+                    types: lowered.module.types,
+                    well_known: lowered.module.well_known,
+                }
+            })
+            .clone()
     }
 }

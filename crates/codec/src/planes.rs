@@ -6,9 +6,9 @@
 //! byte-for-byte.
 
 use crate::bits::DecodeError;
-use safetsa_core::instr::Instr;
+use safetsa_core::instr::{Instr, Operands};
 use safetsa_core::primops;
-use safetsa_core::types::{TypeId, TypeKind, TypeTable};
+use safetsa_core::types::{MethodRef, TypeId, TypeKind, TypeTable};
 
 fn safe_ref(types: &mut TypeTable, ty: TypeId) -> Result<TypeId, DecodeError> {
     if !types.is_ref(ty) {
@@ -17,13 +17,36 @@ fn safe_ref(types: &mut TypeTable, ty: TypeId) -> Result<TypeId, DecodeError> {
     Ok(types.safe_ref_of(ty))
 }
 
+/// Operand planes of a call: the receiver's, if it has one, then the
+/// method's parameters.
+fn call_planes(
+    types: &mut TypeTable,
+    base_ty: TypeId,
+    method: MethodRef,
+    receiver: bool,
+) -> Result<Operands<TypeId>, DecodeError> {
+    let bad_method = || DecodeError::Malformed("bad method".into());
+    // A bad method is reported before a bad receiver plane.
+    types.method(method).ok_or_else(bad_method)?;
+    let mut planes = Operands::new();
+    if receiver {
+        planes.push(safe_ref(types, base_ty)?);
+    }
+    let params = &types.method(method).ok_or_else(bad_method)?.params;
+    planes.extend(params.iter().copied());
+    Ok(planes)
+}
+
 /// Operand planes of `instr`, in [`Instr::operands`] order.
 ///
 /// # Errors
 ///
 /// Rejects ill-kinded field combinations (bad member refs, primitives
 /// where references are required, …).
-pub fn operand_planes(types: &mut TypeTable, instr: &Instr) -> Result<Vec<TypeId>, DecodeError> {
+pub fn operand_planes(
+    types: &mut TypeTable,
+    instr: &Instr,
+) -> Result<Operands<TypeId>, DecodeError> {
     Ok(match instr {
         Instr::Primitive { ty, op, .. } | Instr::XPrimitive { ty, op, .. } => {
             let kind = match types.kind(*ty) {
@@ -34,79 +57,56 @@ pub fn operand_planes(types: &mut TypeTable, instr: &Instr) -> Result<Vec<TypeId
                 .ok_or_else(|| DecodeError::Malformed("bad op".into()))?;
             desc.params.iter().map(|p| types.prim(*p)).collect()
         }
-        Instr::NullCheck { ty, .. } => vec![*ty],
-        Instr::IndexCheck { arr_ty, .. } => {
-            vec![safe_ref(types, *arr_ty)?, types.int_ty()]
-        }
-        Instr::Upcast { from, .. } | Instr::Downcast { from, .. } => vec![*from],
-        Instr::GetField { ty, .. } => vec![safe_ref(types, *ty)?],
+        Instr::NullCheck { ty, .. } => [*ty].into(),
+        Instr::IndexCheck { arr_ty, .. } => [safe_ref(types, *arr_ty)?, types.int_ty()].into(),
+        Instr::Upcast { from, .. } | Instr::Downcast { from, .. } => [*from].into(),
+        Instr::GetField { ty, .. } => [safe_ref(types, *ty)?].into(),
         Instr::SetField { ty, field, .. } => {
             let fty = types
                 .field(*field)
                 .ok_or_else(|| DecodeError::Malformed("bad field".into()))?
                 .ty;
-            vec![safe_ref(types, *ty)?, fty]
+            [safe_ref(types, *ty)?, fty].into()
         }
-        Instr::GetStatic { .. } | Instr::New { .. } | Instr::Catch { .. } => vec![],
+        Instr::GetStatic { .. } | Instr::New { .. } | Instr::Catch { .. } => Operands::new(),
         Instr::SetStatic { field, .. } => {
             let fty = types
                 .field(*field)
                 .ok_or_else(|| DecodeError::Malformed("bad field".into()))?
                 .ty;
-            vec![fty]
+            [fty].into()
         }
         Instr::GetElt { arr_ty, .. } => {
             if !matches!(types.kind(*arr_ty), TypeKind::Array(_)) {
                 return Err(DecodeError::Malformed("getelt on non-array".into()));
             }
-            vec![safe_ref(types, *arr_ty)?, types.safe_index_of(*arr_ty)]
+            [safe_ref(types, *arr_ty)?, types.safe_index_of(*arr_ty)].into()
         }
         Instr::SetElt { arr_ty, .. } => {
             let elem = match types.kind(*arr_ty) {
                 TypeKind::Array(e) => e,
                 _ => return Err(DecodeError::Malformed("setelt on non-array".into())),
             };
-            vec![
+            [
                 safe_ref(types, *arr_ty)?,
                 types.safe_index_of(*arr_ty),
                 elem,
             ]
+            .into()
         }
-        Instr::ArrayLength { arr_ty, .. } => vec![safe_ref(types, *arr_ty)?],
-        Instr::NewArray { .. } => vec![types.int_ty()],
+        Instr::ArrayLength { arr_ty, .. } => [safe_ref(types, *arr_ty)?].into(),
+        Instr::NewArray { .. } => [types.int_ty()].into(),
         Instr::XCall {
             base_ty,
             method,
             receiver,
             ..
-        } => {
-            let params = types
-                .method(*method)
-                .ok_or_else(|| DecodeError::Malformed("bad method".into()))?
-                .params
-                .clone();
-            let mut v = Vec::with_capacity(params.len() + 1);
-            if receiver.is_some() {
-                v.push(safe_ref(types, *base_ty)?);
-            }
-            v.extend(params);
-            v
-        }
+        } => call_planes(types, *base_ty, *method, receiver.is_some())?,
         Instr::XDispatch {
             base_ty, method, ..
-        } => {
-            let params = types
-                .method(*method)
-                .ok_or_else(|| DecodeError::Malformed("bad method".into()))?
-                .params
-                .clone();
-            let mut v = Vec::with_capacity(params.len() + 1);
-            v.push(safe_ref(types, *base_ty)?);
-            v.extend(params);
-            v
-        }
-        Instr::RefEq { ty, .. } => vec![*ty, *ty],
-        Instr::InstanceOf { from, .. } => vec![*from],
+        } => call_planes(types, *base_ty, *method, true)?,
+        Instr::RefEq { ty, .. } => [*ty, *ty].into(),
+        Instr::InstanceOf { from, .. } => [*from].into(),
     })
 }
 

@@ -23,8 +23,9 @@ use safetsa_core::value::{BlockId, ValueId};
 /// result of instruction `k`). These are the paper's per-type, per-block
 /// register counters (§2, §9), built once per function; a same-block
 /// limit selects a prefix, so resolving a reference never rescans a
-/// block.
-#[derive(Debug, Clone)]
+/// block. [`RegisterFiles::rebuild`] reuses the buffers of the function
+/// before.
+#[derive(Debug, Clone, Default)]
 pub struct RegisterFiles {
     /// Per block, the range of `planes` holding its non-empty planes
     /// (`block_start[b]..block_start[b + 1]`), sorted by plane.
@@ -37,6 +38,9 @@ pub struct RegisterFiles {
     /// Position of each register's definition in its block (parallel to
     /// `values`).
     pos: Vec<u32>,
+    /// One block's registers as (plane, position, value), in register
+    /// order, while they are grouped by plane.
+    scratch: Vec<(TypeId, u32, ValueId)>,
 }
 
 impl RegisterFiles {
@@ -44,18 +48,24 @@ impl RegisterFiles {
     /// result caches. Operands are not consulted, so a decoder can build
     /// them as soon as every phi and instruction has its result plane.
     pub fn build(f: &Function) -> RegisterFiles {
-        let n = f.block_count();
-        let mut rf = RegisterFiles {
-            block_start: Vec::with_capacity(n + 1),
-            planes: Vec::new(),
-            values: Vec::with_capacity(f.values.len()),
-            pos: Vec::with_capacity(f.values.len()),
-        };
-        // One block's registers as (plane, position, value), in register
-        // order; a stable sort by plane groups them without reordering.
-        let mut regs: Vec<(TypeId, u32, ValueId)> = Vec::new();
+        let mut rf = RegisterFiles::default();
+        rf.rebuild(f);
+        rf
+    }
+
+    /// Builds the register files of `f` in place, reusing these files'
+    /// buffers.
+    pub fn rebuild(&mut self, f: &Function) {
+        self.block_start.clear();
+        self.planes.clear();
+        self.values.clear();
+        self.pos.clear();
+        self.block_start.reserve(f.block_count() + 1);
+        self.values.reserve(f.values.len());
+        self.pos.reserve(f.values.len());
+        let regs = &mut self.scratch;
         for (bi, res) in f.results.iter().enumerate() {
-            rf.block_start.push(rf.planes.len() as u32);
+            self.block_start.push(self.planes.len() as u32);
             regs.clear();
             if bi == ENTRY.index() {
                 let params = (0..f.params.len()).map(|i| ValueId(i as u32));
@@ -71,20 +81,20 @@ impl RegisterFiles {
                     regs.push((f.value_ty(v), k as u32 + 1, v));
                 }
             }
+            // A stable sort by plane groups them without reordering.
             regs.sort_by_key(|&(plane, _, _)| plane);
-            let first = rf.planes.len();
-            for &(plane, pos, v) in &regs {
-                let at = rf.values.len() as u32;
-                match rf.planes[first..].last_mut() {
+            let first = self.planes.len();
+            for &(plane, pos, v) in regs.iter() {
+                let at = self.values.len() as u32;
+                match self.planes[first..].last_mut() {
                     Some(last) if last.0 == plane => last.2 = at + 1,
-                    _ => rf.planes.push((plane, at, at + 1)),
+                    _ => self.planes.push((plane, at, at + 1)),
                 }
-                rf.values.push(v);
-                rf.pos.push(pos);
+                self.values.push(v);
+                self.pos.push(pos);
             }
         }
-        rf.block_start.push(rf.planes.len() as u32);
-        rf
+        self.block_start.push(self.planes.len() as u32);
     }
 
     /// Values visible on `plane` in block `d`, in register order.

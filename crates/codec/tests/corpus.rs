@@ -111,7 +111,17 @@ fn register_files_match_the_reference_scan() {
 #[test]
 fn decoding_shares_host_classes_and_never_changes_them() {
     let host = HostEnv::standard();
-    let fresh = HostEnv::standard();
+    let again = HostEnv::standard();
+    // The process builds the host once: every call shares its classes.
+    for (c, info) in host.types.classes() {
+        assert!(
+            std::ptr::eq(info, again.types.class(c)),
+            "two calls built host class {} twice",
+            info.name
+        );
+    }
+    // Deep copies, independent of the shared classes.
+    let pristine: Vec<_> = host.types.classes().map(|(_, c)| c.clone()).collect();
     for (name, module, optimized) in corpus() {
         for m in [&module, &optimized] {
             let bytes = encode_module(m).expect("encodes");
@@ -121,18 +131,18 @@ fn decoding_shares_host_classes_and_never_changes_them() {
                 bytes,
                 "{name}"
             );
-            assert_eq!(host.types.class_count(), fresh.types.class_count());
-            for (c, info) in fresh.types.classes() {
+            assert_eq!(host.types.class_count(), pristine.len());
+            for (c, info) in host.types.classes() {
                 assert_eq!(
-                    host.types.class(c),
                     info,
+                    &pristine[c.index()],
                     "{name} changed host class {}",
                     info.name
                 );
                 // Shared, not copied: the module's host classes are the
                 // host's own.
                 assert!(
-                    std::ptr::eq(decoded.types.class(c), host.types.class(c)),
+                    std::ptr::eq(decoded.types.class(c), info),
                     "{name}: decoding copied host class {}",
                     info.name
                 );

@@ -74,12 +74,22 @@ impl fmt::Display for CfgError {
 impl std::error::Error for CfgError {}
 
 /// The control-flow graph derived from a function's CST.
-#[derive(Debug, Clone)]
+///
+/// Edges live in flat offset arrays (CSR layout): one array holds every
+/// block's items back to back, and a second holds the offset where each
+/// block's items start. [`Cfg::rebuild`] reuses every buffer, so a
+/// consumer that derives the graphs of many functions in turn allocates
+/// only when a function outgrows the largest one before it.
+#[derive(Debug, Clone, Default)]
 pub struct Cfg {
-    /// Incoming edges per block, in canonical order.
-    pub preds: Vec<Vec<Edge>>,
-    /// Successor block ids per block (derived, unordered semantics).
-    pub succs: Vec<Vec<BlockId>>,
+    /// Block `b`'s incoming edges are
+    /// `pred_edges[pred_start[b]..pred_start[b + 1]]`, in canonical order.
+    pred_start: Vec<u32>,
+    pred_edges: Vec<Edge>,
+    /// Block `b`'s successors are
+    /// `succ_blocks[succ_start[b]..succ_start[b + 1]]`, ordered by id.
+    succ_start: Vec<u32>,
+    succ_blocks: Vec<BlockId>,
     /// Whether each block is reachable from the entry.
     pub reachable: Vec<bool>,
     /// Blocks in the deterministic traversal order the CST visits them.
@@ -92,22 +102,55 @@ pub struct Cfg {
     pub throw_uses: Vec<(BlockId, crate::value::ValueId)>,
     /// Whether control can fall off the end of the function body.
     pub falls_through: bool,
+    scratch: Scratch,
+}
+
+/// Working storage of a derivation, kept between rebuilds.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Edges in the order the walk adds them, each with its target.
+    edges: Vec<(BlockId, Edge)>,
+    labels: Vec<BlockId>,
+    loops: Vec<BlockId>,
+    handlers: Vec<BlockId>,
+    seen: Vec<bool>,
+    /// Per-block fill position while edges are grouped by block.
+    cursor: Vec<u32>,
+    stack: Vec<BlockId>,
+}
+
+/// The items of block `b` in a CSR pair.
+pub(crate) fn items<'a, T>(start: &[u32], items: &'a [T], b: BlockId) -> &'a [T] {
+    &items[start[b.index()] as usize..start[b.index() + 1] as usize]
+}
+
+/// Turns per-block counts stored at `start[b + 1]` into start offsets.
+pub(crate) fn prefix_sum(start: &mut [u32]) {
+    for i in 1..start.len() {
+        start[i] += start[i - 1];
+    }
 }
 
 impl Cfg {
     /// Number of blocks.
     pub fn len(&self) -> usize {
-        self.preds.len()
+        self.reachable.len()
     }
 
     /// Whether the CFG has no blocks (never true for a built CFG).
     pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
+        self.reachable.is_empty()
     }
 
     /// The canonical incoming edges of `b`.
     pub fn preds_of(&self, b: BlockId) -> &[Edge] {
-        &self.preds[b.index()]
+        items(&self.pred_start, &self.pred_edges, b)
+    }
+
+    /// The successors of `b`, ordered by block id; a block reached by
+    /// several edges from `b` appears once per edge.
+    pub fn succs_of(&self, b: BlockId) -> &[BlockId] {
+        items(&self.succ_start, &self.succ_blocks, b)
     }
 
     /// Derives the CFG of `f`.
@@ -116,55 +159,118 @@ impl Cfg {
     ///
     /// Returns a [`CfgError`] if the CST is structurally malformed.
     pub fn build(f: &Function) -> Result<Cfg, CfgError> {
+        let mut cfg = Cfg::default();
+        cfg.rebuild(f)?;
+        Ok(cfg)
+    }
+
+    /// Derives the CFG of `f` in place, reusing this graph's buffers.
+    /// After an error the graph holds no meaningful contents until the
+    /// next successful rebuild.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CfgError`] if the CST is structurally malformed.
+    pub fn rebuild(&mut self, f: &Function) -> Result<(), CfgError> {
         let n = f.block_count();
-        let mut b = Builder {
-            f,
-            preds: vec![Vec::new(); n],
-            labels: Vec::new(),
-            loops: Vec::new(),
-            handlers: Vec::new(),
-            seen: vec![false; n],
-            traversal: Vec::new(),
-            first: true,
-            cond_uses: Vec::new(),
-            return_uses: Vec::new(),
-            throw_uses: Vec::new(),
+        self.reset(n);
+        let final_frontier = self.walk(f, &f.body, Frontier::Start)?;
+        self.falls_through = !matches!(final_frontier, Frontier::Dead);
+        self.index(n);
+        Ok(())
+    }
+
+    /// A graph of `n` blocks rooted at the entry block, with the given
+    /// incoming edges: each `(to, edge)` enters block `to`, and a block's
+    /// edges keep their order in `edges`. The traversal order is block-id
+    /// order, and the graph has no condition, return or throw uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge names a block outside `0..n`.
+    pub fn from_edges(n: usize, edges: &[(BlockId, Edge)]) -> Cfg {
+        let mut cfg = Cfg::default();
+        cfg.reset(n);
+        for &(to, e) in edges {
+            assert!(e.from.index() < n, "edge source {} out of range", e.from);
+            cfg.edge(e.from, to, e.kind);
+        }
+        cfg.traversal.extend((0..n).map(|i| BlockId(i as u32)));
+        cfg.index(n);
+        cfg
+    }
+
+    fn reset(&mut self, n: usize) {
+        self.pred_start.clear();
+        self.pred_start.resize(n + 1, 0);
+        let s = &mut self.scratch;
+        s.edges.clear();
+        s.labels.clear();
+        s.loops.clear();
+        s.handlers.clear();
+        s.seen.clear();
+        s.seen.resize(n, false);
+        self.traversal.clear();
+        self.cond_uses.clear();
+        self.return_uses.clear();
+        self.throw_uses.clear();
+        self.falls_through = false;
+    }
+
+    /// Lays out the collected edges (counted per block in
+    /// `pred_start[b + 1]`) as predecessor and successor arrays, then
+    /// marks the blocks reachable from the entry.
+    fn index(&mut self, n: usize) {
+        let s = &mut self.scratch;
+        prefix_sum(&mut self.pred_start);
+        s.cursor.clear();
+        s.cursor.extend_from_slice(&self.pred_start[..n]);
+        let placeholder = Edge {
+            from: ENTRY,
+            kind: EdgeKind::Normal,
         };
-        let final_frontier = b.walk(&f.body, Frontier::Start)?;
-        let falls_through = !matches!(final_frontier, Frontier::Dead);
-        let b2 = (b.cond_uses, b.return_uses, b.throw_uses);
-        let preds = b.preds;
-        let traversal = b.traversal;
-        let mut succs = vec![Vec::new(); n];
-        for (to, edges) in preds.iter().enumerate() {
-            for e in edges {
-                succs[e.from.index()].push(BlockId(to as u32));
+        self.pred_edges.clear();
+        self.pred_edges.resize(s.edges.len(), placeholder);
+        for &(to, e) in &s.edges {
+            let at = &mut s.cursor[to.index()];
+            self.pred_edges[*at as usize] = e;
+            *at += 1;
+        }
+        // Successors: visiting targets in id order leaves each block's
+        // successors sorted.
+        self.succ_start.clear();
+        self.succ_start.resize(n + 1, 0);
+        for e in &self.pred_edges {
+            self.succ_start[e.from.index() + 1] += 1;
+        }
+        prefix_sum(&mut self.succ_start);
+        s.cursor.clear();
+        s.cursor.extend_from_slice(&self.succ_start[..n]);
+        self.succ_blocks.clear();
+        self.succ_blocks.resize(self.pred_edges.len(), ENTRY);
+        for to in 0..n {
+            for e in items(&self.pred_start, &self.pred_edges, BlockId(to as u32)) {
+                let at = &mut s.cursor[e.from.index()];
+                self.succ_blocks[*at as usize] = BlockId(to as u32);
+                *at += 1;
             }
         }
         // Reachability from the entry block.
-        let mut reachable = vec![false; n];
+        self.reachable.clear();
+        self.reachable.resize(n, false);
         if n > 0 {
-            let mut stack = vec![ENTRY];
-            reachable[ENTRY.index()] = true;
-            while let Some(x) = stack.pop() {
-                for &s in &succs[x.index()] {
-                    if !reachable[s.index()] {
-                        reachable[s.index()] = true;
-                        stack.push(s);
+            s.stack.clear();
+            s.stack.push(ENTRY);
+            self.reachable[ENTRY.index()] = true;
+            while let Some(x) = s.stack.pop() {
+                for &b in items(&self.succ_start, &self.succ_blocks, x) {
+                    if !self.reachable[b.index()] {
+                        self.reachable[b.index()] = true;
+                        s.stack.push(b);
                     }
                 }
             }
         }
-        Ok(Cfg {
-            preds,
-            succs,
-            reachable,
-            traversal,
-            cond_uses: b2.0,
-            return_uses: b2.1,
-            throw_uses: b2.2,
-            falls_through,
-        })
     }
 }
 
@@ -178,35 +284,29 @@ enum Frontier {
     Dead,
 }
 
-struct Builder<'a> {
-    f: &'a Function,
-    preds: Vec<Vec<Edge>>,
-    labels: Vec<BlockId>,
-    loops: Vec<BlockId>,
-    handlers: Vec<BlockId>,
-    seen: Vec<bool>,
-    traversal: Vec<BlockId>,
-    first: bool,
-    cond_uses: Vec<(BlockId, crate::value::ValueId)>,
-    return_uses: Vec<(BlockId, Option<crate::value::ValueId>)>,
-    throw_uses: Vec<(BlockId, crate::value::ValueId)>,
-}
-
-impl<'a> Builder<'a> {
+/// The CST walk that collects the edges.
+impl Cfg {
     fn check_block(&mut self, b: BlockId) -> Result<(), CfgError> {
-        if b.index() >= self.preds.len() {
+        let seen = &mut self.scratch.seen;
+        if b.index() >= seen.len() {
             return Err(CfgError::BadBlock(b));
         }
-        if self.seen[b.index()] {
+        if seen[b.index()] {
             return Err(CfgError::DuplicateBlock(b));
         }
-        self.seen[b.index()] = true;
+        seen[b.index()] = true;
         self.traversal.push(b);
         Ok(())
     }
 
     fn edge(&mut self, from: BlockId, to: BlockId, kind: EdgeKind) {
-        self.preds[to.index()].push(Edge { from, kind });
+        self.pred_start[to.index() + 1] += 1;
+        self.scratch.edges.push((to, Edge { from, kind }));
+    }
+
+    /// Whether the walk has added no edge into `b` yet.
+    fn no_preds_yet(&self, b: BlockId) -> bool {
+        self.pred_start[b.index() + 1] == 0
     }
 
     /// Connects `frontier` to `to`; returns whether `to` is live.
@@ -216,7 +316,6 @@ impl<'a> Builder<'a> {
                 if to != ENTRY {
                     return Err(CfgError::EntryNotFirst);
                 }
-                self.first = false;
                 Ok(true)
             }
             Frontier::At(from) => {
@@ -228,9 +327,9 @@ impl<'a> Builder<'a> {
     }
 
     /// Adds the exception edges of block `b` to the innermost handler.
-    fn exception_edges(&mut self, b: BlockId) {
-        if let Some(&h) = self.handlers.last() {
-            let instrs = &self.f.block(b).instrs;
+    fn exception_edges(&mut self, f: &Function, b: BlockId) {
+        if let Some(&h) = self.scratch.handlers.last() {
+            let instrs = &f.block(b).instrs;
             for (k, i) in instrs.iter().enumerate() {
                 if i.is_exceptional() {
                     self.edge(b, h, EdgeKind::Exception { upto: k as u32 });
@@ -239,13 +338,13 @@ impl<'a> Builder<'a> {
         }
     }
 
-    fn walk(&mut self, cst: &Cst, frontier: Frontier) -> Result<Frontier, CfgError> {
+    fn walk(&mut self, f: &Function, cst: &Cst, frontier: Frontier) -> Result<Frontier, CfgError> {
         match cst {
             Cst::Basic(b) => {
                 self.check_block(*b)?;
                 let live = self.connect(frontier, *b)?;
                 if live {
-                    self.exception_edges(*b);
+                    self.exception_edges(f, *b);
                     Ok(Frontier::At(*b))
                 } else {
                     Ok(Frontier::Dead)
@@ -254,7 +353,7 @@ impl<'a> Builder<'a> {
             Cst::Seq(items) => {
                 let mut fr = frontier;
                 for c in items {
-                    fr = self.walk(c, fr)?;
+                    fr = self.walk(f, c, fr)?;
                 }
                 Ok(fr)
             }
@@ -268,22 +367,21 @@ impl<'a> Builder<'a> {
                 if let Frontier::At(b) = frontier {
                     self.cond_uses.push((b, *cond));
                 }
-                let t = self.walk(then_br, frontier)?;
+                let t = self.walk(f, then_br, frontier)?;
                 if let Frontier::At(b) = t {
                     self.edge(b, *join, EdgeKind::Normal);
                 }
-                let e = self.walk(else_br, frontier)?;
+                let e = self.walk(f, else_br, frontier)?;
                 if let Frontier::At(b) = e {
                     self.edge(b, *join, EdgeKind::Normal);
                 }
-                let join_dead =
-                    self.preds[join.index()].is_empty() && !matches!(frontier, Frontier::Start);
+                let join_dead = self.no_preds_yet(*join) && !matches!(frontier, Frontier::Start);
                 if join_dead || matches!(frontier, Frontier::Dead) {
                     Ok(Frontier::Dead)
                 } else {
                     // Control continues in the join block; code placed
                     // there can raise too.
-                    self.exception_edges(*join);
+                    self.exception_edges(f, *join);
                     Ok(Frontier::At(*join))
                 }
             }
@@ -291,10 +389,11 @@ impl<'a> Builder<'a> {
                 self.check_block(*header)?;
                 let live = self.connect(frontier, *header)?;
                 if live {
-                    self.exception_edges(*header);
+                    self.exception_edges(f, *header);
                 }
-                self.loops.push(*header);
+                self.scratch.loops.push(*header);
                 let body_fr = self.walk(
+                    f,
                     body,
                     if live {
                         Frontier::At(*header)
@@ -302,7 +401,7 @@ impl<'a> Builder<'a> {
                         Frontier::Dead
                     },
                 )?;
-                self.loops.pop();
+                self.scratch.loops.pop();
                 if let Frontier::At(b) = body_fr {
                     self.edge(b, *header, EdgeKind::Normal);
                 }
@@ -311,25 +410,26 @@ impl<'a> Builder<'a> {
             }
             Cst::Labeled { body, join } => {
                 self.check_block(*join)?;
-                self.labels.push(*join);
-                let fr = self.walk(body, frontier)?;
-                self.labels.pop();
+                self.scratch.labels.push(*join);
+                let fr = self.walk(f, body, frontier)?;
+                self.scratch.labels.pop();
                 if let Frontier::At(b) = fr {
                     self.edge(b, *join, EdgeKind::Normal);
                 }
-                if self.preds[join.index()].is_empty() {
+                if self.no_preds_yet(*join) {
                     Ok(Frontier::Dead)
                 } else {
-                    self.exception_edges(*join);
+                    self.exception_edges(f, *join);
                     Ok(Frontier::At(*join))
                 }
             }
             Cst::Break(n) => {
                 if let Frontier::At(b) = frontier {
-                    let depth = self.labels.len();
-                    let target = depth
+                    let labels = &self.scratch.labels;
+                    let target = labels
+                        .len()
                         .checked_sub(1 + *n as usize)
-                        .map(|i| self.labels[i])
+                        .map(|i| labels[i])
                         .ok_or(CfgError::BadBreakDepth(*n))?;
                     self.edge(b, target, EdgeKind::Normal);
                 }
@@ -337,10 +437,11 @@ impl<'a> Builder<'a> {
             }
             Cst::Continue(n) => {
                 if let Frontier::At(b) = frontier {
-                    let depth = self.loops.len();
-                    let target = depth
+                    let loops = &self.scratch.loops;
+                    let target = loops
+                        .len()
                         .checked_sub(1 + *n as usize)
-                        .map(|i| self.loops[i])
+                        .map(|i| loops[i])
                         .ok_or(CfgError::BadContinueDepth(*n))?;
                     self.edge(b, target, EdgeKind::Normal);
                 }
@@ -358,8 +459,8 @@ impl<'a> Builder<'a> {
                 // visible along the edge.
                 if let Frontier::At(b) = frontier {
                     self.throw_uses.push((b, *v));
-                    if let Some(&h) = self.handlers.last() {
-                        let upto = self.f.block(b).instrs.len() as u32;
+                    if let Some(&h) = self.scratch.handlers.last() {
+                        let upto = f.block(b).instrs.len() as u32;
                         self.edge(b, h, EdgeKind::Exception { upto });
                     }
                 }
@@ -374,18 +475,19 @@ impl<'a> Builder<'a> {
                 // The handler and join are traversed *after* the body, so
                 // a streaming decoder knows every exception edge into the
                 // handler before the handler's own blocks arrive.
-                self.handlers.push(*handler_entry);
-                let body_fr = self.walk(body, frontier)?;
-                self.handlers.pop();
+                self.scratch.handlers.push(*handler_entry);
+                let body_fr = self.walk(f, body, frontier)?;
+                self.scratch.handlers.pop();
                 self.check_block(*handler_entry)?;
                 if let Frontier::At(b) = body_fr {
                     self.edge(b, *join, EdgeKind::Normal);
                 }
-                let handler_live = !self.preds[handler_entry.index()].is_empty();
+                let handler_live = !self.no_preds_yet(*handler_entry);
                 if handler_live {
-                    self.exception_edges(*handler_entry);
+                    self.exception_edges(f, *handler_entry);
                 }
                 let h_fr = self.walk(
+                    f,
                     handler,
                     if handler_live {
                         Frontier::At(*handler_entry)
@@ -397,10 +499,10 @@ impl<'a> Builder<'a> {
                 if let Frontier::At(b) = h_fr {
                     self.edge(b, *join, EdgeKind::Normal);
                 }
-                if self.preds[join.index()].is_empty() {
+                if self.no_preds_yet(*join) {
                     Ok(Frontier::Dead)
                 } else {
-                    self.exception_edges(*join);
+                    self.exception_edges(f, *join);
                     Ok(Frontier::At(*join))
                 }
             }
@@ -442,6 +544,10 @@ mod tests {
         assert_eq!(preds[0].from, BlockId(1), "then edge first");
         assert_eq!(preds[1].from, ENTRY, "empty else edge second");
         assert!(cfg.reachable.iter().all(|&r| r));
+        // Successors are ordered by target id.
+        assert_eq!(cfg.succs_of(ENTRY), [BlockId(1), join]);
+        assert_eq!(cfg.succs_of(BlockId(1)), [join]);
+        assert!(cfg.succs_of(join).is_empty());
     }
 
     #[test]

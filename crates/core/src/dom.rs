@@ -10,27 +10,52 @@
 //! iterative algorithm of Cooper–Harvey–Kennedy (the default) and
 //! Lengauer–Tarjan (the paper's citation \[21\]).
 
-use crate::cfg::Cfg;
+use crate::cfg::{items, prefix_sum, Cfg};
 use crate::function::ENTRY;
 use crate::value::BlockId;
 
 /// A computed dominator tree.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Children live in flat offset arrays (CSR layout), like the
+/// [`Cfg`]'s edges, and [`DomTree::rebuild`] reuses every buffer.
+#[derive(Debug, Clone, Default)]
 pub struct DomTree {
     /// Immediate dominator per block; `None` for the entry block and
     /// for unreachable blocks.
     pub idom: Vec<Option<BlockId>>,
     /// Depth in the dominator tree (entry = 0; unreachable blocks = 0).
     pub depth: Vec<u32>,
-    /// Children lists (ordered by block id).
-    pub children: Vec<Vec<BlockId>>,
+    /// Block `b`'s children are
+    /// `children[child_start[b]..child_start[b + 1]]`, ordered by id.
+    child_start: Vec<u32>,
+    children: Vec<BlockId>,
     /// Reachable blocks in dominator-tree pre-order (children visited
     /// in block-id order); this is the canonical transmission order of
     /// SafeTSA blocks (§7).
     pub preorder: Vec<BlockId>,
+    scratch: Scratch,
+}
+
+/// Working storage of a computation, kept between rebuilds.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Reachable blocks in reverse postorder.
+    rpo: Vec<BlockId>,
+    /// Position of each block in `rpo` (`usize::MAX` if unreachable).
+    rpo_num: Vec<usize>,
+    visited: Vec<bool>,
+    /// Depth-first stack of (block, next successor index).
+    dfs: Vec<(BlockId, usize)>,
+    /// Per-block fill position while children are grouped by parent.
+    cursor: Vec<u32>,
 }
 
 impl DomTree {
+    /// The children of `b` in the dominator tree, ordered by block id.
+    pub fn children_of(&self, b: BlockId) -> &[BlockId] {
+        items(&self.child_start, &self.children, b)
+    }
+
     /// Whether `a` dominates `b` (reflexive).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         let mut cur = Some(b);
@@ -70,48 +95,53 @@ impl DomTree {
     /// Computes the dominator tree of `cfg` with the iterative
     /// Cooper–Harvey–Kennedy algorithm.
     pub fn build(cfg: &Cfg) -> DomTree {
+        let mut dom = DomTree::default();
+        dom.rebuild(cfg);
+        dom
+    }
+
+    /// Computes the dominator tree of `cfg` in place with the iterative
+    /// Cooper–Harvey–Kennedy algorithm, reusing this tree's buffers.
+    pub fn rebuild(&mut self, cfg: &Cfg) {
         let n = cfg.len();
-        if n == 0 {
-            return DomTree {
-                idom: vec![],
-                depth: vec![],
-                children: vec![],
-                preorder: vec![],
-            };
-        }
-        // Reverse postorder over reachable blocks.
-        let rpo = reverse_postorder(cfg);
-        let mut rpo_num = vec![usize::MAX; n];
-        for (i, &b) in rpo.iter().enumerate() {
-            rpo_num[b.index()] = i;
-        }
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        idom[ENTRY.index()] = Some(ENTRY); // sentinel self-loop during iteration
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for e in cfg.preds_of(b) {
-                    let p = e.from;
-                    if !cfg.reachable[p.index()] || idom[p.index()].is_none() {
-                        continue;
+        self.idom.clear();
+        self.idom.resize(n, None);
+        if n > 0 {
+            self.reverse_postorder(cfg);
+            let Scratch { rpo, rpo_num, .. } = &mut self.scratch;
+            rpo_num.clear();
+            rpo_num.resize(n, usize::MAX);
+            for (i, &b) in rpo.iter().enumerate() {
+                rpo_num[b.index()] = i;
+            }
+            let idom = &mut self.idom;
+            idom[ENTRY.index()] = Some(ENTRY); // sentinel self-loop during iteration
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for &b in rpo.iter().skip(1) {
+                    let mut new_idom: Option<BlockId> = None;
+                    for e in cfg.preds_of(b) {
+                        let p = e.from;
+                        if !cfg.reachable[p.index()] || idom[p.index()].is_none() {
+                            continue;
+                        }
+                        new_idom = Some(match new_idom {
+                            None => p,
+                            Some(cur) => intersect(idom, rpo_num, p, cur),
+                        });
                     }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, &rpo_num, p, cur),
-                    });
-                }
-                if let Some(ni) = new_idom {
-                    if idom[b.index()] != Some(ni) {
-                        idom[b.index()] = Some(ni);
-                        changed = true;
+                    if let Some(ni) = new_idom {
+                        if idom[b.index()] != Some(ni) {
+                            idom[b.index()] = Some(ni);
+                            changed = true;
+                        }
                     }
                 }
             }
+            idom[ENTRY.index()] = None;
         }
-        idom[ENTRY.index()] = None;
-        finish(cfg, idom)
+        self.finish(cfg);
     }
 
     /// Computes the dominator tree with the Lengauer–Tarjan algorithm
@@ -172,38 +202,86 @@ impl DomTree {
                 lt.idom[w] = lt.idom[y];
             }
         }
-        let idom = lt
-            .idom
-            .iter()
-            .map(|o| o.map(|i| BlockId(i as u32)))
-            .collect();
-        finish(cfg, idom)
+        let mut dom = DomTree {
+            idom: lt
+                .idom
+                .iter()
+                .map(|o| o.map(|i| BlockId(i as u32)))
+                .collect(),
+            ..DomTree::default()
+        };
+        dom.finish(cfg);
+        dom
     }
-}
 
-fn reverse_postorder(cfg: &Cfg) -> Vec<BlockId> {
-    let n = cfg.len();
-    let mut visited = vec![false; n];
-    let mut post = Vec::with_capacity(n);
-    // Iterative DFS with explicit stack of (block, next-succ-index).
-    let mut stack = vec![(ENTRY, 0usize)];
-    visited[ENTRY.index()] = true;
-    while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-        let succs = &cfg.succs[b.index()];
-        if *i < succs.len() {
-            let s = succs[*i];
-            *i += 1;
-            if !visited[s.index()] {
-                visited[s.index()] = true;
-                stack.push((s, 0));
+    /// Fills `scratch.rpo` with the reachable blocks in reverse
+    /// postorder.
+    fn reverse_postorder(&mut self, cfg: &Cfg) {
+        let Scratch {
+            rpo, visited, dfs, ..
+        } = &mut self.scratch;
+        visited.clear();
+        visited.resize(cfg.len(), false);
+        rpo.clear();
+        dfs.clear();
+        dfs.push((ENTRY, 0));
+        visited[ENTRY.index()] = true;
+        while let Some(&mut (b, ref mut i)) = dfs.last_mut() {
+            let succs = cfg.succs_of(b);
+            if *i < succs.len() {
+                let s = succs[*i];
+                *i += 1;
+                if !visited[s.index()] {
+                    visited[s.index()] = true;
+                    dfs.push((s, 0));
+                }
+            } else {
+                rpo.push(b);
+                dfs.pop();
             }
-        } else {
-            post.push(b);
-            stack.pop();
+        }
+        rpo.reverse();
+    }
+
+    /// Derives children, depths and the pre-order from `idom`.
+    fn finish(&mut self, cfg: &Cfg) {
+        let n = self.idom.len();
+        self.child_start.clear();
+        self.child_start.resize(n + 1, 0);
+        for d in self.idom.iter().flatten() {
+            self.child_start[d.index() + 1] += 1;
+        }
+        prefix_sum(&mut self.child_start);
+        let cursor = &mut self.scratch.cursor;
+        cursor.clear();
+        cursor.extend_from_slice(&self.child_start[..n]);
+        self.children.clear();
+        self.children.resize(self.child_start[n] as usize, ENTRY);
+        for (b, d) in self.idom.iter().enumerate() {
+            if let Some(d) = d {
+                let at = &mut cursor[d.index()];
+                self.children[*at as usize] = BlockId(b as u32);
+                *at += 1;
+            }
+        }
+        // Depth by walking from the entry. The walk's stack reuses the
+        // `rpo` buffer, which the immediate dominators no longer need.
+        self.depth.clear();
+        self.depth.resize(n, 0);
+        self.preorder.clear();
+        if n > 0 && cfg.reachable[ENTRY.index()] {
+            let stack = &mut self.scratch.rpo;
+            stack.clear();
+            stack.push(ENTRY);
+            while let Some(b) = stack.pop() {
+                self.preorder.push(b);
+                for &c in items(&self.child_start, &self.children, b).iter().rev() {
+                    self.depth[c.index()] = self.depth[b.index()] + 1;
+                    stack.push(c);
+                }
+            }
         }
     }
-    post.reverse();
-    post
 }
 
 fn intersect(
@@ -221,35 +299,6 @@ fn intersect(
         }
     }
     a
-}
-
-fn finish(cfg: &Cfg, idom: Vec<Option<BlockId>>) -> DomTree {
-    let n = idom.len();
-    let mut children = vec![Vec::new(); n];
-    for (b, d) in idom.iter().enumerate() {
-        if let Some(d) = d {
-            children[d.index()].push(BlockId(b as u32));
-        }
-    }
-    // Depth by walking from the entry.
-    let mut depth = vec![0u32; n];
-    let mut preorder = Vec::with_capacity(n);
-    if n > 0 && cfg.reachable[ENTRY.index()] {
-        let mut stack = vec![ENTRY];
-        while let Some(b) = stack.pop() {
-            preorder.push(b);
-            for &c in children[b.index()].iter().rev() {
-                depth[c.index()] = depth[b.index()] + 1;
-                stack.push(c);
-            }
-        }
-    }
-    DomTree {
-        idom,
-        depth,
-        children,
-        preorder,
-    }
 }
 
 struct Lt<'a> {
@@ -275,7 +324,7 @@ impl<'a> Lt<'a> {
             self.dfnum[w] = self.vertex.len();
             self.vertex.push(w);
             self.parent[w] = p;
-            for &s in self.cfg.succs[w].iter().rev() {
+            for &s in self.cfg.succs_of(BlockId(w as u32)).iter().rev() {
                 if self.dfnum[s.index()] == usize::MAX {
                     stack.push((s.index(), Some(w)));
                 }
@@ -357,6 +406,8 @@ mod tests {
             "join dominated by entry, not a branch"
         );
         assert_eq!(dom.depth, vec![0, 1, 1, 1]);
+        assert_eq!(dom.children_of(ENTRY), [BlockId(1), BlockId(2), BlockId(3)]);
+        assert!(dom.children_of(BlockId(1)).is_empty());
         assert!(dom.dominates(ENTRY, BlockId(3)));
         assert!(!dom.dominates(BlockId(1), BlockId(3)));
     }
@@ -420,8 +471,8 @@ mod tests {
         assert_eq!(dom.preorder.len(), 4);
     }
 
-    #[test]
-    fn unreachable_blocks_have_no_idom() {
+    /// Entry → (return | return), leaving the join block unreachable.
+    fn both_arms_return() -> Function {
         let types = TypeTable::new();
         let bty = types.prim(PrimKind::Bool);
         let mut f = Function::new("u", None, vec![bty], None);
@@ -435,9 +486,39 @@ mod tests {
                 join,
             },
         ]);
-        let cfg = Cfg::build(&f).unwrap();
+        f
+    }
+
+    #[test]
+    fn unreachable_blocks_have_no_idom() {
+        let cfg = Cfg::build(&both_arms_return()).unwrap();
         let dom = DomTree::build(&cfg);
-        assert_eq!(dom.idom[join.index()], None);
+        assert_eq!(dom.idom[1], None);
         assert_eq!(dom.preorder, vec![ENTRY]);
+    }
+
+    #[test]
+    fn rebuilding_over_a_larger_function_leaves_nothing_behind() {
+        let small = both_arms_return();
+        let mut cfg = Cfg::build(&diamond()).unwrap();
+        let mut dom = DomTree::build(&cfg);
+        cfg.rebuild(&small).unwrap();
+        dom.rebuild(&cfg);
+        let fresh_cfg = Cfg::build(&small).unwrap();
+        let fresh_dom = DomTree::build(&fresh_cfg);
+        assert_eq!(cfg.len(), 2);
+        assert_eq!(cfg.reachable, fresh_cfg.reachable);
+        assert_eq!(cfg.traversal, fresh_cfg.traversal);
+        assert_eq!(cfg.cond_uses, fresh_cfg.cond_uses);
+        assert_eq!(cfg.return_uses, fresh_cfg.return_uses);
+        assert_eq!(cfg.falls_through, fresh_cfg.falls_through);
+        for b in [ENTRY, BlockId(1)] {
+            assert_eq!(cfg.preds_of(b), fresh_cfg.preds_of(b));
+            assert_eq!(cfg.succs_of(b), fresh_cfg.succs_of(b));
+            assert_eq!(dom.children_of(b), fresh_dom.children_of(b));
+        }
+        assert_eq!(dom.idom, fresh_dom.idom);
+        assert_eq!(dom.depth, fresh_dom.depth);
+        assert_eq!(dom.preorder, fresh_dom.preorder);
     }
 }

@@ -248,38 +248,34 @@ impl Instr {
         )
     }
 
-    /// Iterates over the operand values, in signature order.
-    pub fn operands(&self) -> Vec<ValueId> {
+    /// The operand values, in signature order.
+    pub fn operands(&self) -> Operands<ValueId> {
         match self {
-            Instr::Primitive { args, .. } | Instr::XPrimitive { args, .. } => args.clone(),
+            Instr::Primitive { args, .. } | Instr::XPrimitive { args, .. } => {
+                args.iter().copied().collect()
+            }
             Instr::NullCheck { value, .. }
             | Instr::Upcast { value, .. }
             | Instr::Downcast { value, .. }
             | Instr::InstanceOf { value, .. }
-            | Instr::SetStatic { value, .. } => vec![*value],
-            Instr::IndexCheck { array, index, .. } => vec![*array, *index],
-            Instr::RefEq { a, b, .. } => vec![*a, *b],
-            Instr::GetField { object, .. } => vec![*object],
-            Instr::SetField { object, value, .. } => vec![*object, *value],
-            Instr::GetStatic { .. } | Instr::New { .. } | Instr::Catch { .. } => vec![],
-            Instr::GetElt { array, index, .. } => vec![*array, *index],
+            | Instr::SetStatic { value, .. } => [*value].into(),
+            Instr::IndexCheck { array, index, .. } => [*array, *index].into(),
+            Instr::RefEq { a, b, .. } => [*a, *b].into(),
+            Instr::GetField { object, .. } => [*object].into(),
+            Instr::SetField { object, value, .. } => [*object, *value].into(),
+            Instr::GetStatic { .. } | Instr::New { .. } | Instr::Catch { .. } => Operands::new(),
+            Instr::GetElt { array, index, .. } => [*array, *index].into(),
             Instr::SetElt {
                 array,
                 index,
                 value,
                 ..
-            } => vec![*array, *index, *value],
-            Instr::ArrayLength { array, .. } => vec![*array],
-            Instr::NewArray { length, .. } => vec![*length],
-            Instr::XCall { receiver, args, .. } => {
-                let mut v: Vec<ValueId> = receiver.iter().copied().collect();
-                v.extend_from_slice(args);
-                v
-            }
+            } => [*array, *index, *value].into(),
+            Instr::ArrayLength { array, .. } => [*array].into(),
+            Instr::NewArray { length, .. } => [*length].into(),
+            Instr::XCall { receiver, args, .. } => receiver.iter().chain(args).copied().collect(),
             Instr::XDispatch { receiver, args, .. } => {
-                let mut v = vec![*receiver];
-                v.extend_from_slice(args);
-                v
+                std::iter::once(receiver).chain(args).copied().collect()
             }
         }
     }
@@ -371,6 +367,89 @@ impl Instr {
     }
 }
 
+/// How many items an [`Operands`] list holds in place. Only a call with
+/// more than four operands, its receiver included, needs more.
+const INLINE_OPERANDS: usize = 4;
+
+/// A short list that holds up to four items in place and spills to the
+/// heap only beyond that; it derefs to a slice. It carries an
+/// instruction's operand values ([`Instr::operands`]) or their planes, so
+/// listing them allocates nothing for all but the longest calls.
+#[derive(Debug, Clone)]
+pub struct Operands<T>(Repr<T>);
+
+#[derive(Debug, Clone)]
+enum Repr<T> {
+    Inline(u8, [T; INLINE_OPERANDS]),
+    Spilled(Vec<T>),
+}
+
+impl<T: Copy + Default> Operands<T> {
+    /// An empty list.
+    pub fn new() -> Self {
+        Operands(Repr::Inline(0, [T::default(); INLINE_OPERANDS]))
+    }
+
+    /// Appends `x`, moving the list to the heap once it outgrows its
+    /// inline room.
+    pub fn push(&mut self, x: T) {
+        match &mut self.0 {
+            Repr::Inline(len, items) => match items.get_mut(usize::from(*len)) {
+                Some(slot) => {
+                    *slot = x;
+                    *len += 1;
+                }
+                None => {
+                    let mut v = Vec::with_capacity(2 * INLINE_OPERANDS);
+                    v.extend_from_slice(items);
+                    v.push(x);
+                    self.0 = Repr::Spilled(v);
+                }
+            },
+            Repr::Spilled(v) => v.push(x),
+        }
+    }
+}
+
+impl<T: Copy + Default> Default for Operands<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> std::ops::Deref for Operands<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            Repr::Inline(len, items) => &items[..usize::from(*len)],
+            Repr::Spilled(v) => v,
+        }
+    }
+}
+
+impl<T: Copy + Default> Extend<T> for Operands<T> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        for x in iter {
+            self.push(x);
+        }
+    }
+}
+
+impl<T: Copy + Default> FromIterator<T> for Operands<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut list = Operands::new();
+        list.extend(iter);
+        list
+    }
+}
+
+impl<T: Copy + Default, const N: usize> From<[T; N]> for Operands<T> {
+    fn from(items: [T; N]) -> Self {
+        items.into_iter().collect()
+    }
+}
+
 /// A phi node. Phis are strictly type-separated: all operands and the
 /// result live on the same plane (§4).
 #[derive(Debug, Clone, PartialEq)]
@@ -424,9 +503,9 @@ mod tests {
             index: ValueId(2),
             value: ValueId(3),
         };
-        assert_eq!(i.operands(), vec![ValueId(1), ValueId(2), ValueId(3)]);
+        assert_eq!(*i.operands(), [ValueId(1), ValueId(2), ValueId(3)]);
         i.map_operands(|v| ValueId(v.0 + 10));
-        assert_eq!(i.operands(), vec![ValueId(11), ValueId(12), ValueId(13)]);
+        assert_eq!(*i.operands(), [ValueId(11), ValueId(12), ValueId(13)]);
     }
 
     #[test]
@@ -440,7 +519,8 @@ mod tests {
             receiver: Some(ValueId(5)),
             args: vec![ValueId(6)],
         };
-        assert_eq!(call.operands(), vec![ValueId(5), ValueId(6)]);
+        assert_eq!(*call.operands(), [ValueId(5), ValueId(6)]);
+        assert!(matches!(call.operands().0, Repr::Inline(..)));
         let stat = Instr::XCall {
             base_ty: TypeId(7),
             method: MethodRef {
@@ -450,7 +530,36 @@ mod tests {
             receiver: None,
             args: vec![ValueId(6)],
         };
-        assert_eq!(stat.operands(), vec![ValueId(6)]);
+        assert_eq!(*stat.operands(), [ValueId(6)]);
+    }
+
+    #[test]
+    fn long_calls_spill_their_operands_in_order() {
+        let method = MethodRef {
+            class: ClassId(0),
+            index: 0,
+        };
+        // A receiver and as many arguments as fit inline: one too many.
+        let args: Vec<ValueId> = (1..=INLINE_OPERANDS as u32).map(ValueId).collect();
+        let call = Instr::XDispatch {
+            base_ty: TypeId(7),
+            method,
+            receiver: ValueId(0),
+            args: args.clone(),
+        };
+        let ops = call.operands();
+        assert!(matches!(ops.0, Repr::Spilled(_)));
+        let want: Vec<ValueId> = (0..=INLINE_OPERANDS as u32).map(ValueId).collect();
+        assert_eq!(*ops, *want);
+        // The same arguments without a receiver fit.
+        let stat = Instr::XCall {
+            base_ty: TypeId(7),
+            method,
+            receiver: None,
+            args,
+        };
+        assert!(matches!(stat.operands().0, Repr::Inline(..)));
+        assert_eq!(*stat.operands(), want[1..]);
     }
 
     #[test]

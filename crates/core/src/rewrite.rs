@@ -222,7 +222,7 @@ pub fn used_values(f: &Function, rw: &Rewrite) -> std::collections::HashSet<Valu
             if dead_instrs.contains(&(bi as u32, i)) {
                 continue;
             }
-            for v in instr.operands() {
+            for &v in instr.operands().iter() {
                 used.insert(rw.resolve(v));
             }
         }
@@ -329,7 +329,7 @@ fn prune_once(f: &mut Function) -> usize {
         };
         for block in &f.blocks {
             for instr in &block.instrs {
-                for v in instr.operands() {
+                for &v in instr.operands().iter() {
                     seed(rw.resolve(v));
                 }
             }

@@ -14,7 +14,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Index of a type (= register plane) in a [`TypeTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TypeId(pub u32);
 
 impl TypeId {

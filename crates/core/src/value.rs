@@ -10,7 +10,7 @@ use crate::types::{PrimKind, TypeId};
 use std::fmt;
 
 /// Absolute name of an SSA value within one function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ValueId(pub u32);
 
 impl ValueId {

@@ -182,6 +182,25 @@ fn def_pos(def: Def) -> (u8, u32) {
     }
 }
 
+/// The per-function structures verification derives. A module's
+/// verification keeps one set and rebuilds it in place for each function.
+#[derive(Default)]
+struct Derived {
+    cfg: Cfg,
+    dom: DomTree,
+    marks: Marks,
+}
+
+/// Per-block marks of [`Checker::check_blocks`].
+#[derive(Default)]
+struct Marks {
+    is_handler: Vec<bool>,
+    /// `pred_seen[p] == b` once `p` has been seen as a predecessor of
+    /// block `b`; stamping with the block index needs no reset between
+    /// blocks.
+    pred_seen: Vec<u32>,
+}
+
 struct Checker<'a> {
     types: &'a TypeTable,
     f: &'a Function,
@@ -234,7 +253,7 @@ impl<'a> Checker<'a> {
         self.check_dominance(b, (3, 0), v)
     }
 
-    fn check_blocks(&mut self) -> Result<(), VerifyError> {
+    fn check_blocks(&mut self, marks: &mut Marks) -> Result<(), VerifyError> {
         let n = self.f.block_count();
         // Every block appears in the CST exactly once (duplicates are a
         // CfgError); here we catch blocks never mentioned.
@@ -247,16 +266,19 @@ impl<'a> Checker<'a> {
                 return Err(VerifyError::UnusedBlock(BlockId(i as u32)));
             }
         }
-        let mut is_handler = vec![false; n];
+        let Marks {
+            is_handler,
+            pred_seen,
+        } = marks;
+        is_handler.clear();
+        is_handler.resize(n, false);
         self.f.body.walk(&mut |c| {
             if let Cst::Try { handler_entry, .. } = c {
                 is_handler[handler_entry.index()] = true;
             }
         });
-        // `pred_seen[p] == b` once `p` has been seen as a predecessor of
-        // block `b`; stamping with the block index needs no reset
-        // between blocks.
-        let mut pred_seen = vec![u32::MAX; n];
+        pred_seen.clear();
+        pred_seen.resize(n, u32::MAX);
         for (bi, block) in self.f.blocks.iter().enumerate() {
             let b = BlockId(bi as u32);
             if !self.cfg.reachable[bi] {
@@ -293,7 +315,7 @@ impl<'a> Checker<'a> {
                         }
                     }
                 }
-                for v in instr.operands() {
+                for &v in instr.operands().iter() {
                     self.check_dominance(b, (2, k as u32), v)?;
                 }
                 let typed = typing::type_instr(self.types, self.f, instr).map_err(|err| {
@@ -464,6 +486,16 @@ pub fn verify_function(
     throwable_root: crate::types::ClassId,
     f: &Function,
 ) -> Result<VerifyStats, VerifyError> {
+    verify_function_in(types, throwable_root, f, &mut Derived::default())
+}
+
+/// [`verify_function`], deriving the function's structures in `derived`.
+fn verify_function_in(
+    types: &TypeTable,
+    throwable_root: crate::types::ClassId,
+    f: &Function,
+    derived: &mut Derived,
+) -> Result<VerifyStats, VerifyError> {
     // Parameters and constants must be on valid planes.
     for p in &f.params {
         if types.kind_checked(*p).is_none() {
@@ -492,16 +524,17 @@ pub fn verify_function(
             });
         }
     }
-    let cfg = Cfg::build(f)?;
-    let dom = DomTree::build(&cfg);
+    let Derived { cfg, dom, marks } = derived;
+    cfg.rebuild(f)?;
+    dom.rebuild(cfg);
     let mut checker = Checker {
         types,
         f,
-        cfg: &cfg,
-        dom: &dom,
+        cfg,
+        dom,
         stats: VerifyStats::default(),
     };
-    checker.check_blocks()?;
+    checker.check_blocks(marks)?;
     checker.check_terminators(throwable_root)?;
     Ok(checker.stats)
 }
@@ -542,8 +575,9 @@ pub fn verify_module(m: &Module) -> Result<VerifyStats, VerifyError> {
         }
     }
     let mut total = VerifyStats::default();
+    let mut derived = Derived::default();
     for f in &m.functions {
-        let s = verify_function(&m.types, m.well_known.throwable, f)?;
+        let s = verify_function_in(&m.types, m.well_known.throwable, f, &mut derived)?;
         total.instrs += s.instrs;
         total.phis += s.phis;
         total.operands += s.operands;

@@ -9,53 +9,21 @@ use safetsa_core::value::BlockId;
 
 /// Builds a synthetic CFG from an edge list over `n` nodes rooted at 0.
 fn synth_cfg(n: usize, raw_edges: &[(usize, usize)]) -> Cfg {
-    let mut preds: Vec<Vec<Edge>> = vec![Vec::new(); n];
-    let mut succs: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+    let mut edges: Vec<(BlockId, Edge)> = Vec::new();
     for &(from, to) in raw_edges {
-        let (from, to) = (from % n, to % n);
+        let (from, to) = (BlockId((from % n) as u32), BlockId((to % n) as u32));
         // Skip duplicate edges (the verifier forbids them anyway).
-        if preds[to].iter().any(|e| e.from == BlockId(from as u32)) {
+        if edges.iter().any(|&(t, e)| t == to && e.from == from) {
             continue;
         }
-        preds[to].push(Edge {
-            from: BlockId(from as u32),
-            kind: EdgeKind::Normal,
-        });
-        succs[from].push(BlockId(to as u32));
-    }
-    // Reachability from node 0.
-    let mut reachable = vec![false; n];
-    let mut stack = vec![BlockId(0)];
-    reachable[0] = true;
-    while let Some(b) = stack.pop() {
-        for &s in &succs[b.index()] {
-            if !reachable[s.index()] {
-                reachable[s.index()] = true;
-                stack.push(s);
-            }
-        }
+        let kind = EdgeKind::Normal;
+        edges.push((to, Edge { from, kind }));
     }
     // Drop edges from unreachable nodes (the real builder never emits
     // them, and the iterative algorithm assumes processed preds).
-    for p in preds.iter_mut() {
-        p.retain(|e| reachable[e.from.index()]);
-    }
-    let mut succs: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-    for (to, es) in preds.iter().enumerate() {
-        for e in es {
-            succs[e.from.index()].push(BlockId(to as u32));
-        }
-    }
-    Cfg {
-        preds,
-        succs,
-        reachable,
-        traversal: (0..n).map(|i| BlockId(i as u32)).collect(),
-        cond_uses: vec![],
-        return_uses: vec![],
-        throw_uses: vec![],
-        falls_through: false,
-    }
+    let reachable = Cfg::from_edges(n, &edges).reachable;
+    edges.retain(|(_, e)| reachable[e.from.index()]);
+    Cfg::from_edges(n, &edges)
 }
 
 proptest! {

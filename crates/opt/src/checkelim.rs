@@ -254,7 +254,7 @@ fn count_uses(f: &Function) -> HashMap<ValueId, usize> {
             }
         }
         for instr in &block.instrs {
-            for v in instr.operands() {
+            for &v in instr.operands().iter() {
                 bump(v);
             }
         }

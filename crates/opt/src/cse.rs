@@ -200,8 +200,8 @@ pub(crate) fn apply(f: &mut Function, facts: &Facts, model: MemModel) -> usize {
                     }
                 }
             }
-            let children = self.dom.children[b.index()].clone();
-            for c in children {
+            let dom = self.dom;
+            for &c in dom.children_of(b) {
                 self.visit(c, &mem);
             }
             for key in inserted {

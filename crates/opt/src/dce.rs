@@ -63,7 +63,7 @@ fn run_once(f: &mut Function) -> usize {
             }
         }
         for instr in &block.instrs {
-            for v in instr.operands() {
+            for &v in instr.operands().iter() {
                 bump(v);
             }
         }
@@ -100,7 +100,7 @@ fn run_once(f: &mut Function) -> usize {
                 if uses.get(&result).copied().unwrap_or(0) == 0 {
                     dead.insert(result);
                     changed = true;
-                    for v in instr.operands() {
+                    for &v in instr.operands().iter() {
                         if let Some(c) = uses.get_mut(&v) {
                             *c -= 1;
                         }

@@ -264,8 +264,8 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> LoadF
                     _ => {}
                 }
             }
-            let children = self.dom.children[b.index()].clone();
-            for c in children {
+            let dom = self.dom;
+            for &c in dom.children_of(b) {
                 self.visit(c, &facts);
             }
         }
