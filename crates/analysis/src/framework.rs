@@ -19,7 +19,10 @@
 //! * [`run_backward`] — facts flow from uses to definitions
 //!   (liveness). Roots are the function's observable uses (terminator
 //!   operands, effectful instructions); the per-instruction transfer
-//!   says what an instruction demands of its operands.
+//!   says what an instruction demands of its operands. Roots, transfer
+//!   and phi push their demands into one buffer the engine owns and
+//!   drains after each call, so a fixpoint run allocates no per-step
+//!   vectors.
 //!
 //! ### Contract
 //!
@@ -154,9 +157,8 @@ pub fn run_forward<A: ForwardAnalysis>(f: &Function, cfg: &Cfg, a: &mut A) -> Fi
             }
             for k in 0..f.block(b).phis.len() {
                 let result = f.phi_result(b, k);
-                let args = f.block(b).phis[k].args.clone();
                 let mut acc: Option<A::Fact> = None;
-                for (pred, arg) in args {
+                for &(pred, arg) in &f.block(b).phis[k].args {
                     // A missing contribution is a back edge not yet
                     // computed on this pass; skip it optimistically.
                     if let Some(c) = a.phi_arg(f, pred, arg, &facts) {
@@ -196,13 +198,16 @@ pub fn run_forward<A: ForwardAnalysis>(f: &Function, cfg: &Cfg, a: &mut A) -> Fi
 }
 
 /// A backward (use-to-definition) sparse analysis.
+///
+/// Each hook pushes `(value, fact)` demands onto `out`, which the
+/// engine hands over empty and drains after the call.
 pub trait BackwardAnalysis {
     /// The fact lattice.
     type Fact: JoinLattice;
 
     /// Facts demanded unconditionally: terminator uses, provenance
     /// links, and anything else observable at function exit.
-    fn roots(&mut self, f: &Function, cfg: &Cfg) -> Vec<(ValueId, Self::Fact)>;
+    fn roots(&mut self, f: &Function, cfg: &Cfg, out: &mut Vec<(ValueId, Self::Fact)>);
 
     /// What instruction `(b, k)` demands of its operands, given the
     /// fact (if any) on its own result.
@@ -212,7 +217,8 @@ pub trait BackwardAnalysis {
         b: BlockId,
         k: usize,
         result: Option<&Self::Fact>,
-    ) -> Vec<(ValueId, Self::Fact)>;
+        out: &mut Vec<(ValueId, Self::Fact)>,
+    );
 
     /// What phi `(b, k)` demands of its arguments given the fact on
     /// its result. Default: the result fact propagates to every
@@ -223,27 +229,35 @@ pub trait BackwardAnalysis {
         b: BlockId,
         k: usize,
         result: Option<&Self::Fact>,
-    ) -> Vec<(ValueId, Self::Fact)> {
-        let Some(r) = result else { return Vec::new() };
-        f.block(b).phis[k]
-            .args
-            .iter()
-            .map(|(_, v)| (*v, r.clone()))
-            .collect()
+        out: &mut Vec<(ValueId, Self::Fact)>,
+    ) {
+        if let Some(r) = result {
+            out.extend(f.block(b).phis[k].args.iter().map(|(_, v)| (*v, r.clone())));
+        }
     }
+}
+
+/// Joins every demand in `demands` into `facts`, leaving `demands`
+/// empty; returns whether any stored fact changed.
+fn absorb<L: JoinLattice>(facts: &mut Facts<L>, demands: &mut Vec<(ValueId, L)>) -> bool {
+    let mut changed = false;
+    for (v, fact) in demands.drain(..) {
+        let joined = match facts.get(v) {
+            Some(old) => old.join(&fact),
+            None => fact,
+        };
+        changed |= facts.update(v, joined);
+    }
+    changed
 }
 
 /// Runs `a` backward over `f` to a fixpoint (reverse traversal order,
 /// instructions visited last-to-first).
 pub fn run_backward<A: BackwardAnalysis>(f: &Function, cfg: &Cfg, a: &mut A) -> Fixpoint<A::Fact> {
     let mut facts: Facts<A::Fact> = Facts::new(f.values.len());
-    for (v, fact) in a.roots(f, cfg) {
-        let joined = match facts.get(v) {
-            Some(old) => old.join(&fact),
-            None => fact,
-        };
-        facts.update(v, joined);
-    }
+    let mut demands = Vec::new();
+    a.roots(f, cfg, &mut demands);
+    absorb(&mut facts, &mut demands);
     let mut iterations = 0;
     loop {
         iterations += 1;
@@ -255,24 +269,14 @@ pub fn run_backward<A: BackwardAnalysis>(f: &Function, cfg: &Cfg, a: &mut A) -> 
             for k in (0..f.block(b).instrs.len()).rev() {
                 let result = f.instr_result(b, k);
                 let rf = result.and_then(|v| facts.get(v).cloned());
-                for (v, fact) in a.transfer(f, b, k, rf.as_ref()) {
-                    let joined = match facts.get(v) {
-                        Some(old) => old.join(&fact),
-                        None => fact,
-                    };
-                    changed |= facts.update(v, joined);
-                }
+                a.transfer(f, b, k, rf.as_ref(), &mut demands);
+                changed |= absorb(&mut facts, &mut demands);
             }
             for k in (0..f.block(b).phis.len()).rev() {
                 let result = f.phi_result(b, k);
                 let rf = facts.get(result).cloned();
-                for (v, fact) in a.phi(f, b, k, rf.as_ref()) {
-                    let joined = match facts.get(v) {
-                        Some(old) => old.join(&fact),
-                        None => fact,
-                    };
-                    changed |= facts.update(v, joined);
-                }
+                a.phi(f, b, k, rf.as_ref(), &mut demands);
+                changed |= absorb(&mut facts, &mut demands);
             }
         }
         if !changed || iterations >= MAX_PASSES {

@@ -34,18 +34,21 @@ pub enum Guard {
 }
 
 /// The guards active in each block (indexed by block id).
+///
+/// Every block's guards live back to back in one array; `spans[b]` is
+/// the range of block `b`'s run.
 #[derive(Debug, Clone, Default)]
 pub struct BlockGuards {
-    per_block: Vec<Vec<Guard>>,
+    spans: Vec<(u32, u32)>,
+    guards: Vec<Guard>,
 }
 
 impl BlockGuards {
     /// Guards that hold whenever `b` executes.
     pub fn at(&self, b: BlockId) -> &[Guard] {
-        self.per_block
+        self.spans
             .get(b.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .map_or(&[], |&(lo, hi)| &self.guards[lo as usize..hi as usize])
     }
 }
 
@@ -59,11 +62,11 @@ fn is_null_const(f: &Function, v: ValueId) -> bool {
 
 /// The name of the primitive op computing `v`, with its operand plane
 /// kind and arguments, if `v` is a primitive result.
-fn prim_of(
-    f: &Function,
+fn prim_of<'f>(
+    f: &'f Function,
     types: &TypeTable,
     v: ValueId,
-) -> Option<(PrimKind, &'static str, Vec<ValueId>)> {
+) -> Option<(PrimKind, &'static str, &'f [ValueId])> {
     let Def::Instr(b, k) = f.value(v).def else {
         return None;
     };
@@ -73,7 +76,7 @@ fn prim_of(
                 return None;
             };
             let name = primops::resolve(kind, *op)?.name;
-            Some((kind, name, args.clone()))
+            Some((kind, name, args))
         }
         _ => None,
     }
@@ -140,7 +143,8 @@ fn cond_guards(
 /// CST with a stack of branch relations.
 pub fn block_guards(f: &Function, types: &TypeTable) -> BlockGuards {
     let mut bg = BlockGuards {
-        per_block: vec![Vec::new(); f.blocks.len()],
+        spans: vec![(0, 0); f.blocks.len()],
+        guards: Vec::new(),
     };
     let mut active: Vec<Guard> = Vec::new();
     walk(f, types, &f.body, &mut active, &mut bg);
@@ -148,7 +152,9 @@ pub fn block_guards(f: &Function, types: &TypeTable) -> BlockGuards {
 }
 
 fn assign(bg: &mut BlockGuards, b: BlockId, active: &[Guard]) {
-    bg.per_block[b.index()] = active.to_vec();
+    let lo = bg.guards.len() as u32;
+    bg.guards.extend_from_slice(active);
+    bg.spans[b.index()] = (lo, bg.guards.len() as u32);
 }
 
 fn walk(f: &Function, types: &TypeTable, cst: &Cst, active: &mut Vec<Guard>, bg: &mut BlockGuards) {

@@ -51,20 +51,14 @@ struct Analysis;
 impl BackwardAnalysis for Analysis {
     type Fact = Live;
 
-    fn roots(&mut self, _f: &Function, cfg: &Cfg) -> Vec<(ValueId, Live)> {
-        let mut out = Vec::new();
-        for (_, v) in &cfg.cond_uses {
-            out.push((*v, Live));
-        }
-        for (_, v) in &cfg.return_uses {
-            if let Some(v) = v {
-                out.push((*v, Live));
-            }
-        }
-        for (_, v) in &cfg.throw_uses {
-            out.push((*v, Live));
-        }
-        out
+    fn roots(&mut self, _f: &Function, cfg: &Cfg, out: &mut Vec<(ValueId, Live)>) {
+        out.extend(cfg.cond_uses.iter().map(|&(_, v)| (v, Live)));
+        out.extend(
+            cfg.return_uses
+                .iter()
+                .filter_map(|&(_, v)| Some((v?, Live))),
+        );
+        out.extend(cfg.throw_uses.iter().map(|&(_, v)| (v, Live)));
     }
 
     fn transfer(
@@ -73,21 +67,18 @@ impl BackwardAnalysis for Analysis {
         b: BlockId,
         k: usize,
         result: Option<&Live>,
-    ) -> Vec<(ValueId, Live)> {
+        out: &mut Vec<(ValueId, Live)>,
+    ) {
         let instr = &f.block(b).instrs[k];
-        let demanded = result.is_some() || !is_pure(instr);
-        if !demanded {
-            return Vec::new();
+        if result.is_none() && is_pure(instr) {
+            return;
         }
-        let mut out: Vec<(ValueId, Live)> = instr.operands().iter().map(|&v| (v, Live)).collect();
-        if let Some(r) = f.instr_result(b, k) {
-            if result.is_some() {
-                if let Some(p) = f.value(r).provenance {
-                    out.push((p, Live));
-                }
+        out.extend(instr.operands().iter().map(|&v| (v, Live)));
+        if result.is_some() {
+            if let Some(p) = f.instr_result(b, k).and_then(|r| f.value(r).provenance) {
+                out.push((p, Live));
             }
         }
-        out
     }
 
     fn phi(
@@ -96,19 +87,15 @@ impl BackwardAnalysis for Analysis {
         b: BlockId,
         k: usize,
         result: Option<&Live>,
-    ) -> Vec<(ValueId, Live)> {
+        out: &mut Vec<(ValueId, Live)>,
+    ) {
         if result.is_none() {
-            return Vec::new();
+            return;
         }
-        let mut out: Vec<(ValueId, Live)> = f.block(b).phis[k]
-            .args
-            .iter()
-            .map(|(_, v)| (*v, Live))
-            .collect();
+        out.extend(f.block(b).phis[k].args.iter().map(|&(_, v)| (v, Live)));
         if let Some(p) = f.value(f.phi_result(b, k)).provenance {
             out.push((p, Live));
         }
-        out
     }
 }
 

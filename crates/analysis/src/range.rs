@@ -171,22 +171,17 @@ impl Analysis<'_> {
     /// All symbolic bounds `y < length(A) + k` known for `y`: its own
     /// fact plus the exact-length sources (`y = length(A)` gives
     /// `y < length(A) + 1`).
-    fn len_rels(&self, facts: &Facts<Range>, y: ValueId) -> Vec<LenRel> {
-        let mut out = Vec::new();
-        if let Some(r) = facts.get(y) {
-            if let Some(lr) = r.len_rel {
-                out.push(lr);
-            }
-        }
-        if let Some(arrays) = self.len_sources.get(&y) {
-            for &a in arrays {
-                out.push(LenRel {
-                    array: a,
-                    offset: 1,
-                });
-            }
-        }
-        out
+    fn len_rels<'s>(
+        &'s self,
+        facts: &'s Facts<Range>,
+        y: ValueId,
+    ) -> impl Iterator<Item = LenRel> + 's {
+        let own = facts.get(y).and_then(|r| r.len_rel);
+        let sources = self.len_sources.get(&y).map_or(&[][..], Vec::as_slice);
+        own.into_iter().chain(sources.iter().map(|&a| LenRel {
+            array: a,
+            offset: 1,
+        }))
     }
 
     /// The raw fact of `v` (top if unmodeled-yet), numeric part only.
@@ -202,7 +197,7 @@ impl Analysis<'_> {
                 Guard::IntLt(x, y) if x == v => {
                     r.hi = r.hi.min(self.raw(facts, y).hi.saturating_sub(1));
                     if r.len_rel.is_none() {
-                        r.len_rel = self.len_rels(facts, y).first().map(|lr| LenRel {
+                        r.len_rel = self.len_rels(facts, y).next().map(|lr| LenRel {
                             array: lr.array,
                             offset: lr.offset - 1,
                         });
@@ -214,7 +209,7 @@ impl Analysis<'_> {
                 Guard::IntLe(x, y) if x == v => {
                     r.hi = r.hi.min(self.raw(facts, y).hi);
                     if r.len_rel.is_none() {
-                        r.len_rel = self.len_rels(facts, y).first().copied();
+                        r.len_rel = self.len_rels(facts, y).next();
                     }
                 }
                 Guard::IntLe(y, x) if x == v => {
@@ -479,7 +474,6 @@ impl RangeAnalysis {
             let limit = if strict { 1 } else { 0 };
             if an
                 .len_rels(&self.facts, y)
-                .iter()
                 .any(|lr| lr.array == a_origin && lr.offset <= limit)
             {
                 return true;

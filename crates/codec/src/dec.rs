@@ -11,7 +11,7 @@
 
 use crate::bits::{BitReader, DecodeError};
 use crate::layout::{CstTag, Opc, CST_TAGS, MAGIC, OPCODES, VERSION};
-use crate::refs::{read_ref, read_type, RegisterFiles};
+use crate::refs::{read_ref, read_type, Derived, RegisterFiles};
 use safetsa_core::cfg::{Cfg, EdgeKind};
 use safetsa_core::cst::Cst;
 use safetsa_core::dom::DomTree;
@@ -151,19 +151,36 @@ pub fn decode_module(bytes: &[u8], host: &HostEnv) -> Result<Module, DecodeError
         info.fields = fields;
         info.methods = methods;
     }
-    // Reject superclass cycles before any recursive walk.
+    // Reject superclass cycles before any recursive walk. A class is
+    // marked once its chain is known to end at a root, so each walk
+    // stops at the first marked ancestor and the check is linear in the
+    // class count, however deep the chains.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Chain {
+        Unknown,
+        OnWalk,
+        Acyclic,
+    }
+    let mut chain = vec![Chain::Unknown; types.class_count()];
+    let mut walk = Vec::new();
     for i in 0..n_classes {
-        let mut seen = 0usize;
         let mut cur = Some(ClassId(i as u32));
         while let Some(c) = cur {
-            seen += 1;
-            if seen > n_classes {
-                return Err(DecodeError::Malformed("superclass cycle".into()));
-            }
-            cur = types
+            let info = types
                 .class_checked(c)
-                .ok_or_else(|| DecodeError::Malformed("superclass out of range".into()))?
-                .superclass;
+                .ok_or_else(|| DecodeError::Malformed("superclass out of range".into()))?;
+            match chain[c.index()] {
+                Chain::Acyclic => break,
+                Chain::OnWalk => return Err(DecodeError::Malformed("superclass cycle".into())),
+                Chain::Unknown => {
+                    chain[c.index()] = Chain::OnWalk;
+                    walk.push(c);
+                    cur = info.superclass;
+                }
+            }
+        }
+        for c in walk.drain(..) {
+            chain[c.index()] = Chain::Acyclic;
         }
     }
     // Dispatch-table slots are derived by the consumer — never
@@ -289,16 +306,6 @@ pub fn decode_function_section(
 }
 
 const PLACEHOLDER: ValueId = ValueId(u32::MAX);
-
-/// What a function's reference phases consult: its control-flow graph,
-/// dominator tree and register files. A module decode keeps one set and
-/// rebuilds it in place for each function.
-#[derive(Default)]
-struct Derived {
-    cfg: Cfg,
-    dom: DomTree,
-    regs: RegisterFiles,
-}
 
 struct FnDecoder<'a, 'b> {
     r: &'a mut BitReader<'b>,

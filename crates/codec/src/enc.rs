@@ -6,7 +6,7 @@
 
 use crate::bits::BitWriter;
 use crate::layout::{CstTag, Opc, CST_TAGS, MAGIC, OPCODES, VERSION};
-use crate::refs::{write_ref, write_type, RegisterFiles};
+use crate::refs::{write_ref, write_type, Derived, RegisterFiles};
 use safetsa_core::cfg::{Cfg, EdgeKind};
 use safetsa_core::cst::Cst;
 use safetsa_core::dom::DomTree;
@@ -204,13 +204,15 @@ pub fn encode_sections(m: &Module) -> Result<(Vec<u8>, Sections), EncodeError> {
         }
     }
     sec.type_table_bits = w.bit_len() as u64 - sec.header_bits;
-    // Function bodies in (class, method) order.
+    // Function bodies in (class, method) order, with one set of derived
+    // graphs and register files rebuilt for each.
     let mut wtypes = m.types.clone();
+    let mut derived = Derived::default();
     for (_, class) in m.types.classes() {
         for method in &class.methods {
             if let Some(body) = method.body {
                 let f = &m.functions[body as usize];
-                encode_function(&mut w, &mut wtypes, f, &mut sec)?;
+                encode_function(&mut w, &mut wtypes, f, &mut sec, &mut derived)?;
                 sec.functions += 1;
             }
         }
@@ -243,7 +245,7 @@ pub fn encode_function_section(
     let mut w = BitWriter::new();
     let mut sec = Sections::default();
     let mut wtypes = types.clone();
-    encode_function(&mut w, &mut wtypes, f, &mut sec)?;
+    encode_function(&mut w, &mut wtypes, f, &mut sec, &mut Derived::default())?;
     sec.functions = 1;
     let bytes = w.into_bytes();
     sec.total_bytes = bytes.len() as u64;
@@ -255,10 +257,14 @@ fn encode_function(
     types: &mut TypeTable,
     f: &Function,
     sec: &mut Sections,
+    derived: &mut Derived,
 ) -> Result<(), EncodeError> {
-    let cfg = Cfg::build(f).map_err(|e| EncodeError::UnverifiedFunction(e.to_string()))?;
-    let dom = DomTree::build(&cfg);
-    let regs = RegisterFiles::build(f);
+    let Derived { cfg, dom, regs } = derived;
+    cfg.rebuild(f)
+        .map_err(|e| EncodeError::UnverifiedFunction(e.to_string()))?;
+    dom.rebuild(cfg);
+    regs.rebuild(f);
+    let (cfg, dom, regs): (&Cfg, &DomTree, &RegisterFiles) = (cfg, dom, regs);
     let mut mark = w.bit_len() as u64;
     let mut section = |w: &BitWriter, slot: &mut u64| {
         let here = w.bit_len() as u64;
@@ -300,7 +306,7 @@ fn encode_function(
             let planes = crate::planes::operand_planes(types, instr)
                 .map_err(|e| EncodeError::MalformedInstruction(e.to_string()))?;
             for (&v, &plane) in instr.operands().iter().zip(planes.iter()) {
-                write_ref(w, f, &regs, &dom, b, Some(k), plane, v)?;
+                write_ref(w, f, regs, dom, b, Some(k), plane, v)?;
             }
         }
     }
@@ -311,9 +317,9 @@ fn encode_function(
         w,
         types,
         f,
-        cfg: &cfg,
-        dom: &dom,
-        regs: &regs,
+        cfg,
+        dom,
+        regs,
     };
     rw.walk(&f.body, Fr::Start)?;
     section(w, &mut sec.cst_ref_bits);
@@ -329,7 +335,7 @@ fn encode_function(
                     EdgeKind::Normal => None,
                     EdgeKind::Exception { upto } => Some(upto as usize),
                 };
-                write_ref(w, f, &regs, &dom, e.from, limit, phi.ty, v)?;
+                write_ref(w, f, regs, dom, e.from, limit, phi.ty, v)?;
             }
         }
     }

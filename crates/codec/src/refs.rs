@@ -11,10 +11,21 @@
 
 use crate::bits::{BitReader, BitWriter, DecodeError};
 use crate::enc::EncodeError;
+use safetsa_core::cfg::Cfg;
 use safetsa_core::dom::DomTree;
 use safetsa_core::function::{Function, ENTRY};
 use safetsa_core::types::{PrimKind, TypeId, TypeKind, TypeTable};
 use safetsa_core::value::{BlockId, ValueId};
+
+/// What a function's reference phases consult: its control-flow graph,
+/// dominator tree and register files. A module encode or decode keeps
+/// one set and rebuilds it in place for each function.
+#[derive(Default)]
+pub(crate) struct Derived {
+    pub(crate) cfg: Cfg,
+    pub(crate) dom: DomTree,
+    pub(crate) regs: RegisterFiles,
+}
 
 /// The register files of one function: for each (block, plane), the
 /// values on that plane in register order — entry pre-loads first

@@ -428,6 +428,20 @@ impl<T> std::ops::Deref for Operands<T> {
     }
 }
 
+impl<T: PartialEq> PartialEq for Operands<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq> Eq for Operands<T> {}
+
+impl<T: std::hash::Hash> std::hash::Hash for Operands<T> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
 impl<T: Copy + Default> Extend<T> for Operands<T> {
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
         for x in iter {

@@ -2,13 +2,12 @@
 //!
 //! Optimization passes (dead-code/phi elimination, CSE) first decide on
 //! a substitution (`old value → replacement value`) and a set of
-//! phis/instructions to delete, then call [`compact`] to rebuild the
-//! function with dense value ids and consistent def sites.
+//! phis/instructions to delete, then call [`compact`] to rewrite the
+//! function in place with dense value ids and consistent def sites.
 
-use crate::function::{Block, BlockResults, Function};
+use crate::function::Function;
 #[cfg(test)]
 use crate::instr::Instr;
-use crate::instr::Phi;
 use crate::value::{BlockId, Def, ValueId, ValueInfo};
 use std::collections::HashMap;
 
@@ -44,160 +43,161 @@ impl Rewrite {
     }
 }
 
-/// Applies `rw` to `f`, producing a compacted function.
+/// Marks each `(block, index)` of `deleted` in a flat per-block array
+/// (`start[b]` is block `b`'s first slot), then numbers each block's
+/// surviving slots densely from 0; deleted slots hold [`DELETED`].
+/// Pairs naming no slot are ignored.
+fn survivors(start: &[u32], deleted: &[(BlockId, usize)], new_idx: &mut [u32]) {
+    for &(b, i) in deleted {
+        if let Some(range) = start.get(b.index()..b.index() + 2) {
+            if i < (range[1] - range[0]) as usize {
+                new_idx[range[0] as usize + i] = DELETED;
+            }
+        }
+    }
+    for range in start.windows(2) {
+        let mut k = 0;
+        for slot in &mut new_idx[range[0] as usize..range[1] as usize] {
+            if *slot != DELETED {
+                *slot = k;
+                k += 1;
+            }
+        }
+    }
+}
+
+/// A deleted slot in [`survivors`]' numbering.
+const DELETED: u32 = u32::MAX;
+
+/// Applies `rw` to `f` in place, compacting it.
 ///
 /// All surviving operands are substituted; deleted phis/instructions are
 /// removed; value ids are renumbered densely; def sites, block results,
-/// and safe-index provenance are rebuilt.
+/// and safe-index provenance are rebuilt. Survivors keep their order,
+/// and the surviving phis and instructions of each block are numbered
+/// through one flat index array per kind.
 ///
 /// # Panics
 ///
 /// Panics if a deleted value is still referenced by a surviving
-/// instruction, phi, or terminator after substitution.
-pub fn compact(f: &Function, rw: &Rewrite) -> Function {
-    use std::collections::HashSet;
-    let dead_phis: HashSet<(u32, usize)> = rw.delete_phis.iter().map(|(b, i)| (b.0, *i)).collect();
-    let dead_instrs: HashSet<(u32, usize)> =
-        rw.delete_instrs.iter().map(|(b, i)| (b.0, *i)).collect();
+/// instruction, phi, or terminator after substitution. `f` is then
+/// partly rewritten.
+pub fn compact(f: &mut Function, rw: &Rewrite) {
+    // Per block, the new index of every phi and instruction.
+    let mut phi_start = Vec::with_capacity(f.blocks.len() + 1);
+    let mut instr_start = Vec::with_capacity(f.blocks.len() + 1);
+    let (mut phis, mut instrs) = (0u32, 0u32);
+    for block in &f.blocks {
+        phi_start.push(phis);
+        instr_start.push(instrs);
+        phis += block.phis.len() as u32;
+        instrs += block.instrs.len() as u32;
+    }
+    phi_start.push(phis);
+    instr_start.push(instrs);
+    let mut phi_new = vec![0; phis as usize];
+    let mut instr_new = vec![0; instrs as usize];
+    survivors(&phi_start, &rw.delete_phis, &mut phi_new);
+    survivors(&instr_start, &rw.delete_instrs, &mut instr_new);
 
-    // Pass 1: allocate new ids for surviving values, in the original
-    // value-id order (preloads keep their positions).
+    // Pass 1: new ids for surviving values, in the original value-id
+    // order (preloads keep their positions).
     let mut new_id: Vec<Option<ValueId>> = vec![None; f.values.len()];
-    let mut new_values: Vec<ValueInfo> = Vec::with_capacity(f.values.len());
-    // Per-block new indices for phis/instrs.
-    let mut phi_new_idx: HashMap<(u32, usize), u32> = HashMap::new();
-    let mut instr_new_idx: HashMap<(u32, usize), u32> = HashMap::new();
-    for (bi, block) in f.blocks.iter().enumerate() {
-        let mut k = 0;
-        for i in 0..block.phis.len() {
-            if !dead_phis.contains(&(bi as u32, i)) {
-                phi_new_idx.insert((bi as u32, i), k);
-                k += 1;
-            }
-        }
-        let mut k = 0;
-        for i in 0..block.instrs.len() {
-            if !dead_instrs.contains(&(bi as u32, i)) {
-                instr_new_idx.insert((bi as u32, i), k);
-                k += 1;
-            }
-        }
-    }
-    for (vi, info) in f.values.iter().enumerate() {
-        let keep = match info.def {
-            Def::Param(_) | Def::Const(_) => true,
-            Def::Phi(b, i) => !dead_phis.contains(&(b.0, i as usize)),
-            Def::Instr(b, i) => !dead_instrs.contains(&(b.0, i as usize)),
+    let mut kept = 0;
+    for (vi, id) in new_id.iter_mut().enumerate() {
+        let info = f.values[vi];
+        let def = match info.def {
+            Def::Phi(b, i) => match phi_new[(phi_start[b.index()] + i) as usize] {
+                DELETED => continue,
+                k => Def::Phi(b, k),
+            },
+            Def::Instr(b, i) => match instr_new[(instr_start[b.index()] + i) as usize] {
+                DELETED => continue,
+                k => Def::Instr(b, k),
+            },
+            d => d,
         };
-        if keep {
-            let id = ValueId(new_values.len() as u32);
-            new_id[vi] = Some(id);
-            let def = match info.def {
-                Def::Phi(b, i) => Def::Phi(b, phi_new_idx[&(b.0, i as usize)]),
-                Def::Instr(b, i) => Def::Instr(b, instr_new_idx[&(b.0, i as usize)]),
-                d => d,
-            };
-            new_values.push(ValueInfo { def, ..*info });
-        }
+        *id = Some(ValueId(kept as u32));
+        f.values[kept] = ValueInfo { def, ..info };
+        kept += 1;
     }
+    f.values.truncate(kept);
     let map = |v: ValueId| -> ValueId {
         let r = rw.resolve(v);
         new_id[r.index()].unwrap_or_else(|| panic!("rewrite: deleted value {r} still referenced"))
     };
     // Fix provenance references.
-    for info in &mut new_values {
+    for info in &mut f.values {
         if let Some(p) = info.provenance {
             let r = rw.resolve(p);
             info.provenance = Some(new_id[r.index()].expect("provenance deleted"));
         }
     }
 
-    // Pass 2: rebuild blocks.
-    let mut blocks = Vec::with_capacity(f.blocks.len());
-    let mut results = Vec::with_capacity(f.blocks.len());
-    for (bi, block) in f.blocks.iter().enumerate() {
-        let mut nb = Block::default();
-        let mut nr = BlockResults::default();
-        for (i, phi) in block.phis.iter().enumerate() {
-            if dead_phis.contains(&(bi as u32, i)) {
-                continue;
+    // Pass 2: compact the blocks and their result caches.
+    for (bi, (block, res)) in f.blocks.iter_mut().zip(&mut f.results).enumerate() {
+        // Survivor `i` moves down to its new index `k <= i`; the deleted
+        // ones end up past the last survivor and are cut off.
+        let mut kept = 0;
+        let new_idx = &phi_new[phi_start[bi] as usize..phi_start[bi + 1] as usize];
+        for (i, &k) in new_idx.iter().enumerate().filter(|(_, &k)| k != DELETED) {
+            let k = k as usize;
+            block.phis.swap(k, i);
+            for (_, v) in &mut block.phis[k].args {
+                *v = map(*v);
             }
-            let args = phi.args.iter().map(|(p, v)| (*p, map(*v))).collect();
-            nb.phis.push(Phi { ty: phi.ty, args });
-            nr.phi_results
-                .push(map(f.phi_result(BlockId(bi as u32), i)));
+            res.phi_results[k] = map(res.phi_results[i]);
+            kept = k + 1;
         }
-        for (i, instr) in block.instrs.iter().enumerate() {
-            if dead_instrs.contains(&(bi as u32, i)) {
-                continue;
-            }
-            let mut ni = instr.clone();
-            ni.map_operands(&mut |v| map(v));
-            nb.instrs.push(ni);
-            nr.instr_results
-                .push(f.instr_result(BlockId(bi as u32), i).map(&map));
+        block.phis.truncate(kept);
+        res.phi_results.truncate(kept);
+        let mut kept = 0;
+        let new_idx = &instr_new[instr_start[bi] as usize..instr_start[bi + 1] as usize];
+        for (i, &k) in new_idx.iter().enumerate().filter(|(_, &k)| k != DELETED) {
+            let k = k as usize;
+            block.instrs.swap(k, i);
+            block.instrs[k].map_operands(&mut |v| map(v));
+            res.instr_results[k] = res.instr_results[i].map(&map);
+            kept = k + 1;
         }
-        blocks.push(nb);
-        results.push(nr);
+        block.instrs.truncate(kept);
+        res.instr_results.truncate(kept);
     }
 
-    // Pass 3: rebuild the CST value references.
-    let body = map_cst(&f.body, &map);
+    // Pass 3: rewrite the CST value references.
+    map_cst(&mut f.body, &map);
 
-    let const_values = f.const_values.iter().map(|v| map(*v)).collect();
-    Function {
-        name: f.name.clone(),
-        class: f.class,
-        params: f.params.clone(),
-        ret: f.ret,
-        consts: f.consts.clone(),
-        const_values,
-        blocks,
-        results,
-        values: new_values,
-        body,
+    for v in &mut f.const_values {
+        *v = map(*v);
     }
 }
 
-fn map_cst(cst: &crate::cst::Cst, map: &impl Fn(ValueId) -> ValueId) -> crate::cst::Cst {
+fn map_cst(cst: &mut crate::cst::Cst, map: &impl Fn(ValueId) -> ValueId) {
     use crate::cst::Cst;
     match cst {
-        Cst::Basic(b) => Cst::Basic(*b),
-        Cst::Seq(items) => Cst::Seq(items.iter().map(|c| map_cst(c, map)).collect()),
+        Cst::Seq(items) => {
+            for c in items {
+                map_cst(c, map);
+            }
+        }
         Cst::If {
             cond,
             then_br,
             else_br,
-            join,
-        } => Cst::If {
-            cond: map(*cond),
-            then_br: Box::new(map_cst(then_br, map)),
-            else_br: Box::new(map_cst(else_br, map)),
-            join: *join,
-        },
-        Cst::Loop { header, body } => Cst::Loop {
-            header: *header,
-            body: Box::new(map_cst(body, map)),
-        },
-        Cst::Labeled { body, join } => Cst::Labeled {
-            body: Box::new(map_cst(body, map)),
-            join: *join,
-        },
-        Cst::Break(n) => Cst::Break(*n),
-        Cst::Continue(n) => Cst::Continue(*n),
-        Cst::Return(v) => Cst::Return(v.map(map)),
-        Cst::Throw(v) => Cst::Throw(map(*v)),
-        Cst::Try {
-            body,
-            handler_entry,
-            handler,
-            join,
-        } => Cst::Try {
-            body: Box::new(map_cst(body, map)),
-            handler_entry: *handler_entry,
-            handler: Box::new(map_cst(handler, map)),
-            join: *join,
-        },
+            ..
+        } => {
+            *cond = map(*cond);
+            map_cst(then_br, map);
+            map_cst(else_br, map);
+        }
+        Cst::Loop { body, .. } | Cst::Labeled { body, .. } => map_cst(body, map),
+        Cst::Return(v) => *v = v.map(map),
+        Cst::Throw(v) => *v = map(*v),
+        Cst::Try { body, handler, .. } => {
+            map_cst(body, map);
+            map_cst(handler, map);
+        }
+        Cst::Basic(_) | Cst::Break(_) | Cst::Continue(_) => {}
     }
 }
 
@@ -268,7 +268,6 @@ pub fn prune_phis(f: &mut Function) -> usize {
 }
 
 fn prune_once(f: &mut Function) -> usize {
-    use std::collections::HashSet;
     let mut rw = Rewrite::default();
     // Trivial phis: operands all resolve to one value (ignoring self).
     let mut changed = true;
@@ -306,25 +305,16 @@ fn prune_once(f: &mut Function) -> usize {
             }
         }
     }
-    // Dead phis: results never used outside the deleted set.
-    let mut phi_of: HashMap<ValueId, (u32, usize)> = HashMap::new();
-    let deleted: HashSet<(u32, usize)> = rw.delete_phis.iter().map(|(b, i)| (b.0, *i)).collect();
-    for (bi, block) in f.blocks.iter().enumerate() {
-        for k in 0..block.phis.len() {
-            if deleted.contains(&(bi as u32, k)) {
-                continue;
-            }
-            phi_of.insert(f.phi_result(BlockId(bi as u32), k), (bi as u32, k));
-        }
-    }
-    let mut live: HashSet<(u32, usize)> = HashSet::new();
-    let mut work: Vec<(u32, usize)> = Vec::new();
+    // Dead phis: results never used outside the deleted set. A resolved
+    // value is never a key of `rw.replace`, so a resolved value defined
+    // by a phi names a phi that survives the trivial-phi sweep.
+    let mut live = vec![false; f.values.len()];
+    let mut work: Vec<ValueId> = Vec::new();
     {
         let mut seed = |v: ValueId| {
-            if let Some(&site) = phi_of.get(&v) {
-                if live.insert(site) {
-                    work.push(site);
-                }
+            if matches!(f.value(v).def, Def::Phi(..)) && !live[v.index()] {
+                live[v.index()] = true;
+                work.push(v);
             }
         };
         for block in &f.blocks {
@@ -350,27 +340,30 @@ fn prune_once(f: &mut Function) -> usize {
             }
         }
     }
-    while let Some((b, k)) = work.pop() {
-        let args = f.blocks[b as usize].phis[k].args.clone();
-        for (_, v) in args {
+    while let Some(phi) = work.pop() {
+        let Def::Phi(b, k) = f.value(phi).def else {
+            unreachable!("only phis are queued");
+        };
+        for &(_, v) in &f.block(b).phis[k as usize].args {
             let v = rw.resolve(v);
-            if let Some(&site) = phi_of.get(&v) {
-                if live.insert(site) {
-                    work.push(site);
-                }
+            if matches!(f.value(v).def, Def::Phi(..)) && !live[v.index()] {
+                live[v.index()] = true;
+                work.push(v);
             }
         }
     }
-    for &site in phi_of.values() {
-        if !live.contains(&site) {
-            rw.delete_phis.push((BlockId(site.0), site.1));
+    for (bi, res) in f.results.iter().enumerate() {
+        for (k, &me) in res.phi_results.iter().enumerate() {
+            if !live[me.index()] && !rw.replace.contains_key(&me) {
+                rw.delete_phis.push((BlockId(bi as u32), k));
+            }
         }
     }
     if rw.is_empty() {
         return 0;
     }
     let removed = rw.delete_phis.len();
-    *f = compact(f, &rw);
+    compact(f, &rw);
     removed
 }
 
@@ -415,7 +408,8 @@ mod tests {
         f.body = Cst::Seq(vec![Cst::Basic(ENTRY), Cst::Return(Some(live))]);
         let mut rw = Rewrite::default();
         rw.delete_instrs.push((ENTRY, 0));
-        let g = compact(&f, &rw);
+        compact(&mut f, &rw);
+        let g = f;
         assert_eq!(g.instr_count(), 1);
         assert_eq!(g.values.len(), 3); // 2 params + 1 instr
                                        // The return value was renumbered.
@@ -478,7 +472,8 @@ mod tests {
         let mut rw = Rewrite::default();
         rw.replace.insert(b, a);
         rw.delete_instrs.push((ENTRY, 1));
-        let g = compact(&f, &rw);
+        compact(&mut f, &rw);
+        let g = f;
         assert_eq!(g.instr_count(), 2);
         let last = &g.block(ENTRY).instrs[1];
         let ops = last.operands();
@@ -507,7 +502,7 @@ mod tests {
         f.body = Cst::Seq(vec![Cst::Basic(ENTRY), Cst::Return(Some(a))]);
         let mut rw = Rewrite::default();
         rw.delete_instrs.push((ENTRY, 0)); // but `a` is returned
-        let _ = compact(&f, &rw);
+        compact(&mut f, &rw);
     }
 
     #[test]

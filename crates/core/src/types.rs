@@ -302,10 +302,12 @@ impl TypeTable {
     /// Declares a new class and returns `(class id, ref-type id)`.
     ///
     /// The unsafe `ref` plane is created eagerly; the `safe-ref` plane is
-    /// interned on first use.
-    pub fn declare_class(&mut self, info: ClassInfo) -> (ClassId, TypeId) {
+    /// interned on first use. `info` may be shared with other tables
+    /// (an `Arc<ClassInfo>`); [`TypeTable::class_mut`] copies it on the
+    /// first write.
+    pub fn declare_class(&mut self, info: impl Into<Arc<ClassInfo>>) -> (ClassId, TypeId) {
         let cid = ClassId(self.classes.len() as u32);
-        self.classes.push(Arc::new(info));
+        self.classes.push(info.into());
         let ty = self.push(TypeKind::Class(cid));
         self.class_ids.push(ty);
         (cid, ty)

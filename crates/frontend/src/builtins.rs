@@ -6,6 +6,7 @@
 //! cannot be tampered with.
 
 use crate::hir::*;
+use std::sync::{Arc, OnceLock};
 
 fn m(name: &str, kind: MethodKind, params: Vec<Ty>, ret: Ty, intrinsic: Intrinsic) -> Method {
     Method {
@@ -19,8 +20,26 @@ fn m(name: &str, kind: MethodKind, params: Vec<Ty>, ret: Ty, intrinsic: Intrinsi
     }
 }
 
-/// Installs the built-in classes into a class list and returns the
-/// program skeleton indices.
+/// The builtin classes, built and laid out once per process.
+static STANDARD: OnceLock<Program> = OnceLock::new();
+
+fn standard_ref() -> &'static Program {
+    STANDARD.get_or_init(|| {
+        let mut classes = Vec::new();
+        let mut prog = install(&mut classes);
+        prog.classes = classes.into_iter().map(Arc::new).collect();
+        let mut done = vec![false; prog.classes.len()];
+        for i in 0..prog.classes.len() {
+            crate::sema::layout_vtable(&mut prog.classes, &mut done, i)
+                .expect("the builtin vtables lay out");
+        }
+        prog
+    })
+}
+
+/// A program that holds only the builtin classes, vtables laid out.
+/// The classes are built once per process; every call shares them
+/// (each [`Class`] is reference-counted, not copied).
 ///
 /// Class layout (indices are stable and relied on by tests):
 /// `Object`, `String`, `Throwable`, `Exception`, `RuntimeException`,
@@ -29,7 +48,18 @@ fn m(name: &str, kind: MethodKind, params: Vec<Ty>, ret: Ty, intrinsic: Intrinsi
 /// `NegativeArraySizeException`, `Math`, `Sys`, `Error`,
 /// `OutOfMemoryError`, `StackOverflowError` (the error hierarchy is
 /// appended after `Sys` so the pre-existing indices stay stable).
-pub fn install(classes: &mut Vec<Class>) -> Program {
+pub fn standard() -> Program {
+    standard_ref().clone()
+}
+
+/// The name of builtin class `i`, borrowed for the life of the process.
+pub(crate) fn name(i: ClassIdx) -> &'static str {
+    &standard_ref().classes[i].name
+}
+
+/// Builds the builtin classes into `classes` and returns the program
+/// skeleton indices.
+fn install(classes: &mut Vec<Class>) -> Program {
     use Intrinsic::*;
     use MethodKind::*;
     use PrimTy::*;

@@ -15,6 +15,7 @@
 //! * compound assignment and `++`/`--` are desugared.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a class in [`Program::classes`].
 pub type ClassIdx = usize;
@@ -576,8 +577,9 @@ pub enum ExprKind {
 /// A fully resolved program.
 #[derive(Debug, Clone)]
 pub struct Program {
-    /// All classes; built-ins first.
-    pub classes: Vec<Class>,
+    /// All classes; built-ins first. The builtin classes are shared by
+    /// every program of the process ([`crate::builtins::standard`]).
+    pub classes: Vec<Arc<Class>>,
     /// `Object`.
     pub object: ClassIdx,
     /// `String`.

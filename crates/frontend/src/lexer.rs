@@ -147,12 +147,11 @@ impl<'a> Lexer<'a> {
         } {
             self.bump();
         }
-        let s = std::str::from_utf8(&self.src[start..self.pos])
-            .expect("identifier bytes are ASCII")
-            .to_string();
-        match keyword(&s) {
+        let s =
+            std::str::from_utf8(&self.src[start..self.pos]).expect("identifier bytes are ASCII");
+        match keyword(s) {
             Some(k) => Tok::Kw(k),
-            None => Tok::Ident(s),
+            None => Tok::Ident(s.to_string()),
         }
     }
 

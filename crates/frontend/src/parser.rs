@@ -52,12 +52,30 @@ impl Parser {
         matches!(self.peek(), Tok::Eof)
     }
 
+    /// Consumes the current token and returns it. Tokens behind the
+    /// cursor are never read again, so each one moves out of the
+    /// buffer; the last token (end of input) stays put.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+        let at = self.pos;
+        if at + 1 == self.tokens.len() {
+            return self.tokens[at].clone();
         }
-        t
+        self.pos += 1;
+        let t = &mut self.tokens[at];
+        Token {
+            kind: std::mem::replace(&mut t.kind, Tok::Eof),
+            span: t.span,
+        }
+    }
+
+    /// Consumes the current token, an identifier or string literal,
+    /// and returns its text.
+    fn bump_text(&mut self) -> (String, Span) {
+        let t = self.bump();
+        match t.kind {
+            Tok::Ident(s) | Tok::StrLit(s) => (s, t.span),
+            other => unreachable!("bump_text on {other}"),
+        }
     }
 
     fn err(&self, msg: impl Into<String>) -> CompileError {
@@ -99,11 +117,8 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<(String, Span), CompileError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                let sp = self.bump().span;
-                Ok((s, sp))
-            }
+        match self.peek() {
+            Tok::Ident(_) => Ok(self.bump_text()),
             t => Err(self.err(format!("expected identifier, found {t}"))),
         }
     }
@@ -264,7 +279,7 @@ impl Parser {
     }
 
     fn type_ref(&mut self) -> Result<TypeRef, CompileError> {
-        let mut base = match self.peek().clone() {
+        let mut base = match self.peek() {
             Tok::Kw(Kw::Boolean) => {
                 self.bump();
                 TypeRef::Bool
@@ -289,10 +304,7 @@ impl Parser {
                 self.bump();
                 TypeRef::Double
             }
-            Tok::Ident(s) => {
-                self.bump();
-                TypeRef::Named(s)
-            }
+            Tok::Ident(_) => TypeRef::Named(self.bump_text().0),
             t => return Err(self.err(format!("expected type, found {t}"))),
         };
         while *self.peek() == Tok::P(P::LBracket) && *self.peek_at(1) == Tok::P(P::RBracket) {
@@ -348,7 +360,7 @@ impl Parser {
 
     /// Parses one statement; multi-declarator locals expand to several.
     fn stmt_into(&mut self, out: &mut Vec<Stmt>) -> Result<(), CompileError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::P(P::LBrace) => {
                 let b = self.block()?;
                 out.push(Stmt::Block(b));
@@ -432,11 +444,8 @@ impl Parser {
             }
             Tok::Kw(Kw::Break) => {
                 let sp = self.bump().span;
-                let label = match self.peek().clone() {
-                    Tok::Ident(l) => {
-                        self.bump();
-                        Some(l)
-                    }
+                let label = match self.peek() {
+                    Tok::Ident(_) => Some(self.bump_text().0),
                     _ => None,
                 };
                 self.expect_p(P::Semi)?;
@@ -444,11 +453,8 @@ impl Parser {
             }
             Tok::Kw(Kw::Continue) => {
                 let sp = self.bump().span;
-                let label = match self.peek().clone() {
-                    Tok::Ident(l) => {
-                        self.bump();
-                        Some(l)
-                    }
+                let label = match self.peek() {
+                    Tok::Ident(_) => Some(self.bump_text().0),
                     _ => None,
                 };
                 self.expect_p(P::Semi)?;
@@ -510,9 +516,9 @@ impl Parser {
                 self.expect_p(P::Semi)?;
                 out.push(Stmt::SuperCall(args, sp));
             }
-            Tok::Ident(name) if *self.peek_at(1) == Tok::P(P::Colon) && !self.at_local_decl() => {
+            Tok::Ident(_) if *self.peek_at(1) == Tok::P(P::Colon) && !self.at_local_decl() => {
                 // A labeled statement: `name: <loop>`.
-                let span = self.bump().span;
+                let (name, span) = self.bump_text();
                 self.bump(); // ':'
                 let body = Box::new(self.stmt()?);
                 out.push(Stmt::Labeled { name, body, span });
@@ -734,7 +740,7 @@ impl Parser {
 
     fn unary_inner(&mut self) -> Result<Expr, CompileError> {
         let span = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::P(P::Minus) => {
                 self.bump();
                 // Fold -literal so Integer.MIN_VALUE / Long.MIN_VALUE work.
@@ -934,7 +940,7 @@ impl Parser {
 
     fn primary(&mut self) -> Result<Expr, CompileError> {
         let span = self.span();
-        let kind = match self.peek().clone() {
+        let kind = match *self.peek() {
             Tok::IntLit(v) => {
                 self.bump();
                 if v > i32::MAX as i64 {
@@ -961,10 +967,7 @@ impl Parser {
                 self.bump();
                 ExprKind::CharLit(v)
             }
-            Tok::StrLit(s) => {
-                self.bump();
-                ExprKind::StrLit(s)
-            }
+            Tok::StrLit(_) => ExprKind::StrLit(self.bump_text().0),
             Tok::Kw(Kw::True) => {
                 self.bump();
                 ExprKind::BoolLit(true)
@@ -1029,8 +1032,8 @@ impl Parser {
                     ExprKind::New { class, args }
                 }
             }
-            Tok::Ident(name) => {
-                self.bump();
+            Tok::Ident(_) => {
+                let (name, _) = self.bump_text();
                 if self.eat_p(P::LParen) {
                     let args = self.args_after_lparen()?;
                     ExprKind::CallUnqualified { name, args }
@@ -1038,13 +1041,13 @@ impl Parser {
                     ExprKind::Name(name)
                 }
             }
-            t => return Err(self.err(format!("expected expression, found {t}"))),
+            ref t => return Err(self.err(format!("expected expression, found {t}"))),
         };
         Ok(Expr { kind, span })
     }
 
     fn base_type_no_array(&mut self) -> Result<TypeRef, CompileError> {
-        Ok(match self.peek().clone() {
+        Ok(match self.peek() {
             Tok::Kw(Kw::Boolean) => {
                 self.bump();
                 TypeRef::Bool
@@ -1069,10 +1072,7 @@ impl Parser {
                 self.bump();
                 TypeRef::Double
             }
-            Tok::Ident(s) => {
-                self.bump();
-                TypeRef::Named(s)
-            }
+            Tok::Ident(_) => TypeRef::Named(self.bump_text().0),
             t => return Err(self.err(format!("expected type after `new`, found {t}"))),
         })
     }

@@ -7,6 +7,7 @@ use crate::builtins;
 use crate::hir::*;
 use crate::span::{CompileError, Span};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Analyzes a compilation unit into a resolved program.
 ///
@@ -15,56 +16,55 @@ use std::collections::HashMap;
 /// Returns the first semantic error (unknown names, type mismatches,
 /// ambiguous overloads, unreachable code, missing returns, …).
 pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
-    let mut classes: Vec<Class> = Vec::new();
-    let mut prog = builtins::install(&mut classes);
+    // The builtin classes come laid out and shared with every other
+    // program of the process; only user classes are built here.
+    let mut prog = builtins::standard();
+    let mut classes = std::mem::take(&mut prog.classes);
+    let builtin_count = classes.len();
 
     // Pass 1: declare user classes.
-    let mut names: HashMap<String, ClassIdx> = classes
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.name.clone(), i))
-        .collect();
+    let mut names: Names = (0..builtin_count).map(|i| (builtins::name(i), i)).collect();
     for decl in &cu.classes {
-        if names.contains_key(&decl.name) {
+        if names.contains_key(decl.name.as_str()) {
             return Err(CompileError::new(
                 decl.span,
                 format!("duplicate class `{}`", decl.name),
             ));
         }
         let idx = classes.len();
-        names.insert(decl.name.clone(), idx);
-        classes.push(Class {
+        names.insert(&decl.name, idx);
+        classes.push(Arc::new(Class {
             name: decl.name.clone(),
             superclass: None, // resolved in pass 2
             fields: vec![],
             methods: vec![],
             vtable: vec![],
             is_builtin: false,
-        });
+        }));
     }
 
     // Pass 2: resolve superclasses; reject cycles and sealed builtins.
     for decl in &cu.classes {
-        let idx = names[&decl.name];
+        let idx = names[decl.name.as_str()];
         let sup = match &decl.superclass {
             None => prog.object,
             Some(s) => *names
-                .get(s)
+                .get(s.as_str())
                 .ok_or_else(|| CompileError::new(decl.span, format!("unknown superclass `{s}`")))?,
         };
-        let sup_name = classes[sup].name.clone();
-        if matches!(sup_name.as_str(), "String" | "Math" | "Sys") {
+        let sup_name = classes[sup].name.as_str();
+        if matches!(sup_name, "String" | "Math" | "Sys") {
             return Err(CompileError::new(
                 decl.span,
                 format!("cannot extend `{sup_name}`"),
             ));
         }
-        classes[idx].superclass = Some(sup);
+        building(&mut classes, idx).superclass = Some(sup);
     }
     // Cycle check.
     for decl in &cu.classes {
         let mut seen = Vec::new();
-        let mut cur = Some(names[&decl.name]);
+        let mut cur = Some(names[decl.name.as_str()]);
         while let Some(c) = cur {
             if seen.contains(&c) {
                 return Err(CompileError::new(decl.span, "cyclic class hierarchy"));
@@ -75,10 +75,10 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
     }
 
     // Pass 3: declare members.
-    let mut field_inits: Vec<(ClassIdx, FieldIdx, ast::Expr)> = Vec::new();
+    let mut field_inits: Vec<(ClassIdx, FieldIdx, &ast::Expr)> = Vec::new();
     let mut bodies: Vec<PendingBody> = Vec::new();
     for decl in &cu.classes {
-        let idx = names[&decl.name];
+        let idx = names[decl.name.as_str()];
         let mut has_ctor = false;
         for member in &decl.members {
             match member {
@@ -91,13 +91,13 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
                         ));
                     }
                     let fidx = classes[idx].fields.len();
-                    classes[idx].fields.push(Field {
+                    building(&mut classes, idx).fields.push(Field {
                         name: f.name.clone(),
                         ty,
                         is_static: f.is_static,
                     });
                     if let Some(init) = &f.init {
-                        field_inits.push((idx, fidx, init.clone()));
+                        field_inits.push((idx, fidx, init));
                     }
                 }
                 Member::Method(md) => {
@@ -112,7 +112,7 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
                     };
                     check_no_duplicate_sig(&classes[idx], &md.name, &params, md.span)?;
                     let midx = classes[idx].methods.len();
-                    classes[idx].methods.push(Method {
+                    building(&mut classes, idx).methods.push(Method {
                         name: md.name.clone(),
                         kind: if md.is_static {
                             MethodKind::Static
@@ -128,8 +128,8 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
                     bodies.push(PendingBody {
                         class: idx,
                         method: midx,
-                        params: md.params.clone(),
-                        stmts: md.body.clone(),
+                        params: &md.params,
+                        stmts: &md.body,
                         is_ctor: false,
                         span: md.span,
                     });
@@ -143,7 +143,7 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
                         .collect::<Result<Vec<_>, _>>()?;
                     check_no_duplicate_sig(&classes[idx], "<init>", &params, cd.span)?;
                     let midx = classes[idx].methods.len();
-                    classes[idx].methods.push(Method {
+                    building(&mut classes, idx).methods.push(Method {
                         name: "<init>".into(),
                         kind: MethodKind::Special,
                         params,
@@ -155,8 +155,8 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
                     bodies.push(PendingBody {
                         class: idx,
                         method: midx,
-                        params: cd.params.clone(),
-                        stmts: cd.body.clone(),
+                        params: &cd.params,
+                        stmts: &cd.body,
                         is_ctor: true,
                         span: cd.span,
                     });
@@ -166,7 +166,7 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
         if !has_ctor {
             // Synthesize the default constructor.
             let midx = classes[idx].methods.len();
-            classes[idx].methods.push(Method {
+            building(&mut classes, idx).methods.push(Method {
                 name: "<init>".into(),
                 kind: MethodKind::Special,
                 params: vec![],
@@ -178,8 +178,8 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
             bodies.push(PendingBody {
                 class: idx,
                 method: midx,
-                params: vec![],
-                stmts: vec![],
+                params: &[],
+                stmts: &[],
                 is_ctor: true,
                 span: decl.span,
             });
@@ -188,7 +188,8 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
 
     // Pass 4: vtable layout (parents before children via recursion).
     let mut done = vec![false; classes.len()];
-    for i in 0..classes.len() {
+    done[..builtin_count].fill(true);
+    for i in builtin_count..classes.len() {
         layout_vtable(&mut classes, &mut done, i)?;
     }
 
@@ -203,7 +204,7 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
     // Pass 6: synthesize `<clinit>` for classes with static inits.
     let mut clinits: Vec<(ClassIdx, Body)> = Vec::new();
     for ci in 0..prog.classes.len() {
-        let inits: Vec<&(ClassIdx, FieldIdx, ast::Expr)> = field_inits
+        let inits: Vec<&(ClassIdx, FieldIdx, &ast::Expr)> = field_inits
             .iter()
             .filter(|(c, f, _)| *c == ci && prog.field(ci, *f).is_static)
             .collect();
@@ -233,10 +234,10 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
         ));
     }
     for (ci, mi, body) in compiled {
-        prog.classes[ci].methods[mi].body = Some(body);
+        building(&mut prog.classes, ci).methods[mi].body = Some(body);
     }
     for (ci, body) in clinits {
-        prog.classes[ci].methods.push(Method {
+        building(&mut prog.classes, ci).methods.push(Method {
             name: "<clinit>".into(),
             kind: MethodKind::Static,
             params: vec![],
@@ -249,11 +250,21 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
     Ok(prog)
 }
 
-struct PendingBody {
+/// Class names in scope, borrowed from the builtins and the source.
+type Names<'a> = HashMap<&'a str, ClassIdx>;
+
+/// A class being built. No class is shared before its program is
+/// complete (the builtins' once-per-process set-up included).
+fn building(classes: &mut [Arc<Class>], idx: ClassIdx) -> &mut Class {
+    Arc::get_mut(&mut classes[idx]).expect("a class is not shared while it is built")
+}
+
+/// A method body waiting for pass 5, borrowed from the source's AST.
+struct PendingBody<'a> {
     class: ClassIdx,
     method: MethodIdx,
-    params: Vec<(TypeRef, String)>,
-    stmts: Vec<AStmt>,
+    params: &'a [(TypeRef, String)],
+    stmts: &'a [AStmt],
     is_ctor: bool,
     span: Span,
 }
@@ -277,11 +288,7 @@ fn check_no_duplicate_sig(
     Ok(())
 }
 
-fn resolve_type(
-    names: &HashMap<String, ClassIdx>,
-    t: &TypeRef,
-    span: Span,
-) -> Result<Ty, CompileError> {
+fn resolve_type(names: &Names, t: &TypeRef, span: Span) -> Result<Ty, CompileError> {
     Ok(match t {
         TypeRef::Bool => Ty::Prim(PrimTy::Bool),
         TypeRef::Char => Ty::Prim(PrimTy::Char),
@@ -291,15 +298,15 @@ fn resolve_type(
         TypeRef::Double => Ty::Prim(PrimTy::Double),
         TypeRef::Named(n) => Ty::Ref(
             *names
-                .get(n)
+                .get(n.as_str())
                 .ok_or_else(|| CompileError::new(span, format!("unknown type `{n}`")))?,
         ),
         TypeRef::Array(e) => Ty::Array(Box::new(resolve_type(names, e, span)?)),
     })
 }
 
-fn layout_vtable(
-    classes: &mut [Class],
+pub(crate) fn layout_vtable(
+    classes: &mut [Arc<Class>],
     done: &mut [bool],
     idx: ClassIdx,
 ) -> Result<(), CompileError> {
@@ -314,24 +321,23 @@ fn layout_vtable(
         }
         None => Vec::new(),
     };
-    let methods_meta: Vec<(String, Vec<Ty>, Ty, MethodKind)> = classes[idx]
-        .methods
-        .iter()
-        .map(|m| (m.name.clone(), m.params.clone(), m.ret.clone(), m.kind))
-        .collect();
-    for (mi, (name, params, ret, kind)) in methods_meta.into_iter().enumerate() {
-        if kind != MethodKind::Virtual {
+    for mi in 0..classes[idx].methods.len() {
+        let m = &classes[idx].methods[mi];
+        if m.kind != MethodKind::Virtual {
             continue;
         }
         // Find an overridden slot in the inherited vtable.
         let mut slot = None;
         for (s, &(oc, om)) in vtable.iter().enumerate() {
             let o = &classes[oc].methods[om];
-            if o.name == name && o.params == params {
-                if o.ret != ret {
+            if o.name == m.name && o.params == m.params {
+                if o.ret != m.ret {
                     return Err(CompileError::new(
                         Span::default(),
-                        format!("{}.{name}: override changes return type", classes[idx].name),
+                        format!(
+                            "{}.{}: override changes return type",
+                            classes[idx].name, m.name
+                        ),
                     ));
                 }
                 slot = Some(s);
@@ -348,17 +354,17 @@ fn layout_vtable(
                 vtable.len() - 1
             }
         };
-        classes[idx].methods[mi].vtable_slot = Some(s);
+        building(classes, idx).methods[mi].vtable_slot = Some(s);
     }
-    classes[idx].vtable = vtable;
+    building(classes, idx).vtable = vtable;
     Ok(())
 }
 
 fn check_body(
     prog: &Program,
-    names: &HashMap<String, ClassIdx>,
+    names: &Names,
     pb: &PendingBody,
-    field_inits: &[(ClassIdx, FieldIdx, ast::Expr)],
+    field_inits: &[(ClassIdx, FieldIdx, &ast::Expr)],
 ) -> Result<Body, CompileError> {
     let meta = prog.method(pb.class, pb.method);
     let is_static = meta.kind == MethodKind::Static;
@@ -375,12 +381,12 @@ fn check_body(
         ctx.scope_insert(pname.clone(), slot, pb.span)?;
     }
     let mut stmts = Vec::new();
-    let mut ast_stmts: &[AStmt] = &pb.stmts;
+    let mut ast_stmts: &[AStmt] = pb.stmts;
     if pb.is_ctor {
         // Explicit or implicit super(...) first.
-        let (super_args, rest): (Vec<ast::Expr>, &[AStmt]) = match pb.stmts.first() {
-            Some(AStmt::SuperCall(args, _)) => (args.clone(), &pb.stmts[1..]),
-            _ => (vec![], &pb.stmts[..]),
+        let (super_args, rest): (&[ast::Expr], &[AStmt]) = match pb.stmts.first() {
+            Some(AStmt::SuperCall(args, _)) => (args, &pb.stmts[1..]),
+            _ => (&[], pb.stmts),
         };
         ast_stmts = rest;
         if let Some(sup) = prog.class(pb.class).superclass {
@@ -442,7 +448,7 @@ fn check_body(
 
 struct Ctx<'a> {
     prog: &'a Program,
-    names: &'a HashMap<String, ClassIdx>,
+    names: &'a Names<'a>,
     class: ClassIdx,
     is_static: bool,
     ret: Ty,
@@ -457,7 +463,7 @@ struct Ctx<'a> {
 impl<'a> Ctx<'a> {
     fn new(
         prog: &'a Program,
-        names: &'a HashMap<String, ClassIdx>,
+        names: &'a Names<'a>,
         class: ClassIdx,
         is_static: bool,
         ret: Ty,
@@ -739,7 +745,7 @@ impl<'a> Ctx<'a> {
                 self.pop_scope();
                 let mut cs = Vec::new();
                 for c in catches {
-                    let class = *self.names.get(&c.class).ok_or_else(|| {
+                    let class = *self.names.get(c.class.as_str()).ok_or_else(|| {
                         CompileError::new(c.span, format!("unknown class `{}`", c.class))
                     })?;
                     if !self.prog.is_subclass(class, self.prog.throwable) {
@@ -1028,7 +1034,7 @@ impl<'a> Ctx<'a> {
             AK::New { class, args } => {
                 let c = *self
                     .names
-                    .get(class)
+                    .get(class.as_str())
                     .ok_or_else(|| CompileError::new(span, format!("unknown class `{class}`")))?;
                 if matches!(
                     self.prog.class(c).name.as_str(),
@@ -1212,7 +1218,7 @@ impl<'a> Ctx<'a> {
         if let AK::Name(qual) = &obj.kind {
             if self.lookup_local(qual).is_none() && self.prog.find_field(self.class, qual).is_none()
             {
-                if let Some(&c) = self.names.get(qual) {
+                if let Some(&c) = self.names.get(qual.as_str()) {
                     let (dc, f) = self.prog.find_field(c, name).ok_or_else(|| {
                         CompileError::new(span, format!("unknown field `{qual}.{name}`"))
                     })?;
@@ -1285,7 +1291,7 @@ impl<'a> Ctx<'a> {
         if let AK::Name(qual) = &recv.kind {
             if self.lookup_local(qual).is_none() && self.prog.find_field(self.class, qual).is_none()
             {
-                if let Some(&c) = self.names.get(qual) {
+                if let Some(&c) = self.names.get(qual.as_str()) {
                     let (mc, mm, cargs) = self.resolve_overload(c, name, arg_exprs, span, false)?;
                     let meta = self.prog.method(mc, mm);
                     if meta.kind != MethodKind::Static {
@@ -1368,18 +1374,17 @@ impl<'a> Ctx<'a> {
                 ),
             ));
         }
-        let arg_tys: Vec<Ty> = args.iter().map(|a| a.ty.clone()).collect();
         let applicable: Vec<(ClassIdx, MethodIdx)> = candidates
             .iter()
             .copied()
             .filter(|&(c, m)| {
                 let meta = self.prog.method(c, m);
-                meta.params.len() == arg_tys.len()
+                meta.params.len() == args.len()
                     && meta
                         .params
                         .iter()
-                        .zip(&arg_tys)
-                        .all(|(p, a)| self.invocation_convertible(a, p))
+                        .zip(&args)
+                        .all(|(p, a)| self.invocation_convertible(&a.ty, p))
             })
             .collect();
         if applicable.is_empty() {
@@ -1387,9 +1392,8 @@ impl<'a> Ctx<'a> {
                 span,
                 format!(
                     "no applicable overload of `{name}` for ({})",
-                    arg_tys
-                        .iter()
-                        .map(|t| t.to_string())
+                    args.iter()
+                        .map(|a| a.ty.to_string())
                         .collect::<Vec<_>>()
                         .join(", ")
                 ),
@@ -1408,7 +1412,9 @@ impl<'a> Ctx<'a> {
                 return Err(CompileError::new(span, format!("ambiguous call `{name}`")));
             }
         }
-        let meta = self.prog.method(best.0, best.1).clone();
+        // Borrowed through the program reference, not through `self`.
+        let prog = self.prog;
+        let meta = prog.method(best.0, best.1);
         let mut converted = Vec::with_capacity(args.len());
         for (a, p) in args.into_iter().zip(&meta.params) {
             converted.push(self.convert(a, p, span)?);
@@ -2123,7 +2129,7 @@ impl<'a> Ctx<'a> {
                     if self.lookup_local(qual).is_none()
                         && self.prog.find_field(self.class, qual).is_none()
                     {
-                        if let Some(&c) = self.names.get(qual) {
+                        if let Some(&c) = self.names.get(qual.as_str()) {
                             let (dc, f) = self.prog.find_field(c, name).ok_or_else(|| {
                                 CompileError::new(span, format!("unknown field `{qual}.{name}`"))
                             })?;

@@ -117,13 +117,13 @@ fn safe_witness(
 /// run's statistics.
 pub fn run(types: &TypeTable, f: &Function) -> (Function, CheckElimStats) {
     let mut g = f.clone();
-    let stats = apply(types, &mut g, &Facts::default());
+    let stats = apply(types, &mut g, &mut Facts::default());
     (g, stats)
 }
 
 /// Runs check elimination on `f` in place, reading the CFG and the
 /// exception-edge map from `facts`; returns the run's statistics.
-pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> CheckElimStats {
+pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &mut Facts) -> CheckElimStats {
     let mut stats = CheckElimStats::default();
     let Some(cfg) = facts.cfg(f) else {
         return stats;
@@ -199,7 +199,7 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> Check
     // iterations of the pass pipeline strip any dead pure users so a
     // later round can finish the job. The use counts are taken after
     // phase 1, on first need.
-    let mut uses: Option<HashMap<ValueId, usize>> = None;
+    let mut uses: Option<Vec<u32>> = None;
     let mut rw = Rewrite::default();
     for bi in 0..f.blocks.len() {
         let b = BlockId(bi as u32);
@@ -214,12 +214,7 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> Check
             let dead = match f.instr_result(b, k) {
                 Some(r) => {
                     lv.as_ref().is_some_and(|lv| !lv.is_live(r))
-                        && uses
-                            .get_or_insert_with(|| count_uses(f))
-                            .get(&r)
-                            .copied()
-                            .unwrap_or(0)
-                            == 0
+                        && uses.get_or_insert_with(|| count_uses(f))[r.index()] == 0
                 }
                 None => true,
             };
@@ -232,21 +227,22 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> Check
         }
     }
     if !rw.is_empty() {
-        *f = compact(f, &rw);
+        compact(f, &rw);
     }
     if edges_removed {
         // Removed checks took their exception edges with them: drop
         // the now-dangling handler phi arguments.
-        fixup::prune_phi_args(f);
+        fixup::prune_phi_args(f, facts);
     }
     stats
 }
 
-/// Syntactic use counts: operands, phi arguments, CST terminator uses,
-/// and provenance links (same roots as DCE's mark phase).
-fn count_uses(f: &Function) -> HashMap<ValueId, usize> {
-    let mut uses: HashMap<ValueId, usize> = HashMap::new();
-    let mut bump = |v: ValueId| *uses.entry(v).or_insert(0) += 1;
+/// Syntactic use counts per value id: operands, phi arguments, CST
+/// terminator uses, and provenance links (same roots as DCE's mark
+/// phase).
+fn count_uses(f: &Function) -> Vec<u32> {
+    let mut uses = vec![0u32; f.values.len()];
+    let mut bump = |v: ValueId| uses[v.index()] += 1;
     for block in &f.blocks {
         for phi in &block.phis {
             for (_, v) in &phi.args {

@@ -79,7 +79,7 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function) -> usize {
     if rw.is_empty() {
         return 0;
     }
-    *f = compact(f, &rw);
+    compact(f, &rw);
     removed
 }
 

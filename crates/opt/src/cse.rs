@@ -26,7 +26,7 @@ use crate::MemModel;
 use safetsa_core::cfg::Cfg;
 use safetsa_core::dom::DomTree;
 use safetsa_core::function::Function;
-use safetsa_core::instr::Instr;
+use safetsa_core::instr::{Instr, Operands};
 use safetsa_core::rewrite::{compact, Rewrite};
 use safetsa_core::types::{FieldRef, TypeId, TypeTable};
 use safetsa_core::value::{BlockId, ValueId};
@@ -36,7 +36,7 @@ use std::collections::HashMap;
 /// valid only within one memory epoch.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Key {
-    Prim(TypeId, u16, Vec<ValueId>),
+    Prim(TypeId, u16, Operands<ValueId>),
     NullCheck(ValueId),
     IndexCheck(ValueId, ValueId),
     Downcast(TypeId, TypeId, ValueId),
@@ -65,14 +65,14 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, usize) {
 pub fn run_with(types: &TypeTable, f: &Function, model: MemModel) -> (Function, usize) {
     let _ = types;
     let mut g = f.clone();
-    let removed = apply(&mut g, &Facts::default(), model);
+    let removed = apply(&mut g, &mut Facts::default(), model);
     (g, removed)
 }
 
 /// Runs CSE on `f` in place, reading the CFG, dominator tree and
 /// exception-edge map from `facts`; returns the number of
 /// instructions removed.
-pub(crate) fn apply(f: &mut Function, facts: &Facts, model: MemModel) -> usize {
+pub(crate) fn apply(f: &mut Function, facts: &mut Facts, model: MemModel) -> usize {
     let Some(cfg) = facts.cfg(f) else {
         return 0;
     };
@@ -90,6 +90,8 @@ pub(crate) fn apply(f: &mut Function, facts: &Facts, model: MemModel) -> usize {
         cfg: &'a Cfg,
         dom: &'a DomTree,
         avail: HashMap<Key, ValueId>,
+        /// Keys added to `avail`, innermost dominator scope last.
+        scoped: Vec<Key>,
         rw: Rewrite,
         removed: usize,
         mem_counter: u64,
@@ -151,25 +153,23 @@ pub(crate) fn apply(f: &mut Function, facts: &Facts, model: MemModel) -> usize {
                 self.mem_counter += 1;
                 mem.global = self.mem_counter;
             }
-            let mut inserted: Vec<Key> = Vec::new();
+            let scope = self.scoped.len();
             let n = self.f.block(b).instrs.len();
             for k in 0..n {
                 let instr = &self.f.block(b).instrs[k];
-                // Resolve operands through earlier substitutions so
-                // chained redundancies collapse in one pass.
-                let mut instr = instr.clone();
-                let rwref = &self.rw;
-                instr.map_operands(|v| rwref.resolve(v));
                 if instr.writes_memory() {
-                    self.bump_for_write(&mut mem, &instr);
+                    self.bump_for_write(&mut mem, instr);
                 }
-                let epoch = match &instr {
+                let epoch = match instr {
                     Instr::GetField { field, .. } => mem.epoch_of(Part::Field(*field)),
                     Instr::GetStatic { field } => mem.epoch_of(Part::Static(*field)),
                     Instr::GetElt { arr_ty, .. } => mem.epoch_of(Part::Elements(*arr_ty)),
                     _ => mem.global,
                 };
-                let Some(key) = key_of(&instr, epoch) else {
+                // Resolve operands through earlier substitutions so
+                // chained redundancies collapse in one pass.
+                let rw = &self.rw;
+                let Some(key) = key_of(instr, epoch, |v| rw.resolve(v)) else {
                     continue;
                 };
                 let result = self.f.instr_result(b, k);
@@ -195,7 +195,7 @@ pub(crate) fn apply(f: &mut Function, facts: &Facts, model: MemModel) -> usize {
                     None => {
                         if let Some(result) = result {
                             self.avail.insert(key.clone(), result);
-                            inserted.push(key);
+                            self.scoped.push(key);
                         }
                     }
                 }
@@ -204,7 +204,7 @@ pub(crate) fn apply(f: &mut Function, facts: &Facts, model: MemModel) -> usize {
             for &c in dom.children_of(b) {
                 self.visit(c, &mem);
             }
-            for key in inserted {
+            for key in self.scoped.drain(scope..) {
                 self.avail.remove(&key);
             }
         }
@@ -214,7 +214,8 @@ pub(crate) fn apply(f: &mut Function, facts: &Facts, model: MemModel) -> usize {
         f,
         cfg,
         dom,
-        avail: HashMap::new(),
+        avail: HashMap::with_capacity(f.instr_count()),
+        scoped: Vec::new(),
         rw: Rewrite::default(),
         removed: 0,
         mem_counter: 0,
@@ -229,38 +230,42 @@ pub(crate) fn apply(f: &mut Function, facts: &Facts, model: MemModel) -> usize {
     if rw.is_empty() {
         return 0;
     }
-    *f = compact(f, &rw);
+    compact(f, &rw);
     // Deleted exceptional instructions take their exception edges with
     // them: drop the now-dangling phi arguments.
-    fixup::prune_phi_args(f);
+    fixup::prune_phi_args(f, facts);
     removed
 }
 
-fn key_of(instr: &Instr, mem: u64) -> Option<Key> {
+/// The key of `instr` in memory epoch `mem`, with every operand passed
+/// through `r` (the substitutions made so far).
+fn key_of(instr: &Instr, mem: u64, r: impl Fn(ValueId) -> ValueId) -> Option<Key> {
     Some(match instr {
-        Instr::Primitive { ty, op, args } => Key::Prim(*ty, op.0, args.clone()),
         // Exceptional primitives (integer div/rem) are deterministic in
         // their operands: if a dominating occurrence didn't trap, the
         // later one wouldn't either.
-        Instr::XPrimitive { ty, op, args } => Key::Prim(*ty, op.0, args.clone()),
-        Instr::NullCheck { value, .. } => Key::NullCheck(*value),
-        Instr::IndexCheck { array, index, .. } => Key::IndexCheck(*array, *index),
-        Instr::Downcast { from, to, value } => Key::Downcast(*from, *to, *value),
-        Instr::Upcast { from, to, value } => Key::Upcast(*from, *to, *value),
+        Instr::Primitive { ty, op, args } | Instr::XPrimitive { ty, op, args } => {
+            Key::Prim(*ty, op.0, args.iter().map(|&a| r(a)).collect())
+        }
+        Instr::NullCheck { value, .. } => Key::NullCheck(r(*value)),
+        Instr::IndexCheck { array, index, .. } => Key::IndexCheck(r(*array), r(*index)),
+        Instr::Downcast { from, to, value } => Key::Downcast(*from, *to, r(*value)),
+        Instr::Upcast { from, to, value } => Key::Upcast(*from, *to, r(*value)),
         Instr::InstanceOf {
             from,
             target,
             value,
-        } => Key::InstanceOf(*from, *target, *value),
+        } => Key::InstanceOf(*from, *target, r(*value)),
         Instr::RefEq { a, b, .. } => {
             // Commutative.
-            let (x, y) = if a.0 <= b.0 { (*a, *b) } else { (*b, *a) };
+            let (a, b) = (r(*a), r(*b));
+            let (x, y) = if a.0 <= b.0 { (a, b) } else { (b, a) };
             Key::RefEq(x, y)
         }
-        Instr::ArrayLength { array, .. } => Key::ArrayLength(*array),
-        Instr::GetField { object, field, .. } => Key::GetField(mem, *object, *field),
+        Instr::ArrayLength { array, .. } => Key::ArrayLength(r(*array)),
+        Instr::GetField { object, field, .. } => Key::GetField(mem, r(*object), *field),
         Instr::GetStatic { field } => Key::GetStatic(mem, *field),
-        Instr::GetElt { array, index, .. } => Key::GetElt(mem, *array, *index),
+        Instr::GetElt { array, index, .. } => Key::GetElt(mem, r(*array), r(*index)),
         _ => return None,
     })
 }

@@ -9,8 +9,7 @@
 use safetsa_core::function::Function;
 use safetsa_core::instr::Instr;
 use safetsa_core::rewrite::{compact, prune_phis, Rewrite};
-use safetsa_core::value::{BlockId, Def, ValueId};
-use std::collections::{HashMap, HashSet};
+use safetsa_core::value::{BlockId, ValueId};
 
 /// Whether an instruction can be deleted when its result is unused.
 fn is_removable(i: &Instr) -> bool {
@@ -54,8 +53,9 @@ pub(crate) fn apply(f: &mut Function) -> usize {
 
 fn run_once(f: &mut Function) -> usize {
     // Mark: roots are terminator uses, effects' operands, provenance.
-    let mut uses: HashMap<ValueId, usize> = HashMap::new();
-    let mut bump = |v: ValueId| *uses.entry(v).or_insert(0) += 1;
+    // Use counts and the dead marks are indexed by value id.
+    let mut uses = vec![0u32; f.values.len()];
+    let mut bump = |v: ValueId| uses[v.index()] += 1;
     for block in &f.blocks {
         for phi in &block.phis {
             for (_, v) in &phi.args {
@@ -83,8 +83,9 @@ fn run_once(f: &mut Function) -> usize {
     }
 
     // Sweep: iteratively find dead values (count 0, or only used by
-    // other dead values). Simple worklist: collect dead candidates.
-    let mut dead: HashSet<ValueId> = HashSet::new();
+    // other dead values).
+    let mut dead = vec![false; f.values.len()];
+    let mut rw = Rewrite::default();
     let mut changed = true;
     while changed {
         changed = false;
@@ -94,51 +95,40 @@ fn run_once(f: &mut Function) -> usize {
                 let Some(result) = f.instr_result(b, k) else {
                     continue;
                 };
-                if dead.contains(&result) || !is_removable(instr) {
+                if dead[result.index()] || !is_removable(instr) {
                     continue;
                 }
-                if uses.get(&result).copied().unwrap_or(0) == 0 {
-                    dead.insert(result);
+                if uses[result.index()] == 0 {
+                    dead[result.index()] = true;
+                    rw.delete_instrs.push((b, k));
                     changed = true;
                     for &v in instr.operands().iter() {
-                        if let Some(c) = uses.get_mut(&v) {
-                            *c -= 1;
-                        }
+                        uses[v.index()] -= 1;
                     }
                 }
             }
             for (k, phi) in block.phis.iter().enumerate() {
                 let result = f.phi_result(b, k);
-                if dead.contains(&result) {
+                if dead[result.index()] {
                     continue;
                 }
                 // A phi used only by itself (self-loop) with no other
                 // uses is dead too.
                 let self_uses = phi.args.iter().filter(|(_, v)| *v == result).count();
-                if uses.get(&result).copied().unwrap_or(0) == self_uses {
-                    dead.insert(result);
+                if uses[result.index()] as usize == self_uses {
+                    dead[result.index()] = true;
+                    rw.delete_phis.push((b, k));
                     changed = true;
                     for (_, v) in &phi.args {
-                        if let Some(c) = uses.get_mut(v) {
-                            *c -= 1;
-                        }
+                        uses[v.index()] -= 1;
                     }
                 }
             }
         }
     }
-    if dead.is_empty() {
-        return 0;
-    }
-    let mut rw = Rewrite::default();
-    for &v in &dead {
-        match f.value(v).def {
-            Def::Instr(b, k) => rw.delete_instrs.push((b, k as usize)),
-            Def::Phi(b, k) => rw.delete_phis.push((b, k as usize)),
-            _ => {}
-        }
-    }
     let removed = rw.delete_instrs.len() + rw.delete_phis.len();
-    *f = compact(f, &rw);
+    if removed > 0 {
+        compact(f, &rw);
+    }
     removed
 }

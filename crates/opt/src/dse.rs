@@ -238,6 +238,6 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> DseSt
         delete_instrs: dead.into_iter().collect(),
         ..Rewrite::default()
     };
-    *f = compact(f, &rw);
+    compact(f, &rw);
     stats
 }

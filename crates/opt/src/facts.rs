@@ -1,13 +1,20 @@
-//! The per-function fact context the passes share.
+//! The fact context the passes share.
 //!
 //! Every fact here is a pure function of one version of one function:
 //! its CFG, dominator tree, exception-edge map, and alias + escape
 //! results. Each is computed on first use and then borrowed by every
 //! later pass that needs it. A pass that changes the function makes
-//! the whole context stale, so the round loop drops it (a fresh
-//! `Facts::default()`) whenever a pass reports a removal; a pass that
+//! the whole context stale, so the round loop calls
+//! [`Facts::invalidate`] whenever a pass reports a removal; a pass that
 //! reports none leaves the function untouched, and the facts stay
 //! valid for the next pass.
+//!
+//! One context serves a whole module: [`crate::optimize`] invalidates
+//! it before each function. Invalidation keeps the CFG's and the
+//! dominator tree's buffers, and the next use rebuilds them in place
+//! ([`Cfg::rebuild`], [`DomTree::rebuild`]), so the graphs of every
+//! function version allocate only when a function outgrows the
+//! largest one before it.
 
 use crate::fixup;
 use safetsa_analysis::{alias, escape, AliasAnalysis, EscapeAnalysis};
@@ -16,7 +23,7 @@ use safetsa_core::dom::DomTree;
 use safetsa_core::function::Function;
 use safetsa_core::types::TypeTable;
 use safetsa_core::value::BlockId;
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 
 /// Lazily computed facts about one version of a function. Every
@@ -28,18 +35,43 @@ pub(crate) struct Facts {
     dom: OnceCell<DomTree>,
     exc_targets: OnceCell<HashMap<(BlockId, usize), BlockId>>,
     heap: OnceCell<(AliasAnalysis, EscapeAnalysis)>,
+    /// The graphs of an earlier version, kept for their buffers.
+    spare_cfg: Cell<Cfg>,
+    spare_dom: Cell<DomTree>,
 }
 
 impl Facts {
+    /// Forgets every fact, keeping the graph buffers: the function
+    /// changed, or the context moves on to another function.
+    pub(crate) fn invalidate(&mut self) {
+        if let Some(Some(cfg)) = self.cfg.take() {
+            self.spare_cfg.set(cfg);
+        }
+        if let Some(dom) = self.dom.take() {
+            self.spare_dom.set(dom);
+        }
+        self.exc_targets.take();
+        self.heap.take();
+    }
+
     /// The CFG, or `None` when the CST is malformed (the passes then
     /// leave the function alone and the verifier reports it).
     pub(crate) fn cfg(&self, f: &Function) -> Option<&Cfg> {
-        self.cfg.get_or_init(|| Cfg::build(f).ok()).as_ref()
+        self.cfg
+            .get_or_init(|| {
+                let mut cfg = self.spare_cfg.take();
+                cfg.rebuild(f).ok().map(|()| cfg)
+            })
+            .as_ref()
     }
 
     /// The dominator tree.
     pub(crate) fn dom(&self, cfg: &Cfg) -> &DomTree {
-        self.dom.get_or_init(|| DomTree::build(cfg))
+        self.dom.get_or_init(|| {
+            let mut dom = self.spare_dom.take();
+            dom.rebuild(cfg);
+            dom
+        })
     }
 
     /// Each exceptional instruction in a `try` region, mapped to its

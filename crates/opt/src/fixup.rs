@@ -2,26 +2,25 @@
 //! some exception edges disappear and handler phis must drop the
 //! corresponding arguments.
 
+use crate::facts::Facts;
 use safetsa_core::cfg::{Cfg, EdgeKind};
 use safetsa_core::function::Function;
 use safetsa_core::value::BlockId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Retains only phi arguments whose predecessor edge still exists.
-/// Call after a rewrite that deleted exceptional instructions.
-pub fn prune_phi_args(f: &mut Function) {
-    let cfg = match Cfg::build(f) {
-        Ok(c) => c,
-        Err(_) => return, // verification will report it
+/// Call after a rewrite that deleted exceptional instructions; `facts`
+/// is invalidated first, and afterwards holds the rewritten function's
+/// CFG (pruning phi arguments leaves the CFG as it is).
+pub(crate) fn prune_phi_args(f: &mut Function, facts: &mut Facts) {
+    facts.invalidate();
+    let Some(cfg) = facts.cfg(f) else {
+        return; // verification will report it
     };
-    for bi in 0..f.blocks.len() {
-        let b = BlockId(bi as u32);
-        if f.blocks[bi].phis.is_empty() {
-            continue;
-        }
-        let preds: HashSet<BlockId> = cfg.preds_of(b).iter().map(|e| e.from).collect();
-        for phi in &mut f.blocks[bi].phis {
-            phi.args.retain(|(p, _)| preds.contains(p));
+    for (bi, block) in f.blocks.iter_mut().enumerate() {
+        let preds = cfg.preds_of(BlockId(bi as u32));
+        for phi in &mut block.phis {
+            phi.args.retain(|(p, _)| preds.iter().any(|e| e.from == *p));
         }
     }
 }

@@ -221,7 +221,7 @@ impl Pass {
     /// Runs the pass on `f` in place, borrowing whatever facts it
     /// needs from `facts`; returns its share of the function's
     /// [`OptStats`].
-    fn apply(self, types: &TypeTable, f: &mut Function, facts: &Facts) -> OptStats {
+    fn apply(self, types: &TypeTable, f: &mut Function, facts: &mut Facts) -> OptStats {
         let mut s = OptStats::default();
         match self {
             Pass::ConstProp => s.removed_by_constprop = constprop::apply(types, f),
@@ -279,13 +279,22 @@ fn count_checks(f: &Function) -> (usize, usize) {
 /// The passes of one function version share one fact context: its CFG,
 /// dominator tree, exception-edge map and alias/escape results are
 /// built on first use, and any pass that removes something drops them
-/// all. A pass that already ran clean on the current version is not
+/// all (the graphs keep their buffers and are rebuilt in place). A
+/// pass that already ran clean on the current version is not
 /// run again; the statistics it recorded then are added again
 /// instead. Both rest on the same invariant, which debug builds
 /// assert: a pass that reports no removals leaves the function
 /// unchanged. The replay is exact because every pass is a
 /// deterministic function of the type table and the function.
 pub fn optimize_function(types: &TypeTable, f: &mut Function, passes: Passes) -> OptStats {
+    optimize_in(types, f, passes, &mut Facts::default())
+}
+
+/// [`optimize_function`] with the fact context `facts`, which may hold
+/// facts of another function: they are dropped first, and only the
+/// graph buffers carry over.
+fn optimize_in(types: &TypeTable, f: &mut Function, passes: Passes, facts: &mut Facts) -> OptStats {
+    facts.invalidate();
     let (null_checks_before, index_checks_before) = count_checks(f);
     let mut stats = OptStats {
         instrs_before: f.instr_count(),
@@ -295,7 +304,6 @@ pub fn optimize_function(types: &TypeTable, f: &mut Function, passes: Passes) ->
         ..OptStats::default()
     };
     let pipeline = passes.pipeline();
-    let mut facts = Facts::default();
     // What each pass recorded when it last ran clean on the current
     // version of `f`.
     let mut clean: Vec<Option<OptStats>> = vec![None; pipeline.len()];
@@ -306,7 +314,7 @@ pub fn optimize_function(types: &TypeTable, f: &mut Function, passes: Passes) ->
                 Some(recorded) => recorded,
                 None => {
                     let before = cfg!(debug_assertions).then(|| f.clone());
-                    let ran = pass.apply(types, f, &facts);
+                    let ran = pass.apply(types, f, facts);
                     if let Some(before) = before {
                         assert!(
                             ran.removed() > 0 || f.bit_eq(&before),
@@ -320,7 +328,7 @@ pub fn optimize_function(types: &TypeTable, f: &mut Function, passes: Passes) ->
             stats.add(&ran);
             if ran.removed() > 0 {
                 changed = true;
-                facts = Facts::default();
+                facts.invalidate();
                 clean.fill(None);
             } else {
                 clean[i] = Some(ran);
@@ -343,8 +351,9 @@ pub fn optimize_module(m: &mut Module) -> OptStats {
 }
 
 /// The canonical entry point: optimizes every function of a module in
-/// place with the selected passes (one [`optimize_function`] call per
-/// function, with no copy of the function), and — when the registry
+/// place with the selected passes (what [`optimize_function`] does per
+/// function, with no copy of the function and one fact context for the
+/// whole module), and — when the registry
 /// is enabled — records the optimization wall time
 /// (`opt.optimize_ns`) and the exact quantities behind the paper's
 /// Tables 1–3: instruction/phi counts before and after, per-pass
@@ -362,8 +371,9 @@ pub fn optimize_module(m: &mut Module) -> OptStats {
 pub fn optimize(m: &mut Module, passes: Passes, tm: &Telemetry) -> OptStats {
     let stats = tm.time("opt.optimize_ns", || {
         let mut total = OptStats::default();
+        let mut facts = Facts::default();
         for f in &mut m.functions {
-            total.add(&optimize_function(&m.types, f, passes));
+            total.add(&optimize_in(&m.types, f, passes, &mut facts));
         }
         #[cfg(debug_assertions)]
         if let Err(e) = safetsa_core::verify::verify_module(m) {

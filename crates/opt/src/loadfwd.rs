@@ -164,29 +164,30 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> LoadF
         }
 
         fn visit(&mut self, b: BlockId, facts_in: &HashMap<Loc, (ValueId, Src)>) {
-            let mut facts = facts_in.clone();
             // Merge points drop everything (the conservative heap phi,
             // like CSE's fresh `Mem` epoch), and so do handler
             // entries: an exception edge leaves its source block
             // mid-flight, before the facts at its end held.
             let preds = self.cfg.preds_of(b);
-            if preds.len() != 1
+            let mut facts = if preds.len() != 1
                 || preds
                     .iter()
                     .any(|e| matches!(e.kind, EdgeKind::Exception { .. }))
             {
-                facts.clear();
-            }
+                HashMap::new()
+            } else {
+                facts_in.clone()
+            };
             let n = self.f.block(b).instrs.len();
             for k in 0..n {
                 // Resolve operands through earlier substitutions so
                 // chained forwards collapse in one pass.
-                let mut instr = self.f.block(b).instrs[k].clone();
-                let rwref = &self.rw;
-                instr.map_operands(|v| rwref.resolve(v));
-                match &instr {
+                let f = self.f;
+                let instr = &f.block(b).instrs[k];
+                let r = |v: ValueId| self.rw.resolve(v);
+                match instr {
                     Instr::GetField { object, field, .. } => {
-                        let key = Loc::Field(origin(self.f, *object), *field);
+                        let key = Loc::Field(origin(f, r(*object)), *field);
                         self.load(b, k, key, &mut facts);
                     }
                     Instr::GetStatic { field } => {
@@ -197,7 +198,7 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> LoadF
                         array,
                         index,
                     } => {
-                        let key = Loc::Elt(*arr_ty, origin(self.f, *array), *index);
+                        let key = Loc::Elt(*arr_ty, origin(f, r(*array)), r(*index));
                         self.load(b, k, key, &mut facts);
                     }
                     Instr::SetField {
@@ -206,7 +207,8 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> LoadF
                         value,
                         ..
                     } => {
-                        let obase = origin(self.f, *object);
+                        let obase = origin(f, r(*object));
+                        let value = r(*value);
                         let fld = *field;
                         let al = self.al;
                         // A store to `o.f` kills same-field facts for
@@ -219,12 +221,12 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> LoadF
                             }
                             _ => true,
                         });
-                        facts.insert(Loc::Field(obase, fld), (*value, Src::Store));
+                        facts.insert(Loc::Field(obase, fld), (value, Src::Store));
                     }
                     Instr::SetStatic { field, value } => {
                         // Distinct static fields are distinct absolute
                         // locations; only the stored one changes.
-                        facts.insert(Loc::Static(*field), (*value, Src::Store));
+                        facts.insert(Loc::Static(*field), (r(*value), Src::Store));
                     }
                     Instr::SetElt {
                         arr_ty,
@@ -232,7 +234,8 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> LoadF
                         index,
                         value,
                     } => {
-                        let abase = origin(self.f, *array);
+                        let abase = origin(f, r(*array));
+                        let (index, value) = (r(*index), r(*value));
                         let ty = *arr_ty;
                         let al = self.al;
                         // Element stores kill facts for may-aliasing
@@ -243,7 +246,7 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> LoadF
                             Loc::Elt(t2, b2, _) if *t2 == ty => !al.may_alias(*b2, abase),
                             _ => true,
                         });
-                        facts.insert(Loc::Elt(ty, abase, *index), (*value, Src::Store));
+                        facts.insert(Loc::Elt(ty, abase, index), (value, Src::Store));
                     }
                     Instr::XCall { .. } | Instr::XDispatch { .. } => {
                         // The callee may write any static and any
@@ -323,7 +326,7 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> LoadF
     }
     let Walker { rw, stats, .. } = w;
     if !rw.is_empty() {
-        *f = compact(f, &rw);
+        compact(f, &rw);
     }
     stats
 }

@@ -26,27 +26,38 @@ pub struct Layout {
     total: Vec<usize>,
 }
 
+/// The classes `0..n` ordered so that each comes after its superclass
+/// (`superclass(i)`), found with an explicit stack: the walk's depth
+/// does not grow with the depth of the hierarchy. Each class is visited
+/// once. Superclass chains must be acyclic.
+pub fn parent_first(n: usize, superclass: impl Fn(usize) -> Option<usize>) -> Vec<usize> {
+    let mut placed = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    // A class and its unplaced ancestors, nearest first.
+    let mut chain = Vec::new();
+    for i in 0..n {
+        let mut cur = Some(i);
+        while let Some(c) = cur.filter(|&c| !placed[c]) {
+            placed[c] = true;
+            chain.push(c);
+            cur = superclass(c);
+        }
+        order.extend(chain.drain(..).rev());
+    }
+    order
+}
+
 impl Layout {
     /// Computes the layout for `shapes` (indices must be closed under
-    /// `superclass`).
+    /// `superclass`, and chains acyclic), each class from its
+    /// superclass's finished layout.
     pub fn build(shapes: &[ClassShape]) -> Layout {
         let n = shapes.len();
-        let mut base = vec![usize::MAX; n];
-        let mut total = vec![usize::MAX; n];
-        fn fill(i: usize, shapes: &[ClassShape], base: &mut [usize], total: &mut [usize]) -> usize {
-            if total[i] != usize::MAX {
-                return total[i];
-            }
-            let b = match shapes[i].superclass {
-                Some(s) => fill(s, shapes, base, total),
-                None => 0,
-            };
-            base[i] = b;
-            total[i] = b + shapes[i].instance_fields;
-            total[i]
-        }
-        for i in 0..n {
-            fill(i, shapes, &mut base, &mut total);
+        let mut base = vec![0; n];
+        let mut total = vec![0; n];
+        for i in parent_first(n, |i| shapes[i].superclass) {
+            base[i] = shapes[i].superclass.map_or(0, |s| total[s]);
+            total[i] = base[i] + shapes[i].instance_fields;
         }
         Layout { base, total }
     }
@@ -153,6 +164,20 @@ mod tests {
         let l = Layout::build(&shapes);
         assert_eq!(l.instance_size(0), 3);
         assert_eq!(l.field_slot(0, 0), 2);
+    }
+
+    #[test]
+    fn parent_first_places_every_class_after_its_superclass() {
+        // 0 extends 2 extends 1; 3 extends 1.
+        let sup = [Some(2), None, Some(1), Some(1)];
+        let order = parent_first(4, |i| sup[i]);
+        assert_eq!(order, vec![1, 2, 0, 3]);
+        let pos = |c: usize| order.iter().position(|&o| o == c).unwrap();
+        for (c, s) in sup.iter().enumerate() {
+            if let Some(s) = s {
+                assert!(pos(*s) < pos(c));
+            }
+        }
     }
 
     #[test]

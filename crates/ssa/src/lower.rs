@@ -180,13 +180,13 @@ impl<'a> Lower<'a> {
         class: hir::ClassIdx,
         method: hir::MethodIdx,
     ) -> Result<(Function, FnStats), LowerError> {
-        let body = self
-            .prog
+        // Borrowed through the program reference, not through `self`.
+        let prog = self.prog;
+        let body = prog
             .method(class, method)
             .body
             .as_ref()
-            .expect("checked in new")
-            .clone();
+            .expect("checked in new");
         let mut out = vec![Cst::Basic(ENTRY)];
         self.stmts(&body.stmts, &mut out)?;
         if self.live && self.f.ret.is_none() {
@@ -356,26 +356,27 @@ impl<'a> Lower<'a> {
             }
         }
         if incoming.len() == 1 {
-            self.defs = incoming[0].1.clone();
+            self.defs.clone_from(&incoming[0].1);
             return;
         }
         let n = self.defs.len();
-        let mut merged: Defs = vec![None; n];
+        let mut merged = std::mem::take(&mut self.defs);
+        merged.clear();
+        merged.resize(n, None);
         for (slot, m) in merged.iter_mut().enumerate() {
-            let vals: Vec<Option<ValueId>> = incoming.iter().map(|(_, d)| d[slot]).collect();
-            if vals.iter().any(|v| v.is_none()) {
+            let Some(first) = incoming[0].1[slot] else {
+                continue;
+            };
+            if incoming.iter().any(|(_, d)| d[slot].is_none()) {
                 continue;
             }
-            if entry.is_none() {
+            let all_same = incoming.iter().all(|(_, d)| d[slot] == Some(first));
+            if entry.is_none() && !all_same {
                 // No entry snapshot: approximate the naive count by the
                 // slots that actually differ.
-                let f0 = vals[0];
-                if !vals.iter().all(|v| *v == f0) {
-                    self.stats.phis_candidate += 1;
-                }
+                self.stats.phis_candidate += 1;
             }
-            let first = vals[0].unwrap();
-            if vals.iter().all(|v| *v == Some(first)) {
+            if all_same {
                 *m = Some(first);
             } else {
                 let ty = self.local_planes[slot];

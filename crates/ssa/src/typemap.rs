@@ -8,7 +8,9 @@
 use safetsa_core::types::{
     ClassId, ClassInfo, FieldInfo, MethodInfo, MethodKind as CoreMethodKind, TypeId, TypeTable,
 };
+use safetsa_frontend::builtins;
 use safetsa_frontend::hir::{self, MethodKind, PrimTy, Program, Ty};
+use std::sync::{Arc, OnceLock};
 
 /// The realized mapping.
 #[derive(Debug)]
@@ -60,63 +62,121 @@ pub fn prim(p: PrimTy) -> safetsa_core::types::PrimKind {
     }
 }
 
+/// The core metadata of the builtin classes, built once per process.
+/// Builtins come first in every program and their members reference
+/// only primitive planes and builtin classes, so their metadata is the
+/// same in every type table and every table shares it.
+struct Host {
+    /// The builtin classes this metadata describes.
+    classes: Vec<Arc<hir::Class>>,
+    /// Their core metadata, in the same order.
+    infos: Vec<Arc<ClassInfo>>,
+}
+
+fn host() -> &'static Host {
+    static HOST: OnceLock<Host> = OnceLock::new();
+    HOST.get_or_init(|| {
+        let prog = builtins::standard();
+        let mut types = TypeTable::new();
+        let map = declare(&mut types, &prog, &[]);
+        let planes = types.len();
+        let infos = prog
+            .classes
+            .iter()
+            .map(|c| Arc::new(class_info(&mut types, &map, c)))
+            .collect();
+        // A plane interned here would get another id in a table with
+        // user classes, so shared metadata must not name one.
+        assert_eq!(
+            types.len(),
+            planes,
+            "builtin members reference only primitive and builtin planes"
+        );
+        Host {
+            infos,
+            classes: prog.classes,
+        }
+    })
+}
+
+/// Declares every class of `prog`: a class whose metadata `shared`
+/// holds gets that, every other class an empty record that
+/// [`class_info`] replaces.
+fn declare(types: &mut TypeTable, prog: &Program, shared: &[Arc<ClassInfo>]) -> TypeMap {
+    let class_ty = (0..prog.classes.len())
+        .map(|idx| match shared.get(idx) {
+            Some(info) => types.declare_class(Arc::clone(info)).1,
+            None => {
+                types
+                    .declare_class(ClassInfo {
+                        name: String::new(),
+                        superclass: None,
+                        fields: vec![],
+                        methods: vec![],
+                        imported: false,
+                    })
+                    .1
+            }
+        })
+        .collect();
+    TypeMap { class_ty }
+}
+
+/// The core metadata of class `c`.
+fn class_info(types: &mut TypeTable, map: &TypeMap, c: &hir::Class) -> ClassInfo {
+    let fields = c
+        .fields
+        .iter()
+        .map(|f| FieldInfo {
+            name: f.name.clone(),
+            ty: map.ty(types, &f.ty),
+            is_static: f.is_static,
+        })
+        .collect();
+    let methods = c
+        .methods
+        .iter()
+        .map(|m| MethodInfo {
+            name: m.name.clone(),
+            params: m.params.iter().map(|p| map.ty(types, p)).collect(),
+            ret: map.ret_ty(types, &m.ret),
+            kind: match m.kind {
+                MethodKind::Static => CoreMethodKind::Static,
+                MethodKind::Virtual => CoreMethodKind::Virtual,
+                MethodKind::Special => CoreMethodKind::Special,
+            },
+            vtable_slot: m.vtable_slot.map(|s| s as u32),
+            body: None,
+        })
+        .collect();
+    ClassInfo {
+        name: c.name.clone(),
+        superclass: c.superclass.map(|s| map.class_id(s)),
+        fields,
+        methods,
+        imported: c.is_builtin,
+    }
+}
+
 /// Builds the type table for `prog` (classes only; function bodies are
-/// attached by the lowering driver).
+/// attached by the lowering driver). The builtin classes share their
+/// metadata with every other table of the process.
 pub fn build(prog: &Program) -> (TypeTable, TypeMap) {
     let mut types = TypeTable::new();
+    // The leading classes that are the process's builtins.
+    let host = host();
+    let shared = host
+        .classes
+        .iter()
+        .zip(&prog.classes)
+        .take_while(|(h, c)| Arc::ptr_eq(h, c))
+        .count();
     // Pre-declare every class so forward superclass references resolve.
-    let mut class_ty = Vec::with_capacity(prog.classes.len());
-    for c in &prog.classes {
-        let (_, ty) = types.declare_class(ClassInfo {
-            name: c.name.clone(),
-            superclass: None,
-            fields: vec![],
-            methods: vec![],
-            imported: c.is_builtin,
-        });
-        class_ty.push(ty);
-    }
-    let map = TypeMap { class_ty };
+    let map = declare(&mut types, prog, &host.infos[..shared]);
     // Fill superclasses and members.
-    for (idx, c) in prog.classes.iter().enumerate() {
-        let superclass = c.superclass.map(|s| map.class_id(s));
-        let fields: Vec<FieldInfo> = c
-            .fields
-            .iter()
-            .map(|f| {
-                let ty = map.ty(&mut types, &f.ty);
-                FieldInfo {
-                    name: f.name.clone(),
-                    ty,
-                    is_static: f.is_static,
-                }
-            })
-            .collect();
-        let methods: Vec<MethodInfo> = c
-            .methods
-            .iter()
-            .map(|m| {
-                let params = m.params.iter().map(|p| map.ty(&mut types, p)).collect();
-                let ret = map.ret_ty(&mut types, &m.ret);
-                MethodInfo {
-                    name: m.name.clone(),
-                    params,
-                    ret,
-                    kind: match m.kind {
-                        MethodKind::Static => CoreMethodKind::Static,
-                        MethodKind::Virtual => CoreMethodKind::Virtual,
-                        MethodKind::Special => CoreMethodKind::Special,
-                    },
-                    vtable_slot: m.vtable_slot.map(|s| s as u32),
-                    body: None,
-                }
-            })
-            .collect();
-        let id = map.class_id(idx);
-        let info = types.class_mut(id);
-        info.superclass = superclass;
-        info.fields = fields;
-        info.methods = methods;
+    for (idx, c) in prog.classes.iter().enumerate().skip(shared) {
+        let info = class_info(&mut types, &map, c);
+        *types.class_mut(map.class_id(idx)) = info;
     }
     // Every class gets a safe-ref plane eagerly: receivers live there.
     for idx in 0..prog.classes.len() {

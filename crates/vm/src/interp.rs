@@ -5,7 +5,7 @@
 use safetsa_core::module::{FuncId, Module};
 use safetsa_core::types::{ClassId, PrimKind, TypeId, TypeKind};
 use safetsa_rt::heap::Obj;
-use safetsa_rt::layout::{ClassShape, Layout, Statics};
+use safetsa_rt::layout::{parent_first, ClassShape, Layout, Statics};
 use safetsa_rt::{Heap, HeapRef, Output, Trap, Value};
 use safetsa_telemetry::{Json, Telemetry};
 use std::collections::{BTreeMap, HashMap};
@@ -357,20 +357,18 @@ impl<'m> Vm<'m> {
             .collect();
         let layout = Layout::build(&shapes);
         let statics = Statics::build(&shapes);
-        // Vtables: parents before children via recursion.
-        let mut vtables: Vec<Option<Vec<(ClassId, u32)>>> = vec![None; n];
-        fn build_vtable(
-            i: usize,
-            types: &safetsa_core::TypeTable,
-            vtables: &mut Vec<Option<Vec<(ClassId, u32)>>>,
-        ) -> Vec<(ClassId, u32)> {
-            if let Some(v) = &vtables[i] {
-                return v.clone();
-            }
+        // Vtables and flattened instance-field defaults, each class's
+        // from its superclass's finished ones.
+        let mut vtables: Vec<Vec<(ClassId, u32)>> = vec![Vec::new(); n];
+        let mut field_defaults: Vec<Vec<Value>> = vec![Vec::new(); n];
+        for i in parent_first(n, |i| shapes[i].superclass) {
             let c = types.class(ClassId(i as u32));
-            let mut table = match c.superclass {
-                Some(s) => build_vtable(s.index(), types, vtables),
-                None => Vec::new(),
+            let (mut table, mut flat) = match c.superclass {
+                Some(s) => (
+                    vtables[s.index()].clone(),
+                    field_defaults[s.index()].clone(),
+                ),
+                None => (Vec::new(), Vec::new()),
             };
             for (mi, m) in c.methods.iter().enumerate() {
                 if let Some(slot) = m.vtable_slot {
@@ -381,32 +379,14 @@ impl<'m> Vm<'m> {
                     table[slot] = (ClassId(i as u32), mi as u32);
                 }
             }
-            vtables[i] = Some(table.clone());
-            table
-        }
-        for i in 0..n {
-            build_vtable(i, types, &mut vtables);
-        }
-        let vtables: Vec<Vec<(ClassId, u32)>> =
-            vtables.into_iter().map(|v| v.expect("built")).collect();
-        // Flattened field defaults.
-        let mut field_defaults = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut flat: Vec<Value> = Vec::new();
-            let mut chain = Vec::new();
-            let mut cur = Some(ClassId(i as u32));
-            while let Some(c) = cur {
-                chain.push(c);
-                cur = types.class(c).superclass;
-            }
-            for c in chain.into_iter().rev() {
-                for f in &types.class(c).fields {
-                    if !f.is_static {
-                        flat.push(default_value(types, f.ty));
-                    }
-                }
-            }
-            field_defaults.push(flat);
+            flat.extend(
+                c.fields
+                    .iter()
+                    .filter(|f| !f.is_static)
+                    .map(|f| default_value(types, f.ty)),
+            );
+            vtables[i] = table;
+            field_defaults[i] = flat;
         }
         let mut vm = Vm {
             module,

@@ -4,7 +4,9 @@
 //! encoded `.tsa` bytes and every non-timer metric must be identical
 //! whether the corpus is compiled on one worker or eight, and a
 //! warm-cache run must replay the *exact* artifacts and registries the
-//! cold run produced.
+//! cold run produced. Likewise, nothing one compile leaves behind in the
+//! process (the shared builtin classes, reused buffers) may change the
+//! next one.
 
 use safetsa::batch::{run_batch, BatchInput, BatchOptions};
 use safetsa::driver::passes_fingerprint;
@@ -51,6 +53,39 @@ fn deterministic_flat(tm: &Telemetry) -> String {
         .filter(|l| !l.starts_with("t ") && !l.starts_with("c driver.jobs "))
         .collect::<Vec<_>>()
         .join("\n")
+}
+
+/// Sources that fail at different stages, after the builtins and the
+/// front end's buffers are in use.
+const FAILING: [&str; 3] = [
+    "class Bad { static int f() { return 1 + ; } }",
+    "class Bad extends Object { int g() { return this.missing; } }",
+    "class Bad { static int f(int x) { String s = x; return 0; } }",
+];
+
+#[test]
+fn repeated_compiles_in_one_process_are_byte_identical() {
+    let compile = |src: &str| {
+        let pipeline = Pipeline::new();
+        pipeline
+            .compile_source(src)
+            .and_then(|m| pipeline.encode(&m))
+    };
+    let corpus = safetsa_bench::corpus();
+    let first: Vec<Vec<u8>> = corpus
+        .iter()
+        .map(|p| compile(p.source).unwrap_or_else(|e| panic!("{}: {e}", p.name)))
+        .collect();
+    for (i, (p, tsa)) in corpus.iter().zip(&first).enumerate().rev() {
+        let bad = FAILING[i % FAILING.len()];
+        assert!(compile(bad).is_err(), "{bad} compiled");
+        let again = compile(p.source).unwrap_or_else(|e| panic!("{}: {e}", p.name));
+        assert!(
+            again == *tsa,
+            "{}: the second compile in this process differs from the first",
+            p.name
+        );
+    }
 }
 
 #[test]

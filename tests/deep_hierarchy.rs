@@ -1,0 +1,75 @@
+//! A deep class hierarchy costs the consumer linear time and a bounded
+//! stack. The stream below declares a chain of 20,000 empty classes,
+//! each extending the next one declared, the last one `Object`: about
+//! 45 KB, small enough for one serve request. Decoding, verifying and
+//! loading it must finish well inside a time bound on a thread with a
+//! 256 KiB stack.
+//!
+//! Before the decoder's superclass-cycle check marked each class once
+//! and `Vm::load` built vtables, layouts and field defaults parent-first
+//! from the parent's finished result, the check walked every class's
+//! whole chain (1.49 s in a release build) and the loader walked it
+//! again and recursed once per ancestor (2.15 s more, and a stack
+//! overflow on a small stack).
+
+use safetsa_codec::bits::BitWriter;
+use safetsa_codec::layout::{MAGIC, VERSION};
+use safetsa_codec::{decode_and_verify, HostEnv};
+use safetsa_vm::Vm;
+use std::time::{Duration, Instant};
+
+/// Classes in the chain.
+const DEPTH: u32 = 20_000;
+
+/// The chain as a module stream: class `h + k` extends class
+/// `h + k + 1`, so every child is declared before its parent.
+fn chain_stream(host: &HostEnv) -> Vec<u8> {
+    let h = host.types.class_count() as u32;
+    let n = h + DEPTH;
+    let mut w = BitWriter::new();
+    w.bits(u64::from(MAGIC), 32);
+    w.bits(u64::from(VERSION), 8);
+    w.string("deep");
+    w.gamma(u64::from(n));
+    w.gamma(u64::from(h));
+    for k in 0..DEPTH {
+        w.string("");
+        let sup = if k + 1 < DEPTH {
+            h + k + 1
+        } else {
+            host.well_known.object.0
+        };
+        w.symbol(sup, n);
+        w.gamma(0); // fields
+        w.gamma(0); // methods
+    }
+    w.into_bytes()
+}
+
+#[test]
+fn deep_superclass_chain_loads_in_linear_time_on_a_small_stack() {
+    let host = HostEnv::standard();
+    let stream = chain_stream(&host);
+    // A debug build runs the same walks about ten times slower.
+    let bound = Duration::from_millis(if cfg!(debug_assertions) { 3_000 } else { 300 });
+    let took = std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || {
+            let t0 = Instant::now();
+            let module = decode_and_verify(&stream, &host).expect("the chain decodes and verifies");
+            assert_eq!(
+                module.types.class_count(),
+                host.types.class_count() + DEPTH as usize
+            );
+            let vm = Vm::load(&module).expect("the chain loads");
+            drop(vm);
+            t0.elapsed()
+        })
+        .expect("spawn the small-stack thread")
+        .join()
+        .expect("decode, verify and load finish without panicking");
+    assert!(
+        took < bound,
+        "decode, verify and load of a {DEPTH}-deep chain took {took:?}; the bound is {bound:?}"
+    );
+}
