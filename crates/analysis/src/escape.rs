@@ -32,14 +32,16 @@
 //! Consumers: `opt::loadfwd` keeps `(site, field)` facts alive across
 //! calls when every site of the base is `NoEscape` (the callee cannot
 //! possibly obtain the reference, so it cannot write the field);
-//! `opt::dse` deletes stores to `NoEscape` sites never read again; the
-//! [`crate::lint`]er surfaces the same facts as heap diagnostics.
+//! `opt::dse` deletes the stores [`never_read_stores`] finds, and the
+//! [`crate::lint`]er reports the same stores and surfaces the other
+//! facts as heap diagnostics.
 
 use crate::alias::{AliasAnalysis, AllocSite};
 use safetsa_core::cfg::Cfg;
 use safetsa_core::function::Function;
 use safetsa_core::instr::Instr;
-use safetsa_core::value::ValueId;
+use safetsa_core::types::{FieldRef, TypeId};
+use safetsa_core::value::{BlockId, ValueId};
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 
@@ -165,4 +167,64 @@ pub fn analyze(f: &Function, cfg: &Cfg, alias: &AliasAnalysis) -> EscapeAnalysis
     }
 
     EscapeAnalysis { states }
+}
+
+/// The stores in `f` that nothing can read back, as (block, instruction
+/// index) pairs in order: dead-store elimination's never-read rule
+/// deletes exactly these, and the [`crate::lint`]er reports them as
+/// `never-read-store`.
+///
+/// A `setfield` (`setelt`) qualifies when its base's points-to set is
+/// complete and all `NoEscape`, and no `getfield` of the same field
+/// (`getelt` of the same array type) in `f` may read through any of
+/// those sites. A `NoEscape` site has no reference outside `f`'s SSA
+/// values, and by the escape lemma an external-tainted load base never
+/// denotes one, so intersecting site sets is the exact observer test.
+pub fn never_read_stores(
+    f: &Function,
+    alias: &AliasAnalysis,
+    esc: &EscapeAnalysis,
+) -> Vec<(BlockId, usize)> {
+    // Per field and per element type, the union of the sites any load's
+    // base may denote.
+    let mut field_reads: HashMap<FieldRef, BTreeSet<AllocSite>> = HashMap::new();
+    let mut elt_reads: HashMap<TypeId, BTreeSet<AllocSite>> = HashMap::new();
+    for block in &f.blocks {
+        for instr in &block.instrs {
+            match instr {
+                Instr::GetField { object, field, .. } => {
+                    field_reads
+                        .entry(*field)
+                        .or_default()
+                        .extend(alias.possible_sites(*object));
+                }
+                Instr::GetElt { arr_ty, array, .. } => {
+                    elt_reads
+                        .entry(*arr_ty)
+                        .or_default()
+                        .extend(alias.possible_sites(*array));
+                }
+                _ => {}
+            }
+        }
+    }
+    let unread = |base: ValueId, reads: Option<&BTreeSet<AllocSite>>| {
+        alias.sites_of(base).is_some_and(|sites| {
+            esc.all_no_escape(sites) && reads.is_none_or(|r| sites.iter().all(|s| !r.contains(s)))
+        })
+    };
+    let mut stores = Vec::new();
+    for (bi, block) in f.blocks.iter().enumerate() {
+        for (k, instr) in block.instrs.iter().enumerate() {
+            let never_read = match instr {
+                Instr::SetField { object, field, .. } => unread(*object, field_reads.get(field)),
+                Instr::SetElt { arr_ty, array, .. } => unread(*array, elt_reads.get(arr_ty)),
+                _ => false,
+            };
+            if never_read {
+                stores.push((BlockId(bi as u32), k));
+            }
+        }
+    }
+    stores
 }

@@ -234,13 +234,11 @@ pub fn lint_function(types: &TypeTable, f: &Function) -> Vec<Diagnostic> {
 /// the same facts that power `opt`'s load forwarding and dead-store
 /// elimination, surfaced as diagnostics:
 ///
-/// * `never-read-store` (warning): a store through a base whose
-///   points-to set is complete, non-empty, and all-`NoEscape`, to a
-///   field (or array element type) that no load in the function can
-///   address through any of those sites. By the escape lemma nothing
-///   outside the function holds a reference either, so the stored
-///   value is unobservable; dead-store elimination will drop it.
-/// * `never-written-load` (warning): a load through such a base of a
+/// * `never-read-store` (warning): a store that no execution can
+///   observe, exactly those dead-store elimination deletes by its
+///   never-read rule ([`escape::never_read_stores`]).
+/// * `never-written-load` (warning): a load through a base whose
+///   points-to set is complete, non-empty, and all-`NoEscape`, of a
 ///   field (or array element type) that no store in the function can
 ///   reach through any of those sites — the load always yields the
 ///   location's default value.
@@ -251,27 +249,36 @@ pub fn lint_function(types: &TypeTable, f: &Function) -> Vec<Diagnostic> {
 fn lint_heap(types: &TypeTable, f: &Function, cfg: &Cfg, out: &mut Vec<Diagnostic>) {
     let al = alias::analyze(types, f, cfg);
     let esc = escape::analyze(f, cfg, &al);
-    // Contained = every location the base can denote is a known
-    // allocation invisible outside the function, so in-function
-    // memory operations are the only possible observers.
-    let contained = |v: ValueId| {
-        al.sites_of(v)
-            .is_some_and(|s| !s.is_empty() && esc.all_no_escape(s))
-    };
     let field_name = |r: FieldRef| {
         types
             .field(r)
             .map_or_else(|| "<unknown>".to_string(), |i| i.name.clone())
     };
 
-    // Per-field / per-element-type unions of the sites any load reads
-    // through and any store writes through. External-tainted bases
-    // contribute only their known sites: by the escape lemma the
-    // external component can never denote a `NoEscape` site, and only
-    // `NoEscape`-site locations are judged below.
-    let mut field_reads: HashMap<FieldRef, BTreeSet<alias::AllocSite>> = HashMap::new();
+    for (b, k) in escape::never_read_stores(f, &al, &esc) {
+        let message = match f.block(b).instrs[k] {
+            Instr::SetField { field, .. } => format!(
+                "field `{}` of this non-escaping object is stored but never read",
+                field_name(field)
+            ),
+            _ => "this non-escaping array is stored to but never read".to_string(),
+        };
+        out.push(Diagnostic {
+            severity: Severity::Warning,
+            kind: "never-read-store",
+            function: f.name.clone(),
+            block: b,
+            instr: Some(k),
+            message,
+        });
+    }
+
+    // Per-field / per-element-type unions of the sites any store writes
+    // through. External-tainted bases contribute only their known sites:
+    // by the escape lemma the external component can never denote a
+    // `NoEscape` site, and only `NoEscape`-site locations are judged
+    // below.
     let mut field_writes: HashMap<FieldRef, BTreeSet<alias::AllocSite>> = HashMap::new();
-    let mut elt_reads: HashMap<TypeId, BTreeSet<alias::AllocSite>> = HashMap::new();
     let mut elt_writes: HashMap<TypeId, BTreeSet<alias::AllocSite>> = HashMap::new();
     for (bi, block) in f.blocks.iter().enumerate() {
         if !cfg.reachable[bi] {
@@ -279,23 +286,11 @@ fn lint_heap(types: &TypeTable, f: &Function, cfg: &Cfg, out: &mut Vec<Diagnosti
         }
         for instr in &block.instrs {
             match instr {
-                Instr::GetField { object, field, .. } => {
-                    field_reads
-                        .entry(*field)
-                        .or_default()
-                        .extend(al.possible_sites(*object));
-                }
                 Instr::SetField { object, field, .. } => {
                     field_writes
                         .entry(*field)
                         .or_default()
                         .extend(al.possible_sites(*object));
-                }
-                Instr::GetElt { arr_ty, array, .. } => {
-                    elt_reads
-                        .entry(*arr_ty)
-                        .or_default()
-                        .extend(al.possible_sites(*array));
                 }
                 Instr::SetElt { arr_ty, array, .. } => {
                     elt_writes
@@ -307,9 +302,15 @@ fn lint_heap(types: &TypeTable, f: &Function, cfg: &Cfg, out: &mut Vec<Diagnosti
             }
         }
     }
-    let disjoint = |sites: &BTreeSet<alias::AllocSite>,
-                    seen: Option<&BTreeSet<alias::AllocSite>>| {
-        seen.is_none_or(|r| sites.iter().all(|s| !r.contains(s)))
+    // A load whose base can denote only known allocations invisible
+    // outside the function reads what in-function stores wrote, or the
+    // default if none of them reaches one of those sites.
+    let unwritten = |base: ValueId, writes: Option<&BTreeSet<alias::AllocSite>>| {
+        al.sites_of(base).is_some_and(|sites| {
+            !sites.is_empty()
+                && esc.all_no_escape(sites)
+                && writes.is_none_or(|w| sites.iter().all(|s| !w.contains(s)))
+        })
     };
 
     for (bi, block) in f.blocks.iter().enumerate() {
@@ -318,59 +319,26 @@ fn lint_heap(types: &TypeTable, f: &Function, cfg: &Cfg, out: &mut Vec<Diagnosti
             continue;
         }
         for (k, instr) in block.instrs.iter().enumerate() {
-            let (severity, kind, message) = match instr {
-                Instr::SetField { object, field, .. }
-                    if contained(*object)
-                        && disjoint(al.sites_of(*object).unwrap(), field_reads.get(field)) =>
-                {
-                    (
-                        Severity::Warning,
-                        "never-read-store",
-                        format!(
-                            "field `{}` of this non-escaping object is stored but never read",
-                            field_name(*field)
-                        ),
-                    )
-                }
-                Instr::SetElt { arr_ty, array, .. }
-                    if contained(*array)
-                        && disjoint(al.sites_of(*array).unwrap(), elt_reads.get(arr_ty)) =>
-                {
-                    (
-                        Severity::Warning,
-                        "never-read-store",
-                        "this non-escaping array is stored to but never read".to_string(),
-                    )
-                }
+            let message = match instr {
                 Instr::GetField { object, field, .. }
-                    if contained(*object)
-                        && disjoint(al.sites_of(*object).unwrap(), field_writes.get(field)) =>
+                    if unwritten(*object, field_writes.get(field)) =>
                 {
-                    (
-                        Severity::Warning,
-                        "never-written-load",
-                        format!(
-                            "field `{}` of this non-escaping object is never written; the load always yields its default value",
-                            field_name(*field)
-                        ),
+                    format!(
+                        "field `{}` of this non-escaping object is never written; the load always yields its default value",
+                        field_name(*field)
                     )
                 }
                 Instr::GetElt { arr_ty, array, .. }
-                    if contained(*array)
-                        && disjoint(al.sites_of(*array).unwrap(), elt_writes.get(arr_ty)) =>
+                    if unwritten(*array, elt_writes.get(arr_ty)) =>
                 {
-                    (
-                        Severity::Warning,
-                        "never-written-load",
-                        "this non-escaping array is never written; the load always yields zero"
-                            .to_string(),
-                    )
+                    "this non-escaping array is never written; the load always yields zero"
+                        .to_string()
                 }
                 _ => continue,
             };
             out.push(Diagnostic {
-                severity,
-                kind,
+                severity: Severity::Warning,
+                kind: "never-written-load",
                 function: f.name.clone(),
                 block: b,
                 instr: Some(k),

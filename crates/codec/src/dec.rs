@@ -23,6 +23,7 @@ use safetsa_core::types::{
     ClassId, ClassInfo, FieldInfo, FieldRef, MethodInfo, MethodKind, MethodRef, PrimKind, TypeId,
     TypeKind, TypeTable,
 };
+use safetsa_core::typing;
 use safetsa_core::value::{BlockId, Const, Literal, ValueId};
 
 /// The host environment: the implicitly generated (and therefore
@@ -370,6 +371,15 @@ fn decode_function(
     // complete control-flow graph (exception edges included) and every
     // plane's register count are known — this is what makes decoding a
     // single forward pass with context-determined symbol alphabets.
+    // Each instruction's signature is derived once, here: its result
+    // plane now, its operand planes for phase 2b.
+    let Derived {
+        cfg,
+        dom,
+        regs,
+        operand_planes,
+    } = derived;
+    operand_planes.clear();
     for b in blocks() {
         let n_phis = cap(d.r.gamma()?, "phi")?;
         d.f.blocks[b.index()].phis = reserve(n_phis, d.r);
@@ -383,8 +393,10 @@ fn decode_function(
         d.f.results[b.index()].instr_results = reserve(n_instrs, d.r);
         for _ in 0..n_instrs {
             let instr = d.read_instr_fields()?;
-            let result = crate::planes::result_plane(d.types, &instr)?;
-            d.f.add_instr_unchecked(b, instr, result);
+            let sig = typing::intern_signature(d.types, &instr)
+                .map_err(|e| DecodeError::Malformed(e.to_string()))?;
+            d.f.add_instr_unchecked(b, instr, sig.result);
+            operand_planes.push(sig.operands);
         }
     }
     // The function's one CFG, dominator tree and register files serve
@@ -393,7 +405,6 @@ fn decode_function(
     // at all (leaving the entry block out) fails that. Unreachable
     // blocks must be empty (verified again later, but needed now so
     // reference decoding never consults an unreachable block).
-    let Derived { cfg, dom, regs } = derived;
     cfg.rebuild(&d.f)
         .map_err(|e| DecodeError::Malformed(format!("control structure: {e}")))?;
     if !cfg.traversal.iter().copied().eq(blocks()) {
@@ -412,10 +423,11 @@ fn decode_function(
     dom.rebuild(cfg);
     regs.rebuild(&d.f);
     // Phase 2b: operand references.
+    let mut planes = operand_planes.iter();
     for b in blocks() {
         let n_instrs = d.f.block(b).instrs.len();
         for k in 0..n_instrs {
-            let planes = crate::planes::operand_planes(d.types, &d.f.block(b).instrs[k])?;
+            let planes = planes.next().expect("a signature per instruction");
             let mut vals = Operands::new();
             for &plane in planes.iter() {
                 let v = read_ref(d.r, regs, dom, b, Some(k), plane).map_err(|e| {
@@ -606,15 +618,8 @@ impl<'a, 'b> FnDecoder<'a, 'b> {
                 };
                 let table = primops::ops_of(kind);
                 let op = PrimOpId(self.r.symbol(table.len() as u32)? as u16);
-                let desc = &table[op.index()];
-                let wants_x = opc == Opc::XPrimitive;
-                if desc.exceptional != wants_x {
-                    return Err(DecodeError::Malformed(
-                        "operation exceptionality mismatch".into(),
-                    ));
-                }
-                let args = vec![P; desc.params.len()];
-                if wants_x {
+                let args = vec![P; table[op.index()].params.len()];
+                if opc == Opc::XPrimitive {
                     Instr::XPrimitive { ty, op, args }
                 } else {
                     Instr::Primitive { ty, op, args }

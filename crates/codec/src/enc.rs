@@ -15,6 +15,7 @@ use safetsa_core::instr::Instr;
 use safetsa_core::module::Module;
 use safetsa_core::primops;
 use safetsa_core::types::{FieldRef, MethodKind, MethodRef, TypeKind, TypeTable};
+use safetsa_core::typing;
 use safetsa_core::value::{BlockId, Literal, ValueId};
 
 /// A module handed to [`encode_module`] was not in the verified shape
@@ -206,13 +207,12 @@ pub fn encode_sections(m: &Module) -> Result<(Vec<u8>, Sections), EncodeError> {
     sec.type_table_bits = w.bit_len() as u64 - sec.header_bits;
     // Function bodies in (class, method) order, with one set of derived
     // graphs and register files rebuilt for each.
-    let mut wtypes = m.types.clone();
     let mut derived = Derived::default();
     for (_, class) in m.types.classes() {
         for method in &class.methods {
             if let Some(body) = method.body {
                 let f = &m.functions[body as usize];
-                encode_function(&mut w, &mut wtypes, f, &mut sec, &mut derived)?;
+                encode_function(&mut w, &m.types, f, &mut sec, &mut derived)?;
                 sec.functions += 1;
             }
         }
@@ -244,8 +244,7 @@ pub fn encode_function_section(
 ) -> Result<(Vec<u8>, Sections), EncodeError> {
     let mut w = BitWriter::new();
     let mut sec = Sections::default();
-    let mut wtypes = types.clone();
-    encode_function(&mut w, &mut wtypes, f, &mut sec, &mut Derived::default())?;
+    encode_function(&mut w, types, f, &mut sec, &mut Derived::default())?;
     sec.functions = 1;
     let bytes = w.into_bytes();
     sec.total_bytes = bytes.len() as u64;
@@ -254,12 +253,12 @@ pub fn encode_function_section(
 
 fn encode_function(
     w: &mut BitWriter,
-    types: &mut TypeTable,
+    types: &TypeTable,
     f: &Function,
     sec: &mut Sections,
     derived: &mut Derived,
 ) -> Result<(), EncodeError> {
-    let Derived { cfg, dom, regs } = derived;
+    let Derived { cfg, dom, regs, .. } = derived;
     cfg.rebuild(f)
         .map_err(|e| EncodeError::UnverifiedFunction(e.to_string()))?;
     dom.rebuild(cfg);
@@ -303,9 +302,9 @@ fn encode_function(
     for &b in &cfg.traversal {
         let block = f.block(b);
         for (k, instr) in block.instrs.iter().enumerate() {
-            let planes = crate::planes::operand_planes(types, instr)
+            let sig = typing::signature(types, instr)
                 .map_err(|e| EncodeError::MalformedInstruction(e.to_string()))?;
-            for (&v, &plane) in instr.operands().iter().zip(planes.iter()) {
+            for (&v, &plane) in instr.operands().iter().zip(sig.operands.iter()) {
                 write_ref(w, f, regs, dom, b, Some(k), plane, v)?;
             }
         }

@@ -42,7 +42,6 @@ pub mod bits;
 pub mod dec;
 pub mod enc;
 pub mod layout;
-pub mod planes;
 pub mod refs;
 
 pub use bits::DecodeError;

@@ -14,17 +14,22 @@ use crate::enc::EncodeError;
 use safetsa_core::cfg::Cfg;
 use safetsa_core::dom::DomTree;
 use safetsa_core::function::{Function, ENTRY};
+use safetsa_core::instr::Operands;
 use safetsa_core::types::{PrimKind, TypeId, TypeKind, TypeTable};
 use safetsa_core::value::{BlockId, ValueId};
 
 /// What a function's reference phases consult: its control-flow graph,
-/// dominator tree and register files. A module encode or decode keeps
-/// one set and rebuilds it in place for each function.
+/// dominator tree and register files, and in the decoder each
+/// instruction's operand planes. A module encode or decode keeps one
+/// set and rebuilds it in place for each function.
 #[derive(Default)]
 pub(crate) struct Derived {
     pub(crate) cfg: Cfg,
     pub(crate) dom: DomTree,
     pub(crate) regs: RegisterFiles,
+    /// The operand planes of every instruction, in the order phase 2a
+    /// reads the instructions and phase 2b their operands.
+    pub(crate) operand_planes: Vec<Operands<TypeId>>,
 }
 
 /// The register files of one function: for each (block, plane), the

@@ -194,8 +194,8 @@ impl Function {
         b: BlockId,
         instr: Instr,
     ) -> Result<Option<ValueId>, TypeError> {
-        typing::intern_planes(types, &instr);
-        let typed = typing::type_instr(types, self, &instr)?;
+        let sig = typing::intern_signature(types, &instr)?;
+        let typed = typing::type_operands(self, &instr, &instr.operands(), &sig)?;
         let idx = self.blocks[b.index()].instrs.len() as u32;
         let result = typed.result.map(|ty| {
             let id = ValueId(self.values.len() as u32);

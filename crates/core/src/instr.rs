@@ -460,7 +460,12 @@ impl<T: Copy + Default> FromIterator<T> for Operands<T> {
 
 impl<T: Copy + Default, const N: usize> From<[T; N]> for Operands<T> {
     fn from(items: [T; N]) -> Self {
-        items.into_iter().collect()
+        if N > INLINE_OPERANDS {
+            return Operands(Repr::Spilled(items.to_vec()));
+        }
+        let mut inline = [T::default(); INLINE_OPERANDS];
+        inline[..N].copy_from_slice(&items);
+        Operands(Repr::Inline(N as u8, inline))
     }
 }
 

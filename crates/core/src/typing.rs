@@ -1,15 +1,16 @@
 //! The typing rules of the SafeTSA instruction set.
 //!
-//! These rules are shared by the function builder (to compute implicit
-//! result planes) and by the verifier (to re-check decoded programs).
-//! They implement the "type separation" discipline of §3–§4: every
-//! operand's plane is dictated by the opcode and its type parameters,
-//! memory operations only accept `safe` operands, and `downcast` is
-//! restricted to statically safe coercions.
+//! One rule, [`signature`], maps an instruction to the planes of its
+//! operands and its result. The function builder, the verifier, the
+//! encoder and the decoder all take their planes from it. It implements
+//! the "type separation" discipline of §3–§4: every operand's plane is
+//! dictated by the opcode and its type parameters, memory operations
+//! only accept `safe` operands, and `downcast` is restricted to
+//! statically safe coercions.
 
-use crate::instr::Instr;
+use crate::instr::{Instr, Operands};
 use crate::primops;
-use crate::types::{MethodKind, TypeId, TypeKind, TypeTable};
+use crate::types::{FieldRef, MethodKind, TypeId, TypeKind, TypeTable};
 use crate::value::ValueId;
 use std::fmt;
 
@@ -58,9 +59,9 @@ pub enum TypeError {
         /// Target plane.
         to: TypeId,
     },
-    /// A required derived plane (safe-ref/safe-index) was never interned
-    /// in the type table.
-    MissingPlane(&'static str, TypeId),
+    /// A required derived plane (a `SafeRef` or `SafeIndex` kind) was
+    /// never interned in the type table.
+    MissingPlane(&'static str, TypeKind),
     /// A `getelt`/`setelt` whose index is not bound to its array value.
     ProvenanceMismatch {
         /// The array operand.
@@ -104,8 +105,8 @@ impl fmt::Display for TypeError {
             TypeError::UnsafeDowncast { from, to } => {
                 write!(f, "downcast from {from} to {to} is not statically safe")
             }
-            TypeError::MissingPlane(what, ty) => {
-                write!(f, "{what}: derived plane of {ty} not in type table")
+            TypeError::MissingPlane(what, plane) => {
+                write!(f, "{what}: derived plane {plane:?} not in type table")
             }
             TypeError::ProvenanceMismatch {
                 array,
@@ -131,6 +132,15 @@ pub struct Typed {
     pub provenance: Option<ValueId>,
 }
 
+/// The planes one instruction reads and writes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Signature {
+    /// Operand planes, in [`Instr::operands`] order.
+    pub operands: Operands<TypeId>,
+    /// Result plane, or `None` for result-less instructions.
+    pub result: Option<TypeId>,
+}
+
 /// Access to operand metadata, abstracting over `Function` so the
 /// decoder can type-check incrementally.
 pub trait ValueCtx {
@@ -138,24 +148,6 @@ pub trait ValueCtx {
     fn value_ty(&self, v: ValueId) -> TypeId;
     /// Safe-index provenance of `v`, if any.
     fn value_provenance(&self, v: ValueId) -> Option<ValueId>;
-}
-
-fn expect_plane(
-    what: &'static str,
-    ctx: &impl ValueCtx,
-    v: ValueId,
-    expected: TypeId,
-) -> Result<(), TypeError> {
-    let found = ctx.value_ty(v);
-    if found == expected {
-        Ok(())
-    } else {
-        Err(TypeError::PlaneMismatch {
-            what,
-            expected,
-            found,
-        })
-    }
 }
 
 /// Whether `downcast from → to` is statically safe (§4): forgetting a
@@ -188,442 +180,263 @@ pub fn downcast_is_safe(types: &TypeTable, from: TypeId, to: TypeId) -> bool {
     }
 }
 
-/// Types `instr`, returning its result plane (and provenance), or a
-/// [`TypeError`] describing the violation.
+/// The signature of `instr`: the plane of each operand and of its
+/// result, which §3's implicit register-plane selection derives from
+/// the opcode and its type and member fields alone. This is the one
+/// typing rule of the instruction set. The builder, the verifier, the
+/// encoder and the decoder all take their planes from it, and the
+/// decoder reads each operand from the plane it names.
+///
+/// It checks everything the instruction decides by itself: type kinds,
+/// member resolution and subclassing, primop exceptionality, dispatch
+/// kind and downcast safety. [`type_instr`] adds the operands.
 ///
 /// # Errors
 ///
-/// Returns a [`TypeError`] if any operand is on the wrong plane, a
-/// member reference fails to resolve, an arity is wrong, a `downcast`
-/// is not statically safe, or element access violates safe-index
-/// provenance.
-pub fn type_instr(
-    types: &TypeTable,
-    ctx: &impl ValueCtx,
-    instr: &Instr,
-) -> Result<Typed, TypeError> {
-    let ok = |result: Option<TypeId>| {
-        Ok(Typed {
-            result,
-            provenance: None,
-        })
+/// Returns a [`TypeError`] for an ill-formed instruction, or
+/// [`TypeError::MissingPlane`] when a derived plane it needs is not in
+/// `types` yet ([`intern_signature`] interns it).
+pub fn signature(types: &TypeTable, instr: &Instr) -> Result<Signature, TypeError> {
+    let what = instr.mnemonic();
+    let bad_kind = |ty| TypeError::BadTypeKind { what, ty };
+    let class_of = |ty| match types.kind(ty) {
+        TypeKind::Class(c) => Ok(c),
+        _ => Err(bad_kind(ty)),
     };
-    match instr {
-        Instr::Primitive { ty, op, args } | Instr::XPrimitive { ty, op, args } => {
-            let kind = match types.kind(*ty) {
-                TypeKind::Prim(k) => k,
-                _ => {
-                    return Err(TypeError::BadTypeKind {
-                        what: "primitive",
-                        ty: *ty,
-                    })
-                }
+    let elem_of = |arr| types.array_elem(arr).ok_or(bad_kind(arr));
+    // A derived plane is looked up only once its base has the right
+    // kind, so a missing one can always be interned.
+    let safe_ref = |of| {
+        if !types.is_ref(of) {
+            return Err(bad_kind(of));
+        }
+        let missing = TypeError::MissingPlane(what, TypeKind::SafeRef(of));
+        types.find_safe_ref(of).ok_or(missing)
+    };
+    let safe_index = |arr| {
+        elem_of(arr)?;
+        let missing = TypeError::MissingPlane(what, TypeKind::SafeIndex(arr));
+        types.find_safe_index(arr).ok_or(missing)
+    };
+    let instance_field = |ty, field: FieldRef| {
+        let class = class_of(ty)?;
+        types
+            .field(field)
+            .filter(|f| !f.is_static && types.is_subclass(class, field.class))
+            .map(|f| f.ty)
+            .ok_or(TypeError::BadMember(what))
+    };
+    let static_field = |field| {
+        types
+            .field(field)
+            .filter(|f| f.is_static)
+            .map(|f| f.ty)
+            .ok_or(TypeError::BadMember(what))
+    };
+    let int = types.int_ty();
+    let (operands, result): (Operands<TypeId>, _) = match *instr {
+        Instr::Primitive { ty, op, .. } | Instr::XPrimitive { ty, op, .. } => {
+            let TypeKind::Prim(kind) = types.kind(ty) else {
+                return Err(bad_kind(ty));
             };
-            let desc = primops::resolve(kind, *op).ok_or(TypeError::UnknownPrimOp)?;
-            let wants_x = matches!(instr, Instr::XPrimitive { .. });
-            if desc.exceptional != wants_x {
+            let desc = primops::resolve(kind, op).ok_or(TypeError::UnknownPrimOp)?;
+            if desc.exceptional != matches!(instr, Instr::XPrimitive { .. }) {
                 return Err(TypeError::ExceptionalityMismatch {
                     op: desc.name,
                     op_exceptional: desc.exceptional,
                 });
             }
-            if args.len() != desc.params.len() {
-                return Err(TypeError::ArityMismatch {
-                    what: "primitive",
-                    expected: desc.params.len(),
-                    found: args.len(),
-                });
-            }
-            for (a, p) in args.iter().zip(desc.params) {
-                expect_plane("primitive", ctx, *a, types.prim(*p))?;
-            }
-            ok(Some(types.prim(desc.result)))
+            let params = desc.params.iter().map(|&p| types.prim(p));
+            (params.collect(), Some(types.prim(desc.result)))
         }
-        Instr::NullCheck { ty, value } => {
-            if !types.is_ref(*ty) {
-                return Err(TypeError::BadTypeKind {
-                    what: "nullcheck",
-                    ty: *ty,
-                });
-            }
-            expect_plane("nullcheck", ctx, *value, *ty)?;
-            let safe = types
-                .find_safe_ref(*ty)
-                .ok_or(TypeError::MissingPlane("nullcheck", *ty))?;
-            ok(Some(safe))
+        Instr::NullCheck { ty, .. } => ([ty].into(), Some(safe_ref(ty)?)),
+        Instr::IndexCheck { arr_ty, .. } => {
+            ([safe_ref(arr_ty)?, int].into(), Some(safe_index(arr_ty)?))
         }
-        Instr::IndexCheck {
-            arr_ty,
-            array,
-            index,
-        } => {
-            if !matches!(types.kind(*arr_ty), TypeKind::Array(_)) {
-                return Err(TypeError::BadTypeKind {
-                    what: "indexcheck",
-                    ty: *arr_ty,
-                });
+        Instr::Upcast { from, to, .. } => {
+            if let Some(ty) = [from, to].into_iter().find(|&ty| !types.is_ref(ty)) {
+                return Err(bad_kind(ty));
             }
-            let safe_arr = types
-                .find_safe_ref(*arr_ty)
-                .ok_or(TypeError::MissingPlane("indexcheck", *arr_ty))?;
-            expect_plane("indexcheck", ctx, *array, safe_arr)?;
-            expect_plane("indexcheck", ctx, *index, types.int_ty())?;
-            let si = types
-                .find_safe_index(*arr_ty)
-                .ok_or(TypeError::MissingPlane("indexcheck", *arr_ty))?;
-            Ok(Typed {
-                result: Some(si),
-                provenance: Some(*array),
-            })
+            ([from].into(), Some(to))
         }
-        Instr::Upcast { from, to, value } => {
-            if !types.is_ref(*from) {
-                return Err(TypeError::BadTypeKind {
-                    what: "upcast",
-                    ty: *from,
-                });
+        Instr::Downcast { from, to, .. } => {
+            if !downcast_is_safe(types, from, to) {
+                return Err(TypeError::UnsafeDowncast { from, to });
             }
-            if !types.is_ref(*to) {
-                return Err(TypeError::BadTypeKind {
-                    what: "upcast",
-                    ty: *to,
-                });
-            }
-            expect_plane("upcast", ctx, *value, *from)?;
-            ok(Some(*to))
+            ([from].into(), Some(to))
         }
-        Instr::Downcast { from, to, value } => {
-            expect_plane("downcast", ctx, *value, *from)?;
-            if !downcast_is_safe(types, *from, *to) {
-                return Err(TypeError::UnsafeDowncast {
-                    from: *from,
-                    to: *to,
-                });
-            }
-            ok(Some(*to))
+        Instr::GetField { ty, field, .. } => {
+            let fty = instance_field(ty, field)?;
+            ([safe_ref(ty)?].into(), Some(fty))
         }
-        Instr::GetField { ty, object, field } => {
-            let class = match types.kind(*ty) {
-                TypeKind::Class(c) => c,
-                _ => {
-                    return Err(TypeError::BadTypeKind {
-                        what: "getfield",
-                        ty: *ty,
-                    })
-                }
-            };
-            let info = types
-                .field(*field)
-                .ok_or(TypeError::BadMember("getfield"))?;
-            if info.is_static || !types.is_subclass(class, field.class) {
-                return Err(TypeError::BadMember("getfield"));
-            }
-            let safe = types
-                .find_safe_ref(*ty)
-                .ok_or(TypeError::MissingPlane("getfield", *ty))?;
-            expect_plane("getfield", ctx, *object, safe)?;
-            ok(Some(info.ty))
+        Instr::SetField { ty, field, .. } => {
+            let fty = instance_field(ty, field)?;
+            ([safe_ref(ty)?, fty].into(), None)
         }
-        Instr::SetField {
-            ty,
-            object,
-            field,
-            value,
-        } => {
-            let class = match types.kind(*ty) {
-                TypeKind::Class(c) => c,
-                _ => {
-                    return Err(TypeError::BadTypeKind {
-                        what: "setfield",
-                        ty: *ty,
-                    })
-                }
-            };
-            let info = types
-                .field(*field)
-                .ok_or(TypeError::BadMember("setfield"))?;
-            if info.is_static || !types.is_subclass(class, field.class) {
-                return Err(TypeError::BadMember("setfield"));
-            }
-            let safe = types
-                .find_safe_ref(*ty)
-                .ok_or(TypeError::MissingPlane("setfield", *ty))?;
-            expect_plane("setfield", ctx, *object, safe)?;
-            expect_plane("setfield", ctx, *value, info.ty)?;
-            ok(None)
+        Instr::GetStatic { field } => (Operands::new(), Some(static_field(field)?)),
+        Instr::SetStatic { field, .. } => ([static_field(field)?].into(), None),
+        Instr::GetElt { arr_ty, .. } => {
+            let elem = elem_of(arr_ty)?;
+            ([safe_ref(arr_ty)?, safe_index(arr_ty)?].into(), Some(elem))
         }
-        Instr::GetStatic { field } => {
-            let info = types
-                .field(*field)
-                .ok_or(TypeError::BadMember("getstatic"))?;
-            if !info.is_static {
-                return Err(TypeError::BadMember("getstatic"));
-            }
-            ok(Some(info.ty))
+        Instr::SetElt { arr_ty, .. } => {
+            let elem = elem_of(arr_ty)?;
+            ([safe_ref(arr_ty)?, safe_index(arr_ty)?, elem].into(), None)
         }
-        Instr::SetStatic { field, value } => {
-            let info = types
-                .field(*field)
-                .ok_or(TypeError::BadMember("setstatic"))?;
-            if !info.is_static {
-                return Err(TypeError::BadMember("setstatic"));
-            }
-            expect_plane("setstatic", ctx, *value, info.ty)?;
-            ok(None)
+        Instr::ArrayLength { arr_ty, .. } => {
+            elem_of(arr_ty)?;
+            ([safe_ref(arr_ty)?].into(), Some(int))
         }
-        Instr::GetElt {
-            arr_ty,
-            array,
-            index,
-        }
-        | Instr::SetElt {
-            arr_ty,
-            array,
-            index,
-            ..
-        } => {
-            let elem = types.array_elem(*arr_ty).ok_or(TypeError::BadTypeKind {
-                what: "getelt/setelt",
-                ty: *arr_ty,
-            })?;
-            let safe = types
-                .find_safe_ref(*arr_ty)
-                .ok_or(TypeError::MissingPlane("getelt/setelt", *arr_ty))?;
-            expect_plane("getelt/setelt", ctx, *array, safe)?;
-            let si = types
-                .find_safe_index(*arr_ty)
-                .ok_or(TypeError::MissingPlane("getelt/setelt", *arr_ty))?;
-            expect_plane("getelt/setelt", ctx, *index, si)?;
-            // Appendix A: safe-index values are bound to array values.
-            if ctx.value_provenance(*index) != Some(*array) {
-                return Err(TypeError::ProvenanceMismatch {
-                    array: *array,
-                    index_provenance: ctx.value_provenance(*index),
-                });
-            }
-            match instr {
-                Instr::GetElt { .. } => ok(Some(elem)),
-                Instr::SetElt { value, .. } => {
-                    expect_plane("setelt", ctx, *value, elem)?;
-                    ok(None)
-                }
-                _ => unreachable!(),
-            }
-        }
-        Instr::ArrayLength { arr_ty, array } => {
-            if !matches!(types.kind(*arr_ty), TypeKind::Array(_)) {
-                return Err(TypeError::BadTypeKind {
-                    what: "arraylength",
-                    ty: *arr_ty,
-                });
-            }
-            let safe = types
-                .find_safe_ref(*arr_ty)
-                .ok_or(TypeError::MissingPlane("arraylength", *arr_ty))?;
-            expect_plane("arraylength", ctx, *array, safe)?;
-            ok(Some(types.int_ty()))
-        }
+        // Allocation never yields null, so the result lands directly on
+        // the safe-ref plane (no spurious null check needed).
         Instr::New { class_ty } => {
-            if !matches!(types.kind(*class_ty), TypeKind::Class(_)) {
-                return Err(TypeError::BadTypeKind {
-                    what: "new",
-                    ty: *class_ty,
-                });
-            }
-            // Allocation never yields null, so the result lands directly
-            // on the safe-ref plane (no spurious null check needed).
-            let safe = types
-                .find_safe_ref(*class_ty)
-                .ok_or(TypeError::MissingPlane("new", *class_ty))?;
-            ok(Some(safe))
+            class_of(class_ty)?;
+            (Operands::new(), Some(safe_ref(class_ty)?))
         }
-        Instr::NewArray { arr_ty, length } => {
-            if !matches!(types.kind(*arr_ty), TypeKind::Array(_)) {
-                return Err(TypeError::BadTypeKind {
-                    what: "newarray",
-                    ty: *arr_ty,
-                });
-            }
-            expect_plane("newarray", ctx, *length, types.int_ty())?;
-            let safe = types
-                .find_safe_ref(*arr_ty)
-                .ok_or(TypeError::MissingPlane("newarray", *arr_ty))?;
-            ok(Some(safe))
+        Instr::NewArray { arr_ty, .. } => {
+            elem_of(arr_ty)?;
+            ([int].into(), Some(safe_ref(arr_ty)?))
         }
+        // The receiver's plane, if the call has one, then the method's
+        // parameters.
         Instr::XCall {
-            base_ty,
-            method,
-            receiver,
-            args,
-        } => {
-            let info = types.method(*method).ok_or(TypeError::BadMember("xcall"))?;
-            match (info.kind, receiver) {
-                (MethodKind::Static, Some(_)) => {
-                    return Err(TypeError::DispatchKind("static method with receiver"))
-                }
-                (MethodKind::Static, None) => {}
-                (_, None) => {
-                    return Err(TypeError::DispatchKind("instance method without receiver"))
-                }
-                (_, Some(r)) => {
-                    let class = match types.kind(*base_ty) {
-                        TypeKind::Class(c) => c,
-                        _ => {
-                            return Err(TypeError::BadTypeKind {
-                                what: "xcall",
-                                ty: *base_ty,
-                            })
-                        }
-                    };
-                    if !types.is_subclass(class, method.class) {
-                        return Err(TypeError::BadMember("xcall"));
-                    }
-                    let safe = types
-                        .find_safe_ref(*base_ty)
-                        .ok_or(TypeError::MissingPlane("xcall", *base_ty))?;
-                    expect_plane("xcall", ctx, *r, safe)?;
-                }
-            }
-            if args.len() != info.params.len() {
-                return Err(TypeError::ArityMismatch {
-                    what: "xcall",
-                    expected: info.params.len(),
-                    found: args.len(),
-                });
-            }
-            for (a, p) in args.iter().zip(&info.params) {
-                expect_plane("xcall", ctx, *a, *p)?;
-            }
-            ok(info.ret)
+            base_ty, method, ..
         }
-        Instr::XDispatch {
-            base_ty,
-            method,
-            receiver,
-            args,
+        | Instr::XDispatch {
+            base_ty, method, ..
         } => {
-            let info = types
-                .method(*method)
-                .ok_or(TypeError::BadMember("xdispatch"))?;
-            if info.kind != MethodKind::Virtual {
+            let info = types.method(method).ok_or(TypeError::BadMember(what))?;
+            let receiver = !matches!(instr, Instr::XCall { receiver: None, .. });
+            if matches!(instr, Instr::XDispatch { .. }) && info.kind != MethodKind::Virtual {
                 return Err(TypeError::DispatchKind("xdispatch on non-virtual method"));
             }
-            let class = match types.kind(*base_ty) {
-                TypeKind::Class(c) => c,
-                _ => {
-                    return Err(TypeError::BadTypeKind {
-                        what: "xdispatch",
-                        ty: *base_ty,
-                    })
+            if receiver != (info.kind != MethodKind::Static) {
+                return Err(TypeError::DispatchKind(if receiver {
+                    "static method with receiver"
+                } else {
+                    "instance method without receiver"
+                }));
+            }
+            let mut operands = Operands::new();
+            if receiver {
+                if !types.is_subclass(class_of(base_ty)?, method.class) {
+                    return Err(TypeError::BadMember(what));
                 }
-            };
-            if !types.is_subclass(class, method.class) {
-                return Err(TypeError::BadMember("xdispatch"));
+                operands.push(safe_ref(base_ty)?);
             }
-            let safe = types
-                .find_safe_ref(*base_ty)
-                .ok_or(TypeError::MissingPlane("xdispatch", *base_ty))?;
-            expect_plane("xdispatch", ctx, *receiver, safe)?;
-            if args.len() != info.params.len() {
-                return Err(TypeError::ArityMismatch {
-                    what: "xdispatch",
-                    expected: info.params.len(),
-                    found: args.len(),
-                });
-            }
-            for (a, p) in args.iter().zip(&info.params) {
-                expect_plane("xdispatch", ctx, *a, *p)?;
-            }
-            ok(info.ret)
+            operands.extend(info.params.iter().copied());
+            (operands, info.ret)
         }
-        Instr::RefEq { ty, a, b } => {
-            let plane_ok = types.is_ref(*ty) || types.is_safe_ref(*ty);
-            if !plane_ok {
-                return Err(TypeError::BadTypeKind {
-                    what: "refeq",
-                    ty: *ty,
-                });
+        Instr::RefEq { ty, .. } => {
+            if !types.is_ref(ty) && !types.is_safe_ref(ty) {
+                return Err(bad_kind(ty));
             }
-            expect_plane("refeq", ctx, *a, *ty)?;
-            expect_plane("refeq", ctx, *b, *ty)?;
-            ok(Some(types.bool_ty()))
+            ([ty, ty].into(), Some(types.bool_ty()))
         }
-        Instr::InstanceOf {
-            from,
-            target,
-            value,
-        } => {
-            let from_ok = types.is_ref(*from) || types.is_safe_ref(*from);
-            if !from_ok {
-                return Err(TypeError::BadTypeKind {
-                    what: "instanceof",
-                    ty: *from,
-                });
+        Instr::InstanceOf { from, target, .. } => {
+            if !types.is_ref(from) && !types.is_safe_ref(from) {
+                return Err(bad_kind(from));
             }
-            if !types.is_ref(*target) {
-                return Err(TypeError::BadTypeKind {
-                    what: "instanceof",
-                    ty: *target,
-                });
+            if !types.is_ref(target) {
+                return Err(bad_kind(target));
             }
-            expect_plane("instanceof", ctx, *value, *from)?;
-            ok(Some(types.bool_ty()))
+            ([from].into(), Some(types.bool_ty()))
         }
         Instr::Catch { ty } => {
-            if !matches!(types.kind(*ty), TypeKind::Class(_)) {
-                return Err(TypeError::BadTypeKind {
-                    what: "catch",
-                    ty: *ty,
-                });
-            }
-            ok(Some(*ty))
+            class_of(ty)?;
+            (Operands::new(), Some(ty))
         }
+    };
+    Ok(Signature { operands, result })
+}
+
+/// [`signature`], first interning each derived plane (safe-ref or
+/// safe-index) it names in `types`. The builder and the decoder, which
+/// meet planes as instructions arrive, take their signatures from here.
+///
+/// # Errors
+///
+/// As [`signature`], except that no plane is ever missing.
+pub fn intern_signature(types: &mut TypeTable, instr: &Instr) -> Result<Signature, TypeError> {
+    loop {
+        // `signature` names a missing plane only once its base has the
+        // right kind, so interning it cannot panic.
+        match signature(types, instr) {
+            Err(TypeError::MissingPlane(_, TypeKind::SafeRef(of))) => types.safe_ref_of(of),
+            Err(TypeError::MissingPlane(_, TypeKind::SafeIndex(arr))) => types.safe_index_of(arr),
+            sig => return sig,
+        };
     }
 }
 
-/// The planes the type table must contain before `instr` can be typed;
-/// the builder interns these eagerly.
-pub fn intern_planes(types: &mut TypeTable, instr: &Instr) {
-    match instr {
-        Instr::NullCheck { ty, .. } => {
-            types.safe_ref_of(*ty);
-        }
-        Instr::IndexCheck { arr_ty, .. }
-        | Instr::GetElt { arr_ty, .. }
-        | Instr::SetElt { arr_ty, .. } => {
-            types.safe_ref_of(*arr_ty);
-            types.safe_index_of(*arr_ty);
-        }
-        Instr::ArrayLength { arr_ty, .. } => {
-            types.safe_ref_of(*arr_ty);
-        }
-        Instr::GetField { ty, .. } | Instr::SetField { ty, .. } => {
-            types.safe_ref_of(*ty);
-        }
-        Instr::New { class_ty } => {
-            types.safe_ref_of(*class_ty);
-        }
-        Instr::NewArray { arr_ty, .. } => {
-            types.safe_ref_of(*arr_ty);
-        }
-        Instr::XCall {
-            base_ty,
-            receiver: Some(_),
-            ..
-        } => {
-            types.safe_ref_of(*base_ty);
-        }
-        Instr::XDispatch { base_ty, .. } => {
-            types.safe_ref_of(*base_ty);
-        }
-        _ => {}
+/// Types `instr`, returning its result plane (and provenance), or a
+/// [`TypeError`] describing the violation: its [`signature`], checked
+/// against the operands.
+///
+/// # Errors
+///
+/// Returns a [`TypeError`] if the signature does, if the operand count
+/// or any operand's plane differs from it, or if element access
+/// violates safe-index provenance.
+pub fn type_instr(
+    types: &TypeTable,
+    ctx: &impl ValueCtx,
+    instr: &Instr,
+) -> Result<Typed, TypeError> {
+    type_operands(ctx, instr, &instr.operands(), &signature(types, instr)?)
+}
+
+/// Checks `operands`, those of `instr`, against its signature `sig`:
+/// [`type_instr`] for callers that already hold both, the builder and
+/// the verifier.
+pub(crate) fn type_operands(
+    ctx: &impl ValueCtx,
+    instr: &Instr,
+    operands: &[ValueId],
+    sig: &Signature,
+) -> Result<Typed, TypeError> {
+    if operands.len() != sig.operands.len() {
+        return Err(TypeError::ArityMismatch {
+            what: instr.mnemonic(),
+            expected: sig.operands.len(),
+            found: operands.len(),
+        });
     }
+    for (&v, &expected) in operands.iter().zip(sig.operands.iter()) {
+        let found = ctx.value_ty(v);
+        if found != expected {
+            return Err(TypeError::PlaneMismatch {
+                what: instr.mnemonic(),
+                expected,
+                found,
+            });
+        }
+    }
+    // Appendix A: safe-index values are bound to array values.
+    let provenance = match *instr {
+        Instr::IndexCheck { array, .. } => Some(array),
+        Instr::GetElt { array, index, .. } | Instr::SetElt { array, index, .. } => {
+            let bound = ctx.value_provenance(index);
+            if bound != Some(array) {
+                return Err(TypeError::ProvenanceMismatch {
+                    array,
+                    index_provenance: bound,
+                });
+            }
+            None
+        }
+        _ => None,
+    };
+    Ok(Typed {
+        result: sig.result,
+        provenance,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{ClassInfo, PrimKind};
+    use crate::types::{ClassInfo, FieldInfo, MethodInfo, MethodRef, PrimKind};
 
     fn hierarchy() -> (TypeTable, TypeId, TypeId, TypeId, TypeId) {
         let mut t = TypeTable::new();
@@ -714,42 +527,495 @@ mod tests {
         assert!(matches!(err, TypeError::UnsafeDowncast { .. }));
     }
 
-    #[test]
-    fn xdispatch_requires_virtual() {
-        let (mut t, _, a_ty, _, _) = hierarchy();
-        use crate::types::{MethodInfo, MethodKind, MethodRef};
-        let a = match t.kind(a_ty) {
-            crate::types::TypeKind::Class(c) => c,
-            _ => unreachable!(),
+    /// [`hierarchy`] with members on `A`: fields `int x` (instance)
+    /// and `double s` (static), methods `int m(int)` (virtual) and
+    /// `void st(long)` (static).
+    fn with_members() -> (TypeTable, TypeId, TypeId, TypeId, TypeId) {
+        let (mut t, obj_ty, a_ty, b_ty, arr) = hierarchy();
+        let TypeKind::Class(a) = t.kind(a_ty) else {
+            unreachable!()
         };
-        t.class_mut(a).methods.push(MethodInfo {
-            name: "s".into(),
-            params: vec![],
-            ret: None,
-            kind: MethodKind::Static,
-            vtable_slot: None,
+        let [int, long, double] =
+            [PrimKind::Int, PrimKind::Long, PrimKind::Double].map(|p| t.prim(p));
+        let field = |name: &str, ty, is_static| FieldInfo {
+            name: name.into(),
+            ty,
+            is_static,
+        };
+        let method = |name: &str, params, ret, kind, vtable_slot| MethodInfo {
+            name: name.into(),
+            params,
+            ret,
+            kind,
+            vtable_slot,
             body: None,
-        });
+        };
+        let class = t.class_mut(a);
+        class.fields = vec![field("x", int, false), field("s", double, true)];
+        class.methods = vec![
+            method("m", vec![int], Some(int), MethodKind::Virtual, Some(0)),
+            method("st", vec![long], None, MethodKind::Static, None),
+        ];
+        (t, obj_ty, a_ty, b_ty, arr)
+    }
+
+    /// The rule for each of the 20 opcodes, written out by hand: operand
+    /// planes in [`Instr::operands`] order, then the result plane.
+    #[test]
+    fn every_opcode_has_the_signature_written_here() {
+        let (mut t, obj_ty, a_ty, b_ty, arr) = with_members();
+        let [int, long, double, boolean] = [
+            PrimKind::Int,
+            PrimKind::Long,
+            PrimKind::Double,
+            PrimKind::Bool,
+        ]
+        .map(|p| t.prim(p));
+        let (sa, sb) = (t.safe_ref_of(a_ty), t.safe_ref_of(b_ty));
+        let (sarr, si) = (t.safe_ref_of(arr), t.safe_index_of(arr));
+        let TypeKind::Class(a) = t.kind(a_ty) else {
+            unreachable!()
+        };
+        let (x, s) = (
+            FieldRef { class: a, index: 0 },
+            FieldRef { class: a, index: 1 },
+        );
+        let (m, st) = (
+            MethodRef { class: a, index: 0 },
+            MethodRef { class: a, index: 1 },
+        );
+        let op = |kind, name| primops::find(kind, name).unwrap();
+        let v = ValueId(0);
+        let cases = [
+            (
+                Instr::Primitive {
+                    ty: long,
+                    op: op(PrimKind::Long, "shl"),
+                    args: vec![v, v],
+                },
+                vec![long, int],
+                Some(long),
+            ),
+            (
+                Instr::Primitive {
+                    ty: int,
+                    op: op(PrimKind::Int, "lt"),
+                    args: vec![v, v],
+                },
+                vec![int, int],
+                Some(boolean),
+            ),
+            (
+                Instr::XPrimitive {
+                    ty: int,
+                    op: op(PrimKind::Int, "div"),
+                    args: vec![v, v],
+                },
+                vec![int, int],
+                Some(int),
+            ),
+            (
+                Instr::NullCheck { ty: a_ty, value: v },
+                vec![a_ty],
+                Some(sa),
+            ),
+            (
+                Instr::IndexCheck {
+                    arr_ty: arr,
+                    array: v,
+                    index: v,
+                },
+                vec![sarr, int],
+                Some(si),
+            ),
+            (
+                Instr::Upcast {
+                    from: obj_ty,
+                    to: a_ty,
+                    value: v,
+                },
+                vec![obj_ty],
+                Some(a_ty),
+            ),
+            (
+                Instr::Downcast {
+                    from: sb,
+                    to: a_ty,
+                    value: v,
+                },
+                vec![sb],
+                Some(a_ty),
+            ),
+            (
+                Instr::GetField {
+                    ty: b_ty,
+                    object: v,
+                    field: x,
+                },
+                vec![sb],
+                Some(int),
+            ),
+            (
+                Instr::SetField {
+                    ty: a_ty,
+                    object: v,
+                    field: x,
+                    value: v,
+                },
+                vec![sa, int],
+                None,
+            ),
+            (Instr::GetStatic { field: s }, vec![], Some(double)),
+            (Instr::SetStatic { field: s, value: v }, vec![double], None),
+            (
+                Instr::GetElt {
+                    arr_ty: arr,
+                    array: v,
+                    index: v,
+                },
+                vec![sarr, si],
+                Some(int),
+            ),
+            (
+                Instr::SetElt {
+                    arr_ty: arr,
+                    array: v,
+                    index: v,
+                    value: v,
+                },
+                vec![sarr, si, int],
+                None,
+            ),
+            (
+                Instr::ArrayLength {
+                    arr_ty: arr,
+                    array: v,
+                },
+                vec![sarr],
+                Some(int),
+            ),
+            (Instr::New { class_ty: b_ty }, vec![], Some(sb)),
+            (
+                Instr::NewArray {
+                    arr_ty: arr,
+                    length: v,
+                },
+                vec![int],
+                Some(sarr),
+            ),
+            (
+                Instr::XCall {
+                    base_ty: a_ty,
+                    method: st,
+                    receiver: None,
+                    args: vec![v],
+                },
+                vec![long],
+                None,
+            ),
+            (
+                Instr::XCall {
+                    base_ty: b_ty,
+                    method: m,
+                    receiver: Some(v),
+                    args: vec![v],
+                },
+                vec![sb, int],
+                Some(int),
+            ),
+            (
+                Instr::XDispatch {
+                    base_ty: b_ty,
+                    method: m,
+                    receiver: v,
+                    args: vec![v],
+                },
+                vec![sb, int],
+                Some(int),
+            ),
+            (
+                Instr::RefEq { ty: sa, a: v, b: v },
+                vec![sa, sa],
+                Some(boolean),
+            ),
+            (
+                Instr::InstanceOf {
+                    from: obj_ty,
+                    target: a_ty,
+                    value: v,
+                },
+                vec![obj_ty],
+                Some(boolean),
+            ),
+            (Instr::Catch { ty: a_ty }, vec![], Some(a_ty)),
+        ];
+        let mut opcodes = std::collections::BTreeSet::new();
+        for (instr, operands, result) in &cases {
+            let what = instr.mnemonic();
+            let sig = signature(&t, instr).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(*sig.operands, operands[..], "{what} operands");
+            assert_eq!(sig.operands.len(), instr.operands().len(), "{what} arity");
+            assert_eq!(sig.result, *result, "{what} result");
+            opcodes.insert(what);
+        }
+        assert_eq!(opcodes.len(), 20, "every opcode is pinned");
+    }
+
+    /// One rejection per check the rule makes.
+    #[test]
+    fn signature_rejects_each_ill_formed_instruction() {
+        let (mut t, obj_ty, a_ty, _, arr) = with_members();
+        let int = t.prim(PrimKind::Int);
         let sa = t.safe_ref_of(a_ty);
-        let ctx = Vals(vec![(sa, None)]);
-        let err = type_instr(
-            &t,
-            &ctx,
-            &Instr::XDispatch {
-                base_ty: a_ty,
-                method: MethodRef { class: a, index: 0 },
-                receiver: ValueId(0),
-                args: vec![],
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, TypeError::DispatchKind(_)));
+        let (sarr, si) = (t.safe_ref_of(arr), t.safe_index_of(arr));
+        let TypeKind::Class(a) = t.kind(a_ty) else {
+            unreachable!()
+        };
+        let (x, s) = (
+            FieldRef { class: a, index: 0 },
+            FieldRef { class: a, index: 1 },
+        );
+        let (m, st) = (
+            MethodRef { class: a, index: 0 },
+            MethodRef { class: a, index: 1 },
+        );
+        let op = |name| primops::find(PrimKind::Int, name).unwrap();
+        let v = ValueId(0);
+        let bad = |what, ty| TypeError::BadTypeKind { what, ty };
+        let call = |base_ty, method, receiver| Instr::XCall {
+            base_ty,
+            method,
+            receiver,
+            args: vec![],
+        };
+        let dispatch = |base_ty, method| Instr::XDispatch {
+            base_ty,
+            method,
+            receiver: v,
+            args: vec![],
+        };
+        let cases = [
+            (
+                Instr::Primitive {
+                    ty: a_ty,
+                    op: op("add"),
+                    args: vec![],
+                },
+                bad("primitive", a_ty),
+            ),
+            (
+                Instr::Primitive {
+                    ty: int,
+                    op: primops::PrimOpId(999),
+                    args: vec![],
+                },
+                TypeError::UnknownPrimOp,
+            ),
+            (
+                Instr::Primitive {
+                    ty: int,
+                    op: op("div"),
+                    args: vec![],
+                },
+                TypeError::ExceptionalityMismatch {
+                    op: "div",
+                    op_exceptional: true,
+                },
+            ),
+            (
+                Instr::XPrimitive {
+                    ty: int,
+                    op: op("add"),
+                    args: vec![],
+                },
+                TypeError::ExceptionalityMismatch {
+                    op: "add",
+                    op_exceptional: false,
+                },
+            ),
+            (
+                Instr::NullCheck { ty: int, value: v },
+                bad("nullcheck", int),
+            ),
+            (
+                Instr::IndexCheck {
+                    arr_ty: a_ty,
+                    array: v,
+                    index: v,
+                },
+                bad("indexcheck", a_ty),
+            ),
+            (
+                Instr::Upcast {
+                    from: int,
+                    to: a_ty,
+                    value: v,
+                },
+                bad("upcast", int),
+            ),
+            (
+                Instr::Upcast {
+                    from: a_ty,
+                    to: sa,
+                    value: v,
+                },
+                bad("upcast", sa),
+            ),
+            (
+                Instr::Downcast {
+                    from: obj_ty,
+                    to: a_ty,
+                    value: v,
+                },
+                TypeError::UnsafeDowncast {
+                    from: obj_ty,
+                    to: a_ty,
+                },
+            ),
+            (
+                Instr::GetField {
+                    ty: arr,
+                    object: v,
+                    field: x,
+                },
+                bad("getfield", arr),
+            ),
+            (
+                Instr::GetField {
+                    ty: obj_ty,
+                    object: v,
+                    field: x,
+                },
+                TypeError::BadMember("getfield"),
+            ),
+            (
+                Instr::SetField {
+                    ty: a_ty,
+                    object: v,
+                    field: s,
+                    value: v,
+                },
+                TypeError::BadMember("setfield"),
+            ),
+            (
+                Instr::GetStatic {
+                    field: FieldRef { class: a, index: 7 },
+                },
+                TypeError::BadMember("getstatic"),
+            ),
+            (
+                Instr::SetStatic { field: x, value: v },
+                TypeError::BadMember("setstatic"),
+            ),
+            (
+                Instr::GetElt {
+                    arr_ty: int,
+                    array: v,
+                    index: v,
+                },
+                bad("getelt", int),
+            ),
+            (
+                Instr::SetElt {
+                    arr_ty: sarr,
+                    array: v,
+                    index: v,
+                    value: v,
+                },
+                bad("setelt", sarr),
+            ),
+            (
+                Instr::ArrayLength {
+                    arr_ty: a_ty,
+                    array: v,
+                },
+                bad("arraylength", a_ty),
+            ),
+            (Instr::New { class_ty: arr }, bad("new", arr)),
+            (
+                Instr::NewArray {
+                    arr_ty: a_ty,
+                    length: v,
+                },
+                bad("newarray", a_ty),
+            ),
+            (
+                call(a_ty, MethodRef { class: a, index: 9 }, None),
+                TypeError::BadMember("xcall"),
+            ),
+            (
+                call(a_ty, st, Some(v)),
+                TypeError::DispatchKind("static method with receiver"),
+            ),
+            (
+                call(a_ty, m, None),
+                TypeError::DispatchKind("instance method without receiver"),
+            ),
+            (call(arr, m, Some(v)), bad("xcall", arr)),
+            (
+                dispatch(a_ty, st),
+                TypeError::DispatchKind("xdispatch on non-virtual method"),
+            ),
+            (dispatch(obj_ty, m), TypeError::BadMember("xdispatch")),
+            (Instr::RefEq { ty: si, a: v, b: v }, bad("refeq", si)),
+            (
+                Instr::InstanceOf {
+                    from: int,
+                    target: a_ty,
+                    value: v,
+                },
+                bad("instanceof", int),
+            ),
+            (
+                Instr::InstanceOf {
+                    from: a_ty,
+                    target: sa,
+                    value: v,
+                },
+                bad("instanceof", sa),
+            ),
+            (Instr::Catch { ty: arr }, bad("catch", arr)),
+        ];
+        for (instr, err) in cases {
+            assert_eq!(signature(&t, &instr), Err(err), "{instr:?}");
+        }
+    }
+
+    #[test]
+    fn interning_supplies_the_planes_a_signature_names() {
+        let (mut t, _, _, _, arr) = with_members();
+        let int = t.prim(PrimKind::Int);
+        let v = ValueId(0);
+        let getelt = Instr::GetElt {
+            arr_ty: arr,
+            array: v,
+            index: v,
+        };
+        assert_eq!(
+            signature(&t, &getelt),
+            Err(TypeError::MissingPlane("getelt", TypeKind::SafeRef(arr)))
+        );
+        let sig = intern_signature(&mut t, &getelt).unwrap();
+        let planes = [
+            t.find_safe_ref(arr).unwrap(),
+            t.find_safe_index(arr).unwrap(),
+        ];
+        assert_eq!(*sig.operands, planes);
+        assert_eq!(signature(&t, &getelt), Ok(sig));
+        // An ill-kinded base is reported and never interned (interning
+        // the safe-ref of `int` would panic).
+        let planes_before = t.len();
+        let nullcheck = Instr::NullCheck { ty: int, value: v };
+        assert!(matches!(
+            intern_signature(&mut t, &nullcheck),
+            Err(TypeError::BadTypeKind { .. })
+        ));
+        assert_eq!(t.len(), planes_before);
     }
 
     #[test]
     fn memory_ops_reject_unsafe_operands() {
         let (mut t, _, a_ty, _, arr) = hierarchy();
-        use crate::types::{FieldInfo, FieldRef};
         let a = match t.kind(a_ty) {
             crate::types::TypeKind::Class(c) => c,
             _ => unreachable!(),

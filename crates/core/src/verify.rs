@@ -315,16 +315,17 @@ impl<'a> Checker<'a> {
                         }
                     }
                 }
-                for &v in instr.operands().iter() {
+                let operands = instr.operands();
+                for &v in operands.iter() {
                     self.check_dominance(b, (2, k as u32), v)?;
                 }
-                let typed = typing::type_instr(self.types, self.f, instr).map_err(|err| {
-                    VerifyError::Type {
+                let typed = typing::signature(self.types, instr)
+                    .and_then(|sig| typing::type_operands(self.f, instr, &operands, &sig))
+                    .map_err(|err| VerifyError::Type {
                         func: self.f.name.clone(),
                         block: b,
                         err,
-                    }
-                })?;
+                    })?;
                 // Cross-check the recorded value table.
                 let recorded = self.f.instr_result(b, k);
                 match (typed.result, recorded) {

@@ -28,11 +28,7 @@ fn standard_ref() -> &'static Program {
         let mut classes = Vec::new();
         let mut prog = install(&mut classes);
         prog.classes = classes.into_iter().map(Arc::new).collect();
-        let mut done = vec![false; prog.classes.len()];
-        for i in 0..prog.classes.len() {
-            crate::sema::layout_vtable(&mut prog.classes, &mut done, i)
-                .expect("the builtin vtables lay out");
-        }
+        crate::sema::layout_vtables(&mut prog.classes, 0).expect("the builtin vtables lay out");
         prog
     })
 }

@@ -61,16 +61,34 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
         }
         building(&mut classes, idx).superclass = Some(sup);
     }
-    // Cycle check.
+    // Cycle check. A class is marked once its chain is known to end at
+    // a root, so each walk stops at the first marked ancestor and the
+    // check is linear in the class count, however deep the chains.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Chain {
+        Unknown,
+        OnWalk,
+        Acyclic,
+    }
+    let mut chain = vec![Chain::Unknown; classes.len()];
+    let mut walk = Vec::new();
     for decl in &cu.classes {
-        let mut seen = Vec::new();
         let mut cur = Some(names[decl.name.as_str()]);
         while let Some(c) = cur {
-            if seen.contains(&c) {
-                return Err(CompileError::new(decl.span, "cyclic class hierarchy"));
+            match chain[c] {
+                Chain::Acyclic => break,
+                Chain::OnWalk => {
+                    return Err(CompileError::new(decl.span, "cyclic class hierarchy"))
+                }
+                Chain::Unknown => {
+                    chain[c] = Chain::OnWalk;
+                    walk.push(c);
+                    cur = classes[c].superclass;
+                }
             }
-            seen.push(c);
-            cur = classes[c].superclass;
+        }
+        for c in walk.drain(..) {
+            chain[c] = Chain::Acyclic;
         }
     }
 
@@ -186,12 +204,8 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
         }
     }
 
-    // Pass 4: vtable layout (parents before children via recursion).
-    let mut done = vec![false; classes.len()];
-    done[..builtin_count].fill(true);
-    for i in builtin_count..classes.len() {
-        layout_vtable(&mut classes, &mut done, i)?;
-    }
+    // Pass 4: vtable layout, parents before children.
+    layout_vtables(&mut classes, builtin_count)?;
 
     prog.classes = classes;
 
@@ -305,20 +319,33 @@ fn resolve_type(names: &Names, t: &TypeRef, span: Span) -> Result<Ty, CompileErr
     })
 }
 
-pub(crate) fn layout_vtable(
-    classes: &mut [Arc<Class>],
-    done: &mut [bool],
-    idx: ClassIdx,
-) -> Result<(), CompileError> {
-    if done[idx] {
-        return Ok(());
-    }
-    done[idx] = true;
-    let mut vtable = match classes[idx].superclass {
-        Some(sup) => {
-            layout_vtable(classes, done, sup)?;
-            classes[sup].vtable.clone()
+/// Lays out the vtables of classes `first..`, each from its
+/// superclass's finished one; the classes before `first` must be laid
+/// out already. Superclass chains are walked with an explicit stack, so
+/// a deep hierarchy does not deepen the call stack. Chains must be
+/// acyclic.
+pub(crate) fn layout_vtables(classes: &mut [Arc<Class>], first: usize) -> Result<(), CompileError> {
+    let mut done: Vec<bool> = (0..classes.len()).map(|i| i < first).collect();
+    // A class and its ancestors without a vtable yet, nearest first.
+    let mut chain = Vec::new();
+    for i in first..classes.len() {
+        let mut cur = Some(i);
+        while let Some(c) = cur.filter(|&c| !done[c]) {
+            done[c] = true;
+            chain.push(c);
+            cur = classes[c].superclass;
         }
+        while let Some(c) = chain.pop() {
+            layout_vtable(classes, c)?;
+        }
+    }
+    Ok(())
+}
+
+/// Lays out class `idx`'s vtable from its superclass's finished one.
+fn layout_vtable(classes: &mut [Arc<Class>], idx: ClassIdx) -> Result<(), CompileError> {
+    let mut vtable = match classes[idx].superclass {
+        Some(sup) => classes[sup].vtable.clone(),
         None => Vec::new(),
     };
     for mi in 0..classes[idx].methods.len() {

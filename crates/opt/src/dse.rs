@@ -21,7 +21,9 @@
 //!   same field (or same-element-type array loads) whose base may
 //!   denote one of the sites — and by the escape lemma an
 //!   external-tainted load base can never denote a `NoEscape` site, so
-//!   site-set intersection is the exact observer test.
+//!   site-set intersection is the exact observer test. The rule is
+//!   `safetsa_analysis::escape::never_read_stores`, which the linter's
+//!   `never-read-store` reports too.
 //!
 //! Stores have no results and are not exceptional, so deleting them
 //! removes no value and no exception edge: no phi pruning or
@@ -32,14 +34,14 @@
 //! objects.
 
 use crate::facts::Facts;
-use safetsa_analysis::alias;
+use safetsa_analysis::escape;
 use safetsa_analysis::range::origin;
 use safetsa_core::function::Function;
 use safetsa_core::instr::Instr;
 use safetsa_core::rewrite::{compact, Rewrite};
 use safetsa_core::types::{FieldRef, TypeId, TypeTable};
 use safetsa_core::value::{BlockId, ValueId};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// Per-function statistics of one dead-store-elimination run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -181,53 +183,9 @@ pub(crate) fn apply(types: &TypeTable, f: &mut Function, facts: &Facts) -> DseSt
     }
 
     // Rule 2: stores to contained sites never read in the function.
-    // Gather, per field and per element type, the union of sites any
-    // load's base may denote (external taint contributes nothing for
-    // contained sites, by the escape lemma).
-    let mut field_reads: HashMap<FieldRef, BTreeSet<alias::AllocSite>> = HashMap::new();
-    let mut elt_reads: HashMap<TypeId, BTreeSet<alias::AllocSite>> = HashMap::new();
-    for block in &f.blocks {
-        for instr in &block.instrs {
-            match instr {
-                Instr::GetField { object, field, .. } => {
-                    field_reads
-                        .entry(*field)
-                        .or_default()
-                        .extend(al.possible_sites(*object));
-                }
-                Instr::GetElt { arr_ty, array, .. } => {
-                    elt_reads
-                        .entry(*arr_ty)
-                        .or_default()
-                        .extend(al.possible_sites(*array));
-                }
-                _ => {}
-            }
-        }
-    }
-    let unread = |sites: &BTreeSet<alias::AllocSite>,
-                  reads: Option<&BTreeSet<alias::AllocSite>>| {
-        reads.is_none_or(|r| sites.iter().all(|s| !r.contains(s)))
-    };
-    for (bi, block) in f.blocks.iter().enumerate() {
-        let b = BlockId(bi as u32);
-        for (k, instr) in block.instrs.iter().enumerate() {
-            if dead.contains(&(b, k)) {
-                continue;
-            }
-            let gone = match instr {
-                Instr::SetField { object, field, .. } => al
-                    .sites_of(*object)
-                    .is_some_and(|s| esc.all_no_escape(s) && unread(s, field_reads.get(field))),
-                Instr::SetElt { arr_ty, array, .. } => al
-                    .sites_of(*array)
-                    .is_some_and(|s| esc.all_no_escape(s) && unread(s, elt_reads.get(arr_ty))),
-                _ => false,
-            };
-            if gone {
-                dead.insert((b, k));
-                stats.never_read += 1;
-            }
+    for store in escape::never_read_stores(f, al, esc) {
+        if dead.insert(store) {
+            stats.never_read += 1;
         }
     }
 

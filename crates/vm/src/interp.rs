@@ -246,8 +246,9 @@ pub struct Vm<'m> {
     /// Per-class vtable: slot → (class, method index) — derived by the
     /// consumer from the slot assignments in the type table.
     pub(crate) vtables: Vec<Vec<(ClassId, u32)>>,
-    /// Per-class flattened instance-field default values.
-    field_defaults: Vec<Vec<Value>>,
+    /// Per-class flattened instance-field default values, built when
+    /// the class is first instantiated.
+    field_defaults: Vec<Option<Vec<Value>>>,
     exc: ExcClasses,
     pub(crate) string_class: ClassId,
     /// Interned string literals.
@@ -357,18 +358,13 @@ impl<'m> Vm<'m> {
             .collect();
         let layout = Layout::build(&shapes);
         let statics = Statics::build(&shapes);
-        // Vtables and flattened instance-field defaults, each class's
-        // from its superclass's finished ones.
+        // Vtables, each class's from its superclass's finished one.
         let mut vtables: Vec<Vec<(ClassId, u32)>> = vec![Vec::new(); n];
-        let mut field_defaults: Vec<Vec<Value>> = vec![Vec::new(); n];
         for i in parent_first(n, |i| shapes[i].superclass) {
             let c = types.class(ClassId(i as u32));
-            let (mut table, mut flat) = match c.superclass {
-                Some(s) => (
-                    vtables[s.index()].clone(),
-                    field_defaults[s.index()].clone(),
-                ),
-                None => (Vec::new(), Vec::new()),
+            let mut table = match c.superclass {
+                Some(s) => vtables[s.index()].clone(),
+                None => Vec::new(),
             };
             for (mi, m) in c.methods.iter().enumerate() {
                 if let Some(slot) = m.vtable_slot {
@@ -379,21 +375,14 @@ impl<'m> Vm<'m> {
                     table[slot] = (ClassId(i as u32), mi as u32);
                 }
             }
-            flat.extend(
-                c.fields
-                    .iter()
-                    .filter(|f| !f.is_static)
-                    .map(|f| default_value(types, f.ty)),
-            );
             vtables[i] = table;
-            field_defaults[i] = flat;
         }
         let mut vm = Vm {
             module,
             layout,
             statics,
             vtables,
-            field_defaults,
+            field_defaults: vec![None; n],
             exc,
             string_class: module.well_known.string,
             str_pool: HashMap::new(),
@@ -717,7 +706,7 @@ impl<'m> Vm<'m> {
         if self.collect_stats {
             self.stats.objects_allocated += 1;
         }
-        let fields = self.field_defaults[class.index()].clone();
+        let fields = self.fresh_fields(class);
         self.heap.try_alloc(Obj::Instance {
             class: class.index(),
             fields,
@@ -728,12 +717,35 @@ impl<'m> Vm<'m> {
     /// Host-reserved instance allocation for trap exception objects:
     /// bypasses the budget (bytes are still accounted).
     fn alloc_trap_instance(&mut self, class: ClassId) -> HeapRef {
-        let fields = self.field_defaults[class.index()].clone();
+        let fields = self.fresh_fields(class);
         self.heap.alloc(Obj::Instance {
             class: class.index(),
             fields,
             msg: None,
         })
+    }
+
+    /// A copy of `class`'s flattened instance-field defaults. They are
+    /// built on the class's first instantiation, each field written to
+    /// its layout slot along the superclass chain, so `Vm::load` keeps
+    /// only an empty slot per class.
+    fn fresh_fields(&mut self, class: ClassId) -> Vec<Value> {
+        if let Some(fields) = &self.field_defaults[class.index()] {
+            return fields.clone();
+        }
+        let types = &self.module.types;
+        let mut fields = vec![Value::NULL; self.layout.instance_size(class.index())];
+        let mut cur = Some(class);
+        while let Some(c) = cur {
+            let info = types.class(c);
+            let declared = info.fields.iter().filter(|f| !f.is_static);
+            for (i, f) in declared.enumerate() {
+                fields[self.layout.field_slot(c.index(), i)] = default_value(types, f.ty);
+            }
+            cur = info.superclass;
+        }
+        self.field_defaults[class.index()] = Some(fields.clone());
+        fields
     }
 
     pub(crate) fn instance_field_slot(

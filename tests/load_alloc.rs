@@ -12,11 +12,17 @@
 //! table twice per class and walking every class's chain for its field
 //! defaults: 11,308 (decode 9,439, verify 1,244, load 625). The budget
 //! is that count plus 5%; it moves only with a deliberate change to the
-//! load path, stated where it lands.
+//! load path, stated where it lands. Since the decoder keeps each
+//! instruction's operand planes from phase 2a for phase 2b and field
+//! defaults are built on first instantiation, a pass makes 11,381
+//! (decode 9,537, verify 1,247, load 597).
+//!
+//! A second test bounds the bytes `Vm::load` allocates for a deep
+//! hierarchy: it must hold O(classes + fields), not a copy of every
+//! ancestor's fields per class.
 //!
 //! A counting global allocator records the allocations of the thread
-//! that counts, so this file holds one test: tests running in parallel
-//! would share the allocator.
+//! that counts, so tests running in parallel do not see each other's.
 
 use safetsa_codec::{decode_module, HostEnv};
 use safetsa_core::verify::verify_module;
@@ -24,18 +30,24 @@ use safetsa_driver::Pipeline;
 use safetsa_vm::Vm;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::fmt::Write;
 
-/// The system allocator, counting allocation requests per thread.
+/// The system allocator, counting allocation requests and requested
+/// bytes per thread.
 struct Counting;
 
 thread_local! {
     /// Allocations (fresh blocks and reallocations) made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a reallocation counts its new
+    /// size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(bytes: usize) {
     // `try_with`: a thread being torn down may still allocate.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
@@ -44,17 +56,17 @@ fn bump() {
 // `Cell` without a destructor, so bumping it never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -69,6 +81,11 @@ static GLOBAL: Counting = Counting;
 /// Allocations the calling thread has made so far.
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Bytes the calling thread has asked for so far.
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 /// The most allocations one pass over the corpus may make.
@@ -110,5 +127,43 @@ fn corpus_load_path_stays_within_its_allocation_budget() {
         total <= BUDGET,
         "the load path made {total} allocations over the corpus \
          (decode {decode}, verify {verify}, load {load}); the budget is {BUDGET}"
+    );
+}
+
+/// Classes in the chain of [`loading_a_deep_chain_holds_no_copy_per_ancestor`].
+const CHAIN: u32 = 5_000;
+
+/// The most bytes `Vm::load` may allocate for that chain.
+const CHAIN_BYTES: u64 = 2 << 20;
+
+/// A chain of 5,000 classes, each declaring one `int` field and
+/// extending the next one declared. Before `Vm::load` built a class's
+/// flattened field defaults on its first instantiation, it built them
+/// for every class at load, each a copy of its superclass's plus one
+/// field, and asked for 601 MB here (the finished copies hold 200 MB).
+/// Now it asks for about 1.07 MB, under a bound of 2 MiB.
+#[test]
+fn loading_a_deep_chain_holds_no_copy_per_ancestor() {
+    let mut src = String::new();
+    for k in 0..CHAIN {
+        let sup = if k + 1 < CHAIN {
+            format!(" extends K{}", k + 1)
+        } else {
+            String::new()
+        };
+        writeln!(src, "class K{k}{sup} {{ int f{k}; }}").unwrap();
+    }
+    let module = Pipeline::new()
+        .compile_source(&src)
+        .expect("the chain compiles");
+    let before = bytes();
+    let vm = Vm::load(&module).expect("the chain loads");
+    let loaded = bytes() - before;
+    drop(vm);
+    println!("Vm::load of a {CHAIN}-deep one-field chain allocated {loaded} bytes");
+    assert!(
+        loaded <= CHAIN_BYTES,
+        "Vm::load of a {CHAIN}-deep one-field chain allocated {loaded} bytes; \
+         the bound is {CHAIN_BYTES}"
     );
 }
