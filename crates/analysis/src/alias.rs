@@ -163,11 +163,6 @@ pub struct AliasAnalysis {
 }
 
 impl AliasAnalysis {
-    /// The points-to fact for `v` (`None` for non-reference planes).
-    pub fn points_to(&self, v: ValueId) -> Option<&PointsTo> {
-        self.facts.get(v)
-    }
-
     /// The complete site set for `v`: `Some` only when the analysis
     /// can enumerate every object `v` may denote (no external taint).
     pub fn sites_of(&self, v: ValueId) -> Option<&BTreeSet<AllocSite>> {

@@ -97,11 +97,6 @@ impl Range {
         }
     }
 
-    /// Whether the range is the single constant `c`.
-    pub fn is_exactly(&self, c: i64) -> bool {
-        self.lo == c && self.hi == c
-    }
-
     /// The constant this range pins down, if singleton.
     pub fn as_const(&self) -> Option<i64> {
         (self.lo == self.hi).then_some(self.lo)

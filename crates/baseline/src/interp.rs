@@ -7,7 +7,7 @@
 use crate::compile::CompiledProgram;
 use crate::opcode::{ArrayKind, Code, Op};
 use safetsa_frontend::hir::{
-    ClassIdx, FieldIdx, Intrinsic as HIntr, MethodIdx, MethodKind, PrimTy, Program, Ty,
+    ClassIdx, FieldIdx, Intrinsic as HIntr, Method, MethodIdx, MethodKind, PrimTy, Program, Ty,
 };
 use safetsa_rt::heap::{ArrData, Obj};
 use safetsa_rt::intrinsics::{self, Intrinsic};
@@ -795,9 +795,6 @@ impl<'p> Bvm<'p> {
             }
             InvokeVirtual(c, m) => {
                 let meta = self.prog.method(*c, *m);
-                let slot = meta
-                    .vtable_slot
-                    .ok_or_else(|| Trap::Internal("virtual without slot".into()))?;
                 let (args, recv_null) = self.collect_args(stack, &meta.params.clone(), true)?;
                 if recv_null {
                     return Ok(StepResult::Throw(Trap::NullPointer));
@@ -809,7 +806,7 @@ impl<'p> Bvm<'p> {
                     Obj::Str(_) => self.prog.string,
                     Obj::Array { .. } => self.prog.object,
                 };
-                let (ic, im) = self.prog.classes[runtime_class].vtable[slot];
+                let (ic, im) = select_virtual(self.prog, runtime_class, meta)?;
                 let r = self.invoke(ic, im, args);
                 return self.finish_call(stack, r, &ret, pc);
             }
@@ -909,6 +906,32 @@ enum StepResult {
     Next,
     Return(Option<Value>),
     Throw(Trap),
+}
+
+/// `invokevirtual`'s selection, as the JVM makes it: the nearest class,
+/// from the receiver's runtime class up, that declares a virtual method
+/// with the name and parameters of the resolved method. It reads no
+/// dispatch slot, so it checks SafeTSA's slots independently.
+fn select_virtual(
+    prog: &Program,
+    runtime_class: ClassIdx,
+    resolved: &Method,
+) -> Result<(ClassIdx, MethodIdx), Trap> {
+    let mut cur = Some(runtime_class);
+    while let Some(c) = cur {
+        let class = prog.class(c);
+        let declared = class.methods.iter().position(|m| {
+            m.kind == MethodKind::Virtual && m.name == resolved.name && m.params == resolved.params
+        });
+        if let Some(mi) = declared {
+            return Ok((c, mi));
+        }
+        cur = class.superclass;
+    }
+    Err(Trap::Internal(format!(
+        "no class declares {} for the receiver",
+        resolved.name
+    )))
 }
 
 /// Converts a typed value to its stack representation (bool/char → int).

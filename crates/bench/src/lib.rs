@@ -427,18 +427,6 @@ pub fn pair_histogram() -> safetsa_vm::VmProfile {
     merged
 }
 
-/// Runs the fully instrumented pipeline over one corpus program and
-/// packages the per-program metrics document.
-///
-/// # Panics
-///
-/// Panics when any stage fails.
-pub fn program_report(entry: &CorpusEntry) -> ProgramReport {
-    let tm = Telemetry::enabled();
-    record_program(entry, &tm);
-    ProgramReport::from_metrics(entry.name, &tm)
-}
-
 /// Sweeps the whole corpus through the parallel batch driver: `jobs`
 /// workers (`0` = one per CPU), an optional content-addressed cache,
 /// and one [`record_program`] task per program. Returns the per-program

@@ -152,41 +152,12 @@ pub fn decode_module(bytes: &[u8], host: &HostEnv) -> Result<Module, DecodeError
         info.fields = fields;
         info.methods = methods;
     }
-    // Reject superclass cycles before any recursive walk. A class is
-    // marked once its chain is known to end at a root, so each walk
-    // stops at the first marked ancestor and the check is linear in the
-    // class count, however deep the chains.
-    #[derive(Clone, Copy, PartialEq)]
-    enum Chain {
-        Unknown,
-        OnWalk,
-        Acyclic,
-    }
-    let mut chain = vec![Chain::Unknown; types.class_count()];
-    let mut walk = Vec::new();
-    for i in 0..n_classes {
-        let mut cur = Some(ClassId(i as u32));
-        while let Some(c) = cur {
-            let info = types
-                .class_checked(c)
-                .ok_or_else(|| DecodeError::Malformed("superclass out of range".into()))?;
-            match chain[c.index()] {
-                Chain::Acyclic => break,
-                Chain::OnWalk => return Err(DecodeError::Malformed("superclass cycle".into())),
-                Chain::Unknown => {
-                    chain[c.index()] = Chain::OnWalk;
-                    walk.push(c);
-                    cur = info.superclass;
-                }
-            }
-        }
-        for c in walk.drain(..) {
-            chain[c.index()] = Chain::Acyclic;
-        }
-    }
-    // Dispatch-table slots are derived by the consumer — never
-    // transmitted, so they cannot be corrupted.
-    derive_vtable_slots(&mut types);
+    // Dispatch-table slots are derived by the consumer, with the
+    // producer's rule, and never transmitted, so they cannot be
+    // corrupted. The walk rejects superclass cycles.
+    types
+        .assign_vtable_slots()
+        .map_err(|_| DecodeError::Malformed("superclass cycle".into()))?;
 
     // Function bodies, each deriving its graphs in the buffers of the
     // one before.
@@ -221,62 +192,6 @@ pub fn decode_and_verify(bytes: &[u8], host: &HostEnv) -> Result<Module, DecodeE
     safetsa_core::verify::verify_module(&m)
         .map_err(|e| DecodeError::Malformed(format!("verification: {e}")))?;
     Ok(m)
-}
-
-/// Recomputes virtual-dispatch slots from the method tables (same
-/// override rule as the producer: match by name, parameters, and
-/// return type along the superclass chain). Superclass chains must be
-/// acyclic.
-fn derive_vtable_slots(types: &mut TypeTable) {
-    let n = types.class_count();
-    // Every class's dispatch table lives in one arena: `tables[c]` is the
-    // range of class `c`'s, a copy of its superclass's with overridden
-    // slots replaced and new methods appended.
-    let mut arena: Vec<(ClassId, u32)> = Vec::new();
-    let mut tables: Vec<Option<(usize, usize)>> = vec![None; n];
-    // A class and its ancestors without a table yet, nearest first.
-    let mut chain: Vec<ClassId> = Vec::new();
-    for i in 0..n {
-        let mut cur = Some(ClassId(i as u32));
-        while let Some(c) = cur.filter(|c| tables[c.index()].is_none()) {
-            chain.push(c);
-            cur = types.class(c).superclass;
-        }
-        while let Some(c) = chain.pop() {
-            let start = arena.len();
-            if let Some(sup) = types.class(c).superclass {
-                let (from, to) = tables[sup.index()].expect("superclasses come first");
-                arena.extend_from_within(from..to);
-            }
-            for mi in 0..types.class(c).methods.len() {
-                let m = &types.class(c).methods[mi];
-                if m.kind != MethodKind::Virtual {
-                    continue;
-                }
-                let table = &mut arena[start..];
-                let overridden = table.iter().position(|&(oc, om)| {
-                    let o = &types.class(oc).methods[om as usize];
-                    o.name == m.name && o.params == m.params && o.ret == m.ret
-                });
-                let slot = match overridden {
-                    Some(s) => {
-                        table[s] = (c, mi as u32);
-                        s
-                    }
-                    None => {
-                        arena.push((c, mi as u32));
-                        arena.len() - 1 - start
-                    }
-                };
-                // Host classes arrive with their slots already derived, and
-                // a write would copy the shared class into this module.
-                if types.class(c).methods[mi].vtable_slot != Some(slot as u32) {
-                    types.class_mut(c).methods[mi].vtable_slot = Some(slot as u32);
-                }
-            }
-            tables[c.index()] = Some((start, arena.len()));
-        }
-    }
 }
 
 /// Decodes one standalone function section (the counterpart of

@@ -5,7 +5,7 @@
 use safetsa_codec::refs::RegisterFiles;
 use safetsa_codec::{decode_module, encode_module, HostEnv};
 use safetsa_core::function::{Function, ENTRY};
-use safetsa_core::types::TypeId;
+use safetsa_core::types::{TypeId, TypeTable};
 use safetsa_core::value::{BlockId, ValueId};
 use safetsa_core::Module;
 use safetsa_opt::Passes;
@@ -149,4 +149,26 @@ fn decoding_shares_host_classes_and_never_changes_them() {
             }
         }
     }
+}
+
+#[test]
+fn decoded_modules_carry_the_producers_slots() {
+    let host = HostEnv::standard();
+    let slots = |types: &TypeTable| -> Vec<Vec<Option<u32>>> {
+        types
+            .classes()
+            .map(|(_, c)| c.methods.iter().map(|m| m.vtable_slot).collect())
+            .collect()
+    };
+    let mut virtuals = 0;
+    for (name, module, optimized) in corpus() {
+        for m in [&module, &optimized] {
+            let bytes = encode_module(m).expect("encodes");
+            let decoded = decode_module(&bytes, &host).expect("decodes");
+            let sent = slots(&m.types);
+            assert_eq!(slots(&decoded.types), sent, "{name}");
+            virtuals += sent.iter().flatten().flatten().count();
+        }
+    }
+    assert!(virtuals > 100, "only {virtuals} slots checked");
 }

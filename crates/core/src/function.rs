@@ -310,46 +310,6 @@ impl Function {
         out
     }
 
-    /// Recomputes the `results` caches and value `def`/`block` fields
-    /// from `blocks` — used after optimization passes that rebuild
-    /// blocks wholesale.
-    ///
-    /// `value_of` must map each (block, phi index) and (block, instr
-    /// index) to the pre-existing value ids. Most passes instead
-    /// construct a fresh `Function`; this helper is for in-place edits
-    /// that only *remove* instructions.
-    pub fn rebuild_results(&mut self) {
-        // Re-derive def sites from the value table by scanning.
-        for r in &mut self.results {
-            r.phi_results.clear();
-            r.instr_results.clear();
-        }
-        let mut by_site: std::collections::HashMap<(BlockId, bool, u32), ValueId> =
-            std::collections::HashMap::new();
-        for (i, v) in self.values.iter().enumerate() {
-            match v.def {
-                Def::Phi(b, k) => {
-                    by_site.insert((b, true, k), ValueId(i as u32));
-                }
-                Def::Instr(b, k) => {
-                    by_site.insert((b, false, k), ValueId(i as u32));
-                }
-                _ => {}
-            }
-        }
-        for (bi, block) in self.blocks.iter().enumerate() {
-            let b = BlockId(bi as u32);
-            let res = &mut self.results[bi];
-            for k in 0..block.phis.len() {
-                res.phi_results.push(by_site[&(b, true, k as u32)]);
-            }
-            for k in 0..block.instrs.len() {
-                res.instr_results
-                    .push(by_site.get(&(b, false, k as u32)).copied());
-            }
-        }
-    }
-
     /// Total number of instructions (excluding phis).
     pub fn instr_count(&self) -> usize {
         self.blocks.iter().map(|b| b.instrs.len()).sum()

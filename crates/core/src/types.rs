@@ -144,7 +144,8 @@ pub struct MethodInfo {
     pub ret: Option<TypeId>,
     /// Dispatch kind.
     pub kind: MethodKind,
-    /// Virtual-dispatch slot, assigned for [`MethodKind::Virtual`] methods.
+    /// Virtual-dispatch slot of a [`MethodKind::Virtual`] method, set by
+    /// [`TypeTable::assign_vtable_slots`]. Slots are never transmitted.
     pub vtable_slot: Option<u32>,
     /// Index of the function body in the module, if the method is local
     /// (imported/intrinsic methods have none).
@@ -415,11 +416,6 @@ impl TypeTable {
         self.companions.get(arr.index())?.safe_index
     }
 
-    /// Whether `ty` is a primitive plane.
-    pub fn is_prim(&self, ty: TypeId) -> bool {
-        matches!(self.kind(ty), TypeKind::Prim(_))
-    }
-
     /// Whether `ty` is an (unsafe) reference plane — class or array.
     pub fn is_ref(&self, ty: TypeId) -> bool {
         matches!(self.kind(ty), TypeKind::Class(_) | TypeKind::Array(_))
@@ -511,6 +507,117 @@ impl TypeTable {
             cur = info.superclass;
         }
         None
+    }
+
+    /// Assigns every virtual method its dispatch slot. This is the one
+    /// dispatch rule: the producer and the consumer both run it, so
+    /// slots never travel and a tampered stream cannot set them.
+    ///
+    /// Classes are visited parent-first with an explicit stack, so a
+    /// deep hierarchy does not deepen the call stack. A virtual method
+    /// takes the slot of the nearest earlier virtual declaration with
+    /// the same name, parameters and result, first in its own class,
+    /// then up the superclass chain; otherwise it takes the next slot
+    /// after its superclass's. Other methods get no slot. A slot is
+    /// written only when its value changes, so a class shared with
+    /// another table (a host class) that already carries its slots is
+    /// not copied.
+    ///
+    /// # Errors
+    ///
+    /// Returns a class on a superclass cycle if there is one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a superclass is not a class of this table.
+    pub fn assign_vtable_slots(&mut self) -> Result<(), ClassId> {
+        #[derive(Clone, Copy)]
+        enum Walk {
+            Todo,
+            OnChain,
+            /// Done; its dispatch table holds this many slots.
+            Done(u32),
+        }
+        let mut walk = vec![Walk::Todo; self.classes.len()];
+        // A class and its ancestors not yet done, nearest first.
+        let mut chain = Vec::new();
+        for i in 0..self.classes.len() {
+            let mut cur = Some(ClassId(i as u32));
+            while let Some(c) = cur {
+                match walk[c.index()] {
+                    Walk::Done(_) => break,
+                    Walk::OnChain => return Err(c),
+                    Walk::Todo => {
+                        walk[c.index()] = Walk::OnChain;
+                        chain.push(c);
+                        cur = self.class(c).superclass;
+                    }
+                }
+            }
+            while let Some(c) = chain.pop() {
+                let mut next = match self.class(c).superclass.map(|s| walk[s.index()]) {
+                    Some(Walk::Done(n)) => n,
+                    _ => 0,
+                };
+                for mi in 0..self.class(c).methods.len() {
+                    let slot = (self.class(c).methods[mi].kind == MethodKind::Virtual).then(|| {
+                        self.declared_slot(c, mi).unwrap_or_else(|| {
+                            next += 1;
+                            next - 1
+                        })
+                    });
+                    if self.class(c).methods[mi].vtable_slot != slot {
+                        self.class_mut(c).methods[mi].vtable_slot = slot;
+                    }
+                }
+                walk[c.index()] = Walk::Done(next);
+            }
+        }
+        Ok(())
+    }
+
+    /// The slot of the nearest virtual declaration before method `mi` of
+    /// class `c` with the same name, parameters and result: an earlier
+    /// one of `c`, else one of the nearest superclass that declares one.
+    fn declared_slot(&self, c: ClassId, mi: usize) -> Option<u32> {
+        let info = self.class(c);
+        let m = &info.methods[mi];
+        let same = |o: &&MethodInfo| {
+            o.kind == MethodKind::Virtual
+                && o.name == m.name
+                && o.params == m.params
+                && o.ret == m.ret
+        };
+        let mut found = info.methods[..mi].iter().find(same);
+        let mut sup = info.superclass;
+        while found.is_none() {
+            let info = self.class(sup?);
+            found = info.methods.iter().find(same);
+            sup = info.superclass;
+        }
+        found?.vtable_slot
+    }
+
+    /// The method that virtual dispatch on an instance of `class` calls
+    /// for `slot`: the last method declared in that slot by the nearest
+    /// class up the chain from `class`, or `None` if none declares one.
+    /// Slots must be assigned ([`TypeTable::assign_vtable_slots`]).
+    pub fn dispatch(&self, class: ClassId, slot: u32) -> Option<MethodRef> {
+        let mut c = class;
+        loop {
+            let info = self.class_checked(c)?;
+            if let Some(i) = info
+                .methods
+                .iter()
+                .rposition(|m| m.vtable_slot == Some(slot))
+            {
+                return Some(MethodRef {
+                    class: c,
+                    index: i as u32,
+                });
+            }
+            c = info.superclass?;
+        }
     }
 
     /// A human-readable name for a type (used by the pretty printers).
@@ -692,6 +799,153 @@ mod tests {
         let arr = module.array_of(int);
         assert_eq!(host.find_array(int), None);
         assert_eq!(module.find_array(int), Some(arr));
+    }
+
+    fn virtual_method(name: &str, params: Vec<TypeId>, ret: Option<TypeId>) -> MethodInfo {
+        MethodInfo {
+            name: name.into(),
+            params,
+            ret,
+            kind: MethodKind::Virtual,
+            vtable_slot: None,
+            body: None,
+        }
+    }
+
+    fn subclass(
+        t: &mut TypeTable,
+        name: &str,
+        superclass: ClassId,
+        methods: Vec<MethodInfo>,
+    ) -> ClassId {
+        t.declare_class(ClassInfo {
+            name: name.into(),
+            superclass: Some(superclass),
+            fields: vec![],
+            methods,
+            imported: false,
+        })
+        .0
+    }
+
+    fn slots(t: &TypeTable, c: ClassId) -> Vec<Option<u32>> {
+        t.class(c).methods.iter().map(|m| m.vtable_slot).collect()
+    }
+
+    fn method(class: ClassId, index: u32) -> Option<MethodRef> {
+        Some(MethodRef { class, index })
+    }
+
+    #[test]
+    fn an_override_shares_its_superclass_slot_and_a_new_method_takes_the_next() {
+        let mut t = TypeTable::new();
+        let (obj, _) = object_class(&mut t);
+        let (int, long) = (t.int_ty(), t.prim(PrimKind::Long));
+        let f = || virtual_method("f", vec![], Some(int));
+        let g = || virtual_method("g", vec![], Some(int));
+        let a = subclass(&mut t, "A", obj, vec![f(), g()]);
+        let mut helper = virtual_method("s", vec![], None);
+        helper.kind = MethodKind::Static;
+        helper.vtable_slot = Some(9);
+        let b = subclass(
+            &mut t,
+            "B",
+            a,
+            vec![
+                g(),
+                virtual_method("h", vec![], None),
+                helper,
+                // Another parameter list or result is another method.
+                virtual_method("g", vec![int], Some(int)),
+                virtual_method("g", vec![], Some(long)),
+            ],
+        );
+        t.assign_vtable_slots().expect("the hierarchy is acyclic");
+        assert_eq!(slots(&t, a), [Some(0), Some(1)]);
+        assert_eq!(slots(&t, b), [Some(1), Some(2), None, Some(3), Some(4)]);
+        assert_eq!(t.dispatch(b, 0), method(a, 0));
+        assert_eq!(t.dispatch(b, 1), method(b, 0));
+        assert_eq!(t.dispatch(a, 1), method(a, 1));
+        assert_eq!(t.dispatch(a, 2), None);
+        assert_eq!(t.dispatch(b, 5), None);
+    }
+
+    #[test]
+    fn one_signature_declared_twice_in_a_class_shares_a_slot_and_the_later_wins() {
+        let mut t = TypeTable::new();
+        let (obj, _) = object_class(&mut t);
+        let int = t.int_ty();
+        let f = || virtual_method("f", vec![int], Some(int));
+        let a = subclass(
+            &mut t,
+            "A",
+            obj,
+            vec![f(), virtual_method("g", vec![], None), f()],
+        );
+        let b = subclass(&mut t, "B", a, vec![]);
+        t.assign_vtable_slots().expect("the hierarchy is acyclic");
+        assert_eq!(slots(&t, a), [Some(0), Some(1), Some(0)]);
+        assert_eq!(t.dispatch(a, 0), method(a, 2));
+        assert_eq!(t.dispatch(b, 0), method(a, 2));
+    }
+
+    #[test]
+    fn the_nearest_override_along_a_chain_wins() {
+        let mut t = TypeTable::new();
+        let (obj, _) = object_class(&mut t);
+        let f = || virtual_method("f", vec![], None);
+        let g = || virtual_method("g", vec![], None);
+        // Declared child first, so the walk must place parents first.
+        let (d, _) = t.declare_class(ClassInfo {
+            name: "D".into(),
+            superclass: None,
+            fields: vec![],
+            methods: vec![],
+            imported: false,
+        });
+        let a = subclass(&mut t, "A", obj, vec![f(), g()]);
+        let b = subclass(&mut t, "B", a, vec![g()]);
+        let c = subclass(&mut t, "C", b, vec![f()]);
+        t.class_mut(d).superclass = Some(c);
+        t.assign_vtable_slots().expect("the hierarchy is acyclic");
+        assert_eq!(slots(&t, c), [Some(0)]);
+        assert_eq!(t.dispatch(d, 0), method(c, 0));
+        assert_eq!(t.dispatch(d, 1), method(b, 0));
+        assert_eq!(t.dispatch(b, 0), method(a, 0));
+        assert_eq!(t.dispatch(a, 1), method(a, 1));
+    }
+
+    #[test]
+    fn a_superclass_cycle_is_an_error() {
+        let mut t = TypeTable::new();
+        let (obj, _) = object_class(&mut t);
+        let a = subclass(&mut t, "A", obj, vec![]);
+        let b = subclass(&mut t, "B", a, vec![]);
+        t.class_mut(a).superclass = Some(b);
+        let on_cycle = t
+            .assign_vtable_slots()
+            .expect_err("A and B extend each other");
+        assert!(on_cycle == a || on_cycle == b, "{on_cycle:?}");
+        t.class_mut(a).superclass = Some(a);
+        t.class_mut(b).superclass = Some(obj);
+        assert_eq!(t.assign_vtable_slots(), Err(a));
+    }
+
+    #[test]
+    fn assigning_slots_does_not_copy_a_shared_host_class() {
+        let mut host = TypeTable::new();
+        let (obj, _) = object_class(&mut host);
+        let int = host.int_ty();
+        let f = || virtual_method("f", vec![], Some(int));
+        let base = subclass(&mut host, "Base", obj, vec![f()]);
+        host.class_mut(base).imported = true;
+        host.assign_vtable_slots().expect("the host is acyclic");
+        let mut module = host.clone();
+        let sub = subclass(&mut module, "Sub", base, vec![f()]);
+        module.assign_vtable_slots().expect("the module is acyclic");
+        assert_eq!(slots(&module, sub), [Some(0)]);
+        assert!(std::ptr::eq(module.class(base), host.class(base)));
+        assert!(std::ptr::eq(module.class(obj), host.class(obj)));
     }
 
     #[test]

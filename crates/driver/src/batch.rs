@@ -16,7 +16,7 @@
 //! stored module record skips compilation entirely and replays the
 //! cached wire bytes and metrics.
 
-use crate::store::{CacheKey, ModuleRecord, RecordKind, Store, StoreOptions};
+use crate::store::{CacheKey, ModuleRecord, RecordKind, Store};
 use crate::Error;
 use safetsa_telemetry::{AttrValue, Telemetry};
 use std::path::PathBuf;
@@ -166,7 +166,7 @@ where
 {
     let started = Instant::now();
     let cache = match &opts.cache_dir {
-        Some(dir) => Some(Store::open(dir, StoreOptions::default())?),
+        Some(dir) => Some(Store::open(dir)?),
         None => None,
     };
     let jobs = opts.effective_jobs(inputs.len());

@@ -35,4 +35,4 @@ pub mod store;
 pub use batch::{run_batch, BatchInput, BatchItem, BatchOptions, BatchReport};
 pub use error::Error;
 pub use pipeline::{Pipeline, RunOutcome, UnitOutcome};
-pub use store::{passes_fingerprint, CacheKey, RecordKind, Store, StoreOptions};
+pub use store::{passes_fingerprint, CacheKey, RecordKind, Store};

@@ -9,7 +9,7 @@
 //! reports failures through the unified [`Error`].
 
 use crate::store::{
-    self, passes_fingerprint, CacheKey, RecordKind, Store, StoreOptions, UnitIdentity, UnitRecord,
+    self, passes_fingerprint, CacheKey, RecordKind, Store, UnitIdentity, UnitRecord,
 };
 use crate::Error;
 use safetsa_codec::{decode_function_section, encode_function_section, HostEnv};
@@ -171,7 +171,7 @@ impl Pipeline {
     ///
     /// Returns [`Error::Io`] when the store directory cannot be opened.
     pub fn cache(mut self, dir: impl AsRef<Path>) -> Result<Pipeline, Error> {
-        self.store = Some(Store::open(dir.as_ref(), StoreOptions::default())?);
+        self.store = Some(Store::open(dir.as_ref())?);
         Ok(self)
     }
 

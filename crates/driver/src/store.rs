@@ -166,19 +166,6 @@ impl CacheKey {
     }
 }
 
-/// Store configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct StoreOptions {
-    /// Whether [`Store::open`] creates the directory when missing.
-    pub create: bool,
-}
-
-impl Default for StoreOptions {
-    fn default() -> StoreOptions {
-        StoreOptions { create: true }
-    }
-}
-
 /// A whole-file record: the encoded wire bytes plus the flat-serialized
 /// telemetry of the compilation that produced them.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,22 +205,13 @@ pub struct Store {
 }
 
 impl Store {
-    /// Opens a store directory, creating it when
-    /// [`StoreOptions::create`] is set (the default).
+    /// Opens a store directory, creating it if it is missing.
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O failure (`create_dir_all`, or a
-    /// missing directory with `create` off).
-    pub fn open(dir: &Path, opts: StoreOptions) -> std::io::Result<Store> {
-        if opts.create {
-            std::fs::create_dir_all(dir)?;
-        } else if !dir.is_dir() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("store directory {} does not exist", dir.display()),
-            ));
-        }
+    /// Returns the I/O failure of `create_dir_all`.
+    pub fn open(dir: &Path) -> std::io::Result<Store> {
+        std::fs::create_dir_all(dir)?;
         Ok(Store {
             dir: dir.to_path_buf(),
         })
@@ -811,7 +789,7 @@ mod tests {
     #[test]
     fn module_record_round_trip_and_corruption_is_a_miss() {
         let dir = test_dir("module");
-        let store = Store::open(&dir, StoreOptions::default()).unwrap();
+        let store = Store::open(&dir).unwrap();
         let key = CacheKey::new(RecordKind::Module, "cfg", b"src");
         assert!(store.get_module(&key).is_none());
         let rec = ModuleRecord {
@@ -831,7 +809,7 @@ mod tests {
     #[test]
     fn unit_and_identity_records_round_trip() {
         let dir = test_dir("unit");
-        let store = Store::open(&dir, StoreOptions::default()).unwrap();
+        let store = Store::open(&dir).unwrap();
         let key = CacheKey::new(RecordKind::Unit, "cfg", b"u1");
         let mut stats = OptStats {
             instrs_before: 42,
@@ -861,7 +839,7 @@ mod tests {
     #[test]
     fn stale_versions_and_foreign_files_read_as_misses() {
         let dir = test_dir("skew");
-        let store = Store::open(&dir, StoreOptions::default()).unwrap();
+        let store = Store::open(&dir).unwrap();
         let key = CacheKey::new(RecordKind::Module, "cfg", b"src");
         // Plant entries of earlier formats at exactly this key's path: a
         // v1 entry, v2 and v3 entries that are well-formed in their
@@ -921,7 +899,7 @@ mod tests {
     #[test]
     fn every_single_bit_flip_reads_as_a_miss() {
         let dir = test_dir("flip");
-        let store = Store::open(&dir, StoreOptions::default()).unwrap();
+        let store = Store::open(&dir).unwrap();
         let module_key = CacheKey::new(RecordKind::Module, "cfg", b"src");
         let module = ModuleRecord {
             bytes: vec![0x5a, 0xfe, 0x75, 0xa0, 0, 1, 2, 3],
@@ -947,7 +925,7 @@ mod tests {
     #[test]
     fn vanished_directory_degrades_instead_of_failing() {
         let dir = test_dir("degrade");
-        let store = Store::open(&dir, StoreOptions::default()).unwrap();
+        let store = Store::open(&dir).unwrap();
         let key = CacheKey::new(RecordKind::Module, "cfg", b"src");
         let rec = ModuleRecord {
             bytes: vec![9, 9],
@@ -967,15 +945,6 @@ mod tests {
         assert!(!store.put_module_degrading(&key, &rec));
         assert!(store.get_module(&key).is_none());
         let _ = std::fs::remove_file(&dir);
-    }
-
-    #[test]
-    fn open_without_create_requires_the_directory() {
-        let dir = test_dir("nocreate");
-        assert!(Store::open(&dir, StoreOptions { create: false }).is_err());
-        assert!(Store::open(&dir, StoreOptions::default()).is_ok());
-        assert!(Store::open(&dir, StoreOptions { create: false }).is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

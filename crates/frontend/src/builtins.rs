@@ -14,13 +14,12 @@ fn m(name: &str, kind: MethodKind, params: Vec<Ty>, ret: Ty, intrinsic: Intrinsi
         kind,
         params,
         ret,
-        vtable_slot: None,
         body: None,
         intrinsic: Some(intrinsic),
     }
 }
 
-/// The builtin classes, built and laid out once per process.
+/// The builtin classes, built once per process.
 static STANDARD: OnceLock<Program> = OnceLock::new();
 
 fn standard_ref() -> &'static Program {
@@ -28,12 +27,11 @@ fn standard_ref() -> &'static Program {
         let mut classes = Vec::new();
         let mut prog = install(&mut classes);
         prog.classes = classes.into_iter().map(Arc::new).collect();
-        crate::sema::layout_vtables(&mut prog.classes, 0).expect("the builtin vtables lay out");
         prog
     })
 }
 
-/// A program that holds only the builtin classes, vtables laid out.
+/// A program that holds only the builtin classes.
 /// The classes are built once per process; every call shares them
 /// (each [`Class`] is reference-counted, not copied).
 ///
@@ -66,7 +64,6 @@ fn install(classes: &mut Vec<Class>) -> Program {
         superclass: None,
         fields: vec![],
         methods: vec![m("<init>", Special, vec![], Ty::Void, ObjectCtor)],
-        vtable: vec![],
         is_builtin: true,
     });
 
@@ -144,7 +141,6 @@ fn install(classes: &mut Vec<Class>) -> Program {
                 StrValueOfB,
             ),
         ],
-        vtable: vec![],
         is_builtin: true,
     });
 
@@ -170,7 +166,6 @@ fn install(classes: &mut Vec<Class>) -> Program {
                 ThrowableGetMessage,
             ),
         ],
-        vtable: vec![],
         is_builtin: true,
     });
 
@@ -191,7 +186,6 @@ fn install(classes: &mut Vec<Class>) -> Program {
                     ThrowableCtorMsg,
                 ),
             ],
-            vtable: vec![],
             is_builtin: true,
         });
         idx
@@ -270,7 +264,6 @@ fn install(classes: &mut Vec<Class>) -> Program {
                 MathPow,
             ),
         ],
-        vtable: vec![],
         is_builtin: true,
     });
 
@@ -317,7 +310,6 @@ fn install(classes: &mut Vec<Class>) -> Program {
             ),
             m("println", Static, vec![], Ty::Void, SysPrintln),
         ],
-        vtable: vec![],
         is_builtin: true,
     });
 

@@ -151,9 +151,6 @@ pub struct Class {
     /// Declared methods (constructors included, named `<init>`; the
     /// synthesized static initializer is named `<clinit>`).
     pub methods: Vec<Method>,
-    /// The dispatch table: slot → (declaring class, method index) of the
-    /// implementation inherited or defined by *this* class.
-    pub vtable: Vec<(ClassIdx, MethodIdx)>,
     /// Whether this is a host (built-in) class.
     pub is_builtin: bool,
 }
@@ -191,8 +188,6 @@ pub struct Method {
     pub params: Vec<Ty>,
     /// Result type (`Ty::Void` for none).
     pub ret: Ty,
-    /// Vtable slot for virtual methods.
-    pub vtable_slot: Option<usize>,
     /// The body, if the method is user-defined.
     pub body: Option<Body>,
     /// Host implementation, if the method is built-in.

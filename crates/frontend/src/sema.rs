@@ -1,5 +1,6 @@
 //! Semantic analysis: name resolution, type checking, overload
-//! resolution, vtable layout, and lowering to the typed [`crate::hir`].
+//! resolution, override checks, and lowering to the typed
+//! [`crate::hir`].
 
 use crate::ast;
 use crate::ast::{CompilationUnit, ExprKind as AK, Member, Stmt as AStmt, TypeRef};
@@ -38,7 +39,6 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
             superclass: None, // resolved in pass 2
             fields: vec![],
             methods: vec![],
-            vtable: vec![],
             is_builtin: false,
         }));
     }
@@ -139,7 +139,6 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
                         },
                         params,
                         ret,
-                        vtable_slot: None,
                         body: None,
                         intrinsic: None,
                     });
@@ -166,7 +165,6 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
                         kind: MethodKind::Special,
                         params,
                         ret: Ty::Void,
-                        vtable_slot: None,
                         body: None,
                         intrinsic: None,
                     });
@@ -189,7 +187,6 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
                 kind: MethodKind::Special,
                 params: vec![],
                 ret: Ty::Void,
-                vtable_slot: None,
                 body: None,
                 intrinsic: None,
             });
@@ -204,8 +201,11 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
         }
     }
 
-    // Pass 4: vtable layout, parents before children.
-    layout_vtables(&mut classes, builtin_count)?;
+    // Pass 4: an override keeps the result type of the method it
+    // overrides. The core type table assigns the dispatch slots.
+    for idx in builtin_count..classes.len() {
+        check_override_results(&classes, idx)?;
+    }
 
     prog.classes = classes;
 
@@ -256,7 +256,6 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
             kind: MethodKind::Static,
             params: vec![],
             ret: Ty::Void,
-            vtable_slot: None,
             body: Some(body),
             intrinsic: None,
         });
@@ -319,45 +318,19 @@ fn resolve_type(names: &Names, t: &TypeRef, span: Span) -> Result<Ty, CompileErr
     })
 }
 
-/// Lays out the vtables of classes `first..`, each from its
-/// superclass's finished one; the classes before `first` must be laid
-/// out already. Superclass chains are walked with an explicit stack, so
-/// a deep hierarchy does not deepen the call stack. Chains must be
-/// acyclic.
-pub(crate) fn layout_vtables(classes: &mut [Arc<Class>], first: usize) -> Result<(), CompileError> {
-    let mut done: Vec<bool> = (0..classes.len()).map(|i| i < first).collect();
-    // A class and its ancestors without a vtable yet, nearest first.
-    let mut chain = Vec::new();
-    for i in first..classes.len() {
-        let mut cur = Some(i);
-        while let Some(c) = cur.filter(|&c| !done[c]) {
-            done[c] = true;
-            chain.push(c);
-            cur = classes[c].superclass;
-        }
-        while let Some(c) = chain.pop() {
-            layout_vtable(classes, c)?;
-        }
-    }
-    Ok(())
-}
-
-/// Lays out class `idx`'s vtable from its superclass's finished one.
-fn layout_vtable(classes: &mut [Arc<Class>], idx: ClassIdx) -> Result<(), CompileError> {
-    let mut vtable = match classes[idx].superclass {
-        Some(sup) => classes[sup].vtable.clone(),
-        None => Vec::new(),
-    };
-    for mi in 0..classes[idx].methods.len() {
-        let m = &classes[idx].methods[mi];
+/// Rejects a virtual method of class `idx` whose nearest ancestor
+/// declaration with its name and parameters has another result type.
+fn check_override_results(classes: &[Arc<Class>], idx: ClassIdx) -> Result<(), CompileError> {
+    for m in &classes[idx].methods {
         if m.kind != MethodKind::Virtual {
             continue;
         }
-        // Find an overridden slot in the inherited vtable.
-        let mut slot = None;
-        for (s, &(oc, om)) in vtable.iter().enumerate() {
-            let o = &classes[oc].methods[om];
-            if o.name == m.name && o.params == m.params {
+        let mut cur = classes[idx].superclass;
+        while let Some(sup) = cur {
+            let overridden = classes[sup].methods.iter().find(|o| {
+                o.kind == MethodKind::Virtual && o.name == m.name && o.params == m.params
+            });
+            if let Some(o) = overridden {
                 if o.ret != m.ret {
                     return Err(CompileError::new(
                         Span::default(),
@@ -367,23 +340,11 @@ fn layout_vtable(classes: &mut [Arc<Class>], idx: ClassIdx) -> Result<(), Compil
                         ),
                     ));
                 }
-                slot = Some(s);
                 break;
             }
+            cur = classes[sup].superclass;
         }
-        let s = match slot {
-            Some(s) => {
-                vtable[s] = (idx, mi);
-                s
-            }
-            None => {
-                vtable.push((idx, mi));
-                vtable.len() - 1
-            }
-        };
-        building(classes, idx).methods[mi].vtable_slot = Some(s);
     }
-    building(classes, idx).vtable = vtable;
     Ok(())
 }
 

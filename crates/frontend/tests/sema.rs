@@ -45,21 +45,22 @@ fn field_and_method_resolution() {
 }
 
 #[test]
-fn vtable_override_shares_slot() {
-    let p = compile(
-        "class A { int f() { return 1; } int g() { return 2; } }
-         class B extends A { int g() { return 3; } int h() { return 4; } }",
+fn override_changing_return_type_is_rejected() {
+    let err = compile(
+        "class A { int f() { return 1; } }
+         class B extends A { }
+         class C extends B { long f() { return 2L; } }",
+    )
+    .unwrap_err();
+    assert_eq!(err.message, "C.f: override changes return type");
+    // The nearest declaration decides, and another parameter list is
+    // another method.
+    compile(
+        "class A { int f() { return 1; } }
+         class B extends A { int f() { return 2; } long f(int x) { return 3L; } }
+         class C extends B { int f() { return 4; } }",
     )
     .unwrap();
-    let a = p.find_class("A").unwrap();
-    let b = p.find_class("B").unwrap();
-    let a_g = p.class(a).methods.iter().find(|m| m.name == "g").unwrap();
-    let b_g = p.class(b).methods.iter().find(|m| m.name == "g").unwrap();
-    assert_eq!(a_g.vtable_slot, b_g.vtable_slot);
-    let slot = b_g.vtable_slot.unwrap();
-    assert_eq!(p.class(b).vtable[slot].0, b, "B's vtable points at B.g");
-    let b_h = p.class(b).methods.iter().find(|m| m.name == "h").unwrap();
-    assert_ne!(b_h.vtable_slot, b_g.vtable_slot);
 }
 
 #[test]

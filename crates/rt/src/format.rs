@@ -48,21 +48,6 @@ pub fn fmt_double(v: f64) -> String {
     }
 }
 
-/// Formats a `float` (via the same scheme as doubles).
-pub fn fmt_float(v: f32) -> String {
-    if v.is_nan() {
-        return "NaN".to_string();
-    }
-    if v.is_infinite() {
-        return if v > 0.0 { "Infinity" } else { "-Infinity" }.to_string();
-    }
-    if v == v.trunc() && v.abs() < 1e7 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,7 +30,7 @@ pub struct Layout {
 /// (`superclass(i)`), found with an explicit stack: the walk's depth
 /// does not grow with the depth of the hierarchy. Each class is visited
 /// once. Superclass chains must be acyclic.
-pub fn parent_first(n: usize, superclass: impl Fn(usize) -> Option<usize>) -> Vec<usize> {
+fn parent_first(n: usize, superclass: impl Fn(usize) -> Option<usize>) -> Vec<usize> {
     let mut placed = vec![false; n];
     let mut order = Vec::with_capacity(n);
     // A class and its unplaced ancestors, nearest first.

@@ -100,9 +100,4 @@ impl Output {
     pub fn text(&self) -> &str {
         &self.buffer
     }
-
-    /// Consumes the buffer.
-    pub fn into_text(self) -> String {
-        self.buffer
-    }
 }

@@ -37,7 +37,7 @@ use crate::flight::{FlightRecord, FlightRecorder};
 use crate::protocol::{self, Op, Request};
 use crate::queue::{BoundedQueue, PushError};
 use crate::stats::ServeStats;
-use safetsa_driver::store::{CacheKey, ModuleRecord, RecordKind, Store, StoreOptions};
+use safetsa_driver::store::{CacheKey, ModuleRecord, RecordKind, Store};
 use safetsa_driver::{passes_fingerprint, Error, Pipeline};
 use safetsa_opt::Passes;
 use safetsa_telemetry::{AttrValue, Json, Telemetry};
@@ -359,7 +359,7 @@ impl Server {
             }
         };
         let cache = match &cfg.cache_dir {
-            Some(dir) => Some(Store::open(dir, StoreOptions::default())?),
+            Some(dir) => Some(Store::open(dir)?),
             None => None,
         };
         let shared = Arc::new(Shared {

@@ -80,11 +80,10 @@ fn host() -> &'static Host {
         let mut types = TypeTable::new();
         let map = declare(&mut types, &prog, &[]);
         let planes = types.len();
-        let infos = prog
-            .classes
-            .iter()
-            .map(|c| Arc::new(class_info(&mut types, &map, c)))
-            .collect();
+        for (idx, c) in prog.classes.iter().enumerate() {
+            let info = class_info(&mut types, &map, c);
+            *types.class_mut(map.class_id(idx)) = info;
+        }
         // A plane interned here would get another id in a table with
         // user classes, so shared metadata must not name one.
         assert_eq!(
@@ -92,8 +91,11 @@ fn host() -> &'static Host {
             planes,
             "builtin members reference only primitive and builtin planes"
         );
+        types
+            .assign_vtable_slots()
+            .expect("the builtin hierarchy is acyclic");
         Host {
-            infos,
+            infos: types.classes().map(|(_, c)| Arc::new(c.clone())).collect(),
             classes: prog.classes,
         }
     })
@@ -145,7 +147,7 @@ fn class_info(types: &mut TypeTable, map: &TypeMap, c: &hir::Class) -> ClassInfo
                 MethodKind::Virtual => CoreMethodKind::Virtual,
                 MethodKind::Special => CoreMethodKind::Special,
             },
-            vtable_slot: m.vtable_slot.map(|s| s as u32),
+            vtable_slot: None,
             body: None,
         })
         .collect();
@@ -159,8 +161,9 @@ fn class_info(types: &mut TypeTable, map: &TypeMap, c: &hir::Class) -> ClassInfo
 }
 
 /// Builds the type table for `prog` (classes only; function bodies are
-/// attached by the lowering driver). The builtin classes share their
-/// metadata with every other table of the process.
+/// attached by the lowering driver), dispatch slots assigned. The
+/// builtin classes share their metadata with every other table of the
+/// process.
 pub fn build(prog: &Program) -> (TypeTable, TypeMap) {
     let mut types = TypeTable::new();
     // The leading classes that are the process's builtins.
@@ -178,6 +181,10 @@ pub fn build(prog: &Program) -> (TypeTable, TypeMap) {
         let info = class_info(&mut types, &map, c);
         *types.class_mut(map.class_id(idx)) = info;
     }
+    // The shared builtins already carry their slots, so they stay shared.
+    types
+        .assign_vtable_slots()
+        .expect("the front end rejects superclass cycles");
     // Every class gets a safe-ref plane eagerly: receivers live there.
     for idx in 0..prog.classes.len() {
         let ty = map.class_ty[idx];

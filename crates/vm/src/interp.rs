@@ -5,7 +5,7 @@
 use safetsa_core::module::{FuncId, Module};
 use safetsa_core::types::{ClassId, PrimKind, TypeId, TypeKind};
 use safetsa_rt::heap::Obj;
-use safetsa_rt::layout::{parent_first, ClassShape, Layout, Statics};
+use safetsa_rt::layout::{ClassShape, Layout, Statics};
 use safetsa_rt::{Heap, HeapRef, Output, Trap, Value};
 use safetsa_telemetry::{Json, Telemetry};
 use std::collections::{BTreeMap, HashMap};
@@ -243,9 +243,6 @@ pub struct Vm<'m> {
     pub(crate) module: &'m Module,
     pub(crate) layout: Layout,
     pub(crate) statics: Statics,
-    /// Per-class vtable: slot → (class, method index) — derived by the
-    /// consumer from the slot assignments in the type table.
-    pub(crate) vtables: Vec<Vec<(ClassId, u32)>>,
     /// Per-class flattened instance-field default values, built when
     /// the class is first instantiated.
     field_defaults: Vec<Option<Vec<Value>>>,
@@ -308,7 +305,7 @@ pub struct Vm<'m> {
     pub(crate) tcode: Vec<Option<std::rc::Rc<crate::threaded::TFunc>>>,
     /// `xdispatch` inline-cache guard hits.
     pub(crate) icache_hits: u64,
-    /// `xdispatch` inline-cache guard misses, i.e. vtable walks.
+    /// `xdispatch` inline-cache guard misses, i.e. dispatch walks.
     pub(crate) icache_misses: u64,
     /// Free list of frame buffers: a call takes one, fills it from the
     /// callee's frame template and gives it back, cleared, on return.
@@ -318,8 +315,10 @@ pub struct Vm<'m> {
 }
 
 impl<'m> Vm<'m> {
-    /// Loads a module: derives vtables, layouts, statics, and resolves
-    /// the built-in exception classes. Call
+    /// Loads a module: derives layouts and statics, and resolves the
+    /// built-in exception classes. Virtual calls resolve through the
+    /// type table's slots ([`safetsa_core::types::TypeTable::dispatch`]),
+    /// so no dispatch tables are built. Call
     /// [`safetsa_core::verify::verify_module`] first; the VM assumes a
     /// verified module.
     ///
@@ -358,30 +357,10 @@ impl<'m> Vm<'m> {
             .collect();
         let layout = Layout::build(&shapes);
         let statics = Statics::build(&shapes);
-        // Vtables, each class's from its superclass's finished one.
-        let mut vtables: Vec<Vec<(ClassId, u32)>> = vec![Vec::new(); n];
-        for i in parent_first(n, |i| shapes[i].superclass) {
-            let c = types.class(ClassId(i as u32));
-            let mut table = match c.superclass {
-                Some(s) => vtables[s.index()].clone(),
-                None => Vec::new(),
-            };
-            for (mi, m) in c.methods.iter().enumerate() {
-                if let Some(slot) = m.vtable_slot {
-                    let slot = slot as usize;
-                    if table.len() <= slot {
-                        table.resize(slot + 1, (ClassId(i as u32), mi as u32));
-                    }
-                    table[slot] = (ClassId(i as u32), mi as u32);
-                }
-            }
-            vtables[i] = table;
-        }
         let mut vm = Vm {
             module,
             layout,
             statics,
-            vtables,
             field_defaults: vec![None; n],
             exc,
             string_class: module.well_known.string,
@@ -476,13 +455,6 @@ impl<'m> Vm<'m> {
         self.slice_left = DEADLINE_SLICE;
     }
 
-    /// Clears any wall-clock deadline (the slice countdown stays on if
-    /// the profiler still needs it).
-    pub fn clear_deadline(&mut self) {
-        self.deadline = None;
-        self.slice_active = self.profile_every != 0;
-    }
-
     /// Turns on the sampling profiler: every `every_slices` fuel slices
     /// (of [`DEADLINE_SLICE`] instructions each) the dispatch loop
     /// records the current function and opcode window into a
@@ -529,7 +501,7 @@ impl<'m> Vm<'m> {
         self.icache_hits
     }
 
-    /// `xdispatch` inline-cache guard misses (vtable walks) so far.
+    /// `xdispatch` inline-cache guard misses (dispatch walks) so far.
     pub fn icache_misses(&self) -> u64 {
         self.icache_misses
     }

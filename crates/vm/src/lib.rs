@@ -11,8 +11,9 @@
 //! flattening the Control Structure Tree into a direct-threaded op
 //! array; phi nodes become copies on each static CFG edge, sequenced at
 //! decode time, exceptions follow the implicit edges to the innermost
-//! handler, and dynamic dispatch uses vtables derived (by the consumer,
-//! tamper-proof) from the type table's slot assignments. Its output is
+//! handler, and dynamic dispatch resolves through the type table's
+//! slots, which the consumer assigned itself (tamper-proof) with the
+//! producer's rule. Its output is
 //! checked against the independent bytecode baseline interpreter
 //! (`safetsa-baseline`) corpus-wide.
 //!

@@ -23,11 +23,12 @@
 //!   constituents in the opcode histogram.
 //! * **Monomorphic inline caches** — each decoded `xdispatch` site
 //!   caches (runtime class → resolved target). The guard compares the
-//!   receiver's runtime class id; vtables and intrinsic bindings are
-//!   immutable after load, so the cache never needs invalidation and a
-//!   hit is always sound. Misses fall back to the vtable walk and
-//!   re-fill the cache (always-replace, so megamorphic sites degrade to
-//!   the old path plus one compare).
+//!   receiver's runtime class id; the type table's dispatch slots and
+//!   intrinsic bindings are immutable after load, so the cache never
+//!   needs invalidation and a hit is always sound. Misses fall back to
+//!   [`safetsa_core::types::TypeTable::dispatch`] and re-fill the cache
+//!   (always-replace, so megamorphic sites degrade to the old path plus
+//!   one compare).
 //! * **Block-granularity fuel** — fuel is charged once per basic block
 //!   (its charged-op count) at block entry instead of per instruction.
 //!   A run completes iff fuel ≥ total charged steps; a budget that runs
@@ -1215,15 +1216,9 @@ impl<'a, 'm> Flattener<'a, 'm> {
                 args,
                 ..
             } => {
-                let Some(info) = types.method(*method) else {
-                    return fail("bad method ref");
-                };
-                let target = match info.body {
-                    Some(body) => CallTarget::Func(FuncId(body)),
-                    None => match self.resolve_intrinsic(method.class, *method) {
-                        Ok(t) => t,
-                        Err(msg) => return Op::Fail { msg: msg.into() },
-                    },
+                let target = match self.vm.call_target(*method) {
+                    Ok(t) => t,
+                    Err(msg) => return Op::Fail { msg: msg.into() },
                 };
                 Op::Call {
                     target,
@@ -1264,26 +1259,6 @@ impl<'a, 'm> Flattener<'a, 'm> {
             },
             Instr::Catch { .. } => Op::Catch { dst },
         }
-    }
-
-    /// Resolves a body-less method to its host intrinsic at decode time.
-    fn resolve_intrinsic(&self, class: ClassId, method: MethodRef) -> Result<CallTarget, String> {
-        let types = &self.vm.module.types;
-        let cinfo = types.class(class);
-        let Some(minfo) = types.method(method) else {
-            return Err("bad method ref".into());
-        };
-        let sig: String = minfo
-            .params
-            .iter()
-            .map(|p| crate::interp::sig_letter(types, *p))
-            .collect();
-        let id = intrinsics::resolve(&cinfo.name, &minfo.name, &sig)
-            .ok_or_else(|| format!("no intrinsic for {}.{}({sig})", cinfo.name, minfo.name))?;
-        Ok(CallTarget::Intrinsic {
-            id,
-            is_static: minfo.kind == MethodKind::Static,
-        })
     }
 }
 
@@ -1937,7 +1912,7 @@ impl<'m> Vm<'m> {
                             }
                             _ => {
                                 self.icache_misses += 1;
-                                match self.resolve_virtual(rc, *vslot) {
+                                match self.dispatch_miss(rc, *vslot) {
                                     Ok(t) => {
                                         ic.set(Some((rc, t)));
                                         t
@@ -2146,40 +2121,42 @@ impl<'m> Vm<'m> {
         Ok(hi.entry_pc as usize)
     }
 
-    /// The vtable walk behind an inline-cache miss: resolves
-    /// `(runtime class, vtable slot)` to a call target. Deterministic
-    /// over the immutable vtables, so caching the result is sound.
-    fn resolve_virtual(&self, rc: u32, vslot: u32) -> Result<CallTarget, Trap> {
-        let (impl_class, impl_idx) = self.vtables[rc as usize][vslot as usize];
-        let target = MethodRef {
-            class: impl_class,
-            index: impl_idx,
+    /// The call target of `method`: its body, or for a method without
+    /// one the host intrinsic that its class, name and parameters name.
+    pub(crate) fn call_target(&self, method: MethodRef) -> Result<CallTarget, String> {
+        let types = &self.module.types;
+        let Some(info) = types.method(method) else {
+            return Err("bad method ref".into());
         };
-        let info = self
-            .module
-            .types
-            .method(target)
-            .ok_or_else(|| Trap::Internal("bad vtable entry".into()))?;
         if let Some(body) = info.body {
             return Ok(CallTarget::Func(FuncId(body)));
         }
-        let types = &self.module.types;
-        let cinfo = types.class(impl_class);
+        let cinfo = types.class(method.class);
         let sig: String = info
             .params
             .iter()
             .map(|p| crate::interp::sig_letter(types, *p))
             .collect();
-        let id = intrinsics::resolve(&cinfo.name, &info.name, &sig).ok_or_else(|| {
-            Trap::Internal(format!(
-                "no intrinsic for {}.{}({sig})",
-                cinfo.name, info.name
-            ))
-        })?;
+        let id = intrinsics::resolve(&cinfo.name, &info.name, &sig)
+            .ok_or_else(|| format!("no intrinsic for {}.{}({sig})", cinfo.name, info.name))?;
         Ok(CallTarget::Intrinsic {
             id,
             is_static: info.kind == MethodKind::Static,
         })
+    }
+
+    /// An inline-cache miss: the target that virtual dispatch on runtime
+    /// class `rc` calls for `vslot`. A pure function of its arguments
+    /// over the immutable type table, so caching the result is sound.
+    #[cold]
+    #[inline(never)]
+    fn dispatch_miss(&self, rc: u32, vslot: u32) -> Result<CallTarget, Trap> {
+        let method = self
+            .module
+            .types
+            .dispatch(ClassId(rc), vslot)
+            .ok_or_else(|| Trap::Internal(format!("no method in dispatch slot {vslot}")))?;
+        self.call_target(method).map_err(Trap::Internal)
     }
 
     /// Folds the threaded engine's stats counters (block entries and

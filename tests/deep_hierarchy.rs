@@ -6,21 +6,22 @@
 //!
 //! The first hands the consumer the chain as a 45 KB module stream,
 //! small enough for one serve request, to decode, verify and load.
-//! Before the decoder's superclass-cycle check marked each class once
-//! and `Vm::load` built vtables, layouts and field defaults parent-first
-//! from the parent's finished result, the check walked every class's
-//! whole chain (1.49 s in a release build) and the loader walked it
-//! again and recursed once per ancestor (2.15 s more, and a stack
+//! The decoder's superclass-cycle check, the walk of
+//! `TypeTable::assign_vtable_slots`, marks each class once, and
+//! `Vm::load` builds layouts parent-first from the superclass's finished
+//! one and builds no dispatch tables. Before, the check walked every
+//! class's whole chain (1.49 s in a release build) and the loader walked
+//! it again and recursed once per ancestor (2.15 s more, and a stack
 //! overflow on a small stack).
 //!
 //! The second compiles the chain from 620 KB of source to a `.tsa`
-//! stream, then decodes, verifies and loads that. Before the front
-//! end's cycle check marked each class once and its vtable layout went
-//! parent-first without recursion, the check compared every class
+//! stream, then decodes, verifies and loads that. The front end's cycle
+//! check marks each class once, and neither its override check nor the
+//! slot assignment recurses. Before, the check compared every class
 //! against every ancestor already seen on its chain (3.46 s for 4,000
-//! classes, growing with the cube of the depth), and the layout
-//! recursed once per ancestor, which overflowed a 256 KiB stack already
-//! at 2,000 classes.
+//! classes, growing with the cube of the depth), and sema's vtable
+//! layout recursed once per ancestor, which overflowed a 256 KiB stack
+//! already at 2,000 classes.
 
 use safetsa_codec::bits::BitWriter;
 use safetsa_codec::layout::{MAGIC, VERSION};

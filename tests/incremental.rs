@@ -13,7 +13,7 @@
 //!    file recompiles exactly that unit; edits to a class layout or the
 //!    class count invalidate the units that depend on them.
 
-use safetsa::driver::store::{unit_plan, Store, StoreOptions};
+use safetsa::driver::store::{unit_plan, Store};
 use safetsa::opt::Passes;
 use safetsa::Pipeline;
 use safetsa_codec::{decode_function_section, encode_function_section, encode_module};
@@ -200,7 +200,7 @@ fn corrupt_and_stale_entries_read_as_misses() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     // Open once just to create the directory the foreign files go in.
-    let _store = Store::open(&dir, StoreOptions::default()).unwrap();
+    let _store = Store::open(&dir).unwrap();
 
     // Foreign and v1-format files are ignored.
     std::fs::write(
