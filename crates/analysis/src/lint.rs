@@ -16,7 +16,7 @@
 
 use crate::alias;
 use crate::escape;
-use crate::liveness::{self, is_pure};
+use crate::liveness;
 use crate::nullness::{self, Nullity};
 use crate::range::{self, origin};
 use safetsa_core::cfg::Cfg;
@@ -207,7 +207,7 @@ pub fn lint_function(types: &TypeTable, f: &Function) -> Vec<Diagnostic> {
             // Unused values: pure instructions whose result cannot
             // influence observable behaviour.
             if let Some(r) = f.instr_result(b, k) {
-                if is_pure(instr) && !lv.is_live(r) {
+                if instr.is_pure() && !lv.is_live(r) {
                     push(
                         Severity::Warning,
                         "unused-value",

@@ -16,7 +16,6 @@
 use crate::framework::{run_backward, BackwardAnalysis, Fixpoint, JoinLattice};
 use safetsa_core::cfg::Cfg;
 use safetsa_core::function::Function;
-use safetsa_core::instr::Instr;
 use safetsa_core::value::{BlockId, ValueId};
 
 /// The single-point liveness lattice ("demanded").
@@ -27,23 +26,6 @@ impl JoinLattice for Live {
     fn join(&self, _other: &Live) -> Live {
         Live
     }
-}
-
-/// Whether an instruction's only observable effect is its result —
-/// the same set DCE treats as removable.
-pub fn is_pure(i: &Instr) -> bool {
-    matches!(
-        i,
-        Instr::Primitive { .. }
-            | Instr::Downcast { .. }
-            | Instr::InstanceOf { .. }
-            | Instr::RefEq { .. }
-            | Instr::ArrayLength { .. }
-            | Instr::GetField { .. }
-            | Instr::GetStatic { .. }
-            | Instr::GetElt { .. }
-            | Instr::New { .. }
-    )
 }
 
 struct Analysis;
@@ -70,7 +52,7 @@ impl BackwardAnalysis for Analysis {
         out: &mut Vec<(ValueId, Live)>,
     ) {
         let instr = &f.block(b).instrs[k];
-        if result.is_none() && is_pure(instr) {
+        if result.is_none() && instr.is_pure() {
             return;
         }
         out.extend(instr.operands().iter().map(|&v| (v, Live)));

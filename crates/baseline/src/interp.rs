@@ -7,11 +7,11 @@
 use crate::compile::CompiledProgram;
 use crate::opcode::{ArrayKind, Code, Op};
 use safetsa_frontend::hir::{
-    ClassIdx, FieldIdx, Intrinsic as HIntr, Method, MethodIdx, MethodKind, PrimTy, Program, Ty,
+    ClassIdx, Field, FieldIdx, Intrinsic as HIntr, Method, MethodIdx, MethodKind, PrimTy, Program,
+    Ty,
 };
 use safetsa_rt::heap::{ArrData, Obj};
 use safetsa_rt::intrinsics::{self, Intrinsic};
-use safetsa_rt::layout::{ClassShape, Layout, Statics};
 use safetsa_rt::{Heap, HeapRef, Output, Trap, Value};
 use std::collections::HashMap;
 use std::fmt;
@@ -40,8 +40,10 @@ impl std::error::Error for BvmError {}
 pub struct Bvm<'p> {
     prog: &'p Program,
     code: &'p CompiledProgram,
-    layout: Layout,
-    statics: Statics,
+    /// This engine's own instance layout, by class.
+    shapes: Vec<Shape>,
+    /// Static-field values, by class and then by field index.
+    statics: Vec<Vec<Value>>,
     str_pool: HashMap<String, HeapRef>,
     /// Array type tags: interned HIR types (per VM).
     array_tags: Vec<Ty>,
@@ -58,28 +60,24 @@ pub struct Bvm<'p> {
 impl<'p> Bvm<'p> {
     /// Creates a VM over a compiled program.
     pub fn load(prog: &'p Program, code: &'p CompiledProgram) -> Self {
-        let shapes: Vec<ClassShape> = prog
+        let statics = prog
             .classes
             .iter()
-            .map(|c| ClassShape {
-                superclass: c.superclass,
-                instance_fields: c.fields.iter().filter(|f| !f.is_static).count(),
-                static_fields: c.fields.len(),
+            .map(|c| {
+                let default = |f: &Field| {
+                    if f.is_static {
+                        default_value(&f.ty)
+                    } else {
+                        Value::NULL
+                    }
+                };
+                c.fields.iter().map(default).collect()
             })
             .collect();
-        let layout = Layout::build(&shapes);
-        let mut statics = Statics::build(&shapes);
-        for (ci, c) in prog.classes.iter().enumerate() {
-            for (fi, f) in c.fields.iter().enumerate() {
-                if f.is_static {
-                    statics.init_default(ci, fi, default_value(&f.ty));
-                }
-            }
-        }
         Bvm {
             prog,
             code,
-            layout,
+            shapes: lay_out(prog),
             statics,
             str_pool: HashMap::new(),
             array_tags: Vec::new(),
@@ -278,20 +276,17 @@ impl<'p> Bvm<'p> {
     }
 
     fn alloc_instance(&mut self, class: ClassIdx) -> HeapRef {
-        let mut fields = Vec::with_capacity(self.layout.instance_size(class));
-        // typed defaults along the chain
-        let mut chain = Vec::new();
+        let mut fields = vec![Value::NULL; self.shapes[class].size];
+        // Typed defaults along the chain.
         let mut cur = Some(class);
         while let Some(c) = cur {
-            chain.push(c);
-            cur = self.prog.classes[c].superclass;
-        }
-        for c in chain.into_iter().rev() {
-            for f in &self.prog.classes[c].fields {
-                if !f.is_static {
-                    fields.push(default_value(&f.ty));
+            let decl = &self.prog.classes[c];
+            for (f, slot) in decl.fields.iter().zip(&self.shapes[c].slots) {
+                if let Some(slot) = *slot {
+                    fields[slot] = default_value(&f.ty);
                 }
             }
+            cur = decl.superclass;
         }
         self.heap.alloc(Obj::Instance {
             class,
@@ -300,12 +295,9 @@ impl<'p> Bvm<'p> {
         })
     }
 
-    fn field_slot(&self, class: ClassIdx, field: FieldIdx) -> usize {
-        let before = self.prog.classes[class].fields[..field]
-            .iter()
-            .filter(|f| !f.is_static)
-            .count();
-        self.layout.field_slot(class, before)
+    fn field_slot(&self, class: ClassIdx, field: FieldIdx) -> Result<usize, Trap> {
+        self.shapes[class].slots[field]
+            .ok_or_else(|| Trap::Internal("instance access to a static field".into()))
     }
 
     fn is_instance_of(&self, r: HeapRef, target: &Ty) -> bool {
@@ -750,7 +742,7 @@ impl<'p> Bvm<'p> {
                 let Some(r) = pop!().as_ref() else {
                     return Ok(StepResult::Throw(Trap::NullPointer));
                 };
-                let slot = self.field_slot(*c, *f);
+                let slot = self.field_slot(*c, *f)?;
                 match self.heap.get(r) {
                     Obj::Instance { fields, .. } => stack.push(to_stack(fields[slot])),
                     _ => return Err(Trap::Internal("getfield on non-instance".into())),
@@ -761,7 +753,7 @@ impl<'p> Bvm<'p> {
                 let Some(r) = pop!().as_ref() else {
                     return Ok(StepResult::Throw(Trap::NullPointer));
                 };
-                let slot = self.field_slot(*c, *f);
+                let slot = self.field_slot(*c, *f)?;
                 let typed = from_stack(v, &self.prog.field(*c, *f).ty);
                 match self.heap.get_mut(r) {
                     Obj::Instance { fields, .. } => fields[slot] = typed,
@@ -769,12 +761,12 @@ impl<'p> Bvm<'p> {
                 }
             }
             GetStatic(c, f) => {
-                stack.push(to_stack(self.statics.get(*c, *f)));
+                stack.push(to_stack(self.statics[*c][*f]));
             }
             PutStatic(c, f) => {
                 let v = pop!();
                 let typed = from_stack(v, &self.prog.field(*c, *f).ty);
-                self.statics.set(*c, *f, typed);
+                self.statics[*c][*f] = typed;
             }
             InvokeStatic(c, m) => {
                 let meta = self.prog.method(*c, *m);
@@ -950,6 +942,53 @@ fn from_stack(v: Value, ty: &Ty) -> Value {
         (Ty::Prim(PrimTy::Char), Value::I(x)) => Value::C(x as u16),
         _ => v,
     }
+}
+
+/// One class's instance layout in this engine.
+#[derive(Clone)]
+struct Shape {
+    /// Each declared field's slot in an instance; `None` for a static
+    /// field.
+    slots: Vec<Option<usize>>,
+    /// Instance slots, inherited ones included.
+    size: usize,
+}
+
+/// Lays out `prog`'s instances from the HIR alone, so the layout the
+/// SafeTSA VM reads from its type table has an independent check: a
+/// class's instance fields take the slots after its superclass's, in
+/// declaration order. Classes are laid out parent-first, each from its
+/// superclass's finished shape, with an explicit stack rather than
+/// recursion. The front end rejects superclass cycles.
+fn lay_out(prog: &Program) -> Vec<Shape> {
+    const TODO: usize = usize::MAX;
+    let todo = Shape {
+        slots: Vec::new(),
+        size: TODO,
+    };
+    let mut shapes = vec![todo; prog.classes.len()];
+    // A class and its ancestors not yet laid out, nearest first.
+    let mut chain = Vec::new();
+    for i in 0..shapes.len() {
+        let mut cur = Some(i);
+        while let Some(c) = cur.filter(|&c| shapes[c].size == TODO) {
+            chain.push(c);
+            cur = prog.classes[c].superclass;
+        }
+        while let Some(c) = chain.pop() {
+            let class = &prog.classes[c];
+            let mut size = class.superclass.map_or(0, |s| shapes[s].size);
+            let mut slot = |f: &Field| {
+                (!f.is_static).then(|| {
+                    size += 1;
+                    size - 1
+                })
+            };
+            let slots = class.fields.iter().map(&mut slot).collect();
+            shapes[c] = Shape { slots, size };
+        }
+    }
+    shapes
 }
 
 fn default_value(ty: &Ty) -> Value {

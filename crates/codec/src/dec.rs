@@ -95,6 +95,7 @@ pub fn decode_module(bytes: &[u8], host: &HostEnv) -> Result<Module, DecodeError
             fields: vec![],
             methods: vec![],
             imported: false,
+            instance_size: 0,
         });
     }
     let mut has_body: Vec<(ClassId, usize)> = Vec::new();
@@ -112,6 +113,7 @@ pub fn decode_module(bytes: &[u8], host: &HostEnv) -> Result<Module, DecodeError
                 name: fname,
                 ty,
                 is_static,
+                slot: None,
             });
         }
         let n_methods = cap(r.gamma()?, "method")?;
@@ -152,11 +154,11 @@ pub fn decode_module(bytes: &[u8], host: &HostEnv) -> Result<Module, DecodeError
         info.fields = fields;
         info.methods = methods;
     }
-    // Dispatch-table slots are derived by the consumer, with the
+    // Dispatch and field slots are derived by the consumer, with the
     // producer's rule, and never transmitted, so they cannot be
     // corrupted. The walk rejects superclass cycles.
     types
-        .assign_vtable_slots()
+        .lay_out()
         .map_err(|_| DecodeError::Malformed("superclass cycle".into()))?;
 
     // Function bodies, each deriving its graphs in the buffers of the

@@ -281,6 +281,7 @@ mod tests {
             fields: vec![],
             methods: vec![],
             imported: true,
+            instance_size: 0,
         });
         let int = types.prim(PrimKind::Int);
         let arr = types.array_of(int);
@@ -303,6 +304,7 @@ mod tests {
             fields: vec![],
             methods: vec![],
             imported: true,
+            instance_size: 0,
         });
         let decoded: Vec<TypeId> = (0..all.len())
             .map(|_| read_type(&mut r, &mut t2, 0).unwrap())

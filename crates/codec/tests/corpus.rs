@@ -154,21 +154,32 @@ fn decoding_shares_host_classes_and_never_changes_them() {
 #[test]
 fn decoded_modules_carry_the_producers_slots() {
     let host = HostEnv::standard();
-    let slots = |types: &TypeTable| -> Vec<Vec<Option<u32>>> {
+    // Per class: its dispatch slots, its field slots and its instance
+    // size.
+    type Layout = Vec<(Vec<Option<u32>>, Vec<Option<u32>>, u32)>;
+    let layout = |types: &TypeTable| -> Layout {
         types
             .classes()
-            .map(|(_, c)| c.methods.iter().map(|m| m.vtable_slot).collect())
+            .map(|(_, c)| {
+                (
+                    c.methods.iter().map(|m| m.vtable_slot).collect(),
+                    c.fields.iter().map(|f| f.slot).collect(),
+                    c.instance_size,
+                )
+            })
             .collect()
     };
-    let mut virtuals = 0;
+    let (mut virtuals, mut fields) = (0, 0);
     for (name, module, optimized) in corpus() {
         for m in [&module, &optimized] {
             let bytes = encode_module(m).expect("encodes");
             let decoded = decode_module(&bytes, &host).expect("decodes");
-            let sent = slots(&m.types);
-            assert_eq!(slots(&decoded.types), sent, "{name}");
-            virtuals += sent.iter().flatten().flatten().count();
+            let sent = layout(&m.types);
+            assert_eq!(layout(&decoded.types), sent, "{name}");
+            virtuals += sent.iter().flat_map(|c| &c.0).flatten().count();
+            fields += sent.iter().flat_map(|c| &c.1).flatten().count();
         }
     }
-    assert!(virtuals > 100, "only {virtuals} slots checked");
+    assert!(virtuals > 100, "only {virtuals} dispatch slots checked");
+    assert!(fields > 100, "only {fields} field slots checked");
 }

@@ -280,6 +280,7 @@ fn wrong_host_class_count_rejected() {
         fields: vec![],
         methods: vec![],
         imported: true,
+        instance_size: 0,
     });
     assert!(decode_module(&bytes, &host).is_err());
 }

@@ -220,6 +220,25 @@ impl Instr {
         )
     }
 
+    /// Whether the instruction's only observable effect is its result:
+    /// it cannot raise an exception and writes no memory, so dead code
+    /// elimination deletes it when the result is unused, and liveness
+    /// demands its operands only when the result is demanded.
+    pub fn is_pure(&self) -> bool {
+        matches!(
+            self,
+            Instr::Primitive { .. }
+                | Instr::Downcast { .. }
+                | Instr::InstanceOf { .. }
+                | Instr::RefEq { .. }
+                | Instr::ArrayLength { .. }
+                | Instr::GetField { .. }
+                | Instr::GetStatic { .. }
+                | Instr::GetElt { .. }
+                | Instr::New { .. }
+        )
+    }
+
     /// Whether this instruction reads or writes the heap (used by the
     /// optimizer's `Mem` dependence machinery, §8).
     pub fn touches_memory(&self) -> bool {
@@ -512,6 +531,152 @@ mod tests {
             args: vec![ValueId(0), ValueId(1)],
         };
         assert!(xprim.is_exceptional());
+    }
+
+    #[test]
+    fn pure_instructions_are_written_out_for_every_opcode() {
+        let (t, v, op) = (TypeId(0), ValueId(0), PrimOpId(0));
+        let field = FieldRef {
+            class: ClassId(0),
+            index: 0,
+        };
+        let method = MethodRef {
+            class: ClassId(0),
+            index: 0,
+        };
+        let cases = [
+            (
+                Instr::Primitive {
+                    ty: t,
+                    op,
+                    args: vec![v],
+                },
+                true,
+            ),
+            (
+                Instr::XPrimitive {
+                    ty: t,
+                    op,
+                    args: vec![v],
+                },
+                false,
+            ),
+            (Instr::NullCheck { ty: t, value: v }, false),
+            (
+                Instr::IndexCheck {
+                    arr_ty: t,
+                    array: v,
+                    index: v,
+                },
+                false,
+            ),
+            (
+                Instr::Upcast {
+                    from: t,
+                    to: t,
+                    value: v,
+                },
+                false,
+            ),
+            (
+                Instr::Downcast {
+                    from: t,
+                    to: t,
+                    value: v,
+                },
+                true,
+            ),
+            (
+                Instr::GetField {
+                    ty: t,
+                    object: v,
+                    field,
+                },
+                true,
+            ),
+            (
+                Instr::SetField {
+                    ty: t,
+                    object: v,
+                    field,
+                    value: v,
+                },
+                false,
+            ),
+            (Instr::GetStatic { field }, true),
+            (Instr::SetStatic { field, value: v }, false),
+            (
+                Instr::GetElt {
+                    arr_ty: t,
+                    array: v,
+                    index: v,
+                },
+                true,
+            ),
+            (
+                Instr::SetElt {
+                    arr_ty: t,
+                    array: v,
+                    index: v,
+                    value: v,
+                },
+                false,
+            ),
+            (
+                Instr::ArrayLength {
+                    arr_ty: t,
+                    array: v,
+                },
+                true,
+            ),
+            (Instr::New { class_ty: t }, true),
+            (
+                Instr::NewArray {
+                    arr_ty: t,
+                    length: v,
+                },
+                false,
+            ),
+            (
+                Instr::XCall {
+                    base_ty: t,
+                    method,
+                    receiver: None,
+                    args: vec![],
+                },
+                false,
+            ),
+            (
+                Instr::XDispatch {
+                    base_ty: t,
+                    method,
+                    receiver: v,
+                    args: vec![],
+                },
+                false,
+            ),
+            (Instr::RefEq { ty: t, a: v, b: v }, true),
+            (
+                Instr::InstanceOf {
+                    from: t,
+                    target: t,
+                    value: v,
+                },
+                true,
+            ),
+            (Instr::Catch { ty: t }, false),
+        ];
+        let mut mnemonics: Vec<_> = cases.iter().map(|(i, _)| i.mnemonic()).collect();
+        mnemonics.sort_unstable();
+        mnemonics.dedup();
+        assert_eq!(mnemonics.len(), 20, "one case per opcode");
+        for (instr, pure) in &cases {
+            assert_eq!(instr.is_pure(), *pure, "{}", instr.mnemonic());
+            // A pure instruction neither traps nor writes memory.
+            if *pure {
+                assert!(!instr.is_exceptional() && !instr.writes_memory());
+            }
+        }
     }
 
     #[test]

@@ -40,6 +40,7 @@
 //!     fields: vec![],
 //!     methods: vec![],
 //!     imported: true,
+//!     instance_size: 0,
 //! });
 //! let int = types.prim(PrimKind::Int);
 //! let mut f = Function::new("add", None, vec![int, int], Some(int));

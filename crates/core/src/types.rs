@@ -10,6 +10,7 @@
 //! generated implicitly by the consumer and are therefore tamper-proof;
 //! only locally declared classes travel with the mobile program.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -131,6 +132,10 @@ pub struct FieldInfo {
     pub ty: TypeId,
     /// Whether the field is static (accessed via `getstatic`/`setstatic`).
     pub is_static: bool,
+    /// Slot of an instance field in a flattened instance, set by
+    /// [`TypeTable::lay_out`]; static fields have none. Slots are never
+    /// transmitted.
+    pub slot: Option<u32>,
 }
 
 /// A method declaration inside a class entry.
@@ -145,7 +150,7 @@ pub struct MethodInfo {
     /// Dispatch kind.
     pub kind: MethodKind,
     /// Virtual-dispatch slot of a [`MethodKind::Virtual`] method, set by
-    /// [`TypeTable::assign_vtable_slots`]. Slots are never transmitted.
+    /// [`TypeTable::lay_out`]. Slots are never transmitted.
     pub vtable_slot: Option<u32>,
     /// Index of the function body in the module, if the method is local
     /// (imported/intrinsic methods have none).
@@ -166,6 +171,9 @@ pub struct ClassInfo {
     /// `true` for host-environment classes that are generated implicitly
     /// by the consumer and never transmitted (tamper-proof by §4).
     pub imported: bool,
+    /// Instance-field slots an instance needs, inherited ones included,
+    /// set by [`TypeTable::lay_out`].
+    pub instance_size: u32,
 }
 
 /// Symbolic reference to a field: `(declaring class, field index)`.
@@ -509,99 +517,138 @@ impl TypeTable {
         None
     }
 
-    /// Assigns every virtual method its dispatch slot. This is the one
-    /// dispatch rule: the producer and the consumer both run it, so
-    /// slots never travel and a tampered stream cannot set them.
+    /// Lays out every class. This is the one layout rule: the producer
+    /// and the consumer both run it, so no slot travels and a tampered
+    /// stream cannot set one. A virtual method shares the slot of the
+    /// virtual declarations with its name, parameters and result before
+    /// it, in its class or up the superclass chain, or else takes the
+    /// next slot after its superclass's; other methods get none. A
+    /// class's instance fields take the slots after its superclass's in
+    /// declaration order, and its instance size counts them all; static
+    /// fields get none.
     ///
-    /// Classes are visited parent-first with an explicit stack, so a
-    /// deep hierarchy does not deepen the call stack. A virtual method
-    /// takes the slot of the nearest earlier virtual declaration with
-    /// the same name, parameters and result, first in its own class,
-    /// then up the superclass chain; otherwise it takes the next slot
-    /// after its superclass's. Other methods get no slot. A slot is
-    /// written only when its value changes, so a class shared with
-    /// another table (a host class) that already carries its slots is
-    /// not copied.
+    /// One depth-first walk over the class tree, without recursion,
+    /// keeps the slot of each signature declared on the path from the
+    /// root, so a class costs time linear in its own members however
+    /// deep it sits. A value is written only when it changes, so a class
+    /// shared with another table (a host class) that is already laid out
+    /// is not copied.
     ///
     /// # Errors
     ///
-    /// Returns a class on a superclass cycle if there is one.
+    /// Returns a class whose superclass chain runs into a cycle, if any.
     ///
     /// # Panics
     ///
     /// Panics if a superclass is not a class of this table.
-    pub fn assign_vtable_slots(&mut self) -> Result<(), ClassId> {
-        #[derive(Clone, Copy)]
-        enum Walk {
-            Todo,
-            OnChain,
-            /// Done; its dispatch table holds this many slots.
-            Done(u32),
+    pub fn lay_out(&mut self) -> Result<(), ClassId> {
+        const NONE: u32 = u32::MAX;
+        /// A class's place in the class tree.
+        #[derive(Clone, Copy, Default)]
+        struct Node {
+            first_child: u32,
+            next_sibling: u32,
+            /// Where the class's methods start in `sigs`.
+            sigs: u32,
+            /// The class's dispatch-table size, once it is laid out.
+            slots: u32,
+            reached: bool,
+            /// Whether the walk is inside the class's subtree.
+            open: bool,
         }
-        let mut walk = vec![Walk::Todo; self.classes.len()];
-        // A class and its ancestors not yet done, nearest first.
-        let mut chain = Vec::new();
-        for i in 0..self.classes.len() {
-            let mut cur = Some(ClassId(i as u32));
-            while let Some(c) = cur {
-                match walk[c.index()] {
-                    Walk::Done(_) => break,
-                    Walk::OnChain => return Err(c),
-                    Walk::Todo => {
-                        walk[c.index()] = Walk::OnChain;
-                        chain.push(c);
-                        cur = self.class(c).superclass;
-                    }
-                }
-            }
-            while let Some(c) = chain.pop() {
-                let mut next = match self.class(c).superclass.map(|s| walk[s.index()]) {
-                    Some(Walk::Done(n)) => n,
-                    _ => 0,
-                };
-                for mi in 0..self.class(c).methods.len() {
-                    let slot = (self.class(c).methods[mi].kind == MethodKind::Virtual).then(|| {
-                        self.declared_slot(c, mi).unwrap_or_else(|| {
-                            next += 1;
-                            next - 1
-                        })
-                    });
-                    if self.class(c).methods[mi].vtable_slot != slot {
-                        self.class_mut(c).methods[mi].vtable_slot = slot;
-                    }
-                }
-                walk[c.index()] = Walk::Done(next);
-            }
-        }
-        Ok(())
-    }
-
-    /// The slot of the nearest virtual declaration before method `mi` of
-    /// class `c` with the same name, parameters and result: an earlier
-    /// one of `c`, else one of the nearest superclass that declares one.
-    fn declared_slot(&self, c: ClassId, mi: usize) -> Option<u32> {
-        let info = self.class(c);
-        let m = &info.methods[mi];
-        let same = |o: &&MethodInfo| {
-            o.kind == MethodKind::Virtual
-                && o.name == m.name
-                && o.params == m.params
-                && o.ret == m.ret
+        let n_methods = self.classes.iter().map(|c| c.methods.len()).sum();
+        // Every method's signature number, class by class; `NONE` for a
+        // method that is not virtual.
+        let mut numbers = HashMap::with_capacity(n_methods);
+        let mut sigs = Vec::with_capacity(n_methods);
+        let leaf = Node {
+            first_child: NONE,
+            next_sibling: NONE,
+            ..Node::default()
         };
-        let mut found = info.methods[..mi].iter().find(same);
-        let mut sup = info.superclass;
-        while found.is_none() {
-            let info = self.class(sup?);
-            found = info.methods.iter().find(same);
-            sup = info.superclass;
+        let mut nodes = vec![leaf; self.classes.len()];
+        let mut roots = NONE;
+        for (c, info) in self.classes.iter().enumerate() {
+            nodes[c].sigs = sigs.len() as u32;
+            for m in &info.methods {
+                let fresh = numbers.len() as u32;
+                sigs.push(match m.kind {
+                    MethodKind::Virtual => *numbers
+                        .entry((m.name.as_str(), m.params.as_slice(), m.ret))
+                        .or_insert(fresh),
+                    _ => NONE,
+                });
+            }
+            let head = match info.superclass {
+                Some(s) => &mut nodes[s.index()].first_child,
+                None => &mut roots,
+            };
+            nodes[c].next_sibling = std::mem::replace(head, c as u32);
         }
-        found?.vtable_slot
+        // Each signature's slot and the class that added it: the slot
+        // holds while the walk is inside that class's subtree.
+        let mut slot_of = vec![(0, NONE); numbers.len()];
+        // Depth first; the superclass links lead back up.
+        let mut next = roots;
+        while next != NONE {
+            let c = ClassId(next);
+            nodes[c.index()].reached = true;
+            nodes[c.index()].open = true;
+            let parent = self.class(c).superclass;
+            let mut slots = parent.map_or(0, |p| nodes[p.index()].slots);
+            let mut size = parent.map_or(0, |p| self.class(p).instance_size);
+            let first = nodes[c.index()].sigs as usize;
+            for mi in 0..self.class(c).methods.len() {
+                let sig = sigs[first + mi];
+                let slot = (sig != NONE).then(|| {
+                    let (slot, by) = &mut slot_of[sig as usize];
+                    if !nodes.get(*by as usize).is_some_and(|n| n.open) {
+                        (*slot, *by) = (slots, c.0);
+                        slots += 1;
+                    }
+                    *slot
+                });
+                if self.class(c).methods[mi].vtable_slot != slot {
+                    self.class_mut(c).methods[mi].vtable_slot = slot;
+                }
+            }
+            for fi in 0..self.class(c).fields.len() {
+                let slot = (!self.class(c).fields[fi].is_static).then(|| {
+                    size += 1;
+                    size - 1
+                });
+                if self.class(c).fields[fi].slot != slot {
+                    self.class_mut(c).fields[fi].slot = slot;
+                }
+            }
+            if self.class(c).instance_size != size {
+                self.class_mut(c).instance_size = size;
+            }
+            nodes[c.index()].slots = slots;
+            next = nodes[c.index()].first_child;
+            // Leave each class whose subtree is done until one has a next
+            // sibling.
+            let mut done = c;
+            while next == NONE {
+                nodes[done.index()].open = false;
+                next = nodes[done.index()].next_sibling;
+                match self.class(done).superclass {
+                    Some(p) if next == NONE => done = p,
+                    _ => break,
+                }
+            }
+        }
+        // A class the walk did not reach never reaches a root.
+        match nodes.iter().position(|n| !n.reached) {
+            Some(c) => Err(ClassId(c as u32)),
+            None => Ok(()),
+        }
     }
 
     /// The method that virtual dispatch on an instance of `class` calls
     /// for `slot`: the last method declared in that slot by the nearest
     /// class up the chain from `class`, or `None` if none declares one.
-    /// Slots must be assigned ([`TypeTable::assign_vtable_slots`]).
+    /// Classes must be laid out ([`TypeTable::lay_out`]).
     pub fn dispatch(&self, class: ClassId, slot: u32) -> Option<MethodRef> {
         let mut c = class;
         loop {
@@ -643,6 +690,7 @@ mod tests {
             fields: vec![],
             methods: vec![],
             imported: true,
+            instance_size: 0,
         })
     }
 
@@ -713,6 +761,7 @@ mod tests {
             fields: vec![],
             methods: vec![],
             imported: false,
+            instance_size: 0,
         });
         let (b, _) = t.declare_class(ClassInfo {
             name: "B".into(),
@@ -720,6 +769,7 @@ mod tests {
             fields: vec![],
             methods: vec![],
             imported: false,
+            instance_size: 0,
         });
         assert!(t.is_subclass(b, obj));
         assert!(t.is_subclass(b, a));
@@ -739,9 +789,11 @@ mod tests {
                 name: "x".into(),
                 ty: int,
                 is_static: false,
+                slot: None,
             }],
             methods: vec![],
             imported: false,
+            instance_size: 0,
         });
         let (b, _) = t.declare_class(ClassInfo {
             name: "B".into(),
@@ -749,6 +801,7 @@ mod tests {
             fields: vec![],
             methods: vec![],
             imported: false,
+            instance_size: 0,
         });
         let r = t.find_field(b, "x").expect("field found");
         assert_eq!(r.class, a);
@@ -766,6 +819,7 @@ mod tests {
             fields: vec![],
             methods: vec![],
             imported: false,
+            instance_size: 0,
         });
         let _ = a;
         let int = t.prim(PrimKind::Int);
@@ -824,6 +878,7 @@ mod tests {
             fields: vec![],
             methods,
             imported: false,
+            instance_size: 0,
         })
         .0
     }
@@ -860,7 +915,7 @@ mod tests {
                 virtual_method("g", vec![], Some(long)),
             ],
         );
-        t.assign_vtable_slots().expect("the hierarchy is acyclic");
+        t.lay_out().expect("the hierarchy is acyclic");
         assert_eq!(slots(&t, a), [Some(0), Some(1)]);
         assert_eq!(slots(&t, b), [Some(1), Some(2), None, Some(3), Some(4)]);
         assert_eq!(t.dispatch(b, 0), method(a, 0));
@@ -883,7 +938,7 @@ mod tests {
             vec![f(), virtual_method("g", vec![], None), f()],
         );
         let b = subclass(&mut t, "B", a, vec![]);
-        t.assign_vtable_slots().expect("the hierarchy is acyclic");
+        t.lay_out().expect("the hierarchy is acyclic");
         assert_eq!(slots(&t, a), [Some(0), Some(1), Some(0)]);
         assert_eq!(t.dispatch(a, 0), method(a, 2));
         assert_eq!(t.dispatch(b, 0), method(a, 2));
@@ -902,12 +957,13 @@ mod tests {
             fields: vec![],
             methods: vec![],
             imported: false,
+            instance_size: 0,
         });
         let a = subclass(&mut t, "A", obj, vec![f(), g()]);
         let b = subclass(&mut t, "B", a, vec![g()]);
         let c = subclass(&mut t, "C", b, vec![f()]);
         t.class_mut(d).superclass = Some(c);
-        t.assign_vtable_slots().expect("the hierarchy is acyclic");
+        t.lay_out().expect("the hierarchy is acyclic");
         assert_eq!(slots(&t, c), [Some(0)]);
         assert_eq!(t.dispatch(d, 0), method(c, 0));
         assert_eq!(t.dispatch(d, 1), method(b, 0));
@@ -922,13 +978,72 @@ mod tests {
         let a = subclass(&mut t, "A", obj, vec![]);
         let b = subclass(&mut t, "B", a, vec![]);
         t.class_mut(a).superclass = Some(b);
-        let on_cycle = t
-            .assign_vtable_slots()
-            .expect_err("A and B extend each other");
+        let on_cycle = t.lay_out().expect_err("A and B extend each other");
         assert!(on_cycle == a || on_cycle == b, "{on_cycle:?}");
         t.class_mut(a).superclass = Some(a);
         t.class_mut(b).superclass = Some(obj);
-        assert_eq!(t.assign_vtable_slots(), Err(a));
+        assert_eq!(t.lay_out(), Err(a));
+    }
+
+    #[test]
+    fn a_sibling_subtree_does_not_lend_its_slots() {
+        let mut t = TypeTable::new();
+        let (obj, _) = object_class(&mut t);
+        let m = |name| virtual_method(name, vec![], None);
+        let a = subclass(&mut t, "A", obj, vec![m("f")]);
+        let b = subclass(&mut t, "B", a, vec![m("g"), m("h")]);
+        let c = subclass(&mut t, "C", a, vec![m("h")]);
+        let d = subclass(&mut t, "D", c, vec![m("g"), m("h")]);
+        let e = subclass(&mut t, "E", b, vec![m("h"), m("f")]);
+        t.lay_out().expect("the hierarchy is acyclic");
+        assert_eq!(slots(&t, b), [Some(1), Some(2)]);
+        assert_eq!(slots(&t, c), [Some(1)]);
+        assert_eq!(slots(&t, d), [Some(2), Some(1)]);
+        assert_eq!(slots(&t, e), [Some(2), Some(0)]);
+        assert_eq!(t.dispatch(d, 2), method(d, 0));
+        assert_eq!(t.dispatch(b, 2), method(b, 1));
+    }
+
+    fn field(name: &str, ty: TypeId, is_static: bool) -> FieldInfo {
+        FieldInfo {
+            name: name.into(),
+            ty,
+            is_static,
+            slot: None,
+        }
+    }
+
+    fn field_slots(t: &TypeTable, c: ClassId) -> (Vec<Option<u32>>, u32) {
+        let info = t.class(c);
+        let slots = info.fields.iter().map(|f| f.slot).collect();
+        (slots, info.instance_size)
+    }
+
+    #[test]
+    fn instance_fields_follow_the_superclass_s_and_statics_get_no_slot() {
+        let mut t = TypeTable::new();
+        let (obj, _) = object_class(&mut t);
+        let int = t.int_ty();
+        // Declared child first, so the walk must place parents first.
+        let c = subclass(&mut t, "C", obj, vec![]);
+        let a = subclass(&mut t, "A", obj, vec![]);
+        let b = subclass(&mut t, "B", a, vec![]);
+        let s = subclass(&mut t, "S", a, vec![]);
+        t.class_mut(a).fields = vec![field("x", int, false), field("k", int, true)];
+        t.class_mut(a).fields.push(field("y", int, false));
+        t.class_mut(b).fields = vec![field("k", int, true), field("x", int, false)];
+        t.class_mut(c).superclass = Some(b);
+        t.class_mut(c).fields = vec![field("z", int, false)];
+        t.class_mut(s).fields = vec![field("w", int, false)];
+        t.lay_out().expect("the hierarchy is acyclic");
+        assert_eq!(field_slots(&t, obj), (vec![], 0));
+        assert_eq!(field_slots(&t, a), (vec![Some(0), None, Some(1)], 2));
+        // A field that hides an inherited one of the same name gets a
+        // slot of its own.
+        assert_eq!(field_slots(&t, b), (vec![None, Some(2)], 3));
+        assert_eq!(field_slots(&t, c), (vec![Some(3)], 4));
+        // A sibling starts after the common superclass, not after B.
+        assert_eq!(field_slots(&t, s), (vec![Some(2)], 3));
     }
 
     #[test]
@@ -939,11 +1054,14 @@ mod tests {
         let f = || virtual_method("f", vec![], Some(int));
         let base = subclass(&mut host, "Base", obj, vec![f()]);
         host.class_mut(base).imported = true;
-        host.assign_vtable_slots().expect("the host is acyclic");
+        host.class_mut(base).fields = vec![field("x", int, false)];
+        host.lay_out().expect("the host is acyclic");
         let mut module = host.clone();
         let sub = subclass(&mut module, "Sub", base, vec![f()]);
-        module.assign_vtable_slots().expect("the module is acyclic");
+        module.class_mut(sub).fields = vec![field("y", int, false)];
+        module.lay_out().expect("the module is acyclic");
         assert_eq!(slots(&module, sub), [Some(0)]);
+        assert_eq!(field_slots(&module, sub), (vec![Some(1)], 2));
         assert!(std::ptr::eq(module.class(base), host.class(base)));
         assert!(std::ptr::eq(module.class(obj), host.class(obj)));
     }

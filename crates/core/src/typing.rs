@@ -446,6 +446,7 @@ mod tests {
             fields: vec![],
             methods: vec![],
             imported: true,
+            instance_size: 0,
         });
         let (a, a_ty) = t.declare_class(ClassInfo {
             name: "A".into(),
@@ -453,6 +454,7 @@ mod tests {
             fields: vec![],
             methods: vec![],
             imported: false,
+            instance_size: 0,
         });
         let (_b, b_ty) = t.declare_class(ClassInfo {
             name: "B".into(),
@@ -460,6 +462,7 @@ mod tests {
             fields: vec![],
             methods: vec![],
             imported: false,
+            instance_size: 0,
         });
         let int = t.prim(PrimKind::Int);
         let arr = t.array_of(int);
@@ -541,6 +544,7 @@ mod tests {
             name: name.into(),
             ty,
             is_static,
+            slot: None,
         };
         let method = |name: &str, params, ret, kind, vtable_slot| MethodInfo {
             name: name.into(),
@@ -1025,6 +1029,7 @@ mod tests {
             name: "x".into(),
             ty: int,
             is_static: false,
+            slot: None,
         });
         t.safe_ref_of(a_ty);
         // getfield with an UNSAFE ref operand must be rejected.

@@ -601,6 +601,7 @@ mod tests {
             fields: vec![],
             methods: vec![],
             imported: true,
+            instance_size: 0,
         });
         let (thr, _) = t.declare_class(ClassInfo {
             name: "Throwable".into(),
@@ -608,6 +609,7 @@ mod tests {
             fields: vec![],
             methods: vec![],
             imported: true,
+            instance_size: 0,
         });
         (t, thr)
     }

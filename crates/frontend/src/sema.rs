@@ -203,9 +203,7 @@ pub fn analyze(cu: &CompilationUnit) -> Result<Program, CompileError> {
 
     // Pass 4: an override keeps the result type of the method it
     // overrides. The core type table assigns the dispatch slots.
-    for idx in builtin_count..classes.len() {
-        check_override_results(&classes, idx)?;
-    }
+    check_override_results(&classes, builtin_count)?;
 
     prog.classes = classes;
 
@@ -318,34 +316,88 @@ fn resolve_type(names: &Names, t: &TypeRef, span: Span) -> Result<Ty, CompileErr
     })
 }
 
-/// Rejects a virtual method of class `idx` whose nearest ancestor
-/// declaration with its name and parameters has another result type.
-fn check_override_results(classes: &[Arc<Class>], idx: ClassIdx) -> Result<(), CompileError> {
-    for m in &classes[idx].methods {
-        if m.kind != MethodKind::Virtual {
-            continue;
-        }
-        let mut cur = classes[idx].superclass;
-        while let Some(sup) = cur {
-            let overridden = classes[sup].methods.iter().find(|o| {
-                o.kind == MethodKind::Virtual && o.name == m.name && o.params == m.params
-            });
-            if let Some(o) = overridden {
-                if o.ret != m.ret {
-                    return Err(CompileError::new(
-                        Span::default(),
-                        format!(
-                            "{}.{}: override changes return type",
-                            classes[idx].name, m.name
-                        ),
-                    ));
-                }
-                break;
+/// Rejects a virtual method of a source class (index `first_source` on)
+/// whose nearest ancestor declaration with its name and parameters has
+/// another result type, reporting the first such method in class order,
+/// then method order.
+///
+/// One walk visits the class tree depth first, parents before children,
+/// without recursion. It keeps the result of the nearest declaration of
+/// each name and parameter list declared on the path from the root to
+/// the class it visits, so a class costs time linear in its own methods
+/// however deep it sits. The hierarchy must be acyclic.
+fn check_override_results(
+    classes: &[Arc<Class>],
+    first_source: ClassIdx,
+) -> Result<(), CompileError> {
+    const NONE: ClassIdx = ClassIdx::MAX;
+    // The class tree: each class's first child and next sibling.
+    let mut links = vec![(NONE, NONE); classes.len()];
+    let mut roots = NONE;
+    for (c, class) in classes.iter().enumerate() {
+        let head = match class.superclass {
+            Some(s) => &mut links[s].0,
+            None => &mut roots,
+        };
+        links[c].1 = std::mem::replace(head, c);
+    }
+    let virtuals = classes
+        .iter()
+        .flat_map(|c| &c.methods)
+        .filter(|m| m.kind == MethodKind::Virtual)
+        .count();
+    let mut nearest: HashMap<(&str, &[Ty]), &Ty> = HashMap::with_capacity(virtuals);
+    // What each declaration on the path replaced in `nearest`, tagged
+    // with its class.
+    let mut replaced = Vec::with_capacity(virtuals);
+    let mut first_bad: Option<(ClassIdx, MethodIdx)> = None;
+    // Depth first; the superclass links lead back up.
+    let mut next = roots;
+    while next != NONE {
+        let c = next;
+        for (mi, m) in classes[c].methods.iter().enumerate() {
+            if m.kind != MethodKind::Virtual {
+                continue;
             }
-            cur = classes[sup].superclass;
+            let key = (m.name.as_str(), m.params.as_slice());
+            let before = nearest.insert(key, &m.ret);
+            if c >= first_source && before.is_some_and(|ret| *ret != m.ret) {
+                first_bad = Some(first_bad.map_or((c, mi), |bad| bad.min((c, mi))));
+            }
+            replaced.push((c, key, before));
+        }
+        next = links[c].0;
+        // Leave each class whose subtree is done, restoring what its
+        // declarations replaced, until one has a next sibling.
+        let mut done = c;
+        while next == NONE {
+            while let Some(&(class, key, before)) = replaced.last() {
+                if class != done {
+                    break;
+                }
+                replaced.pop();
+                match before {
+                    Some(ret) => nearest.insert(key, ret),
+                    None => nearest.remove(&key),
+                };
+            }
+            next = links[done].1;
+            match classes[done].superclass {
+                Some(p) if next == NONE => done = p,
+                _ => break,
+            }
         }
     }
-    Ok(())
+    match first_bad {
+        None => Ok(()),
+        Some((c, mi)) => Err(CompileError::new(
+            Span::default(),
+            format!(
+                "{}.{}: override changes return type",
+                classes[c].name, classes[c].methods[mi].name
+            ),
+        )),
+    }
 }
 
 fn check_body(

@@ -61,6 +61,33 @@ fn override_changing_return_type_is_rejected() {
          class C extends B { int f() { return 4; } }",
     )
     .unwrap();
+    // Of several bad overrides, the first class declared reports, then
+    // its first such method, whatever the order of the hierarchy; and
+    // each class is checked against its own nearest ancestor, not a
+    // sibling's override or the first declaration up its chain.
+    for (src, bad) in [
+        (
+            "class C extends B { long f() { return 3L; } }
+             class A { int f() { return 1; } }
+             class B extends A { long f() { return 2L; } }",
+            "B.f",
+        ),
+        (
+            "class C extends A { int f() { return 3; } }
+             class A { int f() { return 1; } int g() { return 1; } }
+             class B extends A { long g() { return 2L; } long f() { return 2L; } }",
+            "B.g",
+        ),
+        (
+            "class D extends B { long g() { return 4L; } }
+             class A { int f() { return 1; } int g() { return 1; } }
+             class B extends A { long f() { return 2L; } }",
+            "D.g",
+        ),
+    ] {
+        let err = compile(src).unwrap_err();
+        assert_eq!(err.message, format!("{bad}: override changes return type"));
+    }
 }
 
 #[test]

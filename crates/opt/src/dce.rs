@@ -7,25 +7,8 @@
 //! and calls are effects and always stay.
 
 use safetsa_core::function::Function;
-use safetsa_core::instr::Instr;
 use safetsa_core::rewrite::{compact, prune_phis, Rewrite};
 use safetsa_core::value::{BlockId, ValueId};
-
-/// Whether an instruction can be deleted when its result is unused.
-fn is_removable(i: &Instr) -> bool {
-    matches!(
-        i,
-        Instr::Primitive { .. }
-            | Instr::Downcast { .. }
-            | Instr::InstanceOf { .. }
-            | Instr::RefEq { .. }
-            | Instr::ArrayLength { .. }
-            | Instr::GetField { .. }
-            | Instr::GetStatic { .. }
-            | Instr::GetElt { .. }
-            | Instr::New { .. }
-    )
-}
 
 /// Runs DCE to a fixpoint; returns the new function and the number of
 /// instructions + phis removed.
@@ -95,7 +78,7 @@ fn run_once(f: &mut Function) -> usize {
                 let Some(result) = f.instr_result(b, k) else {
                     continue;
                 };
-                if dead[result.index()] || !is_removable(instr) {
+                if dead[result.index()] || !instr.is_pure() {
                     continue;
                 }
                 if uses[result.index()] == 0 {

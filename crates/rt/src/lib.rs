@@ -6,13 +6,16 @@
 //! heap, value, intrinsic, and formatting machinery guarantees that the
 //! differential tests compare the *code representations*, not two
 //! divergent library implementations.
+//!
+//! Object layout is not shared: the SafeTSA interpreter reads field
+//! slots and instance sizes from the type table, and the baseline lays
+//! out its classes itself, so each checks the other.
 
 #![warn(missing_docs)]
 
 pub mod format;
 pub mod heap;
 pub mod intrinsics;
-pub mod layout;
 pub mod value;
 
 pub use heap::{Heap, HeapRef, Obj};

@@ -91,9 +91,7 @@ fn host() -> &'static Host {
             planes,
             "builtin members reference only primitive and builtin planes"
         );
-        types
-            .assign_vtable_slots()
-            .expect("the builtin hierarchy is acyclic");
+        types.lay_out().expect("the builtin hierarchy is acyclic");
         Host {
             infos: types.classes().map(|(_, c)| Arc::new(c.clone())).collect(),
             classes: prog.classes,
@@ -116,6 +114,7 @@ fn declare(types: &mut TypeTable, prog: &Program, shared: &[Arc<ClassInfo>]) -> 
                         fields: vec![],
                         methods: vec![],
                         imported: false,
+                        instance_size: 0,
                     })
                     .1
             }
@@ -133,6 +132,7 @@ fn class_info(types: &mut TypeTable, map: &TypeMap, c: &hir::Class) -> ClassInfo
             name: f.name.clone(),
             ty: map.ty(types, &f.ty),
             is_static: f.is_static,
+            slot: None,
         })
         .collect();
     let methods = c
@@ -157,11 +157,12 @@ fn class_info(types: &mut TypeTable, map: &TypeMap, c: &hir::Class) -> ClassInfo
         fields,
         methods,
         imported: c.is_builtin,
+        instance_size: 0,
     }
 }
 
 /// Builds the type table for `prog` (classes only; function bodies are
-/// attached by the lowering driver), dispatch slots assigned. The
+/// attached by the lowering driver), every class laid out. The
 /// builtin classes share their metadata with every other table of the
 /// process.
 pub fn build(prog: &Program) -> (TypeTable, TypeMap) {
@@ -181,9 +182,9 @@ pub fn build(prog: &Program) -> (TypeTable, TypeMap) {
         let info = class_info(&mut types, &map, c);
         *types.class_mut(map.class_id(idx)) = info;
     }
-    // The shared builtins already carry their slots, so they stay shared.
+    // The shared builtins are already laid out, so they stay shared.
     types
-        .assign_vtable_slots()
+        .lay_out()
         .expect("the front end rejects superclass cycles");
     // Every class gets a safe-ref plane eagerly: receivers live there.
     for idx in 0..prog.classes.len() {

@@ -3,9 +3,8 @@
 //! allocation, type tests) the threaded engine in `threaded.rs` calls.
 
 use safetsa_core::module::{FuncId, Module};
-use safetsa_core::types::{ClassId, PrimKind, TypeId, TypeKind};
+use safetsa_core::types::{ClassId, FieldInfo, PrimKind, TypeId, TypeKind};
 use safetsa_rt::heap::Obj;
-use safetsa_rt::layout::{ClassShape, Layout, Statics};
 use safetsa_rt::{Heap, HeapRef, Output, Trap, Value};
 use safetsa_telemetry::{Json, Telemetry};
 use std::collections::{BTreeMap, HashMap};
@@ -241,8 +240,8 @@ struct ExcClasses {
 /// The SafeTSA virtual machine.
 pub struct Vm<'m> {
     pub(crate) module: &'m Module,
-    pub(crate) layout: Layout,
-    pub(crate) statics: Statics,
+    /// Static-field values, by class and then by field index.
+    pub(crate) statics: Vec<Vec<Value>>,
     /// Per-class flattened instance-field default values, built when
     /// the class is first instantiated.
     field_defaults: Vec<Option<Vec<Value>>>,
@@ -315,10 +314,12 @@ pub struct Vm<'m> {
 }
 
 impl<'m> Vm<'m> {
-    /// Loads a module: derives layouts and statics, and resolves the
-    /// built-in exception classes. Virtual calls resolve through the
-    /// type table's slots ([`safetsa_core::types::TypeTable::dispatch`]),
-    /// so no dispatch tables are built. Call
+    /// Loads a module: sets each static field to its type's default and
+    /// resolves the built-in exception classes. Field slots, instance
+    /// sizes and dispatch slots come from the type table
+    /// ([`safetsa_core::types::TypeTable::lay_out`]), so no layout and no
+    /// dispatch table is built; virtual calls resolve through
+    /// [`safetsa_core::types::TypeTable::dispatch`]. Call
     /// [`safetsa_core::verify::verify_module`] first; the VM assumes a
     /// verified module.
     ///
@@ -344,22 +345,21 @@ impl<'m> Vm<'m> {
             oom: find("OutOfMemoryError")?,
             stack_overflow: find("StackOverflowError")?,
         };
-        // Layout.
-        let shapes: Vec<ClassShape> = (0..n)
-            .map(|i| {
-                let c = types.class(ClassId(i as u32));
-                ClassShape {
-                    superclass: c.superclass.map(|s| s.index()),
-                    instance_fields: c.fields.iter().filter(|f| !f.is_static).count(),
-                    static_fields: c.fields.len(),
-                }
+        let statics = types
+            .classes()
+            .map(|(_, c)| {
+                let default = |f: &FieldInfo| {
+                    if f.is_static {
+                        default_value(types, f.ty)
+                    } else {
+                        Value::NULL
+                    }
+                };
+                c.fields.iter().map(default).collect()
             })
             .collect();
-        let layout = Layout::build(&shapes);
-        let statics = Statics::build(&shapes);
-        let mut vm = Vm {
+        Ok(Vm {
             module,
-            layout,
             statics,
             field_defaults: vec![None; n],
             exc,
@@ -388,18 +388,7 @@ impl<'m> Vm<'m> {
             icache_misses: 0,
             frames: Vec::new(),
             call_args: Vec::new(),
-        };
-        // Typed defaults for statics, then run the static initializers.
-        for i in 0..n {
-            let c = types.class(ClassId(i as u32));
-            for (k, f) in c.fields.iter().enumerate() {
-                if f.is_static {
-                    let d = default_value(types, f.ty);
-                    vm.statics.init_default(i, k, d);
-                }
-            }
-        }
-        Ok(vm)
+        })
     }
 
     /// Runs every `<clinit>` in class declaration order (done lazily so
@@ -699,40 +688,26 @@ impl<'m> Vm<'m> {
 
     /// A copy of `class`'s flattened instance-field defaults. They are
     /// built on the class's first instantiation, each field written to
-    /// its layout slot along the superclass chain, so `Vm::load` keeps
-    /// only an empty slot per class.
+    /// its slot along the superclass chain, so `Vm::load` keeps only an
+    /// empty slot per class.
     fn fresh_fields(&mut self, class: ClassId) -> Vec<Value> {
         if let Some(fields) = &self.field_defaults[class.index()] {
             return fields.clone();
         }
         let types = &self.module.types;
-        let mut fields = vec![Value::NULL; self.layout.instance_size(class.index())];
+        let mut fields = vec![Value::NULL; types.class(class).instance_size as usize];
         let mut cur = Some(class);
         while let Some(c) = cur {
             let info = types.class(c);
-            let declared = info.fields.iter().filter(|f| !f.is_static);
-            for (i, f) in declared.enumerate() {
-                fields[self.layout.field_slot(c.index(), i)] = default_value(types, f.ty);
+            for f in &info.fields {
+                if let Some(slot) = f.slot {
+                    fields[slot as usize] = default_value(types, f.ty);
+                }
             }
             cur = info.superclass;
         }
         self.field_defaults[class.index()] = Some(fields.clone());
         fields
-    }
-
-    pub(crate) fn instance_field_slot(
-        &self,
-        field: &safetsa_core::types::FieldRef,
-    ) -> Result<usize, Trap> {
-        // Flattened slot: base of declaring class + index among its
-        // instance fields.
-        let class = field.class;
-        let c = self.module.types.class(class);
-        let before: usize = c.fields[..field.index as usize]
-            .iter()
-            .filter(|f| !f.is_static)
-            .count();
-        Ok(self.layout.field_slot(class.index(), before))
     }
 
     /// The element storage width in bytes of an array type, used to

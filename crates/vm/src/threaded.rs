@@ -1137,26 +1137,27 @@ impl<'a, 'm> Flattener<'a, 'm> {
                 dst,
             },
             Instr::Downcast { value, .. } => Op::Copy { src: value.0, dst },
-            Instr::GetField { object, field, .. } => match self.vm.instance_field_slot(field) {
-                Ok(slot) => Op::GetField {
+            Instr::GetField { object, field, .. } => match types.field(*field).and_then(|f| f.slot)
+            {
+                Some(slot) => Op::GetField {
                     obj: object.0,
-                    slot: slot as u32,
+                    slot,
                     dst,
                 },
-                Err(_) => fail("bad field ref"),
+                None => fail("bad field ref"),
             },
             Instr::SetField {
                 object,
                 field,
                 value,
                 ..
-            } => match self.vm.instance_field_slot(field) {
-                Ok(slot) => Op::SetField {
+            } => match types.field(*field).and_then(|f| f.slot) {
+                Some(slot) => Op::SetField {
                     obj: object.0,
-                    slot: slot as u32,
+                    slot,
                     val: value.0,
                 },
-                Err(_) => fail("bad field ref"),
+                None => fail("bad field ref"),
             },
             Instr::GetStatic { field } => Op::GetStatic {
                 class: field.class.0,
@@ -1628,13 +1629,12 @@ impl<'m> Vm<'m> {
                         }
                     }
                     Op::GetStatic { class, idx, dst } => {
-                        vals[*dst as usize] = self.statics.get(*class as usize, *idx as usize);
+                        vals[*dst as usize] = self.statics[*class as usize][*idx as usize];
                         pc += 1;
                         continue 'l;
                     }
                     Op::SetStatic { class, idx, val } => {
-                        self.statics
-                            .set(*class as usize, *idx as usize, vals[*val as usize]);
+                        self.statics[*class as usize][*idx as usize] = vals[*val as usize];
                         pc += 1;
                         continue 'l;
                     }

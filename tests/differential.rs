@@ -290,6 +290,59 @@ fn objects_inheritance_dispatch() {
     );
 }
 
+/// Instance layout: the VM reads each field's slot from its type table,
+/// the baseline lays its classes out itself, so a wrong slot shows as a
+/// value read back through another class than the one that wrote it.
+#[test]
+fn field_layout_across_a_hierarchy() {
+    differential(
+        r#"class A {
+               int x; static int sa = 1; long y; static long sb;
+               A(int v) { x = v; y = v * 1000000007L; sa = sa + v; sb = sb + y; }
+               int readA() { return x; }
+               long sumA() { return x * 100 + y; }
+           }
+           class B extends A {
+               static int sc = 7; int x; double w; static double sd = 0.5;
+               B(int v) { super(v); x = v + 10; w = v * 0.25; sc = sc + x; sd = sd + w; }
+               int readB() { return x * 7 + readA(); }
+           }
+           class C extends B {
+               char k; static char sk = 'c'; int z; long y; static int se;
+               C(int v) { super(v); k = 'k'; z = v * 3; y = -v; se = se + z; }
+               long sumC() { return z + y + sumA() + readB(); }
+           }
+           class D extends A {
+               static boolean sf; boolean q; int x;
+               D(int v) { super(v); q = v > 2; x = -v; sf = q; }
+           }
+           class Main {
+               static void show(A a) { Sys.print(a.x); Sys.print(' '); Sys.println(a.y); }
+               static int main() {
+                   A a = new A(1); B b = new B(2); C c = new C(3); D d = new D(4);
+                   show(a); show(b); show(c); show(d);
+                   // Written through the subclass, read through a supertype.
+                   c.x = 31; c.y = 32; c.z = 33; c.w = 3.5; c.k = 'q';
+                   B cb = c; A ca = c;
+                   Sys.println(cb.x); Sys.println(ca.x); Sys.println(ca.y);
+                   Sys.println(cb.w); Sys.println(cb.readB()); Sys.println(c.sumC());
+                   // Written through a supertype, read through the subclass.
+                   ca.x = 41; ca.y = 42; cb.x = 43; cb.w = 4.25;
+                   Sys.println(c.x); Sys.println(c.y); Sys.println(c.z); Sys.println(c.k);
+                   Sys.println(c.w); Sys.println(c.readA()); Sys.println(c.sumA());
+                   A da = d; da.x = 51; d.q = false;
+                   Sys.println(d.x); Sys.println(da.x); Sys.println(d.q); Sys.println(d.sumA());
+                   A ba = b; ba.x = 61; b.x = 62;
+                   Sys.println(ba.x); Sys.println(b.readB());
+                   Sys.println(A.sa); Sys.println(A.sb); Sys.println(B.sc); Sys.println(B.sd);
+                   Sys.println(C.sk); Sys.println(C.se); Sys.println(D.sf);
+                   return c.z * 1000 + c.x * 10 + d.x + ca.x + cb.x;
+               }
+           }"#,
+        "Main.main",
+    );
+}
+
 #[test]
 fn exceptions_all_kinds() {
     differential(

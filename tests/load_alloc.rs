@@ -18,7 +18,9 @@
 //! (decode 9,537, verify 1,247, load 597). Since no layer builds
 //! dispatch tables (the decoder assigns slots in place and `Vm::load`
 //! builds none), a pass makes 10,871 (decode 9,411, verify 1,247,
-//! load 213), and the budget is that count plus 5%.
+//! load 213), and the budget is that count plus 5%. Since the type
+//! table lays out fields too and `Vm::load` builds no layout, a pass
+//! makes 10,787 (decode 9,453, verify 1,247, load 87).
 //!
 //! Two more tests bound the bytes asked for on deep hierarchies:
 //! `Vm::load` must hold O(classes + fields), not a copy of every
@@ -146,7 +148,7 @@ const CHAIN_BYTES: u64 = 2 << 20;
 /// flattened field defaults on its first instantiation, it built them
 /// for every class at load, each a copy of its superclass's plus one
 /// field, and asked for 601 MB here (the finished copies hold 200 MB).
-/// Now it asks for about 1.07 MB, under a bound of 2 MiB.
+/// Now it asks for about 0.36 MB, under a bound of 2 MiB.
 #[test]
 fn loading_a_deep_chain_holds_no_copy_per_ancestor() {
     let mut src = String::new();
@@ -186,11 +188,11 @@ const LOAD_BYTES_PER_CLASS: u64 = 512;
 /// of its superclass's, so the bytes they asked for grew with the
 /// square of the depth: 682 MB to compile, 279 MB to decode and 301 MB
 /// to load here. Now `TypeTable` assigns each method's slot in place
-/// and dispatch walks up the chain: a release build asks for 81.6 MB,
-/// 9.95 MB and 0.74 MB (16.3 KB, 2.0 KB and 147 bytes per class, the
-/// same at 2,500 and 10,000 classes), and each stage must stay within
-/// a bound linear in the chain. A debug build's optimizer also checks
-/// its invariants, and compiling asks for 99.9 MB.
+/// and dispatch walks up the chain: a release build asks for 83.1 MB,
+/// 10.8 MB and 0.32 MB (16.6 KB, 2.2 KB and 64 bytes per class), and
+/// each stage must stay within a bound linear in the chain. A debug
+/// build's optimizer also checks its invariants, and compiling asks
+/// for more.
 #[test]
 fn a_deep_dispatch_chain_costs_bytes_linear_in_its_depth() {
     let mut src = String::new();

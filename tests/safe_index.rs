@@ -92,6 +92,7 @@ fn base_types() -> (TypeTable, safetsa_core::types::ClassId, WellKnown) {
         fields: vec![],
         methods: vec![],
         imported: true,
+        instance_size: 0,
     });
     let (throwable, _) = t.declare_class(ClassInfo {
         name: "Throwable".into(),
@@ -99,6 +100,7 @@ fn base_types() -> (TypeTable, safetsa_core::types::ClassId, WellKnown) {
         fields: vec![],
         methods: vec![],
         imported: true,
+        instance_size: 0,
     });
     let (string, _) = t.declare_class(ClassInfo {
         name: "String".into(),
@@ -106,6 +108,7 @@ fn base_types() -> (TypeTable, safetsa_core::types::ClassId, WellKnown) {
         fields: vec![],
         methods: vec![],
         imported: true,
+        instance_size: 0,
     });
     // The standard exception classes so the module loads in the VM.
     let wk = WellKnown {
@@ -265,6 +268,7 @@ fn safe_index_phi_round_trips_through_codec() {
             body: Some(0),
         }],
         imported: false,
+        instance_size: 0,
     });
     let _ = holder;
     let module = Module {
