@@ -11,7 +11,7 @@
 
 use crate::bits::{BitReader, DecodeError};
 use crate::layout::{CstTag, Opc, CST_TAGS, MAGIC, OPCODES, VERSION};
-use crate::refs::{read_ref, read_type, Derived, RegisterFiles};
+use crate::refs::{read_ref, read_type, with_derived, Derived, RegisterFiles};
 use safetsa_core::cfg::{Cfg, EdgeKind};
 use safetsa_core::cst::Cst;
 use safetsa_core::dom::DomTree;
@@ -48,11 +48,16 @@ fn cap(v: u64, what: &str) -> Result<usize, DecodeError> {
 
 /// Room for `n` wire items, but never more than the rest of the stream
 /// can encode (every item takes at least one bit) nor more than 1024;
-/// past that the vector grows only as items actually arrive. A forged
+/// past that a vector grows only as items actually arrive. A forged
 /// count therefore cannot make the decoder reserve memory the input
 /// never fills.
+fn room(n: usize, r: &BitReader<'_>) -> usize {
+    n.min(r.remaining_bits()).min(1024)
+}
+
+/// A vector with [`room`] for `n` wire items.
 fn reserve<T>(n: usize, r: &BitReader<'_>) -> Vec<T> {
-    Vec::with_capacity(n.min(r.remaining_bits()).min(1024))
+    Vec::with_capacity(room(n, r))
 }
 
 /// Decodes a module against the host environment.
@@ -162,19 +167,21 @@ pub fn decode_module(bytes: &[u8], host: &HostEnv) -> Result<Module, DecodeError
         .map_err(|_| DecodeError::Malformed("superclass cycle".into()))?;
 
     // Function bodies, each deriving its graphs in the buffers of the
-    // one before.
+    // one before, which the thread keeps for its next module.
     let mut functions = Vec::with_capacity(has_body.len());
-    let mut derived = Derived::default();
-    for (cid, mi) in has_body {
-        let fid = functions.len() as u32;
-        let f = decode_function(&mut r, &mut types, cid, mi, &mut derived).map_err(|e| {
-            let class = types.class(cid);
-            let method = &class.methods[mi].name;
-            DecodeError::Malformed(format!("in {}.{method}: {e}", class.name))
-        })?;
-        types.class_mut(cid).methods[mi].body = Some(fid);
-        functions.push(f);
-    }
+    with_derived(|derived| {
+        for (cid, mi) in has_body {
+            let fid = functions.len() as u32;
+            let f = decode_function(&mut r, &mut types, cid, mi, derived).map_err(|e| {
+                let class = types.class(cid);
+                let method = &class.methods[mi].name;
+                DecodeError::Malformed(format!("in {}.{method}: {e}", class.name))
+            })?;
+            types.class_mut(cid).methods[mi].body = Some(fid);
+            functions.push(f);
+        }
+        Ok(())
+    })?;
     Ok(Module {
         name,
         types,
@@ -220,7 +227,7 @@ pub fn decode_function_section(
         return Err(DecodeError::Malformed("method record out of range".into()));
     }
     let mut r = BitReader::new(bytes);
-    decode_function(&mut r, types, class, method_idx, &mut Derived::default())
+    with_derived(|derived| decode_function(&mut r, types, class, method_idx, derived))
 }
 
 const PLACEHOLDER: ValueId = ValueId(u32::MAX);
@@ -229,7 +236,9 @@ struct FnDecoder<'a, 'b> {
     r: &'a mut BitReader<'b>,
     types: &'a mut TypeTable,
     f: Function,
-    entry_used: bool,
+    /// Blocks the CST has named so far; the function gets them once
+    /// the CST is complete.
+    blocks: u32,
     label_depth: u32,
     loop_depth: u32,
     nodes: usize,
@@ -249,26 +258,41 @@ fn decode_function(
     };
     let cinfo = types.class(class);
     let m = &cinfo.methods[method_idx];
-    let mut params = Vec::with_capacity(m.params.len() + 1);
+    let mut params = Vec::with_capacity(usize::from(receiver.is_some()) + m.params.len());
     params.extend(receiver);
     params.extend_from_slice(&m.params);
-    let f = Function::new(
-        format!("{}.{}", cinfo.name, m.name),
-        Some(class),
-        params,
-        m.ret,
-    );
+    let mut name = String::with_capacity(cinfo.name.len() + 1 + m.name.len());
+    name.push_str(&cinfo.name);
+    name.push('.');
+    name.push_str(&m.name);
+    let mut f = Function::new(name, Some(class), params, m.ret);
+    let Derived {
+        cfg,
+        dom,
+        regs,
+        operand_planes,
+        values,
+    } = derived;
+    // The value table grows in the thread's buffer until phase 2a has
+    // created every value; the function then gets a copy of its final
+    // size, and the buffer goes back to the set.
+    values.clear();
+    values.append(&mut f.values);
+    std::mem::swap(values, &mut f.values);
     let mut d = FnDecoder {
         r,
         types,
         f,
-        entry_used: false,
+        blocks: 0,
         label_depth: 0,
         loop_depth: 0,
         nodes: 0,
     };
     // Constant pool.
     let n_consts = cap(d.r.gamma()?, "constant")?;
+    let room = room(n_consts, d.r);
+    d.f.consts.reserve(room);
+    d.f.const_values.reserve(room);
     for _ in 0..n_consts {
         let ty = read_type(d.r, d.types, 0)?;
         let lit = d.read_literal(ty)?;
@@ -281,6 +305,12 @@ fn decode_function(
     // the CFG walk visits them, so block-id order is traversal order.
     let body = d.parse_cst()?;
     d.f.body = body;
+    let named = d.blocks as usize;
+    d.f.blocks.reserve_exact(named.saturating_sub(1));
+    d.f.results.reserve_exact(named.saturating_sub(1));
+    while d.f.block_count() < named {
+        d.f.add_block();
+    }
     let n_blocks = d.f.block_count();
     let blocks = || (0..n_blocks).map(|i| BlockId(i as u32));
     // Phase 2a: opcodes, types, and member references of every block in
@@ -290,12 +320,6 @@ fn decode_function(
     // single forward pass with context-determined symbol alphabets.
     // Each instruction's signature is derived once, here: its result
     // plane now, its operand planes for phase 2b.
-    let Derived {
-        cfg,
-        dom,
-        regs,
-        operand_planes,
-    } = derived;
     operand_planes.clear();
     for b in blocks() {
         let n_phis = cap(d.r.gamma()?, "phi")?;
@@ -316,6 +340,10 @@ fn decode_function(
             operand_planes.push(sig.operands);
         }
     }
+    values.reserve_exact(d.f.values.len());
+    values.extend_from_slice(&d.f.values);
+    std::mem::swap(values, &mut d.f.values);
+    values.clear();
     // The function's one CFG, dominator tree and register files serve
     // every reference phase. Its walk must visit blocks 0, 1, 2, … in
     // order; given how phase 1 allocates, only a CST that names no block
@@ -433,13 +461,10 @@ impl<'a, 'b> FnDecoder<'a, 'b> {
         })
     }
 
+    /// The next block id: the entry block first.
     fn alloc_block(&mut self) -> BlockId {
-        if !self.entry_used {
-            self.entry_used = true;
-            ENTRY
-        } else {
-            self.f.add_block()
-        }
+        self.blocks += 1;
+        BlockId(self.blocks - 1)
     }
 
     fn parse_cst(&mut self) -> Result<Cst, DecodeError> {
@@ -535,7 +560,7 @@ impl<'a, 'b> FnDecoder<'a, 'b> {
                 };
                 let table = primops::ops_of(kind);
                 let op = PrimOpId(self.r.symbol(table.len() as u32)? as u16);
-                let args = vec![P; table[op.index()].params.len()];
+                let args = table[op.index()].params.iter().map(|_| P).collect();
                 if opc == Opc::XPrimitive {
                     Instr::XPrimitive { ty, op, args }
                 } else {

@@ -6,7 +6,7 @@
 
 use crate::bits::BitWriter;
 use crate::layout::{CstTag, Opc, CST_TAGS, MAGIC, OPCODES, VERSION};
-use crate::refs::{write_ref, write_type, Derived, RegisterFiles};
+use crate::refs::{with_derived, write_ref, write_type, Derived, RegisterFiles};
 use safetsa_core::cfg::{Cfg, EdgeKind};
 use safetsa_core::cst::Cst;
 use safetsa_core::dom::DomTree;
@@ -205,18 +205,20 @@ pub fn encode_sections(m: &Module) -> Result<(Vec<u8>, Sections), EncodeError> {
         }
     }
     sec.type_table_bits = w.bit_len() as u64 - sec.header_bits;
-    // Function bodies in (class, method) order, with one set of derived
-    // graphs and register files rebuilt for each.
-    let mut derived = Derived::default();
-    for (_, class) in m.types.classes() {
-        for method in &class.methods {
-            if let Some(body) = method.body {
-                let f = &m.functions[body as usize];
-                encode_function(&mut w, &m.types, f, &mut sec, &mut derived)?;
-                sec.functions += 1;
+    // Function bodies in (class, method) order, with the thread's one
+    // set of derived graphs and register files rebuilt for each.
+    with_derived(|derived| {
+        for (_, class) in m.types.classes() {
+            for method in &class.methods {
+                if let Some(body) = method.body {
+                    let f = &m.functions[body as usize];
+                    encode_function(&mut w, &m.types, f, &mut sec, derived)?;
+                    sec.functions += 1;
+                }
             }
         }
-    }
+        Ok(())
+    })?;
     let bytes = w.into_bytes();
     sec.total_bytes = bytes.len() as u64;
     Ok((bytes, sec))
@@ -244,7 +246,7 @@ pub fn encode_function_section(
 ) -> Result<(Vec<u8>, Sections), EncodeError> {
     let mut w = BitWriter::new();
     let mut sec = Sections::default();
-    encode_function(&mut w, types, f, &mut sec, &mut Derived::default())?;
+    with_derived(|derived| encode_function(&mut w, types, f, &mut sec, derived))?;
     sec.functions = 1;
     let bytes = w.into_bytes();
     sec.total_bytes = bytes.len() as u64;

@@ -15,13 +15,17 @@ use safetsa_core::cfg::Cfg;
 use safetsa_core::dom::DomTree;
 use safetsa_core::function::{Function, ENTRY};
 use safetsa_core::instr::Operands;
+use safetsa_core::reuse::{vec_bytes, with_thread_buffers, Buffers};
 use safetsa_core::types::{PrimKind, TypeId, TypeKind, TypeTable};
-use safetsa_core::value::{BlockId, ValueId};
+use safetsa_core::value::{BlockId, ValueId, ValueInfo};
+use std::cell::Cell;
 
 /// What a function's reference phases consult: its control-flow graph,
 /// dominator tree and register files, and in the decoder each
-/// instruction's operand planes. A module encode or decode keeps one
-/// set and rebuilds it in place for each function.
+/// instruction's operand planes and the value table while it grows. A
+/// module encode or decode keeps one set and rebuilds it in place for
+/// each function, and the thread keeps the set for its next encode or
+/// decode ([`safetsa_core::reuse`]).
 #[derive(Default)]
 pub(crate) struct Derived {
     pub(crate) cfg: Cfg,
@@ -30,6 +34,28 @@ pub(crate) struct Derived {
     /// The operand planes of every instruction, in the order phase 2a
     /// reads the instructions and phase 2b their operands.
     pub(crate) operand_planes: Vec<Operands<TypeId>>,
+    /// Room for the value table of the function being decoded.
+    pub(crate) values: Vec<ValueInfo>,
+}
+
+impl Buffers for Derived {
+    fn heap_bytes(&mut self) -> usize {
+        self.cfg.heap_bytes()
+            + self.dom.heap_bytes()
+            + self.regs.heap_bytes()
+            + vec_bytes(&self.operand_planes)
+            + vec_bytes(&self.values)
+    }
+}
+
+thread_local! {
+    /// The calling thread's encode and decode buffers between calls.
+    static DERIVED: Cell<Option<Derived>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with the calling thread's encode and decode buffers.
+pub(crate) fn with_derived<R>(f: impl FnOnce(&mut Derived) -> R) -> R {
+    with_thread_buffers(&DERIVED, f)
 }
 
 /// The register files of one function: for each (block, plane), the
@@ -67,6 +93,15 @@ impl RegisterFiles {
         let mut rf = RegisterFiles::default();
         rf.rebuild(f);
         rf
+    }
+
+    /// Heap bytes the files' buffers hold.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.block_start)
+            + vec_bytes(&self.planes)
+            + vec_bytes(&self.values)
+            + vec_bytes(&self.pos)
+            + vec_bytes(&self.scratch)
     }
 
     /// Builds the register files of `f` in place, reusing these files'
@@ -341,7 +376,7 @@ mod register_file_tests {
                 Instr::Primitive {
                     ty: int,
                     op: add,
-                    args: vec![f.param_value(0), c],
+                    args: [f.param_value(0), c].into(),
                 },
             )
             .unwrap()
@@ -353,7 +388,7 @@ mod register_file_tests {
                 Instr::Primitive {
                     ty: int,
                     op: add,
-                    args: vec![r0, c],
+                    args: [r0, c].into(),
                 },
             )
             .unwrap()

@@ -183,3 +183,56 @@ fn decoded_modules_carry_the_producers_slots() {
     assert!(virtuals > 100, "only {virtuals} dispatch slots checked");
     assert!(fields > 100, "only {fields} field slots checked");
 }
+
+/// The parts of a decoded module a comparison reads: every type, every
+/// class and every function body.
+fn assert_same_module(a: &Module, b: &Module, what: &str) {
+    assert_eq!(a.name, b.name, "{what}");
+    assert_eq!(a.types.len(), b.types.len(), "{what}: type count");
+    for i in 0..a.types.len() {
+        let ty = TypeId(i as u32);
+        assert_eq!(a.types.kind(ty), b.types.kind(ty), "{what}: type {i}");
+    }
+    let classes = |m: &Module| {
+        m.types
+            .classes()
+            .map(|(_, c)| c.clone())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(classes(a), classes(b), "{what}: classes");
+    assert_eq!(
+        a.functions.len(),
+        b.functions.len(),
+        "{what}: function count"
+    );
+    for (f, g) in a.functions.iter().zip(&b.functions) {
+        assert!(f.bit_eq(g), "{what}: {} differs", f.name);
+    }
+}
+
+#[test]
+fn a_warm_thread_decodes_what_a_fresh_one_does() {
+    let streams: Vec<(String, Vec<u8>)> = corpus()
+        .into_iter()
+        .flat_map(|(name, module, optimized)| {
+            let plain = encode_module(&module).expect("encodes");
+            let opt = encode_module(&optimized).expect("encodes");
+            [(format!("{name} unoptimized"), plain), (name, opt)]
+        })
+        .collect();
+    // This thread decodes the whole corpus twice, so every program of
+    // the second round finds buffers that every program has used.
+    let host = HostEnv::standard();
+    for (name, bytes) in &streams {
+        decode_module(bytes, &host).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    for (name, bytes) in &streams {
+        let warm = decode_module(bytes, &host).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let fresh = std::thread::scope(|s| {
+            s.spawn(|| decode_module(bytes, &host).unwrap_or_else(|e| panic!("{name}: {e}")))
+                .join()
+                .expect("the fresh thread decodes")
+        });
+        assert_same_module(&warm, &fresh, name);
+    }
+}

@@ -13,6 +13,7 @@
 
 use crate::cst::Cst;
 use crate::function::{Function, ENTRY};
+use crate::reuse::vec_bytes;
 use crate::value::BlockId;
 use std::fmt;
 
@@ -151,6 +152,27 @@ impl Cfg {
     /// several edges from `b` appears once per edge.
     pub fn succs_of(&self, b: BlockId) -> &[BlockId] {
         items(&self.succ_start, &self.succ_blocks, b)
+    }
+
+    /// Heap bytes the graph's buffers hold, scratch included.
+    pub fn heap_bytes(&self) -> usize {
+        let s = &self.scratch;
+        vec_bytes(&self.pred_start)
+            + vec_bytes(&self.pred_edges)
+            + vec_bytes(&self.succ_start)
+            + vec_bytes(&self.succ_blocks)
+            + vec_bytes(&self.reachable)
+            + vec_bytes(&self.traversal)
+            + vec_bytes(&self.cond_uses)
+            + vec_bytes(&self.return_uses)
+            + vec_bytes(&self.throw_uses)
+            + vec_bytes(&s.edges)
+            + vec_bytes(&s.labels)
+            + vec_bytes(&s.loops)
+            + vec_bytes(&s.handlers)
+            + vec_bytes(&s.seen)
+            + vec_bytes(&s.cursor)
+            + vec_bytes(&s.stack)
     }
 
     /// Derives the CFG of `f`.
@@ -646,7 +668,7 @@ mod tests {
             Instr::XPrimitive {
                 ty: int,
                 op: div,
-                args: vec![f.param_value(0), f.param_value(1)],
+                args: [f.param_value(0), f.param_value(1)].into(),
             },
         )
         .unwrap();

@@ -12,6 +12,7 @@
 
 use crate::cfg::{items, prefix_sum, Cfg};
 use crate::function::ENTRY;
+use crate::reuse::vec_bytes;
 use crate::value::BlockId;
 
 /// A computed dominator tree.
@@ -54,6 +55,21 @@ impl DomTree {
     /// The children of `b` in the dominator tree, ordered by block id.
     pub fn children_of(&self, b: BlockId) -> &[BlockId] {
         items(&self.child_start, &self.children, b)
+    }
+
+    /// Heap bytes the tree's buffers hold, scratch included.
+    pub fn heap_bytes(&self) -> usize {
+        let s = &self.scratch;
+        vec_bytes(&self.idom)
+            + vec_bytes(&self.depth)
+            + vec_bytes(&self.child_start)
+            + vec_bytes(&self.children)
+            + vec_bytes(&self.preorder)
+            + vec_bytes(&s.rpo)
+            + vec_bytes(&s.rpo_num)
+            + vec_bytes(&s.visited)
+            + vec_bytes(&s.dfs)
+            + vec_bytes(&s.cursor)
     }
 
     /// Whether `a` dominates `b` (reflexive).

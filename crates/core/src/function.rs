@@ -10,7 +10,9 @@ use crate::cst::Cst;
 use crate::instr::{Instr, Phi};
 use crate::types::{ClassId, TypeId, TypeTable};
 use crate::typing::{self, TypeError, ValueCtx};
-use crate::value::{BlockId, Const, Def, ValueId, ValueInfo};
+use crate::value::{BlockId, Const, Def, Literal, ValueId, ValueInfo};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// A basic block: phis first, then straight-line instructions.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -47,7 +49,7 @@ pub struct Function {
     /// Result plane; `None` for `void`.
     pub ret: Option<TypeId>,
     /// The constant pool, pre-loaded after the parameters.
-    pub consts: Vec<Const>,
+    pub consts: ConstPool,
     /// Value ids of the constant pre-loads (parallel to `consts`;
     /// constants are created lazily, so their ids need not be dense).
     pub const_values: Vec<ValueId>,
@@ -64,6 +66,121 @@ pub struct Function {
 /// The entry block id (`b0` by construction).
 pub const ENTRY: BlockId = BlockId(0);
 
+/// Pools up to this size are searched entry by entry; a larger one
+/// keeps an index.
+const SCAN: usize = 16;
+
+/// A function's constant pool: its entries in pool order, which it
+/// derefs to, and, once it holds 16 entries, an index by plane and
+/// literal bits, so interning a constant costs about the same at any
+/// pool size.
+#[derive(Clone, Default)]
+pub struct ConstPool {
+    entries: Vec<Const>,
+    /// [`ConstPool::digest`] of each entry to its position, empty while
+    /// the pool is short. An entry whose digest another entry holds
+    /// takes the next free digest value, so a lookup probes forward
+    /// from its digest to the first value not in the index.
+    index: HashMap<u64, u32>,
+}
+
+impl ConstPool {
+    /// A digest of a constant's plane and literal bits, equal for
+    /// constants [`ConstPool::find`] treats as the same. It is keyed
+    /// like the index's own hashing, with a random key per pool, so
+    /// input cannot be chosen to make digests collide.
+    fn digest(&self, c: &Const) -> u64 {
+        let mut h = self.index.hasher().build_hasher();
+        c.ty.hash(&mut h);
+        std::mem::discriminant(&c.lit).hash(&mut h);
+        match &c.lit {
+            Literal::Bool(b) => b.hash(&mut h),
+            Literal::Char(x) => x.hash(&mut h),
+            Literal::Int(x) => x.hash(&mut h),
+            Literal::Long(x) => x.hash(&mut h),
+            Literal::Float(x) => x.to_bits().hash(&mut h),
+            Literal::Double(x) => x.to_bits().hash(&mut h),
+            Literal::Str(s) => s.hash(&mut h),
+            Literal::Null => {}
+        }
+        h.finish()
+    }
+
+    /// The position of the entry on `c`'s plane whose literal is
+    /// bit-identical to `c`'s ([`Literal::bit_eq`]: a NaN matches only
+    /// the same NaN, and `-0.0` does not match `0.0`).
+    pub(crate) fn find(&self, c: &Const) -> Option<usize> {
+        let same = |e: &Const| e.ty == c.ty && e.lit.bit_eq(&c.lit);
+        if self.entries.len() < SCAN {
+            return self.entries.iter().position(same);
+        }
+        let mut d = self.digest(c);
+        while let Some(&i) = self.index.get(&d) {
+            if same(&self.entries[i as usize]) {
+                return Some(i as usize);
+            }
+            d = d.wrapping_add(1);
+        }
+        None
+    }
+
+    /// Room for `n` more entries.
+    pub fn reserve(&mut self, n: usize) {
+        self.entries.reserve(n);
+    }
+
+    /// Appends `c`, which must not be in the pool yet.
+    fn push(&mut self, c: Const) {
+        self.entries.push(c);
+        let n = self.entries.len();
+        // A pool that just reached `SCAN` entries indexes them all; a
+        // longer one indexes the new entry.
+        let first = match n.cmp(&SCAN) {
+            std::cmp::Ordering::Less => return,
+            std::cmp::Ordering::Equal => 0,
+            std::cmp::Ordering::Greater => n - 1,
+        };
+        for i in first..n {
+            let mut d = self.digest(&self.entries[i]);
+            while self.index.contains_key(&d) {
+                d = d.wrapping_add(1);
+            }
+            self.index.insert(d, i as u32);
+        }
+    }
+}
+
+impl std::ops::Deref for ConstPool {
+    type Target = [Const];
+
+    fn deref(&self) -> &[Const] {
+        &self.entries
+    }
+}
+
+impl<'a> IntoIterator for &'a ConstPool {
+    type Item = &'a Const;
+    type IntoIter = std::slice::Iter<'a, Const>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.iter()
+    }
+}
+
+/// Pools are equal when their entries are; the index follows from them.
+impl PartialEq for ConstPool {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
+}
+
+/// Prints the entries as a list, like a `Vec`.
+impl std::fmt::Debug for ConstPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(&self.entries).finish()
+    }
+}
+
 impl Function {
     /// Creates a function with an empty entry block; parameters are
     /// pre-loaded immediately.
@@ -73,27 +190,28 @@ impl Function {
         params: Vec<TypeId>,
         ret: Option<TypeId>,
     ) -> Self {
-        let mut f = Function {
-            name: name.into(),
-            class,
-            params: params.clone(),
-            ret,
-            consts: Vec::new(),
-            const_values: Vec::new(),
-            blocks: vec![Block::default()],
-            results: vec![BlockResults::default()],
-            values: Vec::new(),
-            body: Cst::empty(),
-        };
-        for (i, ty) in params.iter().enumerate() {
-            f.values.push(ValueInfo {
-                ty: *ty,
+        let values = params
+            .iter()
+            .enumerate()
+            .map(|(i, &ty)| ValueInfo {
+                ty,
                 def: Def::Param(i as u32),
                 block: ENTRY,
                 provenance: None,
-            });
+            })
+            .collect();
+        Function {
+            name: name.into(),
+            class,
+            params,
+            ret,
+            consts: ConstPool::default(),
+            const_values: Vec::new(),
+            blocks: vec![Block::default()],
+            results: vec![BlockResults::default()],
+            values,
+            body: Cst::empty(),
         }
-        f
     }
 
     /// The value pre-loaded for parameter `i`.
@@ -109,22 +227,17 @@ impl Function {
     /// Adds (or reuses) a constant-pool entry and returns its pre-loaded
     /// value.
     pub fn add_const(&mut self, c: Const) -> ValueId {
-        if let Some(i) = self
-            .consts
-            .iter()
-            .position(|e| e.ty == c.ty && e.lit.bit_eq(&c.lit))
-        {
+        if let Some(i) = self.consts.find(&c) {
             return self.const_values[i];
         }
-        let idx = self.consts.len();
-        self.consts.push(c.clone());
         let id = ValueId(self.values.len() as u32);
         self.values.push(ValueInfo {
             ty: c.ty,
-            def: Def::Const(idx as u32),
+            def: Def::Const(self.consts.len() as u32),
             block: ENTRY,
             provenance: None,
         });
+        self.consts.push(c);
         self.const_values.push(id);
         id
     }
@@ -434,7 +547,7 @@ mod tests {
                 Instr::Primitive {
                     ty,
                     op,
-                    args: vec![f.param_value(0), f.param_value(1)],
+                    args: [f.param_value(0), f.param_value(1)].into(),
                 },
             )
             .unwrap()
@@ -458,7 +571,7 @@ mod tests {
                 Instr::Primitive {
                     ty,
                     op,
-                    args: vec![f.param_value(0), f.param_value(1)],
+                    args: [f.param_value(0), f.param_value(1)].into(),
                 },
             )
             .unwrap_err();
@@ -483,7 +596,7 @@ mod tests {
                 Instr::Primitive {
                     ty,
                     op,
-                    args: vec![f.param_value(0), c],
+                    args: [f.param_value(0), c].into(),
                 },
             )
             .unwrap()
@@ -506,7 +619,7 @@ mod tests {
                 Instr::Primitive {
                     ty,
                     op,
-                    args: vec![p, p],
+                    args: [p, p].into(),
                 },
             )
             .unwrap()
@@ -596,11 +709,109 @@ mod tests {
         let g = f.clone();
         assert_ne!(f, g, "PartialEq: NaN != NaN");
         assert!(f.bit_eq(&g));
-        let mut h = f.clone();
-        h.consts[0].lit = Literal::Double(-f64::NAN);
+        let mut h = Function::new("f", None, vec![], Some(double));
+        h.add_const(Const {
+            ty: double,
+            lit: Literal::Double(-f64::NAN),
+        });
         assert!(
             !f.bit_eq(&h),
             "a NaN with other bits is a different constant"
         );
+    }
+
+    #[test]
+    fn a_long_pool_interns_through_its_index_by_plane_and_bits() {
+        let mut types = TypeTable::new();
+        let int = types.prim(PrimKind::Int);
+        let long = types.prim(PrimKind::Long);
+        let double = types.prim(PrimKind::Double);
+        let mut class = |name: &str| {
+            types
+                .declare_class(crate::types::ClassInfo {
+                    name: name.into(),
+                    superclass: None,
+                    fields: vec![],
+                    methods: vec![],
+                    imported: true,
+                    instance_size: 0,
+                })
+                .1
+        };
+        let (object, string) = (class("Object"), class("String"));
+        // `null` on two planes is two constants, in a short pool too.
+        let nulls = [object, string].map(|ty| Const {
+            ty,
+            lit: Literal::Null,
+        });
+        let mut short = Function::new("s", None, vec![], None);
+        let ids = nulls.clone().map(|c| short.add_const(c));
+        assert_ne!(ids[0], ids[1]);
+        assert_eq!(short.consts.find(&nulls[1]), Some(1));
+        let mut lits = Vec::new();
+        for k in 0..200 {
+            lits.push(Const {
+                ty: int,
+                lit: Literal::Int(k),
+            });
+            lits.push(Const {
+                ty: long,
+                lit: Literal::Long(i64::from(k)),
+            });
+            lits.push(Const {
+                ty: string,
+                lit: Literal::Str(format!("s{k}")),
+            });
+        }
+        let tricky = [
+            Literal::Double(0.0),
+            Literal::Double(-0.0),
+            Literal::Double(f64::NAN),
+            Literal::Double(-f64::NAN),
+        ];
+        lits.extend(tricky.iter().map(|lit| Const {
+            ty: double,
+            lit: lit.clone(),
+        }));
+        lits.extend(nulls);
+        let mut f = Function::new("f", None, vec![int], None);
+        let ids: Vec<ValueId> = lits.iter().map(|c| f.add_const(c.clone())).collect();
+        assert_eq!(f.consts.len(), lits.len(), "every constant is distinct");
+        assert!(f.consts.index.len() == lits.len(), "past SCAN, all indexed");
+        for (c, id) in lits.iter().zip(&ids) {
+            assert_eq!(f.add_const(c.clone()), *id, "{c:?} interns to its entry");
+            let i = f.consts.find(c).unwrap();
+            assert_eq!(f.const_value(i), *id);
+        }
+        assert_eq!(f.consts.len(), lits.len(), "no duplicate was added");
+        // Same bits on another plane is another constant.
+        let other = Const {
+            ty: long,
+            lit: Literal::Int(7),
+        };
+        assert_eq!(f.consts.find(&other), None);
+    }
+
+    #[test]
+    fn colliding_digests_probe_to_the_next_value() {
+        let types = TypeTable::new();
+        let int = types.prim(PrimKind::Int);
+        let mut pool = ConstPool::default();
+        let consts: Vec<Const> = (0..SCAN as i32 + 4)
+            .map(|k| Const {
+                ty: int,
+                lit: Literal::Int(k),
+            })
+            .collect();
+        for c in &consts {
+            pool.push(c.clone());
+        }
+        // Entry 1 finds its digest taken by entry 0, as on a collision,
+        // and sits one value on.
+        let (d0, d1) = (pool.digest(&consts[0]), pool.digest(&consts[1]));
+        pool.index.remove(&d0);
+        pool.index.insert(d1, 0);
+        pool.index.insert(d1.wrapping_add(1), 1);
+        assert_eq!(pool.find(&consts[1]), Some(1));
     }
 }

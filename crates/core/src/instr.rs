@@ -22,8 +22,9 @@ pub enum Instr {
         ty: TypeId,
         /// Operation within that type's table.
         op: PrimOpId,
-        /// Operands on the planes dictated by the operation signature.
-        args: Vec<ValueId>,
+        /// Operands on the planes dictated by the operation signature
+        /// (at most two, so they always fit in place).
+        args: Operands<ValueId>,
     },
     /// `xprimitive base-type operation operand…` (§5). May trap; adds an
     /// incoming exception edge when inside a `try` region.
@@ -32,8 +33,8 @@ pub enum Instr {
         ty: TypeId,
         /// Operation within that type's table (must be exceptional).
         op: PrimOpId,
-        /// Operands.
-        args: Vec<ValueId>,
+        /// Operands, in place like [`Instr::Primitive`]'s.
+        args: Operands<ValueId>,
     },
     /// Null check (§4): coerces a `ref` value onto the `safe-ref` plane,
     /// trapping if it is `null`.
@@ -270,9 +271,7 @@ impl Instr {
     /// The operand values, in signature order.
     pub fn operands(&self) -> Operands<ValueId> {
         match self {
-            Instr::Primitive { args, .. } | Instr::XPrimitive { args, .. } => {
-                args.iter().copied().collect()
-            }
+            Instr::Primitive { args, .. } | Instr::XPrimitive { args, .. } => args.clone(),
             Instr::NullCheck { value, .. }
             | Instr::Upcast { value, .. }
             | Instr::Downcast { value, .. }
@@ -303,7 +302,7 @@ impl Instr {
     pub fn map_operands(&mut self, mut f: impl FnMut(ValueId) -> ValueId) {
         match self {
             Instr::Primitive { args, .. } | Instr::XPrimitive { args, .. } => {
-                for a in args {
+                for a in args.iter_mut() {
                     *a = f(*a);
                 }
             }
@@ -386,18 +385,21 @@ impl Instr {
     }
 }
 
-/// How many items an [`Operands`] list holds in place. Only a call with
-/// more than four operands, its receiver included, needs more.
-const INLINE_OPERANDS: usize = 4;
+/// How many items an [`Operands`] list holds in place: as many 4-byte
+/// items as fit beside the length in the room a spilled list takes
+/// anyway. Only a call with more than seven operands, its receiver
+/// included, needs more.
+const INLINE_OPERANDS: usize = 7;
 
-/// A short list that holds up to four items in place and spills to the
-/// heap only beyond that; it derefs to a slice. It carries an
-/// instruction's operand values ([`Instr::operands`]) or their planes, so
-/// listing them allocates nothing for all but the longest calls.
-#[derive(Debug, Clone)]
+/// A short list that holds up to seven items in place and spills to the
+/// heap only beyond that; it derefs to a slice. It carries a primitive's
+/// operands ([`Instr::Primitive`]), an instruction's operand values
+/// ([`Instr::operands`]) or their planes, so listing them allocates
+/// nothing for all but the longest calls.
+#[derive(Clone)]
 pub struct Operands<T>(Repr<T>);
 
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 enum Repr<T> {
     Inline(u8, [T; INLINE_OPERANDS]),
     Spilled(Vec<T>),
@@ -444,6 +446,22 @@ impl<T> std::ops::Deref for Operands<T> {
             Repr::Inline(len, items) => &items[..usize::from(*len)],
             Repr::Spilled(v) => v,
         }
+    }
+}
+
+impl<T> std::ops::DerefMut for Operands<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match &mut self.0 {
+            Repr::Inline(len, items) => &mut items[..usize::from(*len)],
+            Repr::Spilled(v) => v,
+        }
+    }
+}
+
+/// Prints the items as a list, like a `Vec`.
+impl<T: std::fmt::Debug> std::fmt::Debug for Operands<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -522,13 +540,13 @@ mod tests {
         let prim = Instr::Primitive {
             ty: TypeId(2),
             op: PrimOpId(0),
-            args: vec![ValueId(0), ValueId(1)],
+            args: [ValueId(0), ValueId(1)].into(),
         };
         assert!(!prim.is_exceptional());
         let xprim = Instr::XPrimitive {
             ty: TypeId(2),
             op: PrimOpId(3),
-            args: vec![ValueId(0), ValueId(1)],
+            args: [ValueId(0), ValueId(1)].into(),
         };
         assert!(xprim.is_exceptional());
     }
@@ -549,7 +567,7 @@ mod tests {
                 Instr::Primitive {
                     ty: t,
                     op,
-                    args: vec![v],
+                    args: [v].into(),
                 },
                 true,
             ),
@@ -557,7 +575,7 @@ mod tests {
                 Instr::XPrimitive {
                     ty: t,
                     op,
-                    args: vec![v],
+                    args: [v].into(),
                 },
                 false,
             ),
@@ -677,6 +695,22 @@ mod tests {
                 assert!(!instr.is_exceptional() && !instr.writes_memory());
             }
         }
+    }
+
+    #[test]
+    fn instructions_stay_48_bytes_with_primitive_operands_in_place() {
+        assert_eq!(std::mem::size_of::<Instr>(), 48);
+        assert_eq!(std::mem::size_of::<Operands<ValueId>>(), 32);
+        let add = Instr::Primitive {
+            ty: TypeId(2),
+            op: PrimOpId(0),
+            args: [ValueId(0), ValueId(1)].into(),
+        };
+        let Instr::Primitive { args, .. } = &add else {
+            unreachable!()
+        };
+        assert!(matches!(args.0, Repr::Inline(2, _)));
+        assert_eq!(format!("{args:?}"), "[ValueId(0), ValueId(1)]");
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! * the typing rules of type separation ([`typing`], §3–§4),
 //! * function/module containers ([`function`], [`module`]),
 //! * the verifier ([`verify`]) — linear-time, no dataflow analysis,
+//! * per-thread reuse of derived-graph buffers ([`reuse`]),
 //! * the paper's textual program views ([`pretty`], Figures 1–4, 7–9).
 //!
 //! The wire format lives in `safetsa-codec`; SSA construction from Java
@@ -49,7 +50,7 @@
 //!     .add_instr(&mut types, ENTRY, Instr::Primitive {
 //!         ty: int,
 //!         op: add,
-//!         args: vec![f.param_value(0), f.param_value(1)],
+//!         args: [f.param_value(0), f.param_value(1)].into(),
 //!     })?
 //!     .unwrap();
 //! f.body = Cst::Seq(vec![Cst::Basic(ENTRY), Cst::Return(Some(sum))]);
@@ -67,6 +68,7 @@ pub mod instr;
 pub mod module;
 pub mod pretty;
 pub mod primops;
+pub mod reuse;
 pub mod rewrite;
 pub mod types;
 pub mod typing;

@@ -311,7 +311,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: lt,
-                    args: vec![f.param_value(0), f.param_value(1)],
+                    args: [f.param_value(0), f.param_value(1)].into(),
                 },
             )
             .unwrap()
@@ -326,7 +326,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: add,
-                    args: vec![f.param_value(0), f.param_value(1)],
+                    args: [f.param_value(0), f.param_value(1)].into(),
                 },
             )
             .unwrap()

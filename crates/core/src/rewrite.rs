@@ -388,7 +388,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: add,
-                    args: vec![f.param_value(0), f.param_value(1)],
+                    args: [f.param_value(0), f.param_value(1)].into(),
                 },
             )
             .unwrap()
@@ -400,7 +400,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: add,
-                    args: vec![f.param_value(0), f.param_value(0)],
+                    args: [f.param_value(0), f.param_value(0)].into(),
                 },
             )
             .unwrap()
@@ -438,7 +438,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: add,
-                    args: vec![f.param_value(0), f.param_value(1)],
+                    args: [f.param_value(0), f.param_value(1)].into(),
                 },
             )
             .unwrap()
@@ -451,7 +451,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: add,
-                    args: vec![f.param_value(0), f.param_value(1)],
+                    args: [f.param_value(0), f.param_value(1)].into(),
                 },
             )
             .unwrap()
@@ -463,7 +463,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: add,
-                    args: vec![a, b],
+                    args: [a, b].into(),
                 },
             )
             .unwrap()
@@ -494,7 +494,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: add,
-                    args: vec![f.param_value(0), f.param_value(0)],
+                    args: [f.param_value(0), f.param_value(0)].into(),
                 },
             )
             .unwrap()

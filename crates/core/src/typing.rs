@@ -595,7 +595,7 @@ mod tests {
                 Instr::Primitive {
                     ty: long,
                     op: op(PrimKind::Long, "shl"),
-                    args: vec![v, v],
+                    args: [v, v].into(),
                 },
                 vec![long, int],
                 Some(long),
@@ -604,7 +604,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: op(PrimKind::Int, "lt"),
-                    args: vec![v, v],
+                    args: [v, v].into(),
                 },
                 vec![int, int],
                 Some(boolean),
@@ -613,7 +613,7 @@ mod tests {
                 Instr::XPrimitive {
                     ty: int,
                     op: op(PrimKind::Int, "div"),
-                    args: vec![v, v],
+                    args: [v, v].into(),
                 },
                 vec![int, int],
                 Some(int),
@@ -803,7 +803,7 @@ mod tests {
                 Instr::Primitive {
                     ty: a_ty,
                     op: op("add"),
-                    args: vec![],
+                    args: [].into(),
                 },
                 bad("primitive", a_ty),
             ),
@@ -811,7 +811,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: primops::PrimOpId(999),
-                    args: vec![],
+                    args: [].into(),
                 },
                 TypeError::UnknownPrimOp,
             ),
@@ -819,7 +819,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: op("div"),
-                    args: vec![],
+                    args: [].into(),
                 },
                 TypeError::ExceptionalityMismatch {
                     op: "div",
@@ -830,7 +830,7 @@ mod tests {
                 Instr::XPrimitive {
                     ty: int,
                     op: op("add"),
-                    args: vec![],
+                    args: [].into(),
                 },
                 TypeError::ExceptionalityMismatch {
                     op: "add",

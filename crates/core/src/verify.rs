@@ -27,9 +27,11 @@ use crate::dom::DomTree;
 use crate::function::{Function, ENTRY};
 use crate::instr::Instr;
 use crate::module::Module;
+use crate::reuse::{vec_bytes, with_thread_buffers, Buffers};
 use crate::types::{TypeKind, TypeTable};
 use crate::typing::{self, TypeError};
 use crate::value::{BlockId, Def, ValueId};
+use std::cell::Cell;
 use std::fmt;
 
 /// A verification failure.
@@ -183,12 +185,30 @@ fn def_pos(def: Def) -> (u8, u32) {
 }
 
 /// The per-function structures verification derives. A module's
-/// verification keeps one set and rebuilds it in place for each function.
+/// verification keeps one set and rebuilds it in place for each
+/// function, and the thread keeps the set for its next verification
+/// ([`crate::reuse`]).
 #[derive(Default)]
 struct Derived {
     cfg: Cfg,
     dom: DomTree,
     marks: Marks,
+}
+
+impl Buffers for Derived {
+    fn heap_bytes(&mut self) -> usize {
+        let m = &self.marks;
+        self.cfg.heap_bytes()
+            + self.dom.heap_bytes()
+            + vec_bytes(&m.is_handler)
+            + vec_bytes(&m.pred_seen)
+            + vec_bytes(&m.mentioned)
+    }
+}
+
+thread_local! {
+    /// The calling thread's verification buffers between calls.
+    static DERIVED: Cell<Option<Derived>> = const { Cell::new(None) };
 }
 
 /// Per-block marks of [`Checker::check_blocks`].
@@ -199,6 +219,8 @@ struct Marks {
     /// block `b`; stamping with the block index needs no reset between
     /// blocks.
     pred_seen: Vec<u32>,
+    /// Whether the CST names each block.
+    mentioned: Vec<bool>,
 }
 
 struct Checker<'a> {
@@ -255,10 +277,16 @@ impl<'a> Checker<'a> {
 
     fn check_blocks(&mut self, marks: &mut Marks) -> Result<(), VerifyError> {
         let n = self.f.block_count();
+        let Marks {
+            is_handler,
+            pred_seen,
+            mentioned,
+        } = marks;
         // Every block appears in the CST exactly once (duplicates are a
         // CfgError); here we catch blocks never mentioned.
         if self.cfg.traversal.len() != n {
-            let mut mentioned = vec![false; n];
+            mentioned.clear();
+            mentioned.resize(n, false);
             for &b in &self.cfg.traversal {
                 mentioned[b.index()] = true;
             }
@@ -266,10 +294,6 @@ impl<'a> Checker<'a> {
                 return Err(VerifyError::UnusedBlock(BlockId(i as u32)));
             }
         }
-        let Marks {
-            is_handler,
-            pred_seen,
-        } = marks;
         is_handler.clear();
         is_handler.resize(n, false);
         self.f.body.walk(&mut |c| {
@@ -487,7 +511,9 @@ pub fn verify_function(
     throwable_root: crate::types::ClassId,
     f: &Function,
 ) -> Result<VerifyStats, VerifyError> {
-    verify_function_in(types, throwable_root, f, &mut Derived::default())
+    with_thread_buffers(&DERIVED, |derived| {
+        verify_function_in(types, throwable_root, f, derived)
+    })
 }
 
 /// [`verify_function`], deriving the function's structures in `derived`.
@@ -575,15 +601,16 @@ pub fn verify_module(m: &Module) -> Result<VerifyStats, VerifyError> {
             }
         }
     }
-    let mut total = VerifyStats::default();
-    let mut derived = Derived::default();
-    for f in &m.functions {
-        let s = verify_function_in(&m.types, m.well_known.throwable, f, &mut derived)?;
-        total.instrs += s.instrs;
-        total.phis += s.phis;
-        total.operands += s.operands;
-    }
-    Ok(total)
+    with_thread_buffers(&DERIVED, |derived| {
+        let mut total = VerifyStats::default();
+        for f in &m.functions {
+            let s = verify_function_in(&m.types, m.well_known.throwable, f, derived)?;
+            total.instrs += s.instrs;
+            total.phis += s.phis;
+            total.operands += s.operands;
+        }
+        Ok(total)
+    })
 }
 
 #[cfg(test)]
@@ -627,7 +654,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: add,
-                    args: vec![f.param_value(0), f.param_value(1)],
+                    args: [f.param_value(0), f.param_value(1)].into(),
                 },
             )
             .unwrap()
@@ -665,7 +692,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: add,
-                    args: vec![f.param_value(0), f.param_value(0)],
+                    args: [f.param_value(0), f.param_value(0)].into(),
                 },
             )
             .unwrap()
@@ -674,7 +701,7 @@ mod tests {
         f.blocks[0].instrs[0] = Instr::Primitive {
             ty: int,
             op: add,
-            args: vec![v, f.param_value(0)],
+            args: [v, f.param_value(0)].into(),
         };
         f.body = Cst::Basic(ENTRY);
         assert!(matches!(
@@ -702,7 +729,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: add,
-                    args: vec![f.param_value(1), f.param_value(1)],
+                    args: [f.param_value(1), f.param_value(1)].into(),
                 },
             )
             .unwrap()
@@ -714,7 +741,7 @@ mod tests {
             Instr::Primitive {
                 ty: int,
                 op: add,
-                args: vec![tv, f.param_value(1)],
+                args: [tv, f.param_value(1)].into(),
             },
         )
         .unwrap();
@@ -749,7 +776,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: add,
-                    args: vec![f.param_value(1), f.param_value(1)],
+                    args: [f.param_value(1), f.param_value(1)].into(),
                 },
             )
             .unwrap()
@@ -808,7 +835,7 @@ mod tests {
             Instr::Primitive {
                 ty: int,
                 op: add,
-                args: vec![f.param_value(0), f.param_value(0)],
+                args: [f.param_value(0), f.param_value(0)].into(),
             },
         )
         .unwrap();
@@ -861,7 +888,7 @@ mod tests {
             let body_b = f.add_block();
             let handler_entry = f.add_block();
             let join = f.add_block();
-            let args = vec![f.param_value(0), f.param_value(1)];
+            let args = [f.param_value(0), f.param_value(1)].into();
             f.add_instr(
                 types,
                 body_b,

@@ -34,7 +34,7 @@
 //! removed (the rewrite is skipped), and dangling phi arguments are
 //! pruned afterwards.
 
-use crate::facts::Facts;
+use crate::facts::{with_facts, Facts};
 use crate::fixup;
 use safetsa_analysis::{liveness, nullness, range, Nullity};
 use safetsa_core::function::Function;
@@ -117,7 +117,7 @@ fn safe_witness(
 /// run's statistics.
 pub fn run(types: &TypeTable, f: &Function) -> (Function, CheckElimStats) {
     let mut g = f.clone();
-    let stats = apply(types, &mut g, &mut Facts::default());
+    let stats = with_facts(|facts| apply(types, &mut g, facts));
     (g, stats)
 }
 

@@ -20,7 +20,7 @@
 //! (Appendix A binds safe indices to array values, whose length is
 //! immutable).
 
-use crate::facts::Facts;
+use crate::facts::{with_facts, Facts};
 use crate::fixup;
 use crate::MemModel;
 use safetsa_core::cfg::Cfg;
@@ -65,7 +65,7 @@ pub fn run(types: &TypeTable, f: &Function) -> (Function, usize) {
 pub fn run_with(types: &TypeTable, f: &Function, model: MemModel) -> (Function, usize) {
     let _ = types;
     let mut g = f.clone();
-    let removed = apply(&mut g, &mut Facts::default(), model);
+    let removed = with_facts(|facts| apply(&mut g, facts, model));
     (g, removed)
 }
 

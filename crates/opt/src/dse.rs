@@ -33,7 +33,7 @@
 //! the allocation, completing scalar-style removal of unobservable
 //! objects.
 
-use crate::facts::Facts;
+use crate::facts::{with_facts, Facts};
 use safetsa_analysis::escape;
 use safetsa_analysis::range::origin;
 use safetsa_core::function::Function;
@@ -77,7 +77,7 @@ enum Loc {
 /// the run's statistics.
 pub fn run(types: &TypeTable, f: &Function) -> (Function, DseStats) {
     let mut g = f.clone();
-    let stats = apply(types, &mut g, &Facts::default());
+    let stats = with_facts(|facts| apply(types, &mut g, facts));
     (g, stats)
 }
 

@@ -14,17 +14,34 @@
 //! dominator tree's buffers, and the next use rebuilds them in place
 //! ([`Cfg::rebuild`], [`DomTree::rebuild`]), so the graphs of every
 //! function version allocate only when a function outgrows the
-//! largest one before it.
+//! largest one before it. Between calls the thread keeps the context,
+//! invalidated, for its next module ([`with_facts`]).
 
 use crate::fixup;
 use safetsa_analysis::{alias, escape, AliasAnalysis, EscapeAnalysis};
 use safetsa_core::cfg::Cfg;
 use safetsa_core::dom::DomTree;
 use safetsa_core::function::Function;
+use safetsa_core::reuse::{with_thread_buffers, Buffers};
 use safetsa_core::types::TypeTable;
 use safetsa_core::value::BlockId;
 use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
+
+thread_local! {
+    /// The calling thread's fact context between calls.
+    static FACTS: Cell<Option<Facts>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with the calling thread's fact context, which holds no
+/// facts, only graph buffers, when `f` starts and again once it returns.
+pub(crate) fn with_facts<R>(f: impl FnOnce(&mut Facts) -> R) -> R {
+    with_thread_buffers(&FACTS, |facts| {
+        let out = f(facts);
+        facts.invalidate();
+        out
+    })
+}
 
 /// Lazily computed facts about one version of a function. Every
 /// accessor must be called with that same function, and with the CFG
@@ -38,6 +55,14 @@ pub(crate) struct Facts {
     /// The graphs of an earlier version, kept for their buffers.
     spare_cfg: Cell<Cfg>,
     spare_dom: Cell<DomTree>,
+}
+
+/// Only the spare graphs hold buffers: [`with_facts`] invalidates the
+/// context before the thread keeps it.
+impl Buffers for Facts {
+    fn heap_bytes(&mut self) -> usize {
+        self.spare_cfg.get_mut().heap_bytes() + self.spare_dom.get_mut().heap_bytes()
+    }
 }
 
 impl Facts {

@@ -52,7 +52,7 @@ mod facts;
 mod fixup;
 pub mod loadfwd;
 
-use facts::Facts;
+use facts::{with_facts, Facts};
 use safetsa_core::function::Function;
 use safetsa_core::instr::Instr;
 use safetsa_core::module::Module;
@@ -276,18 +276,19 @@ fn count_checks(f: &Function) -> (usize, usize) {
 /// in which no pass removed anything: constant propagation can expose
 /// CSE, CSE exposes dead code, and DCE can expose more constants.
 ///
-/// The passes of one function version share one fact context: its CFG,
-/// dominator tree, exception-edge map and alias/escape results are
-/// built on first use, and any pass that removes something drops them
-/// all (the graphs keep their buffers and are rebuilt in place). A
-/// pass that already ran clean on the current version is not
-/// run again; the statistics it recorded then are added again
-/// instead. Both rest on the same invariant, which debug builds
-/// assert: a pass that reports no removals leaves the function
-/// unchanged. The replay is exact because every pass is a
-/// deterministic function of the type table and the function.
+/// The passes of one function version share one fact context, which
+/// the thread keeps between calls: its CFG, dominator tree,
+/// exception-edge map and alias/escape results are built on first use,
+/// and any pass that removes something drops them all (the graphs keep
+/// their buffers and are rebuilt in place). A pass that already ran
+/// clean on the current version is not run again; the statistics it
+/// recorded then are added again instead. Both rest on the same
+/// invariant, which debug builds assert: a pass that reports no
+/// removals leaves the function unchanged. The replay is exact because
+/// every pass is a deterministic function of the type table and the
+/// function.
 pub fn optimize_function(types: &TypeTable, f: &mut Function, passes: Passes) -> OptStats {
-    optimize_in(types, f, passes, &mut Facts::default())
+    with_facts(|facts| optimize_in(types, f, passes, facts))
 }
 
 /// [`optimize_function`] with the fact context `facts`, which may hold
@@ -371,10 +372,11 @@ pub fn optimize_module(m: &mut Module) -> OptStats {
 pub fn optimize(m: &mut Module, passes: Passes, tm: &Telemetry) -> OptStats {
     let stats = tm.time("opt.optimize_ns", || {
         let mut total = OptStats::default();
-        let mut facts = Facts::default();
-        for f in &mut m.functions {
-            total.add(&optimize_in(&m.types, f, passes, &mut facts));
-        }
+        with_facts(|facts| {
+            for f in &mut m.functions {
+                total.add(&optimize_in(&m.types, f, passes, facts));
+            }
+        });
         #[cfg(debug_assertions)]
         if let Err(e) = safetsa_core::verify::verify_module(m) {
             panic!("optimizer produced an unverifiable module: {e}");

@@ -33,7 +33,7 @@
 //! (both are the field's/element's plane), which `debug_assertions`
 //! re-verify.
 
-use crate::facts::Facts;
+use crate::facts::{with_facts, Facts};
 use safetsa_analysis::range::origin;
 use safetsa_analysis::{alias, escape};
 use safetsa_core::cfg::{Cfg, EdgeKind};
@@ -121,7 +121,7 @@ enum Src {
 /// run's statistics.
 pub fn run(types: &TypeTable, f: &Function) -> (Function, LoadFwdStats) {
     let mut g = f.clone();
-    let stats = apply(types, &mut g, &Facts::default());
+    let stats = with_facts(|facts| apply(types, &mut g, facts));
     (g, stats)
 }
 

@@ -32,7 +32,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: add,
-                    args: vec![f.param_value(1), f.param_value(1)],
+                    args: [f.param_value(1), f.param_value(1)].into(),
                 },
             )
             .unwrap()
@@ -74,7 +74,7 @@ mod tests {
                 Instr::Primitive {
                     ty: int,
                     op: add,
-                    args: vec![f.param_value(1), f.param_value(1)],
+                    args: [f.param_value(1), f.param_value(1)].into(),
                 },
             )
             .unwrap()

@@ -1181,7 +1181,7 @@ impl<'a> Lower<'a> {
                     Instr::Primitive {
                         ty: self.types.prim(kind),
                         op: self.op(kind, name),
-                        args: vec![v],
+                        args: [v].into(),
                     },
                 )
             }
@@ -1195,13 +1195,13 @@ impl<'a> Lower<'a> {
                     Instr::XPrimitive {
                         ty: self.types.prim(kind),
                         op: opid,
-                        args: vec![lv, rv],
+                        args: [lv, rv].into(),
                     }
                 } else {
                     Instr::Primitive {
                         ty: self.types.prim(kind),
                         op: opid,
-                        args: vec![lv, rv],
+                        args: [lv, rv].into(),
                     }
                 };
                 self.emit(out, instr)
@@ -1221,7 +1221,7 @@ impl<'a> Lower<'a> {
                             Instr::Primitive {
                                 ty: self.types.prim(PrimKind::Bool),
                                 op: self.op(PrimKind::Bool, "not"),
-                                args: vec![v],
+                                args: [v].into(),
                             },
                         )?
                         .expect("not result");
@@ -1242,7 +1242,7 @@ impl<'a> Lower<'a> {
                     Instr::Primitive {
                         ty: self.types.prim(kind),
                         op: self.op(kind, &name),
-                        args: vec![v],
+                        args: [v].into(),
                     },
                 )
             }

@@ -304,8 +304,13 @@ pub struct Vm<'m> {
     pub(crate) tcode: Vec<Option<std::rc::Rc<crate::threaded::TFunc>>>,
     /// `xdispatch` inline-cache guard hits.
     pub(crate) icache_hits: u64,
-    /// `xdispatch` inline-cache guard misses, i.e. dispatch walks.
+    /// `xdispatch` inline-cache guard misses.
     pub(crate) icache_misses: u64,
+    /// The target of every dispatch a miss has resolved, by (runtime
+    /// class, dispatch slot). A target is a pure function of the
+    /// immutable type table, so a later miss on the same pair looks it
+    /// up here instead of walking the superclass chain again.
+    pub(crate) dispatch_memo: HashMap<(u32, u32), crate::threaded::CallTarget>,
     /// Free list of frame buffers: a call takes one, fills it from the
     /// callee's frame template and gives it back, cleared, on return.
     frames: Vec<Vec<Value>>,
@@ -386,6 +391,7 @@ impl<'m> Vm<'m> {
             tcode: vec![None; module.functions.len()],
             icache_hits: 0,
             icache_misses: 0,
+            dispatch_memo: HashMap::new(),
             frames: Vec::new(),
             call_args: Vec::new(),
         })

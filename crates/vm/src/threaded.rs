@@ -1102,7 +1102,7 @@ impl<'a, 'm> Flattener<'a, 'm> {
                 // Only a row the table holds, at its own arity, reaches
                 // the evaluators.
                 let op = *op;
-                match (primops::resolve(kind, op), args.as_slice()) {
+                match (primops::resolve(kind, op), &args[..]) {
                     (Some(row), &[a]) if row.params.len() == 1 => Op::Prim1 {
                         kind,
                         op,
@@ -2147,16 +2147,24 @@ impl<'m> Vm<'m> {
 
     /// An inline-cache miss: the target that virtual dispatch on runtime
     /// class `rc` calls for `vslot`. A pure function of its arguments
-    /// over the immutable type table, so caching the result is sound.
+    /// over the immutable type table, so caching the result is sound:
+    /// the first miss on a pair walks the superclass chain
+    /// ([`safetsa_core::types::TypeTable::dispatch`]) and every later
+    /// one reads the VM's memo.
     #[cold]
     #[inline(never)]
-    fn dispatch_miss(&self, rc: u32, vslot: u32) -> Result<CallTarget, Trap> {
+    fn dispatch_miss(&mut self, rc: u32, vslot: u32) -> Result<CallTarget, Trap> {
+        if let Some(&t) = self.dispatch_memo.get(&(rc, vslot)) {
+            return Ok(t);
+        }
         let method = self
             .module
             .types
             .dispatch(ClassId(rc), vslot)
             .ok_or_else(|| Trap::Internal(format!("no method in dispatch slot {vslot}")))?;
-        self.call_target(method).map_err(Trap::Internal)
+        let t = self.call_target(method).map_err(Trap::Internal)?;
+        self.dispatch_memo.insert((rc, vslot), t);
+        Ok(t)
     }
 
     /// Folds the threaded engine's stats counters (block entries and

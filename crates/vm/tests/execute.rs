@@ -710,10 +710,10 @@ fn rows_outside_their_table_or_arity_fail_where_they_run() {
     // holds, at the row's own arity. Any other primitive, which the
     // verifier rejects (skipped here), decodes to an op that reports an
     // internal error when reached instead of panicking.
-    use safetsa_core::instr::Instr;
+    use safetsa_core::instr::{Instr, Operands};
     use safetsa_core::primops::PrimOpId;
     use safetsa_core::value::ValueId;
-    type Edit = fn(&mut PrimOpId, &mut Vec<ValueId>);
+    type Edit = fn(&mut PrimOpId, &mut Operands<ValueId>);
     let src = "class A { static int main() { int a = 3; int b = 4; return -a + b; } }";
     let module = lower_program(&compile(src).expect("compiles"))
         .expect("lowers")
@@ -728,7 +728,7 @@ fn rows_outside_their_table_or_arity_fail_where_they_run() {
         }),
         ("a binary row given one operand", |_, args| {
             if args.len() == 2 {
-                args.pop();
+                *args = [args[0]].into();
             }
         }),
     ];
